@@ -21,15 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, RatioUndefined, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .nads_core import snapshot_series
-from .overlap_transitions import (
-    overlap_ee,
-    overlap_eg,
-    overlap_gg,
-    reconstruct_bare_amplitudes,
-    transition_probability,
-)
+from .overlap_transitions import amplitude_ratios, overlap_arrays
 from .scenario import (
     Scenario,
     SweepSpec,
@@ -48,9 +42,7 @@ __all__ = ["main"]
 
 def _reduce_max_p(scenario: Scenario) -> float:
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    return max(
-        transition_probability(series.snapshot(k)) for k in range(len(series))
-    )
+    return float(np.max(overlap_arrays(series).p_ge))
 
 
 def _final_trajectory(scenario: Scenario):
@@ -97,10 +89,7 @@ def cmd_snapshot(args) -> int:
     scenario = load_scenario(args.file)
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
     n = len(series)
-    gg = [overlap_gg(series, k) for k in range(n)]
-    ee = [overlap_ee(series, k) for k in range(n)]
-    eg = [overlap_eg(series, k) for k in range(n)]
-    p = [transition_probability(series.snapshot(k)) for k in range(n)]
+    arrays = overlap_arrays(series)
     names = [
         "t", "omega", "delta",
         "Re_delta_tilde", "Im_delta_tilde",
@@ -119,7 +108,7 @@ def cmd_snapshot(args) -> int:
         series.sin_half.real, series.sin_half.imag,
         series.omega_G.real, series.omega_G.imag,
         series.omega_E.real, series.omega_E.imag,
-        gg, ee, [z.real for z in eg], [z.imag for z in eg], p,
+        arrays.gg, arrays.ee, arrays.eg.real, arrays.eg.imag, arrays.p_ge,
     ]
     _emit(args, "snapshot table", scenario.resolved(), names, columns)
     return 0
@@ -147,16 +136,7 @@ def cmd_evolve(args) -> int:
             ratio_traj = np.abs(num) / np.abs(den)
         ratio_traj = np.where(np.isfinite(ratio_traj), ratio_traj, np.nan)
         series = snapshot_series(scenario.system, scenario.field, grid)
-        ratio_model = np.empty(len(grid))
-        for k in range(len(grid)):
-            try:
-                ratio_model[k] = abs(
-                    reconstruct_bare_amplitudes(
-                        series, k, scenario.initial_state
-                    ).ratio
-                )
-            except RatioUndefined:
-                ratio_model[k] = np.nan
+        ratio_model = np.abs(amplitude_ratios(series, scenario.initial_state))
         names += ["ratio_tdse", "ratio_model"]
         columns += [ratio_traj, ratio_model]
     _emit(args, "evolve table", scenario.resolved(), names, columns)

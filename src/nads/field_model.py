@@ -40,6 +40,13 @@ __all__ = [
 OMEGA_FLOOR = 1e-30
 
 
+def _require_finite(owner: str, **values) -> None:
+    """Reject NaN and infinite parameters by name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{owner}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Bare frequencies, dipole scale and damping rates of the two-level system.
@@ -63,6 +70,10 @@ class SystemParams:
     gamma_e: float = 0.0
 
     def __post_init__(self):
+        _require_finite(
+            "SystemParams", omega_g=self.omega_g, omega_e=self.omega_e,
+            mu=self.mu, gamma_g=self.gamma_g, gamma_e=self.gamma_e,
+        )
         if not (self.omega_e > self.omega_g):
             raise ValidationError(
                 f"omega_e ({self.omega_e}) must exceed omega_g ({self.omega_g})"
@@ -87,6 +98,7 @@ class ConstantEnvelope:
     kind = "constant"
 
     def __post_init__(self):
+        _require_finite("ConstantEnvelope", omega0=self.omega0)
         if not self.omega0 > 0:
             raise ValidationError(f"constant envelope requires omega0 > 0, got {self.omega0}")
 
@@ -114,6 +126,9 @@ class GaussianEnvelope:
     kind = "gaussian"
 
     def __post_init__(self):
+        _require_finite(
+            "GaussianEnvelope", omega0=self.omega0, t_center=self.t_center, tau=self.tau
+        )
         if not self.tau > 0:
             raise ValidationError(f"gaussian envelope requires tau > 0, got {self.tau}")
         if not self.omega0 > 0:
@@ -140,6 +155,9 @@ class SechEnvelope:
     kind = "sech"
 
     def __post_init__(self):
+        _require_finite(
+            "SechEnvelope", omega0=self.omega0, t_center=self.t_center, tau=self.tau
+        )
         if not self.tau > 0:
             raise ValidationError(f"sech envelope requires tau > 0, got {self.tau}")
         if not self.omega0 > 0:
@@ -173,6 +191,11 @@ class Chirp:
     beta: float = 0.0
     t_center: float | None = None
 
+    def __post_init__(self):
+        _require_finite("Chirp", phi0=self.phi0, beta=self.beta)
+        if self.t_center is not None:
+            _require_finite("Chirp", t_center=self.t_center)
+
 
 @dataclass(frozen=True)
 class FieldModel:
@@ -181,6 +204,9 @@ class FieldModel:
     carrier_omega: float
     envelope: Envelope
     phase: Chirp = field(default_factory=Chirp)
+
+    def __post_init__(self):
+        _require_finite("FieldModel", carrier_omega=self.carrier_omega)
 
     @property
     def phase_center(self) -> float:

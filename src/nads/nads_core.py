@@ -15,8 +15,8 @@ Every selection is recorded so a jump can be audited.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     BranchAmbiguity,
     DegenerateRabi,
     EnvelopeUnderflow,
-    NumericalError,
 )
 from .field_model import (
     EnvelopeSample,
@@ -81,6 +80,8 @@ class SnapshotSeries:
     Arrays are read-only once constructed; treat instances as immutable.
     ``branch_log`` maps each tracked square root to an int8 array of +1
     (principal branch kept) / -1 (negated principal chosen for continuity).
+    ``overlap_cache`` holds the whole-series overlap arrays once
+    :func:`nads.overlap_transitions.overlap_arrays` has built them.
     """
 
     params: SystemParams
@@ -105,6 +106,7 @@ class SnapshotSeries:
     omega_G: np.ndarray
     omega_E: np.ndarray
     branch_log: dict[str, np.ndarray]
+    overlap_cache: Any = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -283,8 +285,47 @@ def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _attach_index(exc: NumericalError, k: int) -> NumericalError:
-    return type(exc)(str(exc), grid_index=k)
+def _track_branches(
+    principal: np.ndarray,
+    first_sign: tuple[int, ...],
+    contexts: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-continuous square roots from principal roots, one series per row.
+
+    Row j starts at ``first_sign[j]`` times its principal root; afterwards
+    each sample keeps whichever of +-principal lies nearer the previous kept
+    root. Since |p_k - s p_{k-1}| and |p_k + s p_{k-1}| only swap with the
+    sign s, the per-step decision is the sign-free comparison of
+    |p_k -+ p_{k-1}|, and the signs are its running product (a prefix scan).
+
+    Returns the tracked roots and their int8 signs (+1 principal kept, -1
+    negated), both shaped like ``principal``.
+
+    Raises
+    ------
+    BranchAmbiguity
+        At the first grid point (rows in order on a shared point) where both
+        candidates are equidistant from the previous sample, within
+        ``BRANCH_AMBIGUITY_RTOL``.
+    """
+    cur, prev = principal[:, 1:], principal[:, :-1]
+    d_keep = np.abs(cur - prev)
+    d_flip = np.abs(cur + prev)
+    steps = np.where(d_keep < d_flip, 1, -1).astype(np.int8)
+    signs = np.concatenate(
+        [np.asarray(first_sign, dtype=np.int8)[:, None], steps], axis=1
+    ).cumprod(axis=1, dtype=np.int8)
+    roots = np.where(signs > 0, principal, -principal)
+    roots[:, 0] = np.asarray(first_sign) * principal[:, 0]
+    tie = np.abs(d_keep - d_flip) <= BRANCH_AMBIGUITY_RTOL * np.maximum(d_keep, d_flip)
+    if tie.any():
+        k, j = np.argwhere(tie.T)[0]
+        raise BranchAmbiguity(
+            f"{contexts[j]}: both roots +-{complex(principal[j, k + 1]):.6e} "
+            f"equidistant from previous sample {complex(roots[j, k]):.6e}",
+            grid_index=int(k) + 1,
+        )
+    return roots, signs
 
 
 def snapshot_series(
@@ -295,16 +336,16 @@ def snapshot_series(
 ) -> SnapshotSeries:
     """Evaluate every dressed-state quantity on a uniform grid of >= 2 points.
 
-    The scan is sequential by construction (branch continuity is an
-    order-dependent decision); distinct series are independent.
+    Branch continuity is an order-dependent decision, evaluated for the
+    whole grid at once as a prefix product of signs (see
+    :func:`_track_branches`); distinct series are independent.
 
     Raises
     ------
     ValueError
         If the grid is not uniform or too short.
     EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi
-        Propagated from the per-point operations with the offending grid
-        index attached.
+        With the offending grid index attached.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -337,24 +378,17 @@ def snapshot_series(
     ).astype(complex)
     d_delta_tilde = (-d2phi + 1j * dlog_deriv).astype(complex)
 
-    n = len(grid)
-    omega_tilde = np.empty(n, dtype=complex)
-    branch_rabi = np.ones(n, dtype=np.int8)
-    prev = None
-    for k in range(n):
-        try:
-            omega_tilde[k] = nonadiabatic_rabi(
-                float(omega[k]), complex(delta_tilde[k]), complex(d_delta_tilde[k]),
-                sign_delta, prev,
-            )
-        except NumericalError as exc:
-            raise _attach_index(exc, k) from exc
-        principal = cmath.sqrt(
-            float(omega[k]) ** 2 + complex(delta_tilde[k]) ** 2
-            - 2j * complex(d_delta_tilde[k])
-        )
-        branch_rabi[k] = 1 if abs(omega_tilde[k] - principal) <= abs(omega_tilde[k] + principal) else -1
-        prev = complex(omega_tilde[k])
+    # The radicand Omega^2 + delta_tilde^2 - 2i d_delta_tilde, written out in
+    # real and imaginary parts in the order Python's complex arithmetic
+    # evaluates it, so the roots match the scalar nonadiabatic_rabi exactly.
+    a, b = delta_tilde.real, delta_tilde.imag
+    c, d = d_delta_tilde.real, d_delta_tilde.imag
+    radicand = np.empty(len(grid), dtype=complex)
+    radicand.real = (omega * omega + (a * a - b * b)) - (0.0 * c - 2.0 * d)
+    radicand.imag = (0.0 + (a * b + b * a)) - (0.0 * d + 2.0 * c)
+    (omega_tilde,), (branch_rabi,) = _track_branches(
+        np.sqrt(radicand)[None], (sign_delta,), ("nonadiabatic Rabi frequency",)
+    )
 
     d_omega_tilde = _central_diff(omega_tilde, h)
 
@@ -370,26 +404,11 @@ def snapshot_series(
     lam_t1 = lam1 + shift
     lam_t2 = lam2 + shift
 
-    cos_half = np.empty(n, dtype=complex)
-    sin_half = np.empty(n, dtype=complex)
-    branch_cos = np.ones(n, dtype=np.int8)
-    branch_sin = np.ones(n, dtype=np.int8)
-    prev_pair = None
-    for k in range(n):
-        try:
-            c, s = mixing_functions(
-                complex(lam_t1[k]), complex(lam_t2[k]), complex(omega_tilde[k]),
-                sign_delta, prev_pair,
-            )
-        except NumericalError as exc:
-            raise _attach_index(exc, k) from exc
-        cos_p = cmath.sqrt(complex(lam_t1[k]) / complex(omega_tilde[k]))
-        sin_p = cmath.sqrt(-complex(lam_t2[k]) / complex(omega_tilde[k]))
-        branch_cos[k] = 1 if abs(c - cos_p) <= abs(c + cos_p) else -1
-        branch_sin[k] = 1 if abs(s - sin_p) <= abs(s + sin_p) else -1
-        cos_half[k] = c
-        sin_half[k] = s
-        prev_pair = (c, s)
+    (cos_half, sin_half), (branch_cos, branch_sin) = _track_branches(
+        np.sqrt(np.stack([lam_t1, -lam_t2]) / omega_tilde),
+        (1, sign_delta),
+        ("COS(theta/2)", "SIN(theta/2)"),
+    )
 
     omega_G = params.omega_g + lam2
     omega_E = (

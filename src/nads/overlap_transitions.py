@@ -3,9 +3,9 @@ amplitude reconstruction.
 
 Each overlap is the product of a mixing-function bracket and an exponential
 of a cumulative time integral from the grid start. Every integral is a
-trapezoid sum on the series grid, precomputed once per series in a single
-sequential pass and cached immutably; all public functions are pure and safe
-to call concurrently on the same series.
+trapezoid sum on the series grid. All overlaps are built as whole-series
+arrays once per series (:func:`overlap_arrays`) and cached immutably on it;
+the per-point functions are index views returning Python scalars.
 
 Two algebraically equivalent routes are provided for each overlap (a concise
 form via the dressed-state frequencies and an expanded form via the
@@ -17,18 +17,16 @@ cancellation is verified rather than assumed.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Literal, Mapping
-from weakref import WeakKeyDictionary
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import RatioUndefined
 from .nads_core import NadsSnapshot, SnapshotSeries
 
 __all__ = [
+    "OverlapArrays",
     "OverlapSet",
     "ReconstructedAmplitudes",
     "overlap_gg",
@@ -39,6 +37,9 @@ __all__ = [
     "overlap_eg_expanded",
     "overlap_ge",
     "overlaps",
+    "overlap_arrays",
+    "mixing_probability",
+    "amplitude_ratios",
     "transition_probability",
     "transition_probability_via_overlaps",
     "reconstruct_bare_amplitudes",
@@ -81,55 +82,112 @@ class ReconstructedAmplitudes:
 
 
 @dataclass(frozen=True)
-class _SeriesIntegrals:
-    """Cumulative trapezoid integrals from the grid start, one value per
-    grid point. Complex phase integrals exclude the constant carrier ramp,
-    which is applied exactly where needed."""
+class OverlapArrays:
+    """Whole-series overlaps and transition probabilities, one value per grid
+    point, built once per series by :func:`overlap_arrays`.
 
-    ramp: np.ndarray            # carrier_omega * (t - t0), exact
-    int_im_G: np.ndarray        # Im omega_G
-    int_im_E: np.ndarray        # Im omega_E
-    int_eg: np.ndarray          # conj(omega_E) - omega_G - carrier
-    int_ge: np.ndarray          # conj(omega_G) - omega_E + carrier
-    int_log_m: np.ndarray       # log_deriv - Im omega_tilde
-    int_log_p: np.ndarray       # log_deriv + Im omega_tilde
-    int_exp_eg: np.ndarray      # log_deriv + i Re omega_tilde
-    int_G: np.ndarray           # omega_G
-    int_E: np.ndarray           # omega_E
+    ``p_ge`` is the pointwise (mixing-function) probability and
+    ``p_ge_via_overlaps`` the overlap-quotient route. The four remaining
+    arrays are the unit-weight exponential coefficients of the real and
+    virtual dressed-state components, see :func:`reconstruct_bare_amplitudes`.
+    """
 
-
-_INTEGRAL_CACHE: "WeakKeyDictionary[SnapshotSeries, _SeriesIntegrals]" = (
-    WeakKeyDictionary()
-)
+    gg: np.ndarray
+    gg_expanded: np.ndarray
+    ee: np.ndarray
+    ee_expanded: np.ndarray
+    eg: np.ndarray
+    eg_expanded: np.ndarray
+    ge: np.ndarray
+    p_ge: np.ndarray
+    p_ge_via_overlaps: np.ndarray
+    ground_real: np.ndarray
+    ground_virtual: np.ndarray
+    excited_real: np.ndarray
+    excited_virtual: np.ndarray
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return cumulative_trapezoid(y, x=x, initial=0.0)
+    """Cumulative trapezoid integral from x[0], starting at 0 (the operation
+    order of scipy.integrate.cumulative_trapezoid with initial=0)."""
+    out = np.zeros(len(y), dtype=np.result_type(y, x))
+    np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
 
 
-def _integrals(series: SnapshotSeries) -> _SeriesIntegrals:
-    cached = _INTEGRAL_CACHE.get(series)
+def _bracket_im(u, v):
+    """Imaginary part of the purely imaginary bracket u v* - u* v.
+
+    Written out in real arithmetic, Im(u v*) - Im(u* v), so exchanging u and
+    v negates the result exactly; NumPy's complex product may fuse
+    multiply-adds and would break that symmetry in the last bit.
+    """
+    return (u.imag * v.real - u.real * v.imag) - (u.real * v.imag - u.imag * v.real)
+
+
+def mixing_probability(sin_half, cos_half):
+    """|s c* - s* c|^2 / (|s|^2 + |c|^2)^2 elementwise, for scalars or arrays.
+
+    Exchanging s and c gives bitwise-identical results.
+    """
+    weight = np.abs(sin_half) ** 2 + np.abs(cos_half) ** 2
+    return _bracket_im(sin_half, cos_half) ** 2 / weight**2
+
+
+def overlap_arrays(series: SnapshotSeries) -> OverlapArrays:
+    """Every overlap and transition probability of ``series`` as arrays.
+
+    Built on first use from the series' current arrays and cached on the
+    series (``series.overlap_cache``); the returned arrays are read-only.
+    """
+    cached = series.overlap_cache
     if cached is not None:
         return cached
     grid = series.grid
+    s = series.sin_half
+    c = series.cos_half
     carrier = series.field.carrier_omega
+    damping = -series.params.gamma_sum_half * (grid - grid[0])
+
+    int_im_G = _cumtrapz(series.omega_G.imag, grid)
+    int_im_E = _cumtrapz(series.omega_E.imag, grid)
+    int_eg = _cumtrapz(np.conj(series.omega_E) - series.omega_G - carrier, grid)
+    int_ge = _cumtrapz(np.conj(series.omega_G) - series.omega_E + carrier, grid)
+    int_log_m = _cumtrapz(series.log_deriv - series.omega_tilde.imag, grid)
+    int_log_p = _cumtrapz(series.log_deriv + series.omega_tilde.imag, grid)
+    int_exp_eg = _cumtrapz(series.log_deriv + 1j * series.omega_tilde.real, grid)
+
+    weight = np.abs(s) ** 2 + np.abs(c) ** 2
+    bracket_eg = 1j * _bracket_im(s, c)
+    bracket_ge = 1j * _bracket_im(c, s)
+    # |<E|G>|^2 / (<G|G><E|E>) with the three exponentials combined in one
+    # exponent, so long damped runs whose norms underflow stay finite; the
+    # integrals are still accumulated separately, so their cancellation is
+    # checked numerically rather than assumed.
+    log_ratio = -2.0 * int_eg.imag - 2.0 * int_im_G - 2.0 * int_im_E
+    # Phase integrals exclude the constant carrier ramp, applied exactly here.
     ramp = carrier * (grid - grid[0])
-    integrals = _SeriesIntegrals(
-        ramp=ramp,
-        int_im_G=_cumtrapz(series.omega_G.imag, grid),
-        int_im_E=_cumtrapz(series.omega_E.imag, grid),
-        int_eg=_cumtrapz(np.conj(series.omega_E) - series.omega_G - carrier, grid),
-        int_ge=_cumtrapz(np.conj(series.omega_G) - series.omega_E + carrier, grid),
-        int_log_m=_cumtrapz(series.log_deriv - series.omega_tilde.imag, grid),
-        int_log_p=_cumtrapz(series.log_deriv + series.omega_tilde.imag, grid),
-        int_exp_eg=_cumtrapz(series.log_deriv + 1j * series.omega_tilde.real, grid),
-        int_G=_cumtrapz(series.omega_G, grid),
-        int_E=_cumtrapz(series.omega_E, grid),
+    int_G = _cumtrapz(series.omega_G, grid)
+    int_E = _cumtrapz(series.omega_E, grid)
+    arrays = OverlapArrays(
+        gg=weight * np.exp(2.0 * int_im_G),
+        gg_expanded=weight * np.exp(damping + int_log_m),
+        ee=weight * np.exp(2.0 * int_im_E),
+        ee_expanded=weight * np.exp(damping + int_log_p),
+        eg=bracket_eg * np.exp(1j * int_eg),
+        eg_expanded=bracket_eg * np.exp(damping + int_exp_eg),
+        ge=bracket_ge * np.exp(1j * int_ge),
+        p_ge=mixing_probability(s, c),
+        p_ge_via_overlaps=_bracket_im(s, c) ** 2 / weight**2 * np.exp(log_ratio),
+        ground_real=np.exp(-1j * int_G),
+        ground_virtual=np.exp(-1j * (int_G + ramp) - 1j * series.phi),
+        excited_real=np.exp(-1j * int_E - 1j * series.phi),
+        excited_virtual=np.exp(-1j * (int_E - ramp)),
     )
-    for arr in vars(integrals).values():
+    for arr in vars(arrays).values():
         arr.flags.writeable = False
-    _INTEGRAL_CACHE[series] = integrals
-    return integrals
+    series.overlap_cache = arrays
+    return arrays
 
 
 def _check_index(series: SnapshotSeries, k: int) -> int:
@@ -139,46 +197,28 @@ def _check_index(series: SnapshotSeries, k: int) -> int:
     return k
 
 
-def _bracket_weight(series: SnapshotSeries, k: int) -> float:
-    s = series.sin_half[k]
-    c = series.cos_half[k]
-    return float(abs(s) ** 2 + abs(c) ** 2)
-
-
 def overlap_gg(series: SnapshotSeries, k: int) -> float:
     """Squared norm of the ground dressed state at grid point ``k``:
     [|SIN|^2 + |COS|^2] exp(2 int Im omega_G)."""
-    k = _check_index(series, k)
-    ints = _integrals(series)
-    return _bracket_weight(series, k) * float(np.exp(2.0 * ints.int_im_G[k]))
+    return float(overlap_arrays(series).gg[_check_index(series, k)])
 
 
 def overlap_gg_expanded(series: SnapshotSeries, k: int) -> float:
     """Ground norm squared via the expanded exponent
     -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv - Im omega_tilde)."""
-    k = _check_index(series, k)
-    ints = _integrals(series)
-    elapsed = float(series.grid[k] - series.grid[0])
-    exponent = -series.params.gamma_sum_half * elapsed + ints.int_log_m[k]
-    return _bracket_weight(series, k) * float(np.exp(exponent))
+    return float(overlap_arrays(series).gg_expanded[_check_index(series, k)])
 
 
 def overlap_ee(series: SnapshotSeries, k: int) -> float:
     """Squared norm of the excited dressed state at grid point ``k``:
     [|SIN|^2 + |COS|^2] exp(2 int Im omega_E)."""
-    k = _check_index(series, k)
-    ints = _integrals(series)
-    return _bracket_weight(series, k) * float(np.exp(2.0 * ints.int_im_E[k]))
+    return float(overlap_arrays(series).ee[_check_index(series, k)])
 
 
 def overlap_ee_expanded(series: SnapshotSeries, k: int) -> float:
     """Excited norm squared via the expanded exponent
     -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv + Im omega_tilde)."""
-    k = _check_index(series, k)
-    ints = _integrals(series)
-    elapsed = float(series.grid[k] - series.grid[0])
-    exponent = -series.params.gamma_sum_half * elapsed + ints.int_log_p[k]
-    return _bracket_weight(series, k) * float(np.exp(exponent))
+    return float(overlap_arrays(series).ee_expanded[_check_index(series, k)])
 
 
 def overlap_eg(series: SnapshotSeries, k: int) -> complex:
@@ -188,25 +228,13 @@ def overlap_eg(series: SnapshotSeries, k: int) -> complex:
     The bracket is 2i Im(SIN COS*), purely imaginary; the overlap vanishes
     identically when the mixing functions are real.
     """
-    k = _check_index(series, k)
-    ints = _integrals(series)
-    s = complex(series.sin_half[k])
-    c = complex(series.cos_half[k])
-    bracket = s * c.conjugate() - s.conjugate() * c
-    return bracket * cmath.exp(1j * complex(ints.int_eg[k]))
+    return complex(overlap_arrays(series).eg[_check_index(series, k)])
 
 
 def overlap_eg_expanded(series: SnapshotSeries, k: int) -> complex:
     """Excited-ground overlap via the expanded exponent
     -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv + i Re omega_tilde)."""
-    k = _check_index(series, k)
-    ints = _integrals(series)
-    s = complex(series.sin_half[k])
-    c = complex(series.cos_half[k])
-    bracket = s * c.conjugate() - s.conjugate() * c
-    elapsed = float(series.grid[k] - series.grid[0])
-    exponent = -series.params.gamma_sum_half * elapsed + complex(ints.int_exp_eg[k])
-    return bracket * cmath.exp(exponent)
+    return complex(overlap_arrays(series).eg_expanded[_check_index(series, k)])
 
 
 def overlap_ge(series: SnapshotSeries, k: int) -> complex:
@@ -214,23 +242,19 @@ def overlap_ge(series: SnapshotSeries, k: int) -> complex:
     [COS SIN* - COS* SIN] exp{i int [conj(omega_G) - omega_E + carrier]},
     not by conjugating :func:`overlap_eg`; equality with that conjugate is a
     consistency property, not an implementation shortcut."""
-    k = _check_index(series, k)
-    ints = _integrals(series)
-    s = complex(series.sin_half[k])
-    c = complex(series.cos_half[k])
-    bracket = c * s.conjugate() - c.conjugate() * s
-    return bracket * cmath.exp(1j * complex(ints.int_ge[k]))
+    return complex(overlap_arrays(series).ge[_check_index(series, k)])
 
 
 def overlaps(series: SnapshotSeries, k: int) -> OverlapSet:
     """All overlaps and the pointwise transition probability at one point."""
     k = _check_index(series, k)
+    arrays = overlap_arrays(series)
     return OverlapSet(
         t=float(series.grid[k]),
-        gg=overlap_gg(series, k),
-        ee=overlap_ee(series, k),
-        eg=overlap_eg(series, k),
-        p_ge=transition_probability(series.snapshot(k)),
+        gg=float(arrays.gg[k]),
+        ee=float(arrays.ee[k]),
+        eg=complex(arrays.eg[k]),
+        p_ge=float(arrays.p_ge[k]),
     )
 
 
@@ -241,20 +265,39 @@ def transition_probability(snapshot: NadsSnapshot) -> float:
     The overlap exponentials cancel exactly in the normalized quotient, so
     this pointwise form needs no integrals. Zero when s and c are real.
     """
-    s = snapshot.sin_half
-    c = snapshot.cos_half
-    bracket = s * c.conjugate() - s.conjugate() * c
-    denom = (abs(s) ** 2 + abs(c) ** 2) ** 2
-    return abs(bracket) ** 2 / denom
+    return float(mixing_probability(snapshot.sin_half, snapshot.cos_half))
 
 
 def transition_probability_via_overlaps(series: SnapshotSeries, k: int) -> float:
     """Transition probability as |<E|G>|^2 / (<G|G> <E|E>) with the full
     exponential factors retained; agreement with the pointwise route checks
-    the cancellation numerically."""
-    k = _check_index(series, k)
-    eg = overlap_eg(series, k)
-    return abs(eg) ** 2 / (overlap_gg(series, k) * overlap_ee(series, k))
+    the cancellation numerically. The quotient is formed in log space, so it
+    stays finite where the norms themselves underflow."""
+    return float(overlap_arrays(series).p_ge_via_overlaps[_check_index(series, k)])
+
+
+def _ratio_terms(series: SnapshotSeries, init: InitialState, k):
+    """Numerator and denominator bare amplitudes of the occupied dressed
+    state at index ``k`` (an int or a slice)."""
+    if init not in ("ground", "excited"):
+        raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
+    arrays = overlap_arrays(series)
+    s = series.sin_half[k]
+    c = series.cos_half[k]
+    if init == "ground":
+        # coefficients on |e> and |g>
+        return s * arrays.ground_virtual[k], c * arrays.ground_real[k]
+    # coefficients on |g> and |e>
+    return -s * arrays.excited_virtual[k], c * arrays.excited_real[k]
+
+
+def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
+    """The ratio of :func:`reconstruct_bare_amplitudes` at every grid point,
+    NaN wherever that function raises :class:`RatioUndefined`."""
+    num, den = _ratio_terms(series, init, slice(None))
+    undefined = np.abs(den) < RATIO_FLOOR * np.abs(num)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(undefined, np.nan, num / den)
 
 
 def reconstruct_bare_amplitudes(
@@ -277,43 +320,24 @@ def reconstruct_bare_amplitudes(
         If the denominator amplitude is below ``RATIO_FLOOR`` times the
         numerator amplitude.
     """
-    if init not in ("ground", "excited"):
-        raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
     k = _check_index(series, k)
-    ints = _integrals(series)
-    s = complex(series.sin_half[k])
-    c = complex(series.cos_half[k])
-    phi = float(series.phi[k])
-    ramp = float(ints.ramp[k])
-    int_G = complex(ints.int_G[k])
-    int_E = complex(ints.int_E[k])
-
-    ground_real = cmath.exp(-1j * int_G)
-    ground_virtual = cmath.exp(-1j * (int_G + ramp) - 1j * phi)
-    excited_real = cmath.exp(-1j * int_E - 1j * phi)
-    excited_virtual = cmath.exp(-1j * (int_E - ramp))
-    components = {
-        "ground_real": ("g", ground_real),
-        "ground_virtual": ("e", ground_virtual),
-        "excited_real": ("e", excited_real),
-        "excited_virtual": ("g", excited_virtual),
-    }
-
-    if init == "ground":
-        num = s * ground_virtual   # coefficient on |e>
-        den = c * ground_real      # coefficient on |g>
-    else:
-        num = -s * excited_virtual  # coefficient on |g>
-        den = c * excited_real      # coefficient on |e>
+    num, den = _ratio_terms(series, init, k)
     if abs(den) < RATIO_FLOOR * abs(num):
         raise RatioUndefined(
             f"denominator amplitude {abs(den):.3e} below {RATIO_FLOOR:.0e} x "
             f"numerator {abs(num):.3e} at t = {series.grid[k]}",
             grid_index=k,
         )
+    arrays = overlap_arrays(series)
+    components = {
+        "ground_real": ("g", complex(arrays.ground_real[k])),
+        "ground_virtual": ("e", complex(arrays.ground_virtual[k])),
+        "excited_real": ("e", complex(arrays.excited_real[k])),
+        "excited_virtual": ("g", complex(arrays.excited_virtual[k])),
+    }
     return ReconstructedAmplitudes(
         t=float(series.grid[k]),
         init=init,
-        ratio=num / den,
+        ratio=complex(num / den),
         components=components,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import difflib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from importlib.resources import files
@@ -146,7 +147,13 @@ def _num(doc: Mapping, key: str, path: str, default: Any = _REQUIRED) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{path}.{key} must be a finite number, got {doc[key]!r}")
+    return value
 
 
 def _string(doc: Mapping, key: str, path: str, allowed, default: Any = _REQUIRED) -> str:
@@ -374,6 +381,8 @@ def parse_axis(text: str) -> SweepAxis:
         stop = float(parts[2])
     except ValueError as exc:
         raise ParseError(f"axis '{text}': bounds must be numbers") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParseError(f"axis '{text}': bounds must be finite")
     try:
         count = int(parts[3])
     except ValueError as exc:

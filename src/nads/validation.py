@@ -23,15 +23,8 @@ from .field_model import (
     SechEnvelope,
     SystemParams,
 )
-from .nads_core import NadsSnapshot, SnapshotSeries, snapshot_series
-from .overlap_transitions import (
-    overlap_ee,
-    overlap_eg,
-    overlap_ge,
-    overlap_gg,
-    transition_probability,
-    transition_probability_via_overlaps,
-)
+from .nads_core import SnapshotSeries, snapshot_series
+from .overlap_transitions import mixing_probability, overlap_arrays
 from .scenario import list_shipped, load_shipped
 from .tdse import evolve, lz_oracle, lz_survival, rabi_oracle
 
@@ -84,16 +77,6 @@ class CheckResult:
             f"{status} {self.name}: worst {self.worst:.3e} "
             f"(bound {self.bound:.3e}) - {self.detail}"
         )
-
-
-def _fake_snapshot(s: complex, c: complex) -> NadsSnapshot:
-    zero = 0.0 + 0.0j
-    return NadsSnapshot(
-        t=0.0, omega=0.0, delta=0.0, delta_tilde=zero, d_delta_tilde=zero,
-        omega_tilde=zero, d_omega_tilde=zero, lambda1=zero, lambda2=zero,
-        lambda_t1=zero, lambda_t2=zero, cos_half=c, sin_half=s,
-        omega_G=zero, omega_E=zero,
-    )
 
 
 def check_trig_identity(series_list: Sequence[SnapshotSeries]) -> CheckResult:
@@ -185,8 +168,7 @@ def check_adiabatic_theorem(seed: int = 2026, draws: int = 10) -> CheckResult:
         params = SystemParams(omega_g=0.0, omega_e=omega_e)
         field = FieldModel(carrier_omega=carrier, envelope=ConstantEnvelope(omega0))
         series = snapshot_series(params, field, np.linspace(0.0, 5.0, 11))
-        for k in range(len(series)):
-            worst = max(worst, transition_probability(series.snapshot(k)))
+        worst = max(worst, float(np.max(overlap_arrays(series).p_ge)))
     return CheckResult(
         name="adiabatic_theorem", passed=worst < 1e-12, worst=worst, bound=1e-12,
         detail=f"max P over {draws} random static scenarios",
@@ -198,12 +180,9 @@ def check_probability_bound(seed: int = 2027, draws: int = 10_000) -> CheckResul
     rng = np.random.default_rng(seed)
     mag = 10.0 ** rng.uniform(-3, 3, size=(draws, 2))
     ang = rng.uniform(0.0, 2.0 * math.pi, size=(draws, 2))
-    worst = 0.0
-    for k in range(draws):
-        s = mag[k, 0] * complex(math.cos(ang[k, 0]), math.sin(ang[k, 0]))
-        c = mag[k, 1] * complex(math.cos(ang[k, 1]), math.sin(ang[k, 1]))
-        p = transition_probability(_fake_snapshot(s, c))
-        worst = max(worst, -p, p - 1.0)
+    pairs = mag * (np.cos(ang) + 1j * np.sin(ang))
+    p = mixing_probability(pairs[:, 0], pairs[:, 1])
+    worst = max(0.0, float(np.max(np.maximum(-p, p - 1.0))))
     return CheckResult(
         name="probability_bound", passed=worst <= 0.0, worst=worst, bound=0.0,
         detail=f"max excursion outside [0, 1] over {draws} fuzzed pairs",
@@ -214,13 +193,11 @@ def check_microreversibility(seed: int = 2028, draws: int = 10_000) -> CheckResu
     """Forward and reverse transition probabilities agree exactly."""
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(draws, 4))
-    worst = 0.0
-    for row in values:
-        s = complex(row[0], row[1])
-        c = complex(row[2], row[3])
-        forward = transition_probability(_fake_snapshot(s, c))
-        reverse = transition_probability(_fake_snapshot(c, s))
-        worst = max(worst, abs(forward - reverse))
+    s = values[:, 0] + 1j * values[:, 1]
+    c = values[:, 2] + 1j * values[:, 3]
+    forward = mixing_probability(s, c)
+    reverse = mixing_probability(c, s)
+    worst = max(0.0, float(np.max(np.abs(forward - reverse))))
     return CheckResult(
         name="microreversibility", passed=worst == 0.0, worst=worst, bound=0.0,
         detail=f"max |P_forward - P_reverse| over {draws} fuzzed pairs",
@@ -231,10 +208,9 @@ def check_cancellation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """Pointwise Eq.-of-motion-free P equals the overlap-quotient P."""
     worst = 0.0
     for series in series_list:
-        for k in range(len(series)):
-            direct = transition_probability(series.snapshot(k))
-            routed = transition_probability_via_overlaps(series, k)
-            worst = max(worst, abs(direct - routed))
+        arrays = overlap_arrays(series)
+        dev = np.max(np.abs(arrays.p_ge - arrays.p_ge_via_overlaps))
+        worst = max(worst, float(dev))
     return CheckResult(
         name="exponential_cancellation", passed=worst < 1e-9, worst=worst,
         bound=1e-9, detail="max |P_pointwise - P_overlap_route|",
@@ -245,9 +221,9 @@ def check_conjugation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """The mirrored ground-excited overlap is the conjugate of eg."""
     worst = 0.0
     for series in series_list:
-        for k in range(len(series)):
-            dev = abs(overlap_ge(series, k) - overlap_eg(series, k).conjugate())
-            worst = max(worst, dev)
+        arrays = overlap_arrays(series)
+        dev = np.max(np.abs(arrays.ge - np.conj(arrays.eg)))
+        worst = max(worst, float(dev))
     return CheckResult(
         name="overlap_conjugation", passed=worst < 1e-12, worst=worst, bound=1e-12,
         detail="max |<G|E> - conj(<E|G>)|",
@@ -258,8 +234,8 @@ def check_positivity(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """Both dressed-state norms squared stay strictly positive."""
     smallest = math.inf
     for series in series_list:
-        for k in range(len(series)):
-            smallest = min(smallest, overlap_gg(series, k), overlap_ee(series, k))
+        arrays = overlap_arrays(series)
+        smallest = min(smallest, float(np.min(arrays.gg)), float(np.min(arrays.ee)))
     return CheckResult(
         name="norm_positivity", passed=smallest > 0.0, worst=smallest, bound=0.0,
         detail="smallest gg or ee over all shipped grids (must stay > 0)",

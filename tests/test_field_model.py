@@ -43,6 +43,31 @@ class TestSystemParams:
             SystemParams(0.0, 5.0, gamma_e=-1e-30)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite(bad):
+    builders = [
+        lambda: SystemParams(bad, 5.0),
+        lambda: SystemParams(0.0, bad),
+        lambda: SystemParams(0.0, 5.0, mu=bad),
+        lambda: SystemParams(0.0, 5.0, gamma_g=bad),
+        lambda: SystemParams(0.0, 5.0, gamma_e=bad),
+        lambda: ConstantEnvelope(bad),
+        lambda: GaussianEnvelope(bad),
+        lambda: GaussianEnvelope(1.0, t_center=bad),
+        lambda: GaussianEnvelope(1.0, tau=bad),
+        lambda: SechEnvelope(bad),
+        lambda: SechEnvelope(1.0, t_center=bad),
+        lambda: SechEnvelope(1.0, tau=bad),
+        lambda: Chirp(phi0=bad),
+        lambda: Chirp(beta=bad),
+        lambda: Chirp(t_center=bad),
+        lambda: FieldModel(carrier_omega=bad, envelope=ConstantEnvelope(1.0)),
+    ]
+    for build in builders:
+        with pytest.raises(ValidationError, match="finite"):
+            build()
+
+
 class TestEnvelopes:
     def test_constant_derivatives_vanish(self):
         env = ConstantEnvelope(omega0=0.5)

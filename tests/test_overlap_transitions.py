@@ -9,6 +9,7 @@ quadrature, so agreement budgets the trapezoid error of the implementation
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from nads.errors import RatioUndefined
 from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
 from nads.nads_core import NadsSnapshot, snapshot_series
+from nads.scenario import load_shipped
 from nads.overlap_transitions import (
     overlap_ee,
     overlap_ee_expanded,
@@ -172,6 +174,18 @@ class TestFlagshipOverlaps:
             overlap_gg(series, len(series))
         with pytest.raises(IndexError):
             overlap_gg(series, -1)
+
+
+def test_long_damped_run_keeps_overlap_route_finite():
+    # Over [0, 20000] the excited norm underflows to 0; the overlap-route
+    # quotient is formed in log space and must still match the pointwise P.
+    scenario = dataclasses.replace(load_shipped("constant-damped"), t_end=20000.0)
+    series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+    k = len(series) - 1
+    assert overlap_ee(series, k) == 0.0
+    routed = transition_probability_via_overlaps(series, k)
+    assert math.isfinite(routed) and routed > 0.0
+    assert abs(routed - transition_probability(series.snapshot(k))) < 1e-9
 
 
 class TestReconstructedAmplitudes:

@@ -207,6 +207,10 @@ class TestSweepSpecs:
             parse_axis("p:0:1:many")
         with pytest.raises(ParseError, match="trailing"):
             parse_axis("p:0:1:3:cubic")
+        with pytest.raises(ParseError, match="finite"):
+            parse_axis("p:nan:1:3")
+        with pytest.raises(ParseError, match="finite"):
+            parse_axis("p:0:inf:3")
 
     def test_axis_bounds_validation(self):
         with pytest.raises(ValidationError, match="count"):
@@ -482,6 +486,51 @@ class TestCliValidate:
         assert not result.passed
         assert result.name == "lambda_consistency"
         assert result.line().startswith("FAIL lambda_consistency")
+
+
+#: Every numeric field of a scenario with a pulsed, chirped field.
+NUMERIC_FIELDS = (
+    ("system", "omega_g"), ("system", "omega_e"), ("system", "mu"),
+    ("system", "gamma_g"), ("system", "gamma_e"),
+    ("field", "carrier_omega"),
+    ("field", "envelope", "omega0"), ("field", "envelope", "t_center"),
+    ("field", "envelope", "tau"),
+    ("field", "phase", "phi0"), ("field", "phase", "beta"),
+    ("field", "phase", "t_center"),
+    ("grid", "t_start"), ("grid", "t_end"), ("grid", "step"),
+    ("integrator", "rtol"), ("integrator", "atol"),
+)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=".".join)
+    def test_rejected_with_exit_one_and_no_table(self, tmp_path, capsys, path, value):
+        doc = minimal_doc()
+        doc["field"]["envelope"] = {
+            "kind": "gaussian", "omega0": 1.0, "t_center": 0.5, "tau": 400.0,
+        }
+        doc["field"]["phase"] = {"phi0": 0.0, "beta": 0.001, "t_center": 0.0}
+        doc["integrator"] = {"rtol": 1e-10, "atol": 1e-12}
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        out = tmp_path / "table.csv"
+        # json.dumps writes NaN/Infinity/-Infinity, which json.loads accepts.
+        rc = main(["snapshot", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_integer_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            json.dumps(minimal_doc()).replace('"omega_e": 5.0', '"omega_e": 1' + "0" * 400),
+            encoding="utf-8",
+        )
+        assert main(["snapshot", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestCliPlumbing:
