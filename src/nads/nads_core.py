@@ -328,6 +328,25 @@ def _track_branches(
     return roots, signs
 
 
+def uniform_grid(grid) -> tuple[np.ndarray, float]:
+    """The grid as a float array and its spacing.
+
+    Raises
+    ------
+    ValueError
+        If the grid is not one-dimensional with at least 2 points, or not
+        uniformly increasing.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise ValueError("grid must be one-dimensional with at least 2 points")
+    steps = np.diff(grid)
+    h = float(steps[0])
+    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+        raise ValueError("grid must be uniformly increasing")
+    return grid, h
+
+
 def snapshot_series(
     params: SystemParams,
     field: FieldModel,
@@ -347,13 +366,7 @@ def snapshot_series(
     EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi
         With the offending grid index attached.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid must be one-dimensional with at least 2 points")
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniformly increasing")
+    grid, h = uniform_grid(grid)
 
     omega = params.mu * field.envelope.omega(grid)
     if np.any(omega < floor):

@@ -236,13 +236,6 @@ def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
         gamma_g=_num(sys_doc, "gamma_g", "system", 0.0),
         gamma_e=_num(sys_doc, "gamma_e", "system", 0.0),
     )
-    if system.gamma_g < 0 or system.gamma_e < 0:
-        raise ValidationError("system.gamma_g and system.gamma_e must be >= 0")
-    if not system.omega_e > system.omega_g:
-        raise ValidationError(
-            f"system.omega_e ({system.omega_e}) must exceed "
-            f"system.omega_g ({system.omega_g})"
-        )
 
     field_doc = _mapping(doc["field"], "field")
     _check_keys(field_doc, ("carrier_omega", "envelope", "phase"), "field")

@@ -8,6 +8,13 @@ rotating-wave approximation, which is the frame the dressed-state formulas
 implicitly live in. Propagation is classic fourth-order Runge-Kutta with a
 fixed substep per run, chosen by doubling the substep count until halving
 the substep changes the final amplitudes by less than the tolerance.
+
+The equations are linear, so one RK4 substep is a 2x2 step matrix. Step
+matrices are built elementwise in NumPy, multiplied together per output
+interval, and the interval propagators are combined by a prefix product
+(Blelloch, "Prefix sums and their applications", 1990) and applied to the
+initial state. Substeps are processed in blocks of fixed size, carrying the
+state across blocks, so memory does not grow with the grid or ``n_sub``.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from ._kernels import BACKEND, rk4_pair, rk4_pair_compiled, rk4_pair_python
 from .errors import StepUnderflow
-from .field_model import Chirp, ConstantEnvelope, FieldModel, SystemParams
+from .field_model import Chirp, FieldModel, SystemParams
+from .nads_core import uniform_grid
 from .overlap_transitions import InitialState
 
 __all__ = [
@@ -41,6 +48,9 @@ STEP_UNDERFLOW_FRACTION = 1e-12
 
 #: Initial substep target: fastest angular rate times substep, in radians.
 _INITIAL_RADIANS_PER_STEP = 0.2
+
+#: Substeps whose step matrices are held in memory at once.
+_BLOCK_SUBSTEPS = 4096
 
 
 @dataclass(eq=False)
@@ -79,9 +89,10 @@ def rhs(
 
     The two frames differ by the sign convention of the counter-rotating
     decomposition (a pure b_e -> -b_e gauge), so populations and norms
-    agree; amplitude signs do not. This scalar form mirrors the propagation
-    kernels and exists for direct inspection and testing; the kernels do
-    not call it.
+    agree; amplitude signs do not. This scalar form is the same system the
+    step matrices of :func:`propagate_fixed` integrate; it exists for direct
+    inspection and as the reference the tests integrate with a scalar RK4
+    loop.
     """
     c_g, c_e = c
     omega = params.mu * float(field.envelope.omega(t))
@@ -100,17 +111,6 @@ def rhs(
     raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
 
 
-def _validate_grid(grid: np.ndarray) -> tuple[np.ndarray, float]:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid must be one-dimensional with at least 2 points")
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniformly increasing")
-    return grid, h
-
-
 def _stage_coupling(
     params: SystemParams,
     field: FieldModel,
@@ -121,7 +121,7 @@ def _stage_coupling(
     omega = params.mu * field.envelope.omega(times)
     phi = field.phi(times)
     if frame == "lab":
-        k = (-omega * np.cos(field.carrier_omega * times + phi)).astype(complex)
+        k = -omega * np.cos(field.carrier_omega * times + phi)
         d1 = -1j * params.omega_g - 0.5 * params.gamma_g
         d2 = -1j * params.omega_e - 0.5 * params.gamma_e
     else:
@@ -129,19 +129,62 @@ def _stage_coupling(
         delta = params.omega_e - params.omega_g - field.carrier_omega
         d1 = complex(-0.5 * params.gamma_g)
         d2 = -1j * delta - 0.5 * params.gamma_e
-    return np.ascontiguousarray(k, dtype=complex), complex(d1), complex(d2)
+    return k, complex(d1), complex(d2)
 
 
-def _select_kernel(backend: Optional[str]):
-    if backend is None:
-        return rk4_pair
-    if backend == "python":
-        return rk4_pair_python
-    if backend == "compiled":
-        if rk4_pair_compiled is None:
-            raise ValueError("compiled kernel is not available in this build")
-        return rk4_pair_compiled
-    raise ValueError(f"backend must be 'python' or 'compiled', got {backend!r}")
+# A 2x2 matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of equal-shape
+# arrays (or scalars), one matrix per element.
+def _mul(p, q):
+    """Elementwise matrix product p @ q."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _step_matrices(k0, kh, k1, d1: complex, d2: complex, h: float):
+    """RK4 step matrices M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of
+    y' = [[d1, i k], [i k*, d2]] y, with k sampled at t, t + h/2, t + h."""
+
+    def system(k):
+        return (d1, 1j * k, 1j * np.conj(k), d2)
+
+    def stage(a, s, prev):  # a @ (I + s prev)
+        return _mul(a, (1.0 + s * prev[0], s * prev[1], s * prev[2], 1.0 + s * prev[3]))
+
+    k_1 = system(k0)
+    a_h = system(kh)
+    k_2 = stage(a_h, 0.5 * h, k_1)
+    k_3 = stage(a_h, 0.5 * h, k_2)
+    k_4 = stage(system(k1), h, k_3)
+    sixth = h / 6.0
+    return tuple(
+        eye + sixth * (w + 2.0 * (x + y) + z)
+        for eye, w, x, y, z in zip((1.0, 0.0, 0.0, 1.0), k_1, k_2, k_3, k_4)
+    )
+
+
+def _ordered_product(m):
+    """Product M[:, w-1] ... M[:, 1] M[:, 0] along axis 1, pairwise."""
+    while m[0].shape[1] > 1:
+        w = m[0].shape[1]
+        pairs = _mul(
+            tuple(x[:, 1:w - w % 2:2] for x in m),
+            tuple(x[:, 0:w - w % 2:2] for x in m),
+        )
+        if w % 2:
+            pairs = tuple(np.concatenate((p, x[:, -1:]), axis=1) for p, x in zip(pairs, m))
+        m = pairs
+    return tuple(x[:, 0] for x in m)
+
+
+def _prefix_products(m):
+    """Inclusive prefix products P[i] = M[i] ... M[0] (Hillis-Steele scan)."""
+    shift = 1
+    while shift < len(m[0]):
+        later = _mul(tuple(x[shift:] for x in m), tuple(x[:-shift] for x in m))
+        m = tuple(np.concatenate((x[:shift], p)) for x, p in zip(m, later))
+        shift *= 2
+    return m
 
 
 def propagate_fixed(
@@ -151,27 +194,48 @@ def propagate_fixed(
     init: InitialState = "ground",
     frame: Frame = "rotating",
     n_sub: int = 1,
-    backend: Optional[str] = None,
 ) -> Trajectory:
-    """One RK4 pass with exactly ``n_sub`` substeps per output interval."""
+    """One RK4 pass with exactly ``n_sub`` substeps per output interval.
+
+    Each block holds up to ``_BLOCK_SUBSTEPS`` substeps: whole output
+    intervals when ``n_sub`` fits, otherwise consecutive slices of one
+    interval whose products are chained.
+    """
     if frame not in ("lab", "rotating"):
         raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
     if init not in ("ground", "excited"):
         raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    grid, h_out = _validate_grid(grid)
+    grid, h_out = uniform_grid(grid)
     n = len(grid)
     h_sub = h_out / n_sub
-    lattice = grid[0] + 0.5 * h_sub * np.arange(2 * (n - 1) * n_sub + 1)
-    stage_k, d1, d2 = _stage_coupling(params, field, lattice, frame)
     out_g = np.zeros(n, dtype=complex)
     out_e = np.zeros(n, dtype=complex)
-    if init == "ground":
-        out_g[0] = 1.0
-    else:
-        out_e[0] = 1.0
-    _select_kernel(backend)(stage_k, d1, d2, n_sub, h_sub, out_g, out_e)
+    y_g, y_e = (1.0, 0.0) if init == "ground" else (0.0, 1.0)
+    out_g[0], out_e[0] = y_g, y_e
+    per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
+    width = min(n_sub, _BLOCK_SUBSTEPS)
+    for first in range(0, n - 1, per_block):
+        rows = min(per_block, n - 1 - first)
+        interval = None
+        for offset in range(0, n_sub, width):
+            w = min(width, n_sub - offset)
+            j0 = first * n_sub + offset  # first substep of this slice
+            lattice = grid[0] + 0.5 * h_sub * np.arange(2 * j0, 2 * (j0 + rows * w) + 1)
+            k, d1, d2 = _stage_coupling(params, field, lattice, frame)
+            steps = _step_matrices(
+                k[:-1:2].reshape(rows, w), k[1::2].reshape(rows, w),
+                k[2::2].reshape(rows, w), d1, d2, h_sub,
+            )
+            part = _ordered_product(steps)
+            interval = part if interval is None else _mul(part, interval)
+        a, b, c, d = _prefix_products(interval)
+        g = a * y_g + b * y_e
+        e = c * y_g + d * y_e
+        out_g[first + 1:first + 1 + rows] = g
+        out_e[first + 1:first + 1 + rows] = e
+        y_g, y_e = g[-1], e[-1]
     norm = np.abs(out_g) ** 2 + np.abs(out_e) ** 2
     return Trajectory(grid=grid, c_g=out_g, c_e=out_e, norm=norm,
                       frame=frame, n_sub=n_sub)
@@ -199,7 +263,6 @@ def evolve(
     frame: Frame = "rotating",
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    backend: Optional[str] = None,
 ) -> Trajectory:
     """Integrate the amplitude equations on ``grid`` to the given tolerance.
 
@@ -214,31 +277,26 @@ def evolve(
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    grid, h_out = _validate_grid(grid)
+    grid, h_out = uniform_grid(grid)
     span = float(grid[-1] - grid[0])
     rate = _characteristic_rate(params, field, grid, frame)
     n_sub = max(1, math.ceil(h_out * rate / _INITIAL_RADIANS_PER_STEP))
-    if h_out / n_sub < STEP_UNDERFLOW_FRACTION * span:
-        raise StepUnderflow(
-            f"substep {h_out / n_sub:.3e} below "
-            f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
-        )
-
-    prev = propagate_fixed(params, field, grid, init, frame, n_sub, backend)
+    prev = None
     while True:
-        if h_out / (2 * n_sub) < STEP_UNDERFLOW_FRACTION * span:
+        if h_out / n_sub < STEP_UNDERFLOW_FRACTION * span:
             raise StepUnderflow(
-                f"substep {h_out / (2 * n_sub):.3e} below "
+                f"substep {h_out / n_sub:.3e} below "
                 f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
             )
-        cur = propagate_fixed(params, field, grid, init, frame, 2 * n_sub, backend)
-        err = max(
-            abs(cur.c_g[-1] - prev.c_g[-1]),
-            abs(cur.c_e[-1] - prev.c_e[-1]),
-        )
-        scale = max(1.0, abs(cur.c_g[-1]), abs(cur.c_e[-1]))
-        if err < rtol * scale + atol:
-            return cur
+        cur = propagate_fixed(params, field, grid, init, frame, n_sub)
+        if prev is not None:
+            err = max(
+                abs(cur.c_g[-1] - prev.c_g[-1]),
+                abs(cur.c_e[-1] - prev.c_e[-1]),
+            )
+            scale = max(1.0, abs(cur.c_g[-1]), abs(cur.c_e[-1]))
+            if err < rtol * scale + atol:
+                return cur
         n_sub *= 2
         prev = cur
 
@@ -289,7 +347,6 @@ def lz_survival(
     window: Optional[float] = None,
     rtol: float = 1e-6,
     atol: float = 1e-9,
-    backend: Optional[str] = None,
 ) -> float:
     """Asymptotic diabatic survival probability from a finite-window sweep.
 
@@ -321,5 +378,5 @@ def lz_survival(
     )
     grid = np.linspace(-window, window, 401)
     traj = evolve(params, field, grid, init="ground", frame="rotating",
-                  rtol=rtol, atol=atol, backend=backend)
+                  rtol=rtol, atol=atol)
     return float(abs(traj.c_g[-1]) ** 2)

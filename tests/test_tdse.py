@@ -1,5 +1,6 @@
 """Amplitude-equation integrator: RHS conventions, closed-form oracles,
-convergence order, frame consistency and kernel backend parity."""
+convergence order, frame consistency and agreement of the block propagator
+with a scalar RK4 loop."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from nads._kernels import BACKEND, rk4_pair_compiled
 from nads.errors import StepUnderflow
 from nads.field_model import (
     Chirp,
@@ -18,6 +18,7 @@ from nads.field_model import (
     SystemParams,
 )
 from nads.tdse import (
+    _BLOCK_SUBSTEPS,
     Trajectory,
     evolve,
     lz_oracle,
@@ -231,34 +232,56 @@ class TestValidationAndFailure:
         with pytest.raises(ValueError, match="frame"):
             propagate_fixed(params, field, grid, frame="galilean")
 
-    def test_unknown_backend(self):
-        params, field = resonant(0.2)
-        grid = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="backend"):
-            propagate_fixed(params, field, grid, backend="fortran")
+
+def reference_rk4(params, field, grid, init, frame, n_sub):
+    """Classic RK4 on ``rhs``, one substep at a time, in scalar arithmetic."""
+
+    def f(t, y):
+        return rhs(t, y, params, field, frame)
+
+    def shifted(y, s, k):
+        return (y[0] + s * k[0], y[1] + s * k[1])
+
+    h = (grid[1] - grid[0]) / n_sub
+    y = (1.0 + 0j, 0j) if init == "ground" else (0j, 1.0 + 0j)
+    out = [y]
+    j = 0
+    for _ in range(len(grid) - 1):
+        for _ in range(n_sub):
+            t = grid[0] + j * h
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, shifted(y, 0.5 * h, k1))
+            k3 = f(t + 0.5 * h, shifted(y, 0.5 * h, k2))
+            k4 = f(t + h, shifted(y, h, k3))
+            y = tuple(
+                y[i] + h / 6.0 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+                for i in range(2)
+            )
+            j += 1
+        out.append(y)
+    return np.array(out)
 
 
-class TestBackends:
-    def test_default_backend_label(self):
-        assert BACKEND in ("compiled", "python")
-        assert (BACKEND == "compiled") == (rk4_pair_compiled is not None)
+class TestBlockPropagator:
+    """``propagate_fixed`` against the scalar loop across block seams."""
 
-    @pytest.mark.skipif(rk4_pair_compiled is None, reason="no compiled kernel")
-    def test_backend_parity_bitwise(self):
+    @pytest.mark.parametrize("frame", ["lab", "rotating"])
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    @pytest.mark.parametrize("n_sub", [1, 3, 41, _BLOCK_SUBSTEPS + 3])
+    def test_matches_scalar_rk4(self, frame, init, n_sub):
         params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_g=0.02, gamma_e=0.1)
         field = FieldModel(
             carrier_omega=4.6,
             envelope=GaussianEnvelope(omega0=1.5, t_center=0.0, tau=3.0),
             phase=Chirp(phi0=0.2, beta=0.05, t_center=0.0),
         )
-        grid = np.linspace(-9.0, 9.0, 51)
-        runs = [
-            propagate_fixed(params, field, grid, frame="rotating",
-                            n_sub=4, backend=name)
-            for name in ("python", "compiled")
-        ]
-        assert np.array_equal(runs[0].c_g, runs[1].c_g)
-        assert np.array_equal(runs[0].c_e, runs[1].c_e)
+        # Over three blocks of substeps; n_sub > block also splits intervals.
+        intervals = max(3, math.ceil(3.5 * _BLOCK_SUBSTEPS / n_sub))
+        grid = np.linspace(-9.0, 9.0, intervals + 1)
+        traj = propagate_fixed(params, field, grid, init, frame, n_sub)
+        ref = reference_rk4(params, field, grid, init, frame, n_sub)
+        assert np.max(np.abs(traj.c_g - ref[:, 0])) < 1e-12
+        assert np.max(np.abs(traj.c_e - ref[:, 1])) < 1e-12
 
 
 class TestLandauZener:
@@ -272,11 +295,6 @@ class TestLandauZener:
 
     def test_sweep_direction_irrelevant(self):
         assert lz_survival(0.2, -1.0) == lz_survival(0.2, 1.0)
-
-    def test_python_backend_agrees(self):
-        compiled = lz_survival(0.25, 1.0)
-        python = lz_survival(0.25, 1.0, backend="python")
-        assert python == pytest.approx(compiled, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sweep_rate"):
