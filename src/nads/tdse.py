@@ -38,6 +38,7 @@ __all__ = [
     "evolve",
     "rabi_oracle",
     "lz_oracle",
+    "rz_oracle",
     "lz_survival",
 ]
 
@@ -315,6 +316,17 @@ def lz_oracle(coupling: float, sweep_rate: float) -> float:
     if sweep_rate == 0:
         raise ValueError("sweep_rate must be nonzero")
     return math.exp(-2.0 * math.pi * coupling * coupling / abs(sweep_rate))
+
+
+def rz_oracle(omega0: float, tau: float, delta: float) -> float:
+    """Rosen-Zener excitation probability after an undamped, unchirped sech
+    pulse omega0 sech(t / tau) at detuning delta, starting in the ground
+    state: sin^2(pi omega0 tau / 2) sech^2(pi delta tau / 2) (Rosen and
+    Zener, Phys. Rev. 40:502, 1932)."""
+    if omega0 <= 0 or tau <= 0:
+        raise ValueError("omega0 and tau must be positive")
+    area = math.pi * omega0 * tau
+    return (math.sin(0.5 * area) / math.cosh(0.5 * math.pi * delta * tau)) ** 2
 
 
 class _FlatTopEnvelope:

@@ -13,6 +13,9 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,6 +209,85 @@ def csv_writer_table(header_lines, names, columns) -> str:
     return buffer.getvalue()
 
 
+def assert_same_table(got: str, want: str) -> None:
+    """got == want, reporting only the first differing line: pytest's own
+    diff of two megabyte strings takes minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for line, (a, b) in enumerate(zip(got_lines, want_lines)):
+        assert a == b, f"line {line}"
+    assert len(got_lines) == len(want_lines)
+
+
+def _neighbours(values, steps):
+    """values with the doubles up to ``steps`` ulps above and below them."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    up = down = values
+    with np.errstate(over="ignore"):  # the largest double steps up to inf
+        for _ in range(steps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+    return np.concatenate(out)
+
+
+def _powers_of_ten():
+    return np.array([float(f"1e{p}") for p in range(-300, 301)])
+
+
+def _seventeen_digits(x: float) -> Fraction:
+    """x scaled to the 17-digit range [1e16, 1e17), exactly."""
+    exact = Fraction(x)
+    k = math.floor(math.log10(x))
+    scaled = exact * Fraction(10) ** (16 - k)
+    while scaled < 10 ** 16:
+        scaled *= 10
+    while scaled >= 10 ** 17:
+        scaled /= 10
+    return scaled
+
+
+def _dyadic_ties(count, seed):
+    """Doubles m / 2**j whose 18th significant digit is a final 5: exact
+    ties of the 17-digit rounding."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        j = rng.randint(1, 60)
+        m = rng.randrange(1, 2 ** 53) | 1
+        if len(str(m * 5 ** j)) == 18:
+            out.append(m / 2 ** j)
+    return np.array(out)
+
+
+def _near_ties(spread=3):
+    """Doubles m * 2**q whose 17-digit rounding is within 1e-13 of a tie
+    but not on it: m solves m * a = b // 2 + d (mod b) for the reduced
+    fraction a / b = 2**q * 10**(16 - k)."""
+    out = []
+    for k in range(-40, 60):
+        q_low = math.floor((k - 16) * math.log2(10)) - 1
+        q_high = math.ceil((k - 15) * math.log2(10)) + 1
+        for q in range(q_low, q_high):
+            ratio = Fraction(2) ** q * Fraction(10) ** (16 - k)
+            a, b = ratio.numerator, ratio.denominator
+            if b < 2 ** 47:
+                continue
+            inverse = pow(a, -1, b)
+            for d in range(-spread, spread + 1):
+                if 2 * (b // 2 + d) == b:
+                    continue
+                first = (b // 2 + d) * inverse % b
+                if first < 2 ** 52:  # lift into the range of 53-bit significands
+                    first += -(-(2 ** 52 - first) // b) * b
+                for m in range(first, 2 ** 53, b):
+                    scaled = Fraction(m * a, b)
+                    if 10 ** 16 <= scaled < 10 ** 17:
+                        out.append(math.ldexp(m, q))
+    return np.array(out)
+
+
 class TestTableText:
     SPECIAL = [
         0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308 / 3,
@@ -248,3 +330,58 @@ class TestTableText:
     def test_no_rows(self):
         columns = [np.array([]), np.array([])]
         assert table_text([], ["a", "b"], columns) == "a,b\n"
+
+    def assert_signed_byte_identical(self, values):
+        values = np.asarray(values, dtype=float)
+        columns = [values, -values, values[::-1]]
+        names = ["x", "minus_x", "reversed"]
+        assert_same_table(table_text([], names, columns), csv_writer_table([], names, columns))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert np.signbit(values).any() and not np.signbit(values).all()
+        columns = list(values.reshape(8, -1))
+        names = [f"c{i}" for i in range(8)]
+        assert_same_table(table_text([], names, columns), csv_writer_table([], names, columns))
+
+    def test_powers_of_ten_and_neighbours(self):
+        # Next to 10**p, floor(log10) may miss the decimal exponent by one.
+        self.assert_signed_byte_identical(_neighbours(_powers_of_ten(), 1))
+
+    def test_carry_to_the_next_power_of_ten(self):
+        below = [float(f"9.99999999999999999e{p}") for p in range(-300, 300)]
+        halfway = [float(f"9.99999999999999995e{p}") for p in range(-300, 300)]
+        values = _neighbours(below + halfway + list(_powers_of_ten()), 3)
+        # Cells whose 17-digit rounding carries up to the next power of ten.
+        carries = [x for x in values.tolist()
+                   if _seventeen_digits(x) > 10 ** 17 - Fraction(1, 2)]
+        assert len(carries) >= 4
+        self.assert_signed_byte_identical(values)
+
+    def test_g_notation_switch_points(self):
+        self.assert_signed_byte_identical(_neighbours([1e-5, 1e-4, 1e16, 1e17], 1))
+        assert format_number(np.nextafter(1e16, 0)) == "9999999999999998"
+        assert format_number(1e17) == "1e+17"
+
+    def test_exact_ties_round_half_even(self):
+        values = _dyadic_ties(3000, seed=5)
+        assert all(_seventeen_digits(x) % 1 == Fraction(1, 2) for x in values[:100])
+        self.assert_signed_byte_identical(np.append(values, 2.0 ** -25))
+
+    def test_near_ties(self):
+        values = _near_ties()
+        assert len(values) > 500
+        distance = [abs(_seventeen_digits(x) % 1 - Fraction(1, 2)) for x in values]
+        assert 0 < min(distance) and max(distance) < Fraction(1, 10 ** 13)
+        self.assert_signed_byte_identical(values)
+
+    def test_fast_path_edges_and_special_values(self):
+        tiny = np.random.default_rng(3).integers(1, 2 ** 52, size=1000).astype(np.uint64)
+        values = np.concatenate([
+            tiny.view(np.float64),  # subnormals
+            _neighbours([5e-324, 2.2250738585072014e-308, 1e-280, 1e280,
+                         1.7976931348623157e308], 2),
+            [0.0, -0.0, np.nan, np.inf, -np.inf],
+        ])
+        self.assert_signed_byte_identical(values)

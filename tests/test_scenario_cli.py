@@ -410,6 +410,25 @@ class TestCliSweep:
         assert errors[1] == "" and errors[2] == ""
         assert math.isnan(float(rows[0][names.index("maxP")]))
 
+    def test_failed_point_is_null_in_json(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        rc = main([
+            "sweep", str(shipped_path("constant-detuned")),
+            "--axis", "system.gamma_e:-0.4:0.4:3",
+            "--reduce", "maxP",
+            "--json", "--out", str(out),
+        ])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        columns = doc["columns"]
+        assert columns["maxP"][0] is None
+        assert columns["error"][0].startswith("ValidationError")
+        assert all(isinstance(v, float) for v in columns["maxP"][1:])
+
     def test_axis_path_typo_fails_fast(self, tmp_path, capsys):
         rc = main([
             "sweep", str(shipped_path("constant-detuned")),

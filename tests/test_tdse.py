@@ -15,6 +15,7 @@ from nads.field_model import (
     ConstantEnvelope,
     FieldModel,
     GaussianEnvelope,
+    SechEnvelope,
     SystemParams,
 )
 from nads.tdse import (
@@ -26,6 +27,7 @@ from nads.tdse import (
     propagate_fixed,
     rabi_oracle,
     rhs,
+    rz_oracle,
 )
 
 OFF = ConstantEnvelope(1e-20)  # coupling far below every tolerance in use
@@ -102,6 +104,19 @@ class TestClosedFormOracles:
         with pytest.raises(ValueError):
             lz_oracle(0.1, 0.0)
 
+    def test_rz_oracle_values(self):
+        assert rz_oracle(0.5, 2.0, 0.0) == pytest.approx(1.0, abs=1e-15)  # pulse area pi
+        assert rz_oracle(1.0, 2.0, 0.0) == pytest.approx(0.0, abs=1e-15)  # area 2 pi
+        assert rz_oracle(0.3, 2.0, 0.4) == rz_oracle(0.3, 2.0, -0.4)
+        expected = math.sin(0.3 * math.pi) ** 2 / math.cosh(0.4 * math.pi) ** 2
+        assert rz_oracle(0.3, 2.0, 0.4) == pytest.approx(expected, rel=1e-15)
+
+    def test_rz_oracle_validation(self):
+        with pytest.raises(ValueError):
+            rz_oracle(0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            rz_oracle(0.5, -1.0, 0.0)
+
 
 class TestEvolveOracles:
     def test_resonant_pi_pulse(self):
@@ -130,6 +145,19 @@ class TestEvolveOracles:
         expected = np.array([rabi_oracle(0.2, t)[1] for t in grid])
         assert np.max(np.abs(np.abs(traj.c_e) ** 2 - expected)) < 1e-8
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("omega0, tau, delta", [
+        (0.5, 2.0, 0.0), (0.3, 2.0, 0.4), (0.8, 1.5, -0.7),
+    ])
+    def test_sech_pulse_matches_rosen_zener(self, omega0, tau, delta):
+        params = SystemParams(omega_g=0.0, omega_e=5.0)
+        field = FieldModel(
+            carrier_omega=5.0 - delta, envelope=SechEnvelope(omega0=omega0, tau=tau)
+        )
+        grid = np.linspace(-40.0 * tau, 40.0 * tau, 1601)
+        traj = evolve(params, field, grid, init="ground", frame="rotating")
+        p_e = abs(traj.c_e[-1]) ** 2
+        assert abs(p_e - rz_oracle(omega0, tau, delta)) < 1e-12
 
     def test_field_free_decay(self):
         params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_e=0.5)
