@@ -1,7 +1,7 @@
 """Nonadiabatic dressed states of a driven, damped two-level system.
 
 Closed-form dressed-state quantities along a time grid, their overlaps and
-transition probability, bare-basis amplitude reconstruction, and an
+transition probability, bare-basis amplitude ratios, and an
 independent Schrodinger integrator for cross-validation, plus scenario
 files, sweeps and a CLI.
 """
@@ -14,7 +14,6 @@ from .errors import (
     NadsError,
     NumericalError,
     ParseError,
-    RatioUndefined,
     StepUnderflow,
     ValidationError,
 )
@@ -22,44 +21,21 @@ from .field_model import (
     OMEGA_FLOOR,
     Chirp,
     ConstantEnvelope,
-    EnvelopeSample,
     FieldModel,
     GaussianEnvelope,
     SechEnvelope,
     SystemParams,
-    field_value,
-    phase_at,
-    rabi_at,
 )
 from .nads_core import (
-    NadsSnapshot,
     SnapshotSeries,
     detuning,
-    lambdas,
-    mixing_functions,
-    nads_frequencies,
-    nonadiabatic_detuning,
-    nonadiabatic_rabi,
     snapshot_series,
 )
 from .overlap_transitions import (
     OverlapArrays,
-    OverlapSet,
-    ReconstructedAmplitudes,
     amplitude_ratios,
     mixing_probability,
     overlap_arrays,
-    overlap_ee,
-    overlap_ee_expanded,
-    overlap_eg,
-    overlap_eg_expanded,
-    overlap_ge,
-    overlap_gg,
-    overlap_gg_expanded,
-    overlaps,
-    reconstruct_bare_amplitudes,
-    transition_probability,
-    transition_probability_via_overlaps,
 )
 from .scenario import (
     Scenario,
@@ -95,19 +71,14 @@ __all__ = [
     "ConfigError",
     "ConstantEnvelope",
     "DegenerateRabi",
-    "EnvelopeSample",
     "EnvelopeUnderflow",
     "FieldModel",
     "GaussianEnvelope",
     "NadsError",
-    "NadsSnapshot",
     "NumericalError",
     "OMEGA_FLOOR",
     "OverlapArrays",
-    "OverlapSet",
     "ParseError",
-    "RatioUndefined",
-    "ReconstructedAmplitudes",
     "Scenario",
     "SechEnvelope",
     "SnapshotSeries",
@@ -121,33 +92,16 @@ __all__ = [
     "axis_values",
     "detuning",
     "evolve",
-    "field_value",
-    "lambdas",
     "list_shipped",
     "load_scenario",
     "load_shipped",
     "lz_oracle",
     "lz_survival",
-    "mixing_functions",
     "mixing_probability",
-    "nads_frequencies",
-    "nonadiabatic_detuning",
-    "nonadiabatic_rabi",
     "overlap_arrays",
-    "overlap_ee",
-    "overlap_ee_expanded",
-    "overlap_eg",
-    "overlap_eg_expanded",
-    "overlap_ge",
-    "overlap_gg",
-    "overlap_gg_expanded",
-    "overlaps",
     "parse_axis",
-    "phase_at",
     "propagate_fixed",
-    "rabi_at",
     "rabi_oracle",
-    "reconstruct_bare_amplitudes",
     "rhs",
     "run_all",
     "rz_oracle",
@@ -155,7 +109,5 @@ __all__ = [
     "serialize",
     "shipped_path",
     "snapshot_series",
-    "transition_probability",
-    "transition_probability_via_overlaps",
     "__version__",
 ]

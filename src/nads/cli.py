@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -143,19 +141,6 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _worker_count() -> int:
-    env = os.environ.get("NADS_WORKERS")
-    if env is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        count = int(env)
-    except ValueError as exc:
-        raise ValidationError(f"NADS_WORKERS must be an integer, got {env!r}") from exc
-    if count < 1:
-        raise ValidationError(f"NADS_WORKERS must be >= 1, got {count}")
-    return count
-
-
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.file)
     if args.reduce not in REDUCERS:
@@ -169,24 +154,16 @@ def cmd_sweep(args) -> int:
     resolved = scenario.resolved()
 
     def run_point(combo):
-        doc = resolved
-        for axis, value in zip(axes, combo):
-            doc = with_axis_value(doc, axis.path, value)
-        point = scenario_from_dict(doc, origin="scenario")
-        return REDUCERS[args.reduce](point)
-
-    def safe_point(combo):
         try:
-            return run_point(combo), ""
+            doc = resolved
+            for axis, value in zip(axes, combo):
+                doc = with_axis_value(doc, axis.path, value)
+            point = scenario_from_dict(doc, origin="scenario")
+            return REDUCERS[args.reduce](point), ""
         except (ConfigError, NumericalError) as exc:
             return float("nan"), f"{type(exc).__name__}: {exc}"
 
-    workers = _worker_count()
-    if workers == 1 or len(combos) == 1:
-        results = [safe_point(combo) for combo in combos]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(safe_point, combos))
+    results = [run_point(combo) for combo in combos]
 
     names = [axis.path for axis in axes] + [args.reduce, "error"]
     columns: list[list] = [

@@ -57,7 +57,3 @@ class StepUnderflow(NumericalError):
     """The integrator substep controller was driven below its floor without
     reaching the requested tolerance."""
 
-
-class RatioUndefined(NumericalError):
-    """Amplitude ratio would overflow: the denominator amplitude is
-    negligibly small compared to the numerator."""

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import EnvelopeUnderflow, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "SystemParams",
@@ -28,10 +28,6 @@ __all__ = [
     "SechEnvelope",
     "Chirp",
     "FieldModel",
-    "EnvelopeSample",
-    "rabi_at",
-    "phase_at",
-    "field_value",
 ]
 
 #: Default smallest admissible Rabi envelope value. Below this the caller is
@@ -222,59 +218,3 @@ class FieldModel:
 
     def d2phi(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.phase.beta)
-
-
-@dataclass(frozen=True)
-class EnvelopeSample:
-    """Rabi envelope and its first two logarithmic derivatives at one time.
-
-    ``log_deriv`` is Omega^-1 dOmega/dt, the field-amplitude nonadiabatic
-    factor; ``dlog_deriv`` is its time derivative.
-    """
-
-    t: float
-    omega: float
-    log_deriv: float
-    dlog_deriv: float
-
-
-def rabi_at(
-    params: SystemParams,
-    field: FieldModel,
-    t: float,
-    floor: float = OMEGA_FLOOR,
-) -> EnvelopeSample:
-    """Evaluate Omega(t) = mu * envelope(t) and its log-derivatives in closed form.
-
-    Raises
-    ------
-    EnvelopeUnderflow
-        If Omega(t) < ``floor`` (default 1e-30): too far into a pulse wing.
-    """
-    omega = params.mu * float(field.envelope.omega(t))
-    if omega < floor:
-        raise EnvelopeUnderflow(
-            f"Omega({t}) = {omega:.3e} below floor {floor:.3e}"
-        )
-    return EnvelopeSample(
-        t=float(t),
-        omega=omega,
-        log_deriv=float(field.envelope.log_deriv(t)),
-        dlog_deriv=float(field.envelope.dlog_deriv(t)),
-    )
-
-
-def phase_at(field: FieldModel, t: float) -> tuple[float, float, float]:
-    """Return (phi, dphi/dt, d2phi/dt2) of the quadratic phase at time t."""
-    return float(field.phi(t)), float(field.dphi(t)), float(field.d2phi(t))
-
-
-def field_value(field: FieldModel, params: SystemParams, t: float) -> float:
-    """Instantaneous off-diagonal coupling -mu E(t)/hbar = -Omega(t) cos(w t + phi(t)).
-
-    This is the full-field (no rotating-wave approximation) matrix element
-    used by the bare-basis integrator; the (1/2)(exp + c.c.) carrier
-    structure collapses to a cosine.
-    """
-    omega = params.mu * float(field.envelope.omega(t))
-    return -omega * math.cos(field.carrier_omega * float(t) + float(field.phi(t)))

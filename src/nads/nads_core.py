@@ -14,9 +14,8 @@ Every selection is recorded so a jump can be audited.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -26,21 +25,14 @@ from .errors import (
     EnvelopeUnderflow,
 )
 from .field_model import (
-    EnvelopeSample,
     FieldModel,
     SystemParams,
     OMEGA_FLOOR,
 )
 
 __all__ = [
-    "NadsSnapshot",
     "SnapshotSeries",
     "detuning",
-    "nonadiabatic_detuning",
-    "nonadiabatic_rabi",
-    "lambdas",
-    "mixing_functions",
-    "nads_frequencies",
     "snapshot_series",
 ]
 
@@ -50,27 +42,6 @@ RABI_DEGENERACY_FLOOR = 1e-12
 #: Relative tolerance inside which the two candidate roots count as
 #: equidistant from the previous sample (branch ambiguity).
 BRANCH_AMBIGUITY_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class NadsSnapshot:
-    """Every instantaneous dressed-state quantity at one grid point."""
-
-    t: float
-    omega: float                 # Rabi envelope Omega(t)
-    delta: float                 # static detuning
-    delta_tilde: complex         # nonadiabatic detuning
-    d_delta_tilde: complex       # its time derivative
-    omega_tilde: complex         # nonadiabatic Rabi frequency
-    d_omega_tilde: complex       # grid finite-difference derivative
-    lambda1: complex
-    lambda2: complex
-    lambda_t1: complex
-    lambda_t2: complex
-    cos_half: complex            # complex mixing function COS(theta/2)
-    sin_half: complex            # complex mixing function SIN(theta/2)
-    omega_G: complex             # nonadiabatic frequency of the ground NADS
-    omega_E: complex             # nonadiabatic frequency of the excited NADS
 
 
 @dataclass(eq=False)
@@ -115,158 +86,10 @@ class SnapshotSeries:
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    def snapshot(self, k: int) -> NadsSnapshot:
-        """Scalar view of grid point ``k``."""
-        return NadsSnapshot(
-            t=float(self.grid[k]),
-            omega=float(self.omega[k]),
-            delta=self.delta,
-            delta_tilde=complex(self.delta_tilde[k]),
-            d_delta_tilde=complex(self.d_delta_tilde[k]),
-            omega_tilde=complex(self.omega_tilde[k]),
-            d_omega_tilde=complex(self.d_omega_tilde[k]),
-            lambda1=complex(self.lambda1[k]),
-            lambda2=complex(self.lambda2[k]),
-            lambda_t1=complex(self.lambda_t1[k]),
-            lambda_t2=complex(self.lambda_t2[k]),
-            cos_half=complex(self.cos_half[k]),
-            sin_half=complex(self.sin_half[k]),
-            omega_G=complex(self.omega_G[k]),
-            omega_E=complex(self.omega_E[k]),
-        )
-
 
 def detuning(params: SystemParams, field: FieldModel) -> float:
     """Static detuning: omega_e - omega_g - carrier."""
     return params.omega_e - params.omega_g - field.carrier_omega
-
-
-def nonadiabatic_detuning(
-    params: SystemParams,
-    env: EnvelopeSample,
-    phase: tuple[float, float, float],
-    delta: float,
-) -> tuple[complex, complex]:
-    """Nonadiabatic detuning and its time derivative.
-
-    delta_tilde = delta - i(gamma_g + gamma_e)/2 - (dphi - i Omega^-1 dOmega),
-    with the damping entering as the sum of both rates. ``delta`` is the
-    static detuning from :func:`detuning` (the carrier is not recoverable
-    from the sample alone). The derivative uses the analytic second
-    log-derivative of the envelope.
-    """
-    _, dphi, d2phi = phase
-    delta_tilde = (
-        delta
-        - 1j * params.gamma_sum_half
-        - (dphi - 1j * env.log_deriv)
-    )
-    d_delta_tilde = -d2phi + 1j * env.dlog_deriv
-    return delta_tilde, d_delta_tilde
-
-
-def _nearest_root(principal: complex, prev: complex, context: str) -> tuple[complex, int]:
-    """Pick +-principal, whichever is closer to ``prev``; flag ties."""
-    d_plus = abs(principal - prev)
-    d_minus = abs(-principal - prev)
-    if abs(d_plus - d_minus) <= BRANCH_AMBIGUITY_RTOL * max(d_plus, d_minus):
-        raise BranchAmbiguity(
-            f"{context}: both roots +-{principal:.6e} equidistant from "
-            f"previous sample {prev:.6e}"
-        )
-    return (principal, 1) if d_plus < d_minus else (-principal, -1)
-
-
-def nonadiabatic_rabi(
-    omega: float,
-    delta_tilde: complex,
-    d_delta_tilde: complex,
-    sign_delta: int,
-    prev: Optional[complex] = None,
-) -> complex:
-    """Nonadiabatic Rabi frequency sgn(delta) sqrt(Omega^2 + delta_tilde^2 - 2i d_delta_tilde).
-
-    Without ``prev`` the principal square root (times ``sign_delta``) is
-    returned; with ``prev`` the root closer to it is kept so a time series
-    stays continuous across the principal branch cut.
-    """
-    radicand = omega * omega + delta_tilde * delta_tilde - 2j * d_delta_tilde
-    principal = cmath.sqrt(radicand)
-    if prev is None:
-        return sign_delta * principal
-    root, _ = _nearest_root(principal, prev, "nonadiabatic Rabi frequency")
-    return root
-
-
-def lambdas(
-    delta_tilde: complex,
-    omega_tilde: complex,
-    d_omega_tilde: complex,
-) -> tuple[complex, complex, complex, complex]:
-    """Lambda_1,2 = (delta_tilde +- omega_tilde)/2 and their tilde generalizations.
-
-    Lambda'_j = Lambda_j - i (2 omega_tilde)^-1 d_omega_tilde, so that
-    Lambda'_1 - Lambda'_2 = omega_tilde exactly.
-    """
-    if abs(omega_tilde) < RABI_DEGENERACY_FLOOR:
-        raise DegenerateRabi(
-            f"|omega_tilde| = {abs(omega_tilde):.3e} below {RABI_DEGENERACY_FLOOR:.0e}"
-        )
-    lam1 = 0.5 * (delta_tilde + omega_tilde)
-    lam2 = 0.5 * (delta_tilde - omega_tilde)
-    shift = -1j * d_omega_tilde / (2.0 * omega_tilde)
-    return lam1, lam2, lam1 + shift, lam2 + shift
-
-
-def mixing_functions(
-    lambda_t1: complex,
-    lambda_t2: complex,
-    omega_tilde: complex,
-    sign_delta: int,
-    prev: Optional[tuple[complex, complex]] = None,
-) -> tuple[complex, complex]:
-    """Complex mixing functions COS(theta/2) = sqrt(Lambda'_1/omega_tilde) and
-    SIN(theta/2) = sgn(delta) sqrt(-Lambda'_2/omega_tilde).
-
-    Branch handling mirrors :func:`nonadiabatic_rabi`: principal roots (with
-    the detuning sign on SIN) at the first point, nearest-root continuation
-    against ``prev = (cos_half, sin_half)`` afterwards. Their squares sum to
-    one whenever Lambda'_1 - Lambda'_2 = omega_tilde.
-    """
-    if abs(omega_tilde) < RABI_DEGENERACY_FLOOR:
-        raise DegenerateRabi(
-            f"|omega_tilde| = {abs(omega_tilde):.3e} below {RABI_DEGENERACY_FLOOR:.0e}"
-        )
-    cos_p = cmath.sqrt(lambda_t1 / omega_tilde)
-    sin_p = cmath.sqrt(-lambda_t2 / omega_tilde)
-    if prev is None:
-        return cos_p, sign_delta * sin_p
-    cos_half, _ = _nearest_root(cos_p, prev[0], "COS(theta/2)")
-    sin_half, _ = _nearest_root(sin_p, prev[1], "SIN(theta/2)")
-    return cos_half, sin_half
-
-
-def nads_frequencies(
-    params: SystemParams,
-    lambda2: complex,
-    env: EnvelopeSample,
-    phase: tuple[float, float, float],
-) -> tuple[complex, complex]:
-    """Nonadiabatic frequencies of the ground and excited dressed states.
-
-    omega'_G = omega_g + Lambda_2;
-    omega'_E = omega_e - Lambda_2 - i(gamma_g+gamma_e)/2 - (dphi - i Omega^-1 dOmega).
-    The asymmetry (all nonadiabatic terms on the excited side) is deliberate.
-    """
-    _, dphi, _ = phase
-    omega_G = params.omega_g + lambda2
-    omega_E = (
-        params.omega_e
-        - lambda2
-        - 1j * params.gamma_sum_half
-        - (dphi - 1j * env.log_deriv)
-    )
-    return omega_G, omega_E
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
@@ -355,7 +178,21 @@ def snapshot_series(
 ) -> SnapshotSeries:
     """Evaluate every dressed-state quantity on a uniform grid of >= 2 points.
 
-    Branch continuity is an order-dependent decision, evaluated for the
+    With delta the static :func:`detuning` and gamma = (gamma_g + gamma_e)/2:
+
+    * delta_tilde = delta - i gamma - (dphi - i Omega^-1 dOmega);
+    * omega_tilde = sgn(delta) sqrt(Omega^2 + delta_tilde^2 - 2i d_delta_tilde);
+    * Lambda_1,2 = (delta_tilde +- omega_tilde)/2 and
+      Lambda'_j = Lambda_j - i (2 omega_tilde)^-1 d_omega_tilde, so that
+      Lambda'_1 - Lambda'_2 = omega_tilde exactly;
+    * COS(theta/2) = sqrt(Lambda'_1/omega_tilde) and
+      SIN(theta/2) = sgn(delta) sqrt(-Lambda'_2/omega_tilde);
+    * omega'_G = omega_g + Lambda_2 and
+      omega'_E = omega_e - Lambda_2 - i gamma - (dphi - i Omega^-1 dOmega),
+      all nonadiabatic terms on the excited side.
+
+    The sgn(delta) factors fix the first grid point only; afterwards each
+    square root keeps the sign nearer its previous sample. Branch continuity is an order-dependent decision, evaluated for the
     whole grid at once as a prefix product of signs (see
     :func:`_track_branches`); distinct series are independent.
 
@@ -393,7 +230,9 @@ def snapshot_series(
 
     # The radicand Omega^2 + delta_tilde^2 - 2i d_delta_tilde, written out in
     # real and imaginary parts in the order Python's complex arithmetic
-    # evaluates it, so the roots match the scalar nonadiabatic_rabi exactly.
+    # evaluates it. NumPy's complex expression rounds differently in the
+    # last bit on chirped or damped pulses (three of the shipped scenarios),
+    # which would change the bytes of their tables.
     a, b = delta_tilde.real, delta_tilde.imag
     c, d = d_delta_tilde.real, d_delta_tilde.imag
     radicand = np.empty(len(grid), dtype=complex)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import StepUnderflow
 from .field_model import Chirp, FieldModel, SystemParams
-from .nads_core import uniform_grid
+from .nads_core import detuning, uniform_grid
 from .overlap_transitions import InitialState
 
 __all__ = [
@@ -104,7 +104,7 @@ def rhs(
         d_e = -1j * (params.omega_e - 0.5j * params.gamma_e) * c_e + 1j * coupling * c_g
         return d_g, d_e
     if frame == "rotating":
-        delta = params.omega_e - params.omega_g - field.carrier_omega
+        delta = detuning(params, field)
         w = 0.5 * omega * complex(math.cos(phi), math.sin(phi))
         d_g = -0.5 * params.gamma_g * c_g + 1j * w * c_e
         d_e = (-1j * delta - 0.5 * params.gamma_e) * c_e + 1j * w.conjugate() * c_g
@@ -127,7 +127,7 @@ def _stage_coupling(
         d2 = -1j * params.omega_e - 0.5 * params.gamma_e
     else:
         k = 0.5 * omega * np.exp(1j * phi)
-        delta = params.omega_e - params.omega_g - field.carrier_omega
+        delta = detuning(params, field)
         d1 = complex(-0.5 * params.gamma_g)
         d2 = -1j * delta - 0.5 * params.gamma_e
     return k, complex(d1), complex(d2)
@@ -248,7 +248,7 @@ def _characteristic_rate(
     """Fastest angular rate the substep must resolve, estimated on the grid."""
     omega_max = float(np.max(params.mu * field.envelope.omega(grid)))
     dphi_max = float(np.max(np.abs(field.dphi(grid))))
-    delta = abs(params.omega_e - params.omega_g - field.carrier_omega)
+    delta = abs(detuning(params, field))
     rates = [omega_max, dphi_max, delta, params.gamma_g, params.gamma_e]
     if frame == "lab":
         rates += [abs(params.omega_g), abs(params.omega_e),

@@ -7,8 +7,8 @@ restates the definitions independently of the package, so agreement is a
 genuine cross-check rather than a tautology.
 
 Sections:
-  1. Pointwise complex-square-root examples (nonadiabatic Rabi, mixing).
-  2. Field value with carrier/envelope/chirp composition.
+  1. Complex-square-root examples (nonadiabatic Rabi, mixing).
+  2. Lab-frame coupling with carrier/envelope/chirp composition.
   3. Landau-Zener survival formula values.
   4. Chirped damped Gaussian scenario (the flagship grid): spot values of
      the series quantities at t=0 and of the transition probability at
@@ -26,7 +26,7 @@ def section(title):
 
 
 # ---------------------------------------------------------------------------
-section("nonadiabatic_rabi example: sqrt(Omega^2 + dt~^2 - 2i d_dt~)")
+section("nonadiabatic Rabi example: sqrt(Omega^2 + dt~^2 - 2i d_dt~)")
 omega = mp.mpf(3)
 dt = mp.mpc(4, "-0.2")
 ddt = mp.mpc(0, "-0.02")
@@ -34,15 +34,17 @@ rad = omega**2 + dt**2 - 2j * ddt
 print("radicand    =", mp.nstr(rad, 20))
 print("omega_tilde =", mp.nstr(mp.sqrt(rad), 22))
 
-section("mixing_functions example: sqrt(0.9-0.02i), sqrt(0.1+0.02i)")
-c = mp.sqrt(mp.mpc("0.9", "-0.02"))
-s = mp.sqrt(mp.mpc("0.1", "0.02"))
+section("mixing example: constant Omega = 3, dt~ = 4 - 0.2i, d_omega~ = 0")
+wt = mp.sqrt(omega**2 + dt**2)
+c = mp.sqrt((dt + wt) / (2 * wt))
+s = mp.sqrt(-(dt - wt) / (2 * wt))
+print("omega_tilde =", mp.nstr(wt, 22))
 print("cos_half =", mp.nstr(c, 22))
 print("sin_half =", mp.nstr(s, 22))
 print("identity deviation =", mp.nstr(abs(c**2 + s**2 - 1), 5))
 
-section("field_value example: -exp(-25/100) cos(10 + 2.5)")
-print("field_value =", mp.nstr(-mp.exp(mp.mpf(-25) / 100) * mp.cos(mp.mpf("12.5")), 22))
+section("lab-frame coupling example: -exp(-25/100) cos(10 + 2.5)")
+print("coupling =", mp.nstr(-mp.exp(mp.mpf(-25) / 100) * mp.cos(mp.mpf("12.5")), 22))
 
 section("Landau-Zener survival exp(-2 pi V^2), alpha = 1")
 for v in ("0.1", "0.25", "0.5"):

@@ -1,11 +1,9 @@
-"""The whole-series array route against the per-point scalar functions.
+"""The whole-series array route: overlap arrays against the per-point
+formulas, branch tracking, and table formatting against the row-by-row
+``csv.writer`` rendering.
 
-The scalar functions of ``nads_core`` and the per-point overlap formulas are
-kept as the oracle: each test rebuilds the point-by-point computation from
-them and compares it with the arrays. The branch-tracked Rabi frequency
-and every branch log must match bitwise (the radicand is evaluated in the
-same operation order); the other quantities move in the last digits
-because NumPy and Python round complex division differently.
+The dressed-state quantities themselves are pinned by the seed-code tables
+in ``tests/test_reference_tables.py``.
 """
 
 from __future__ import annotations
@@ -21,87 +19,11 @@ import numpy as np
 import pytest
 
 from nads.errors import BranchAmbiguity
-from nads.field_model import phase_at, rabi_at
-from nads.nads_core import (
-    _track_branches,
-    lambdas,
-    mixing_functions,
-    nads_frequencies,
-    nonadiabatic_detuning,
-    nonadiabatic_rabi,
-    snapshot_series,
-)
-from nads.overlap_transitions import (
-    amplitude_ratios,
-    overlap_arrays,
-    reconstruct_bare_amplitudes,
-    transition_probability,
-)
+from nads.nads_core import _track_branches
+from nads.overlap_transitions import amplitude_ratios, overlap_arrays
 from nads.tables import BLOCK_ROWS, format_number, table_text
 
 REL = 1e-12
-
-
-def point_by_point(series):
-    """The dressed-state quantities of ``series`` one grid point at a time,
-    from the public scalar functions."""
-    params, field = series.params, series.field
-    n = len(series)
-    out = {key: np.empty(n, dtype=complex) for key in (
-        "delta_tilde", "d_delta_tilde", "omega_tilde", "lambda1", "lambda2",
-        "lambda_t1", "lambda_t2", "cos_half", "sin_half", "omega_G", "omega_E",
-    )}
-    logs = {key: np.empty(n, dtype=np.int8)
-            for key in ("omega_tilde", "cos_half", "sin_half")}
-    samples = []
-    prev = None
-    for k, t in enumerate(series.grid):
-        env = rabi_at(params, field, t)
-        phase = phase_at(field, t)
-        dt, ddt = nonadiabatic_detuning(params, env, phase, series.delta)
-        root = nonadiabatic_rabi(env.omega, dt, ddt, series.sign_delta, prev)
-        principal = cmath.sqrt(env.omega * env.omega + dt * dt - 2j * ddt)
-        logs["omega_tilde"][k] = 1 if abs(root - principal) <= abs(root + principal) else -1
-        out["delta_tilde"][k], out["d_delta_tilde"][k], out["omega_tilde"][k] = dt, ddt, root
-        samples.append((env, phase))
-        prev = root
-    prev_pair = None
-    for k, (env, phase) in enumerate(samples):
-        ot = complex(out["omega_tilde"][k])
-        lam1, lam2, lt1, lt2 = lambdas(
-            complex(out["delta_tilde"][k]), ot, complex(series.d_omega_tilde[k])
-        )
-        c, s = mixing_functions(lt1, lt2, ot, series.sign_delta, prev_pair)
-        for key, value, principal in (
-            ("cos_half", c, cmath.sqrt(lt1 / ot)),
-            ("sin_half", s, cmath.sqrt(-lt2 / ot)),
-        ):
-            logs[key][k] = 1 if abs(value - principal) <= abs(value + principal) else -1
-        omega_g, omega_e = nads_frequencies(params, lam2, env, phase)
-        for key, value in (
-            ("lambda1", lam1), ("lambda2", lam2), ("lambda_t1", lt1),
-            ("lambda_t2", lt2), ("cos_half", c), ("sin_half", s),
-            ("omega_G", omega_g), ("omega_E", omega_e),
-        ):
-            out[key][k] = value
-        prev_pair = (c, s)
-    return out, logs
-
-
-def test_series_matches_point_by_point(shipped_series):
-    for name, (_, series) in shipped_series.items():
-        expected, logs = point_by_point(series)
-        assert series.omega_tilde.tobytes() == expected["omega_tilde"].tobytes(), name
-        for key, log in logs.items():
-            assert series.branch_log[key].tobytes() == log.tobytes(), (name, key)
-        for key, ref in expected.items():
-            # Lambda'_2 cancels to ~1e-9 in adiabatic stretches, so the
-            # tolerance is relative to the value or to the series' scale.
-            scale = float(np.max(np.abs(ref)))
-            np.testing.assert_allclose(
-                getattr(series, key), ref, rtol=REL, atol=REL * scale,
-                err_msg=f"{name} {key}",
-            )
 
 
 def _prefix_integral(values, grid, k):
@@ -145,27 +67,18 @@ def test_overlap_arrays_match_point_formulas(shipped_series):
                     damping + integral(series.log_deriv + 1j * series.omega_tilde.real)
                 ),
                 "ge": ge,
-                "p_ge": transition_probability(series.snapshot(k)),
+                "p_ge": abs(bracket) ** 2 / weight**2,
                 "p_ge_via_overlaps": abs(eg) ** 2 / (gg * ee),
             }
             for key, ref in expected.items():
                 got = getattr(arrays, key)[k]
                 assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-15, (name, key, k)
-            rec = reconstruct_bare_amplitudes(series, k, scenario.initial_state)
+            phase = cmath.exp(
+                -1j * carrier * (grid[k] - grid[0]) - 1j * float(series.phi[k])
+            )
+            want = s / c * phase if scenario.initial_state == "ground" else -s / c / phase
             ratio = amplitude_ratios(series, scenario.initial_state)[k]
-            assert abs(ratio - rec.ratio) <= REL * abs(rec.ratio), (name, k)
-
-
-def test_amplitude_ratios_mark_undefined_points(flagship):
-    scenario, _ = flagship
-    series = snapshot_series(scenario.system, scenario.field, scenario.grid()[:5])
-    patched = np.array(series.cos_half)
-    patched[3] = 0.0
-    series.cos_half = patched
-    for init in ("ground", "excited"):
-        ratios = amplitude_ratios(series, init)
-        assert np.isnan(ratios[3])
-        assert np.all(np.isfinite(ratios[[0, 1, 2, 4]]))
+            assert abs(ratio - want) <= REL * abs(want), (name, k)
 
 
 class TestTrackBranches:

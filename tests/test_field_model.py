@@ -1,4 +1,4 @@
-"""Envelope, phase and field-value contracts.
+"""Envelope, phase and lab-frame coupling contracts.
 
 Frozen constants marked 'oracle' regenerate with ``python3 tests/oracles.py``.
 """
@@ -18,10 +18,16 @@ from nads.field_model import (
     GaussianEnvelope,
     SechEnvelope,
     SystemParams,
-    field_value,
-    phase_at,
-    rabi_at,
 )
+from nads.nads_core import snapshot_series
+from nads.tdse import rhs
+
+
+def lab_coupling(field, params, t):
+    """The lab-frame coupling -Omega(t) cos(w t + phi(t)), read off the
+    c_e -> dc_g/dt term of :func:`nads.tdse.rhs` (omega_g = gamma_g = 0)."""
+    d_g, _ = rhs(t, (0j, 1 + 0j), params, field, frame="lab")
+    return d_g.imag
 
 
 class TestSystemParams:
@@ -118,7 +124,7 @@ class TestEnvelopes:
 class TestPhase:
     def test_no_chirp(self):
         field = FieldModel(carrier_omega=1.0, envelope=ConstantEnvelope(1.0))
-        assert phase_at(field, 7.0) == (0.0, 0.0, 0.0)
+        assert (field.phi(7.0), field.dphi(7.0), field.d2phi(7.0)) == (0.0, 0.0, 0.0)
 
     def test_quadratic_phase(self):
         field = FieldModel(
@@ -126,7 +132,7 @@ class TestPhase:
             envelope=ConstantEnvelope(1.0),
             phase=Chirp(phi0=1.0, beta=0.2, t_center=0.0),
         )
-        phi, dphi, d2phi = phase_at(field, 3.0)
+        phi, dphi, d2phi = field.phi(3.0), field.dphi(3.0), field.d2phi(3.0)
         assert phi == pytest.approx(1.9, rel=1e-15)
         assert dphi == pytest.approx(0.6, rel=1e-15)
         assert d2phi == pytest.approx(0.2, rel=1e-15)
@@ -137,7 +143,7 @@ class TestPhase:
             envelope=ConstantEnvelope(1.0),
             phase=Chirp(phi0=0.0, beta=-0.1, t_center=2.0),
         )
-        assert phase_at(field, 2.0) == (0.0, 0.0, -0.1)
+        assert (field.phi(2.0), field.dphi(2.0), field.d2phi(2.0)) == (0.0, 0.0, -0.1)
 
     def test_center_defaults_to_envelope_center(self):
         field = FieldModel(
@@ -150,12 +156,12 @@ class TestPhase:
         assert float(field.dphi(4.0)) == pytest.approx(0.4)
 
 
-class TestFieldValue:
+class TestLabCoupling:
     def test_peak_and_quarter_period(self):
         params = SystemParams(0.0, 5.0)
         field = FieldModel(carrier_omega=5.0, envelope=ConstantEnvelope(0.4))
-        assert field_value(field, params, 0.0) == -0.4
-        assert abs(field_value(field, params, math.pi / 10)) < 1e-16
+        assert lab_coupling(field, params, 0.0) == -0.4
+        assert abs(lab_coupling(field, params, math.pi / 10)) < 1e-16
 
     def test_chirped_gaussian_value(self):
         params = SystemParams(0.0, 5.0)
@@ -165,29 +171,30 @@ class TestFieldValue:
             phase=Chirp(beta=0.2, t_center=0.0),
         )
         # oracle: -exp(-25/100) cos(12.5) = -0.7770860811715788724581
-        assert field_value(field, params, 5.0) == pytest.approx(
+        assert lab_coupling(field, params, 5.0) == pytest.approx(
             -0.7770860811715789, rel=1e-14
         )
 
     def test_dipole_scaling(self):
         field = FieldModel(carrier_omega=5.0, envelope=ConstantEnvelope(0.4))
-        weak = field_value(field, SystemParams(0.0, 5.0, mu=1.0), 0.3)
-        strong = field_value(field, SystemParams(0.0, 5.0, mu=2.0), 0.3)
+        weak = lab_coupling(field, SystemParams(0.0, 5.0, mu=1.0), 0.3)
+        strong = lab_coupling(field, SystemParams(0.0, 5.0, mu=2.0), 0.3)
         assert strong == pytest.approx(2.0 * weak, rel=1e-15)
 
 
-class TestRabiAt:
+class TestSeriesEnvelope:
     def test_sample_fields(self):
         params = SystemParams(0.0, 5.0, mu=2.0)
         field = FieldModel(
             carrier_omega=2.0,
             envelope=GaussianEnvelope(omega0=1.0, t_center=0.0, tau=10.0),
         )
-        sample = rabi_at(params, field, 5.0)
-        assert sample.t == 5.0
-        assert sample.omega == pytest.approx(2.0 * math.exp(-0.25), rel=1e-15)
-        assert sample.log_deriv == pytest.approx(-0.1, rel=1e-15)
-        assert sample.dlog_deriv == pytest.approx(-0.02, rel=1e-15)
+        series = snapshot_series(params, field, np.array([5.0, 6.0]))
+        assert series.grid[0] == 5.0
+        assert series.omega[0] == pytest.approx(2.0 * math.exp(-0.25), rel=1e-15)
+        assert series.log_deriv[0] == pytest.approx(-0.1, rel=1e-15)
+        # dlog_deriv enters as the imaginary part of d_delta_tilde
+        assert series.d_delta_tilde[0].imag == pytest.approx(-0.02, rel=1e-15)
 
     def test_underflow_deep_in_wing(self):
         params = SystemParams(0.0, 5.0)
@@ -195,5 +202,6 @@ class TestRabiAt:
             carrier_omega=2.0,
             envelope=GaussianEnvelope(omega0=1.0, t_center=0.0, tau=1.0),
         )
-        with pytest.raises(EnvelopeUnderflow):
-            rabi_at(params, field, 12.0)
+        with pytest.raises(EnvelopeUnderflow) as info:
+            snapshot_series(params, field, np.array([0.0, 12.0]))
+        assert info.value.grid_index == 1

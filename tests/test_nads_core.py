@@ -1,4 +1,4 @@
-"""Dressed-state quantity contracts: pointwise definitions, branch
+"""Dressed-state quantity contracts: definitions on small grids, branch
 continuity, grid series construction.
 
 Frozen constants marked 'oracle' regenerate with ``python3 tests/oracles.py``.
@@ -11,33 +11,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nads.errors import BranchAmbiguity, DegenerateRabi, EnvelopeUnderflow
+from nads.errors import (
+    BranchAmbiguity,
+    DegenerateRabi,
+    EnvelopeUnderflow,
+    NumericalError,
+)
 from nads.field_model import (
     Chirp,
     ConstantEnvelope,
-    EnvelopeSample,
     FieldModel,
     GaussianEnvelope,
     SystemParams,
 )
-from nads.nads_core import (
-    detuning,
-    lambdas,
-    mixing_functions,
-    nads_frequencies,
-    nonadiabatic_detuning,
-    nonadiabatic_rabi,
-    snapshot_series,
-)
-
-NO_PHASE = (0.0, 0.0, 0.0)
+from nads.nads_core import _track_branches, detuning, snapshot_series
 
 
-def sample(omega=1.0, log_deriv=0.0, dlog_deriv=0.0, t=0.0):
-    return EnvelopeSample(t=t, omega=omega, log_deriv=log_deriv, dlog_deriv=dlog_deriv)
+def constant_series(omega0=3.0, delta=4.0, gamma_g=0.0, gamma_e=0.0,
+                    phase=None, n=3):
+    """Series of a constant envelope at static detuning ``delta`` on [0, 1]."""
+    params = SystemParams(0.0, 5.0, gamma_g=gamma_g, gamma_e=gamma_e)
+    field = FieldModel(
+        carrier_omega=5.0 - delta,
+        envelope=ConstantEnvelope(omega0),
+        phase=phase or Chirp(),
+    )
+    return snapshot_series(params, field, np.linspace(0.0, 1.0, n))
 
 
 class TestDetuning:
@@ -50,141 +52,202 @@ class TestDetuning:
 
 class TestNonadiabaticDetuning:
     def test_all_factors_off(self):
-        params = SystemParams(0.0, 5.0)
-        dt, ddt = nonadiabatic_detuning(params, sample(), NO_PHASE, delta=1.0)
-        assert dt == 1.0 + 0.0j and ddt == 0.0 + 0.0j
+        series = constant_series(omega0=1.0, delta=1.0)
+        assert np.all(series.delta_tilde == 1.0 + 0.0j)
+        assert np.all(series.d_delta_tilde == 0.0 + 0.0j)
 
     def test_direct_substitution(self):
-        params = SystemParams(0.0, 5.0, gamma_g=0.1, gamma_e=0.3)
-        dt, ddt = nonadiabatic_detuning(params, sample(), (0.0, 0.2, 0.0), delta=1.0)
-        assert dt == pytest.approx(0.8 - 0.2j, rel=1e-15)
-        assert ddt == 0.0 + 0.0j
+        # dphi = 0.2 at t = 1 for a chirp beta = 0.2 centred at t = 0.
+        series = constant_series(
+            omega0=1.0, delta=1.0, gamma_g=0.1, gamma_e=0.3,
+            phase=Chirp(beta=0.2, t_center=0.0),
+        )
+        assert series.delta_tilde[-1] == pytest.approx(0.8 - 0.2j, rel=1e-15)
+        assert np.all(series.d_delta_tilde == -0.2 + 0.0j)
 
     def test_gaussian_wing(self):
         params = SystemParams(0.0, 5.0)
-        env = sample(omega=math.exp(-0.25), log_deriv=-0.1, dlog_deriv=-0.02)
-        dt, ddt = nonadiabatic_detuning(params, env, NO_PHASE, delta=1.0)
-        assert dt == pytest.approx(1.0 - 0.1j, rel=1e-15)
-        assert ddt == pytest.approx(-0.02j, rel=1e-15)
+        field = FieldModel(
+            carrier_omega=4.0,
+            envelope=GaussianEnvelope(omega0=1.0, t_center=0.0, tau=10.0),
+        )
+        series = snapshot_series(params, field, np.array([5.0, 6.0]))
+        assert series.omega[0] == pytest.approx(math.exp(-0.25), rel=1e-15)
+        assert series.delta_tilde[0] == pytest.approx(1.0 - 0.1j, rel=1e-15)
+        assert series.d_delta_tilde[0] == pytest.approx(-0.02j, rel=1e-15)
 
 
 class TestNonadiabaticRabi:
     def test_pythagorean(self):
-        assert nonadiabatic_rabi(3.0, 4.0 + 0.0j, 0.0j, 1) == 5.0 + 0.0j
+        assert np.all(constant_series(omega0=3.0, delta=4.0).omega_tilde == 5.0)
 
     def test_field_free_negative_detuning(self):
-        assert nonadiabatic_rabi(0.0, -2.0 + 0.0j, 0.0j, -1) == -2.0 + 0.0j
+        # omega_tilde -> sgn(delta) |delta| as Omega -> 0. (At Omega = 0
+        # exactly SIN vanishes at every point, an ambiguous branch.)
+        series = constant_series(omega0=1e-4, delta=-2.0)
+        assert series.sign_delta == -1
+        assert np.all(series.omega_tilde == -math.sqrt(1e-8 + 4.0))
+        np.testing.assert_allclose(series.omega_tilde, -2.0, rtol=1e-8)
 
     def test_complex_value_against_oracle(self):
+        # Omega = 3, delta_tilde = 4 - 0.2i and d_delta_tilde = -0.02i at the
+        # pulse centre: gamma = 0.2 and dlog_deriv = -2/tau^2.
         # oracle: sqrt(24.92 - 1.6j) = 4.994562620462607597 - 0.1601741855678049753j
-        got = nonadiabatic_rabi(3.0, 4.0 - 0.2j, -0.02j, 1)
-        assert got == pytest.approx(4.994562620462608 - 0.16017418556780498j, rel=1e-15)
+        params = SystemParams(0.0, 5.0, gamma_g=0.1, gamma_e=0.3)
+        field = FieldModel(
+            carrier_omega=1.0,
+            envelope=GaussianEnvelope(omega0=3.0, t_center=0.0, tau=10.0),
+        )
+        series = snapshot_series(params, field, np.array([0.0, 0.05]))
+        assert series.delta_tilde[0] == pytest.approx(4.0 - 0.2j, rel=1e-15)
+        assert series.d_delta_tilde[0] == pytest.approx(-0.02j, rel=1e-15)
+        assert series.omega_tilde[0] == pytest.approx(
+            4.994562620462608 - 0.16017418556780498j, rel=1e-15
+        )
 
     def test_continuation_keeps_nearest_root(self):
         principal = cmath.sqrt(24.92 - 1.6j)
-        near_negated = -principal + 0.01
-        assert nonadiabatic_rabi(3.0, 4.0 - 0.2j, -0.02j, 1, prev=near_negated) == -principal
-        assert nonadiabatic_rabi(3.0, 4.0 - 0.2j, -0.02j, 1, prev=principal + 0.01) == principal
+        row = np.array([[principal, principal, principal]])
+        roots, signs = _track_branches(row, (-1,), ("x",))
+        assert roots.tolist() == [[-principal] * 3]
+        assert signs.tolist() == [[-1, -1, -1]]
+        roots, signs = _track_branches(row, (1,), ("x",))
+        assert roots.tolist() == [[principal] * 3]
 
     def test_sign_delta_ignored_under_continuation(self):
+        # The detuning sign picks the first root only; later samples follow
+        # the previous root, here back onto the principal one.
         principal = cmath.sqrt(24.92 - 1.6j)
-        assert nonadiabatic_rabi(3.0, 4.0 - 0.2j, -0.02j, -1, prev=principal) == principal
+        roots, _ = _track_branches(
+            np.array([[-principal, principal]]), (-1,), ("x",)
+        )
+        assert roots.tolist() == [[principal, principal]]
 
     def test_equidistant_roots_are_ambiguous(self):
-        # prev orthogonal to the principal root: both candidates equidistant.
-        principal = cmath.sqrt(25.0 + 0.0j)
-        with pytest.raises(BranchAmbiguity):
-            nonadiabatic_rabi(3.0, 4.0 + 0.0j, 0.0j, 1, prev=1j * principal)
+        # A sample orthogonal to the previous root: both candidates equidistant.
+        with pytest.raises(BranchAmbiguity) as info:
+            _track_branches(np.array([[5j, 5.0 + 0.0j]]), (1,), ("x",))
+        assert info.value.grid_index == 1
 
 
 class TestLambdas:
     def test_static_real(self):
-        assert lambdas(4.0, 5.0, 0.0) == (4.5, -0.5, 4.5, -0.5)
+        series = constant_series(omega0=3.0, delta=4.0)
+        assert np.all(series.lambda1 == 4.5) and np.all(series.lambda2 == -0.5)
+        assert np.all(series.lambda_t1 == 4.5) and np.all(series.lambda_t2 == -0.5)
 
     def test_resonant_symmetric_splitting(self):
-        omega = 0.7
-        l1, l2, lt1, lt2 = lambdas(0.0, omega, 0.0)
-        assert l1 == omega / 2 and l2 == -omega / 2
-        assert lt1 == l1 and lt2 == l2
+        omega = 0.75
+        series = constant_series(omega0=omega, delta=0.0)
+        assert np.all(series.lambda1 == omega / 2)
+        assert np.all(series.lambda2 == -omega / 2)
+        assert np.array_equal(series.lambda_t1, series.lambda1)
+        assert np.array_equal(series.lambda_t2, series.lambda2)
 
-    def test_derivative_shift(self):
-        l1, l2, lt1, lt2 = lambdas(4.0, 5.0, 1.0 + 0.0j)
-        assert lt1 == pytest.approx(4.5 - 0.1j, rel=1e-15)
-        assert lt2 == pytest.approx(-0.5 - 0.1j, rel=1e-15)
-        assert (lt1 - lt2) == pytest.approx(5.0, rel=1e-15)
+    def test_derivative_shift(self, flagship):
+        _, series = flagship
+        shift = -1j * series.d_omega_tilde / (2.0 * series.omega_tilde)
+        assert np.min(np.abs(shift)) > 0.0
+        np.testing.assert_allclose(series.lambda_t1, series.lambda1 + shift, rtol=1e-15)
+        np.testing.assert_allclose(series.lambda_t2, series.lambda2 + shift, rtol=1e-15)
+        np.testing.assert_allclose(
+            series.lambda_t1 - series.lambda_t2, series.omega_tilde, rtol=1e-14
+        )
 
     def test_degenerate_rabi(self):
-        with pytest.raises(DegenerateRabi):
-            lambdas(4.0, 1e-13, 0.0)
+        # Omega = 3e-13 and delta = 4e-13: |omega_tilde| = 5e-13 everywhere.
+        with pytest.raises(DegenerateRabi, match="grid index 0"):
+            constant_series(omega0=3e-13, delta=4e-13)
 
 
 class TestMixingFunctions:
     def test_static_real(self):
-        c, s = mixing_functions(4.5, -0.5, 5.0, 1)
-        assert c == pytest.approx(math.sqrt(0.9), rel=1e-15)
-        assert s == pytest.approx(math.sqrt(0.1), rel=1e-15)
+        series = constant_series(omega0=3.0, delta=4.0)
+        assert series.cos_half[0] == pytest.approx(math.sqrt(0.9), rel=1e-15)
+        assert series.sin_half[0] == pytest.approx(math.sqrt(0.1), rel=1e-15)
 
-    def test_zero_field_limit(self):
-        assert mixing_functions(5.0, 0.0, 5.0, 1) == (1.0, 0.0)
+    def test_weak_field_limit(self):
+        # COS -> 1 and SIN -> Omega / (2 delta) as Omega -> 0.
+        # Omega must stay above sqrt(eps) delta or SIN drowns in the
+        # roundoff of delta - omega_tilde.
+        series = constant_series(omega0=1e-4, delta=5.0)
+        assert np.all(np.abs(series.cos_half - 1.0) < 1e-9)
+        np.testing.assert_allclose(series.sin_half, 1e-5, rtol=1e-5)
 
     def test_complex_values_against_oracle(self):
-        # oracle: sqrt(0.9-0.02j) = 0.9487418497131218881 - 0.01054027500001583591j
-        #         sqrt(0.1+0.02j) = 0.3177895453534112854 + 0.03146736620576702j
-        c, s = mixing_functions(4.5 - 0.1j, -0.5 - 0.1j, 5.0 + 0.0j, 1)
-        assert c == pytest.approx(0.9487418497131219 - 0.010540275000015836j, rel=1e-15)
-        assert s == pytest.approx(0.3177895453534113 + 0.03146736620576702j, rel=1e-15)
+        # oracle: omega_tilde = sqrt(9 + (4 - 0.2i)^2) = 4.998561266903532088 - 0.1600460527105987573j
+        #         cos_half = 0.9488728062684164050 - 0.003787300259648448881j
+        #         sin_half = 0.3158863163842142597 + 0.01137645424685863833j
+        series = constant_series(omega0=3.0, delta=4.0, gamma_g=0.1, gamma_e=0.3)
+        assert np.all(series.d_omega_tilde == 0.0)
+        assert series.omega_tilde[0] == pytest.approx(
+            4.998561266903532 - 0.16004605271059876j, rel=1e-15
+        )
+        c, s = series.cos_half[0], series.sin_half[0]
+        assert c == pytest.approx(0.9488728062684164 - 0.003787300259648449j, rel=1e-15)
+        assert s == pytest.approx(0.3158863163842143 + 0.011376454246858638j, rel=1e-15)
         assert c * c + s * s == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_detuning_flips_sin(self):
-        c_pos, s_pos = mixing_functions(4.5, -0.5, 5.0, 1)
-        c_neg, s_neg = mixing_functions(4.5, -0.5, 5.0, -1)
-        assert c_neg == c_pos and s_neg == -s_pos
+        pos = constant_series(omega0=3.0, delta=4.0)
+        neg = constant_series(omega0=3.0, delta=-4.0)
+        assert np.array_equal(neg.cos_half, pos.cos_half)
+        assert np.array_equal(neg.sin_half, -pos.sin_half)
 
     def test_continuation(self):
-        c0, s0 = mixing_functions(4.5 - 0.1j, -0.5 - 0.1j, 5.0 + 0.0j, 1)
-        c1, s1 = mixing_functions(4.5 - 0.1j, -0.5 - 0.1j, 5.0 + 0.0j, 1, prev=(-c0, -s0))
-        assert c1 == -c0 and s1 == -s0
-
-    def test_degenerate_rabi(self):
-        with pytest.raises(DegenerateRabi):
-            mixing_functions(1.0, 0.0, 1e-16, 1)
+        # COS and SIN are tracked as independent rows: a principal root that
+        # changes sign flips only its own row back.
+        c = 0.9487418497131219 - 0.010540275000015836j
+        s = 0.3177895453534113 + 0.03146736620576702j
+        principal = np.array([[c, c, c], [s, -s, -s]])
+        roots, signs = _track_branches(principal, (1, 1), ("COS", "SIN"))
+        assert signs.tolist() == [[1, 1, 1], [1, -1, -1]]
+        assert roots.tolist() == [[c] * 3, [s] * 3]
 
 
 @given(
-    delta_tilde=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
-                                   allow_nan=False, allow_infinity=False),
     omega=st.floats(min_value=1e-3, max_value=1e3),
-    d_omega=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    delta=st.floats(min_value=1e-3, max_value=1e3),
     sign=st.sampled_from([1, -1]),
+    gamma=st.floats(min_value=0.0, max_value=10.0),
+    beta=st.floats(min_value=-1.0, max_value=1.0),
 )
 @settings(max_examples=300, deadline=None)
-def test_trig_identity_property(delta_tilde, omega, d_omega, sign):
+def test_trig_identity_property(omega, delta, sign, gamma, beta):
     """COS^2 + SIN^2 = 1 whenever Lambda'_1 - Lambda'_2 = omega_tilde."""
-    omega_tilde = sign * cmath.sqrt(omega * omega + delta_tilde * delta_tilde)
-    if abs(omega_tilde) < 1e-6:
-        return
-    _, _, lt1, lt2 = lambdas(delta_tilde, omega_tilde, d_omega)
-    c, s = mixing_functions(lt1, lt2, omega_tilde, sign)
-    scale = max(1.0, abs(lt1 / omega_tilde), abs(lt2 / omega_tilde))
-    assert abs(c * c + s * s - 1.0) < 1e-12 * scale
+    try:
+        series = constant_series(
+            omega0=omega, delta=sign * delta, gamma_e=gamma,
+            phase=Chirp(beta=beta, t_center=0.5), n=5,
+        )
+    except NumericalError:
+        assume(False)
+    ratios = np.stack([series.lambda_t1, series.lambda_t2]) / series.omega_tilde
+    scale = np.maximum(1.0, np.max(np.abs(ratios), axis=0))
+    dev = np.abs(series.cos_half**2 + series.sin_half**2 - 1.0)
+    assert np.all(dev < 1e-12 * scale)
 
 
 class TestNadsFrequencies:
     def test_unperturbed_limit(self):
-        params = SystemParams(0.0, 5.0)
-        omega_g, _ = nads_frequencies(params, 0.0, sample(), NO_PHASE)
-        assert omega_g == 0.0 + 0.0j
+        # omega_G = omega_g + Lambda_2 -> 0 as Omega -> 0 (Lambda_2 ~ -Omega^2 / 4 delta).
+        series = constant_series(omega0=1e-6, delta=5.0)
+        assert np.all(np.abs(series.omega_G) < 1e-12)
 
     def test_symmetric_light_shift(self):
-        params = SystemParams(0.0, 5.0)
-        omega_g, omega_e = nads_frequencies(params, -0.5, sample(), NO_PHASE)
-        assert omega_g == -0.5 + 0.0j and omega_e == 5.5 + 0.0j
+        series = constant_series(omega0=3.0, delta=4.0)
+        assert np.all(series.omega_G == -0.5 + 0.0j)
+        assert np.all(series.omega_E == 5.5 + 0.0j)
 
-    def test_full_substitution(self):
-        params = SystemParams(0.0, 5.0, gamma_g=0.1, gamma_e=0.3)
-        env = sample(log_deriv=-0.1)
-        _, omega_e = nads_frequencies(params, -0.5, env, (0.0, 0.2, 0.0))
-        assert omega_e == pytest.approx(5.3 - 0.3j, rel=1e-15)
+    def test_full_substitution(self, flagship):
+        _, series = flagship
+        params = series.params
+        np.testing.assert_array_equal(series.omega_G, params.omega_g + series.lambda2)
+        np.testing.assert_array_equal(
+            series.omega_E,
+            params.omega_e - series.lambda2 - 1j * params.gamma_sum_half
+            - (series.dphi - 1j * series.log_deriv),
+        )
 
 
 class TestSnapshotSeries:
@@ -294,13 +357,8 @@ class TestSnapshotSeries:
         with pytest.raises(EnvelopeUnderflow, match="grid index"):
             snapshot_series(params, field, np.linspace(0.0, 12.0, 121))
 
-    def test_snapshot_accessor(self, flagship):
+    def test_step_and_length(self, flagship):
         _, series = flagship
-        snap = series.snapshot(1200)
-        assert snap.t == series.grid[1200]
-        assert snap.omega_tilde == complex(series.omega_tilde[1200])
-        assert snap.cos_half == complex(series.cos_half[1200])
-        assert snap.delta == series.delta
         assert series.step == pytest.approx(0.05)
         assert len(series) == 2401
 

@@ -10,9 +10,13 @@ import copy
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nads.cli import main
 from nads.errors import ParseError, ValidationError
@@ -381,7 +385,7 @@ class TestCliSweep:
         assert np.array_equal(gamma, np.tile(np.linspace(0, 0.4, 5), 5))
         assert all(row[names.index("error")] == "" for row in rows)
 
-    def test_chirp_rate_drives_transition_probability(self, tmp_path):
+    def test_chirp_rate_drives_max_p(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", str(shipped_path("constant-detuned")),
@@ -446,31 +450,6 @@ class TestCliSweep:
         ])
         assert rc == 1
         assert "--reduce" in capsys.readouterr().err
-
-    def test_worker_count_env_validation(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NADS_WORKERS", "zero")
-        rc = main([
-            "sweep", str(shipped_path("constant-detuned")),
-            "--axis", "system.gamma_e:0:0.4:3",
-            "--reduce", "maxP",
-            "--out", str(tmp_path / "s.csv"),
-        ])
-        assert rc == 1
-        assert "NADS_WORKERS" in capsys.readouterr().err
-
-    def test_sequential_and_concurrent_runs_match(self, tmp_path, monkeypatch):
-        args = [
-            "sweep", str(shipped_path("constant-detuned")),
-            "--axis", "field.envelope.omega0:1:3:4",
-            "--reduce", "finalPe",
-        ]
-        monkeypatch.setenv("NADS_WORKERS", "1")
-        seq = tmp_path / "seq.csv"
-        assert main(args + ["--out", str(seq)]) == 0
-        monkeypatch.setenv("NADS_WORKERS", "4")
-        par = tmp_path / "par.csv"
-        assert main(args + ["--out", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
 
 
 class TestCliValidate:
@@ -550,6 +529,81 @@ class TestNonFiniteInputs:
         )
         assert main(["snapshot", str(path)]) == 1
         assert "finite" in capsys.readouterr().err
+
+
+#: Fields a fuzzed scenario may set out of bounds (to 0 or -1).
+BREAKABLE = (
+    ("system", "mu"), ("system", "gamma_g"), ("system", "gamma_e"),
+    ("field", "carrier_omega"), ("field", "envelope", "omega0"),
+    ("grid", "step"),
+)
+
+
+@st.composite
+def scenario_docs(draw):
+    """Scenario documents across the schema on grids of at most 600 steps;
+    one in four has one field out of bounds."""
+    kind = draw(st.sampled_from(["constant", "gaussian", "sech"]))
+    tau = draw(st.floats(0.05, 50.0))
+    step = tau / 400.0 * draw(st.floats(0.1, 1.2))
+    t_start = draw(st.floats(-60.0, 60.0))
+    envelope = {"kind": kind, "omega0": draw(st.floats(1e-3, 10.0))}
+    if kind != "constant":
+        envelope["t_center"] = t_start + tau * draw(st.floats(-10.0, 10.0))
+        envelope["tau"] = tau
+    omega_g = draw(st.floats(-10.0, 10.0))
+    doc = {
+        "name": "fuzz",
+        "system": {
+            "omega_g": omega_g,
+            "omega_e": omega_g + draw(st.floats(1e-3, 10.0)),
+            "mu": draw(st.floats(0.1, 3.0)),
+            "gamma_g": draw(st.floats(0.0, 2.0)),
+            "gamma_e": draw(st.floats(0.0, 2.0)),
+        },
+        "field": {
+            "carrier_omega": draw(st.floats(0.1, 10.0)),
+            "envelope": envelope,
+            "phase": {
+                "phi0": draw(st.floats(-3.0, 3.0)),
+                "beta": draw(st.floats(-1.0, 1.0)),
+                "t_center": draw(st.none() | st.floats(-60.0, 60.0)),
+            },
+        },
+        "grid": {
+            "t_start": t_start,
+            "t_end": t_start + draw(st.integers(1, 600)) * step,
+            "step": step,
+            "step_policy": draw(st.sampled_from(["error", "warn"])),
+        },
+        "initial_state": draw(st.sampled_from(["ground", "excited"])),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        *parents, key = draw(st.sampled_from(BREAKABLE))
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = draw(st.sampled_from([0.0, -1.0]))
+    return doc
+
+
+@given(doc=scenario_docs())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:grid.step")
+def test_snapshot_fuzz_exit_codes_and_finite_tables(doc):
+    """Any scenario: no bare exception, exit 0, 1 or 2, and a table written
+    with exit 0 holds only finite numbers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "table.csv"
+        rc = main(["snapshot", str(path), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            _, names, rows = read_table(out)
+            cells = np.array([[float(cell) for cell in row] for row in rows])
+            assert cells.shape[1] == len(names)
+            assert np.all(np.isfinite(cells))
 
 
 class TestCliPlumbing:
