@@ -51,8 +51,8 @@ class SnapshotSeries:
     Arrays are read-only once constructed; treat instances as immutable.
     ``branch_log`` maps each tracked square root to an int8 array of +1
     (principal branch kept) / -1 (negated principal chosen for continuity).
-    ``overlap_cache`` holds the whole-series overlap arrays once
-    :func:`nads.overlap_transitions.overlap_arrays` has built them.
+    ``overlap_cache`` holds the series' lazily built overlap arrays once
+    :func:`nads.overlap_transitions.overlap_arrays` has been called.
     """
 
     params: SystemParams

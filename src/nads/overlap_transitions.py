@@ -3,8 +3,9 @@ amplitude ratios along a snapshot series.
 
 Each overlap is the product of a mixing-function bracket and an exponential
 of a cumulative time integral from the grid start. Every integral is a
-trapezoid sum on the series grid. All overlaps are built as whole-series
-arrays once per series (:func:`overlap_arrays`) and cached immutably on it.
+trapezoid sum on the series grid. Each overlap is a whole-series array,
+built on first read together with only the integrals it needs
+(:func:`overlap_arrays`) and cached read-only on the series.
 
 Two algebraically equivalent routes are provided for each overlap (a concise
 form via the dressed-state frequencies and an expanded form via the
@@ -16,7 +17,8 @@ cancellation is verified rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
 from typing import Literal
 
 import numpy as np
@@ -34,49 +36,6 @@ __all__ = [
 RATIO_FLOOR = 1e-14
 
 InitialState = Literal["ground", "excited"]
-
-
-@dataclass(frozen=True)
-class OverlapArrays:
-    """Whole-series overlaps and transition probabilities, one value per grid
-    point, built once per series by :func:`overlap_arrays`.
-
-    ``gg`` and ``ee`` are the squared norms of the ground and excited
-    dressed states, [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same
-    with omega'_E; ``eg`` is the excited-ground overlap
-    [SIN COS* - SIN* COS] exp{i int [conj(omega'_E) - omega'_G - carrier]},
-    which vanishes identically when the mixing functions are real; ``ge`` is
-    its mirror [COS SIN* - COS* SIN] exp{i int [conj(omega'_G) - omega'_E +
-    carrier]}, built by its own formula so that ``ge == conj(eg)`` is a
-    checked property, not a shortcut. The ``*_expanded`` forms use the
-    exponent -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv -+ Im
-    omega_tilde) for ``gg``/``ee`` and int (log_deriv + i Re omega_tilde)
-    for ``eg``.
-
-    ``p_ge`` is the pointwise (mixing-function) probability and
-    ``p_ge_via_overlaps`` the overlap quotient |<E|G>|^2 / (<G|G> <E|E>),
-    formed in log space so it stays finite where the norms underflow.
-
-    The four remaining arrays are the unit-weight exponential coefficients
-    of the dressed-state components, each multiplying one bare state:
-    ``ground_real`` multiplies COS on |g> and ``ground_virtual`` SIN on |e>
-    (the ground dressed state); ``excited_real`` multiplies COS on |e> and
-    ``excited_virtual`` -SIN on |g> (the excited dressed state).
-    """
-
-    gg: np.ndarray
-    gg_expanded: np.ndarray
-    ee: np.ndarray
-    ee_expanded: np.ndarray
-    eg: np.ndarray
-    eg_expanded: np.ndarray
-    ge: np.ndarray
-    p_ge: np.ndarray
-    p_ge_via_overlaps: np.ndarray
-    ground_real: np.ndarray
-    ground_virtual: np.ndarray
-    excited_real: np.ndarray
-    excited_virtual: np.ndarray
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -110,60 +69,171 @@ def mixing_probability(sin_half, cos_half):
     return _bracket_im(sin_half, cos_half) ** 2 / weight**2
 
 
-def overlap_arrays(series: SnapshotSeries) -> OverlapArrays:
-    """Every overlap and transition probability of ``series`` as arrays.
+def _built(method):
+    """A cached property whose array is made read-only when first built."""
 
-    Built on first use from the series' current arrays and cached on the
-    series (``series.overlap_cache``); the returned arrays are read-only.
-    """
-    cached = series.overlap_cache
-    if cached is not None:
-        return cached
-    grid = series.grid
-    s = series.sin_half
-    c = series.cos_half
-    carrier = series.field.carrier_omega
-    damping = -series.params.gamma_sum_half * (grid - grid[0])
-
-    int_im_G = _cumtrapz(series.omega_G.imag, grid)
-    int_im_E = _cumtrapz(series.omega_E.imag, grid)
-    int_eg = _cumtrapz(np.conj(series.omega_E) - series.omega_G - carrier, grid)
-    int_ge = _cumtrapz(np.conj(series.omega_G) - series.omega_E + carrier, grid)
-    int_log_m = _cumtrapz(series.log_deriv - series.omega_tilde.imag, grid)
-    int_log_p = _cumtrapz(series.log_deriv + series.omega_tilde.imag, grid)
-    int_exp_eg = _cumtrapz(series.log_deriv + 1j * series.omega_tilde.real, grid)
-
-    weight = np.abs(s) ** 2 + np.abs(c) ** 2
-    bracket_eg = 1j * _bracket_im(s, c)
-    bracket_ge = 1j * _bracket_im(c, s)
-    # |<E|G>|^2 / (<G|G><E|E>) with the three exponentials combined in one
-    # exponent, so long damped runs whose norms underflow stay finite; the
-    # integrals are still accumulated separately, so their cancellation is
-    # checked numerically rather than assumed.
-    log_ratio = -2.0 * int_eg.imag - 2.0 * int_im_G - 2.0 * int_im_E
-    # Phase integrals exclude the constant carrier ramp, applied exactly here.
-    ramp = carrier * (grid - grid[0])
-    int_G = _cumtrapz(series.omega_G, grid)
-    int_E = _cumtrapz(series.omega_E, grid)
-    arrays = OverlapArrays(
-        gg=weight * np.exp(2.0 * int_im_G),
-        gg_expanded=weight * np.exp(damping + int_log_m),
-        ee=weight * np.exp(2.0 * int_im_E),
-        ee_expanded=weight * np.exp(damping + int_log_p),
-        eg=bracket_eg * np.exp(1j * int_eg),
-        eg_expanded=bracket_eg * np.exp(damping + int_exp_eg),
-        ge=bracket_ge * np.exp(1j * int_ge),
-        p_ge=mixing_probability(s, c),
-        p_ge_via_overlaps=_bracket_im(s, c) ** 2 / weight**2 * np.exp(log_ratio),
-        ground_real=np.exp(-1j * int_G),
-        ground_virtual=np.exp(-1j * (int_G + ramp) - 1j * series.phi),
-        excited_real=np.exp(-1j * int_E - 1j * series.phi),
-        excited_virtual=np.exp(-1j * (int_E - ramp)),
-    )
-    for arr in vars(arrays).values():
+    @functools.wraps(method)
+    def build(self):
+        arr = method(self)
         arr.flags.writeable = False
-    series.overlap_cache = arrays
-    return arrays
+        return arr
+
+    return functools.cached_property(build)
+
+
+class OverlapArrays:
+    """Whole-series overlaps and transition probabilities of one series, one
+    value per grid point. Each array is built on first read, together with
+    only the integrals it needs, and is read-only; get the series' instance
+    from :func:`overlap_arrays`.
+
+    ``gg`` and ``ee`` are the squared norms of the ground and excited
+    dressed states, [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same
+    with omega'_E; ``eg`` is the excited-ground overlap
+    [SIN COS* - SIN* COS] exp{i int [conj(omega'_E) - omega'_G - carrier]},
+    which vanishes identically when the mixing functions are real; ``ge`` is
+    its mirror [COS SIN* - COS* SIN] exp{i int [conj(omega'_G) - omega'_E +
+    carrier]}, built by its own formula so that ``ge == conj(eg)`` is a
+    checked property, not a shortcut. The ``*_expanded`` forms use the
+    exponent -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv -+ Im
+    omega_tilde) for ``gg``/``ee`` and int (log_deriv + i Re omega_tilde)
+    for ``eg``.
+
+    ``p_ge`` is the pointwise (mixing-function) probability and
+    ``p_ge_via_overlaps`` the overlap quotient |<E|G>|^2 / (<G|G> <E|E>),
+    formed in log space so it stays finite where the norms underflow.
+
+    The four remaining arrays are the unit-weight exponential coefficients
+    of the dressed-state components, each multiplying one bare state:
+    ``ground_real`` multiplies COS on |g> and ``ground_virtual`` SIN on |e>
+    (the ground dressed state); ``excited_real`` multiplies COS on |e> and
+    ``excited_virtual`` -SIN on |g> (the excited dressed state).
+    """
+
+    def __init__(self, series: SnapshotSeries):
+        # A copy sharing the series' arrays, with no overlap cache: holding
+        # ``series`` itself would make it and its cache a reference cycle
+        # that only the cyclic collector frees, and memory would pile up.
+        self._series = dataclasses.replace(series)
+
+    def _integral(self, y: np.ndarray) -> np.ndarray:
+        return _cumtrapz(y, self._series.grid)
+
+    @functools.cached_property
+    def _weight(self):
+        return np.abs(self._series.sin_half) ** 2 + np.abs(self._series.cos_half) ** 2
+
+    @functools.cached_property
+    def _bracket_eg(self):
+        return _bracket_im(self._series.sin_half, self._series.cos_half)
+
+    @functools.cached_property
+    def _damping(self):
+        grid = self._series.grid
+        return -self._series.params.gamma_sum_half * (grid - grid[0])
+
+    @functools.cached_property
+    def _ramp(self):
+        # Phase integrals exclude the constant carrier ramp, applied exactly here.
+        grid = self._series.grid
+        return self._series.field.carrier_omega * (grid - grid[0])
+
+    @functools.cached_property
+    def _int_im_G(self):
+        return self._integral(self._series.omega_G.imag)
+
+    @functools.cached_property
+    def _int_im_E(self):
+        return self._integral(self._series.omega_E.imag)
+
+    @functools.cached_property
+    def _int_eg(self):
+        series = self._series
+        carrier = series.field.carrier_omega
+        return self._integral(np.conj(series.omega_E) - series.omega_G - carrier)
+
+    @functools.cached_property
+    def _int_G(self):
+        return self._integral(self._series.omega_G)
+
+    @functools.cached_property
+    def _int_E(self):
+        return self._integral(self._series.omega_E)
+
+    @_built
+    def gg(self):
+        return self._weight * np.exp(2.0 * self._int_im_G)
+
+    @_built
+    def gg_expanded(self):
+        series = self._series
+        int_log_m = self._integral(series.log_deriv - series.omega_tilde.imag)
+        return self._weight * np.exp(self._damping + int_log_m)
+
+    @_built
+    def ee(self):
+        return self._weight * np.exp(2.0 * self._int_im_E)
+
+    @_built
+    def ee_expanded(self):
+        series = self._series
+        int_log_p = self._integral(series.log_deriv + series.omega_tilde.imag)
+        return self._weight * np.exp(self._damping + int_log_p)
+
+    @_built
+    def eg(self):
+        return 1j * self._bracket_eg * np.exp(1j * self._int_eg)
+
+    @_built
+    def eg_expanded(self):
+        series = self._series
+        int_exp_eg = self._integral(series.log_deriv + 1j * series.omega_tilde.real)
+        return 1j * self._bracket_eg * np.exp(self._damping + int_exp_eg)
+
+    @_built
+    def ge(self):
+        series = self._series
+        carrier = series.field.carrier_omega
+        int_ge = self._integral(np.conj(series.omega_G) - series.omega_E + carrier)
+        bracket_ge = 1j * _bracket_im(series.cos_half, series.sin_half)
+        return bracket_ge * np.exp(1j * int_ge)
+
+    @_built
+    def p_ge(self):
+        return mixing_probability(self._series.sin_half, self._series.cos_half)
+
+    @_built
+    def p_ge_via_overlaps(self):
+        # |<E|G>|^2 / (<G|G><E|E>) with the three exponentials combined in
+        # one exponent, so long damped runs whose norms underflow stay
+        # finite; the integrals are still accumulated separately, so their
+        # cancellation is checked numerically rather than assumed.
+        log_ratio = -2.0 * self._int_eg.imag - 2.0 * self._int_im_G - 2.0 * self._int_im_E
+        return self._bracket_eg**2 / self._weight**2 * np.exp(log_ratio)
+
+    @_built
+    def ground_real(self):
+        return np.exp(-1j * self._int_G)
+
+    @_built
+    def ground_virtual(self):
+        return np.exp(-1j * (self._int_G + self._ramp) - 1j * self._series.phi)
+
+    @_built
+    def excited_real(self):
+        return np.exp(-1j * self._int_E - 1j * self._series.phi)
+
+    @_built
+    def excited_virtual(self):
+        return np.exp(-1j * (self._int_E - self._ramp))
+
+
+def overlap_arrays(series: SnapshotSeries) -> OverlapArrays:
+    """The overlap arrays of ``series``, cached on it
+    (``series.overlap_cache``); each array is built on first read."""
+    if series.overlap_cache is None:
+        series.overlap_cache = OverlapArrays(series)
+    return series.overlap_cache
 
 
 def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:

@@ -6,8 +6,14 @@ the oscillating carrier resolved (no rotating-wave approximation); the
 rotating frame transforms at the carrier frequency and applies the
 rotating-wave approximation, which is the frame the dressed-state formulas
 implicitly live in. Propagation is classic fourth-order Runge-Kutta with a
-fixed substep per run, chosen by doubling the substep count until halving
-the substep changes the final amplitudes by less than the tolerance.
+fixed substep per run. The accepted substep is the first power-of-two
+refinement at which halving it changes the final amplitudes by less than
+the tolerance. Since RK4's difference falls 16x per halving, the controller
+predicts that count from the first pair of passes and jumps straight to it
+(step-size prediction from an a-posteriori error estimate; Hairer, Norsett
+and Wanner, "Solving Ordinary Differential Equations I", section II.4). It
+keeps the jumped pass only if the three passes show fourth-order
+convergence, and falls back to plain doubling otherwise.
 
 The equations are linear, so one RK4 substep is a 2x2 step matrix. Step
 matrices are built elementwise in NumPy, multiplied together per output
@@ -62,6 +68,13 @@ class Trajectory:
     moduli (and hence ``norm``) agree with the lab amplitudes because the
     frame transformation is a pure phase per component. ``n_sub`` is the
     accepted number of substeps per output interval.
+
+    ``attempts`` lists every pass :func:`evolve` ran, in order, as
+    ``(n_sub, error / tol)``: the pass's last-point difference from the
+    previous pass, rescaled to one halving of the substep, over the
+    acceptance tolerance. The first pass has no predecessor and records
+    ``None``; the last entry is the accepted pass. It is empty for a
+    single :func:`propagate_fixed` pass.
     """
 
     grid: np.ndarray
@@ -70,6 +83,7 @@ class Trajectory:
     norm: np.ndarray
     frame: Frame
     n_sub: int
+    attempts: tuple[tuple[int, Optional[float]], ...] = ()
 
 
 def rhs(
@@ -256,6 +270,14 @@ def _characteristic_rate(
     return max(rates + [1e-3])
 
 
+def _fourth_order(first: float, second: float, q: int) -> bool:
+    """Whether the pair differences d(n0, 2 n0) = ``first`` and
+    d(2 n0, 2 q n0) = ``second`` fall as RK4's n^-4 error predicts,
+    first / second = 15 / (1 - q^-4), within a factor of 2."""
+    expected = 15.0 / (1.0 - float(q) ** -4)
+    return 0.5 * expected * second <= first <= 2.0 * expected * second
+
+
 def evolve(
     params: SystemParams,
     field: FieldModel,
@@ -267,9 +289,22 @@ def evolve(
 ) -> Trajectory:
     """Integrate the amplitude equations on ``grid`` to the given tolerance.
 
-    The substep count per output interval starts from a rate heuristic and
-    doubles until halving the substep changes the final amplitudes by less
-    than ``rtol * max(1, |c|) + atol``; the finer result is returned.
+    The substep count per output interval starts at ``n0`` from a rate
+    heuristic. A pass with ``n`` substeps is accepted when its last-point
+    amplitudes differ from the pass with ``n / 2`` by less than
+    ``rtol * max(1, |c|) + atol``; the finer result is returned.
+
+    Rather than doubling through every coarse pass, the controller predicts
+    the accepted count from the first pair (``n0``, ``2 n0``): RK4's
+    difference falls 16x per doubling, so with ``r`` = difference / tol it
+    jumps to ``N = 2 n0 2^j``, ``j = ceil(log2(r) / 4)``. The jumped pass
+    is accepted when its difference from ``2 n0``, rescaled to one halving
+    by ``15 / (q^4 - 1)`` with ``q = N / (2 n0)``, is below tol and the
+    three passes show fourth-order convergence; otherwise plain doubling
+    continues from ``N``. ``N`` stays a power-of-two multiple of ``n0``,
+    so a right prediction accepts the same pass doubling would. A
+    non-finite pair difference takes the doubling path. The returned
+    ``attempts`` records every pass.
 
     Raises
     ------
@@ -281,25 +316,49 @@ def evolve(
     grid, h_out = uniform_grid(grid)
     span = float(grid[-1] - grid[0])
     rate = _characteristic_rate(params, field, grid, frame)
-    n_sub = max(1, math.ceil(h_out * rate / _INITIAL_RADIANS_PER_STEP))
-    prev = None
-    while True:
-        if h_out / n_sub < STEP_UNDERFLOW_FRACTION * span:
+
+    def underflows(n_sub: int) -> bool:
+        return h_out / n_sub < STEP_UNDERFLOW_FRACTION * span
+
+    def run(n_sub: int) -> Trajectory:
+        if underflows(n_sub):
             raise StepUnderflow(
                 f"substep {h_out / n_sub:.3e} below "
                 f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
             )
-        cur = propagate_fixed(params, field, grid, init, frame, n_sub)
-        if prev is not None:
-            err = max(
-                abs(cur.c_g[-1] - prev.c_g[-1]),
-                abs(cur.c_e[-1] - prev.c_e[-1]),
-            )
-            scale = max(1.0, abs(cur.c_g[-1]), abs(cur.c_e[-1]))
-            if err < rtol * scale + atol:
-                return cur
-        n_sub *= 2
-        prev = cur
+        return propagate_fixed(params, field, grid, init, frame, n_sub)
+
+    n_prev = max(1, math.ceil(h_out * rate / _INITIAL_RADIANS_PER_STEP))
+    prev = run(n_prev)
+    attempts: list[tuple[int, Optional[float]]] = [(n_prev, None)]
+    n_sub = 2 * n_prev
+    first = None  # difference of the first pair
+    while True:
+        cur = run(n_sub)
+        q = n_sub // n_prev
+        # np.maximum, not max: a NaN in either component must propagate.
+        diff = np.maximum(abs(cur.c_g[-1] - prev.c_g[-1]), abs(cur.c_e[-1] - prev.c_e[-1]))
+        tol = rtol * max(1.0, abs(cur.c_g[-1]), abs(cur.c_e[-1])) + atol
+        # Difference of one halving at n_sub; the factor is exactly 1 for q = 2.
+        estimate = diff * (15.0 / (q**4 - 1))
+        attempts.append((n_sub, float(estimate / tol)))
+        if estimate < tol and (q == 2 or _fourth_order(first, diff, q)):
+            cur.attempts = tuple(attempts)
+            return cur
+        n_next = 2 * n_sub
+        if first is None:
+            first = diff
+            r = diff / tol
+            if math.isfinite(r):
+                # At most 2^5 per jump: beyond that the n^-4 extrapolation
+                # spans more than six decades of error.
+                j = min(5, max(1, math.ceil(math.log2(r) / 4)))
+                n_next = n_sub << j
+                # Land on the last count doubling could run, so that
+                # StepUnderflow is raised where doubling raises it.
+                while n_next > 2 * n_sub and underflows(n_next):
+                    n_next //= 2
+        prev, n_prev, n_sub = cur, n_sub, n_next
 
 
 def rabi_oracle(omega0: float, t: float) -> tuple[float, float]:

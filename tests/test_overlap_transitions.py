@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -196,3 +198,51 @@ class TestAmplitudeRatios:
         _, series = flagship
         with pytest.raises(ValueError):
             amplitude_ratios(series, "superposition")
+
+
+class TestLazyOverlaps:
+    """Each overlap array is built on first read, once, and read-only."""
+
+    PUBLIC = ("gg", "gg_expanded", "ee", "ee_expanded", "eg", "eg_expanded", "ge",
+              "p_ge", "p_ge_via_overlaps", "ground_real", "ground_virtual",
+              "excited_real", "excited_virtual")
+
+    def fresh(self, flagship):
+        scenario, _ = flagship
+        return snapshot_series(scenario.system, scenario.field, scenario.grid())
+
+    def test_amplitude_ratios_build_only_the_ground_components(self, flagship):
+        series = self.fresh(flagship)
+        amplitude_ratios(series, "ground")
+        built = set(vars(overlap_arrays(series))) & set(self.PUBLIC)
+        assert built == {"ground_real", "ground_virtual"}
+
+    def test_snapshot_columns_build_only_what_they_print(self, flagship):
+        series = self.fresh(flagship)
+        arrays = overlap_arrays(series)
+        arrays.gg, arrays.ee, arrays.eg, arrays.p_ge
+        assert set(vars(arrays)) & set(self.PUBLIC) == {"gg", "ee", "eg", "p_ge"}
+
+    def test_built_once_and_read_only(self, flagship):
+        series = self.fresh(flagship)
+        arrays = overlap_arrays(series)
+        assert overlap_arrays(series) is arrays
+        for name in self.PUBLIC:
+            arr = getattr(arrays, name)
+            assert getattr(arrays, name) is arr
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_series_freed_by_reference_counting(self, flagship):
+        # The cache must not point back at its series: a cycle would leave
+        # every series to the cyclic collector and memory would pile up.
+        series = self.fresh(flagship)
+        overlap_arrays(series).gg
+        ref = weakref.ref(series)
+        gc.disable()
+        try:
+            del series
+            assert ref() is None
+        finally:
+            gc.enable()

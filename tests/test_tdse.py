@@ -1,6 +1,7 @@
 """Amplitude-equation integrator: RHS conventions, closed-form oracles,
-convergence order, frame consistency and agreement of the block propagator
-with a scalar RK4 loop."""
+convergence order, frame consistency, agreement of the block propagator
+with a scalar RK4 loop, and the predictive substep controller against the
+plain doubling controller."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from nads import tdse
 from nads.errors import StepUnderflow
 from nads.field_model import (
     Chirp,
@@ -18,8 +20,11 @@ from nads.field_model import (
     SechEnvelope,
     SystemParams,
 )
+from nads.nads_core import uniform_grid
+from nads.scenario import list_shipped, load_shipped
 from nads.tdse import (
     _BLOCK_SUBSTEPS,
+    STEP_UNDERFLOW_FRACTION,
     Trajectory,
     evolve,
     lz_oracle,
@@ -331,3 +336,202 @@ class TestLandauZener:
             lz_survival(0.0, 1.0)
         with pytest.raises(ValueError, match="window"):
             lz_survival(0.1, 1.0, window=-5.0)
+
+
+def doubling_evolve(params, field, grid, init="ground", frame="rotating",
+                    rtol=1e-10, atol=1e-12):
+    """The plain doubling controller, as ``evolve`` ran before it predicted
+    the accepted count: double ``n_sub`` from the rate heuristic until one
+    halving changes the last point by less than ``rtol * max(1, |c|) + atol``.
+    Returns the accepted pass and the number of passes run."""
+    grid, h_out = uniform_grid(grid)
+    span = float(grid[-1] - grid[0])
+    rate = tdse._characteristic_rate(params, field, grid, frame)
+    n_sub = max(1, math.ceil(h_out * rate / tdse._INITIAL_RADIANS_PER_STEP))
+    prev, passes = None, 0
+    while True:
+        if h_out / n_sub < STEP_UNDERFLOW_FRACTION * span:
+            raise StepUnderflow(
+                f"substep {h_out / n_sub:.3e} below "
+                f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
+            )
+        cur = tdse.propagate_fixed(params, field, grid, init, frame, n_sub)
+        passes += 1
+        if prev is not None:
+            err = max(abs(cur.c_g[-1] - prev.c_g[-1]), abs(cur.c_e[-1] - prev.c_e[-1]))
+            scale = max(1.0, abs(cur.c_g[-1]), abs(cur.c_e[-1]))
+            if err < rtol * scale + atol:
+                return cur, passes
+        n_sub *= 2
+        prev = cur
+
+
+def random_case(rng, i):
+    """Damped chirped two-level problem number ``i``: envelope kind, frame
+    and tolerance cycle with ``i``, the rest is drawn from ``rng``."""
+    omega_e = rng.uniform(1.0, 6.0)
+    params = SystemParams(
+        omega_g=0.0, omega_e=omega_e,
+        gamma_g=rng.uniform(0.0, 0.1), gamma_e=rng.uniform(0.0, 0.3),
+    )
+    omega0, tau = rng.uniform(0.1, 2.0), rng.uniform(1.0, 6.0)
+    envelope = (
+        ConstantEnvelope(omega0),
+        GaussianEnvelope(omega0=omega0, t_center=0.0, tau=tau),
+        SechEnvelope(omega0=omega0, tau=tau),
+    )[i % 3]
+    field = FieldModel(
+        carrier_omega=omega_e - rng.uniform(-1.0, 1.0),
+        envelope=envelope,
+        phase=Chirp(phi0=rng.uniform(-1.0, 1.0), beta=rng.uniform(-0.1, 0.1), t_center=0.0),
+    )
+    half = rng.uniform(2.0, 4.0) * tau
+    grid = np.linspace(-half, half, int(rng.integers(21, 161)))
+    init = ("ground", "excited")[int(rng.integers(2))]
+    frame = ("lab", "rotating")[i % 2]
+    rtol = (1e-10, 1e-8, 1e-6)[i // 2 % 3]
+    return params, field, grid, init, frame, rtol
+
+
+def _same_pass(new, ref):
+    return (new.n_sub == ref.n_sub and np.array_equal(new.c_g, ref.c_g)
+            and np.array_equal(new.c_e, ref.c_e))
+
+
+class TestPredictiveController:
+    """``evolve`` jumps to the predicted substep count; when the prediction
+    is right it accepts the very pass the doubling controller accepts."""
+
+    @pytest.mark.parametrize("name", list_shipped())
+    def test_shipped_scenarios_match_doubling(self, name):
+        sc = load_shipped(name)
+        args = (sc.system, sc.field, sc.grid(), sc.initial_state, sc.frame, sc.rtol, sc.atol)
+        new = evolve(*args)
+        ref, passes = doubling_evolve(*args)
+        assert _same_pass(new, ref)
+        assert len(new.attempts) <= passes
+
+    def test_random_scenarios_match_doubling(self):
+        rng = np.random.default_rng(20111201)
+        passes_new = passes_ref = 0
+        for i in range(42):
+            params, field, grid, init, frame, rtol = random_case(rng, i)
+            new = evolve(params, field, grid, init, frame, rtol, 1e-12)
+            ref, passes = doubling_evolve(params, field, grid, init, frame, rtol, 1e-12)
+            assert _same_pass(new, ref), (i, new.attempts)
+            passes_new += len(new.attempts)
+            passes_ref += passes
+        assert passes_new < passes_ref
+
+    @pytest.mark.parametrize("name, n_sub", [
+        ("constant-detuned", 64), ("constant-damped", 32), ("sech-chirped", 16),
+    ])
+    def test_three_passes_where_doubling_takes_more(self, name, n_sub):
+        sc = load_shipped(name)
+        traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state,
+                      sc.frame, sc.rtol, sc.atol)
+        assert [n for n, _ in traj.attempts] == [1, 2, n_sub]
+        assert traj.attempts[0][1] is None
+        assert traj.attempts[1][1] > 1.0 > traj.attempts[2][1]
+
+    def test_attempts_record(self):
+        params, field = resonant(0.2)
+        grid = np.linspace(0.0, math.pi / 0.2, 51)
+        traj = evolve(params, field, grid, rtol=1e-6, atol=1e-9)
+        assert traj.attempts[-1][0] == traj.n_sub
+        assert traj.attempts[-1][1] < 1.0
+        assert all(err >= 1.0 for _, err in traj.attempts[1:-1])
+        assert propagate_fixed(params, field, grid).attempts == ()
+
+
+def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
+    """``propagate_fixed`` stand-in whose last ground amplitude is
+    0.5 + amplitude (unit / n_sub)^order; from the second pass on, ``bad``
+    replaces the last value of ``component`` when given."""
+    calls = []
+
+    def fake(params, field, grid, init="ground", frame="rotating", n_sub=1):
+        grid, _ = uniform_grid(grid)
+        c_g = np.zeros(len(grid), dtype=complex)
+        c_e = np.zeros(len(grid), dtype=complex)
+        c_g[-1] = 0.5 + amplitude * (unit / n_sub) ** order
+        amplitudes = {"c_g": c_g, "c_e": c_e}
+        if bad is not None and calls:
+            amplitudes[component][-1] = bad
+        calls.append(n_sub)
+        return Trajectory(grid=grid, norm=np.abs(c_g) ** 2 + np.abs(c_e) ** 2,
+                          frame=frame, n_sub=n_sub, **amplitudes)
+
+    fake.calls = calls
+    return fake
+
+
+class TestControllerRobustness:
+    # n0 = 1 on this grid; tol = 1e-10 * 1 + 1e-12 for |c| <= 1.
+    GRID = np.linspace(0.0, 1.0, 5)
+    TOL = 1e-10 + 1e-12
+
+    @pytest.mark.parametrize("order, passes", [(4, [1, 2, 64]),
+                                               (2, [1, 2, 64, 128, 256, 512, 1024])])
+    def test_jump_needs_fourth_order(self, monkeypatch, order, passes):
+        # First-pair ratio r = 1.01 * 16^4 predicts a jump of 2^5. At second
+        # order the jumped pass meets the rescaled tolerance, but the triple
+        # shows first / second = 3 instead of 15: doubling takes over.
+        first_pair = 1.0 - 2.0**-order
+        amplitude = 1.01 * 16**4 * self.TOL / first_pair
+        fake = synthetic(order, amplitude)
+        monkeypatch.setattr(tdse, "propagate_fixed", fake)
+        params, field = resonant(0.2)
+        traj = evolve(params, field, self.GRID)
+        assert fake.calls == passes
+        assert [n for n, _ in traj.attempts] == passes
+        assert traj.attempts[2][1] < 1.0
+        assert traj.attempts[-1][1] < 1.0
+        if order == 2:
+            assert all(err >= 1.0 for _, err in traj.attempts[3:-1])
+        else:
+            ref, _ = doubling_evolve(params, field, self.GRID)
+            assert ref.n_sub == traj.n_sub
+
+    def test_jump_capped_at_two_to_the_fifth(self, monkeypatch):
+        # r = 1.01 * 16^6 predicts 2^7; the jump stops at 2^5 and doubling
+        # reaches the pass doubling from n0 accepts.
+        amplitude = 1.01 * 16**6 * self.TOL / (1.0 - 2.0**-4)
+        monkeypatch.setattr(tdse, "propagate_fixed", synthetic(4, amplitude))
+        params, field = resonant(0.2)
+        traj = evolve(params, field, self.GRID)
+        assert [n for n, _ in traj.attempts] == [1, 2, 64, 128, 256]
+        ref, _ = doubling_evolve(params, field, self.GRID)
+        assert ref.n_sub == traj.n_sub
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("component", ["c_g", "c_e"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.nan)])
+    def test_non_finite_difference_fails_by_name(self, monkeypatch, bad, component):
+        params, field = resonant(0.2)
+        monkeypatch.setattr(tdse, "propagate_fixed", synthetic(4, 1.0, bad=bad))
+        with pytest.raises(StepUnderflow) as doubling:
+            doubling_evolve(params, field, self.GRID)
+        # With the ground amplitude converging, a NaN in the excited one
+        # alone must still count as a non-finite difference.
+        monkeypatch.setattr(tdse, "propagate_fixed",
+                            synthetic(4, 1.0, bad=bad, component=component))
+        with pytest.raises(StepUnderflow) as predicted:
+            evolve(params, field, self.GRID)
+        assert str(predicted.value) == str(doubling.value)
+
+    def test_jump_past_underflow_limit(self, monkeypatch):
+        # n0 = 1e11 on a one-interval grid of span 1: 8 n0 is the last count
+        # above 1e-12 of the span, and the predicted jump of 2^5 would pass it.
+        unit = 10**11
+        params, field = resonant(0.2 * unit)
+        grid = np.array([0.0, 1.0])
+        fake = synthetic(4, 1.0, unit=unit)
+        monkeypatch.setattr(tdse, "propagate_fixed", fake)
+        with pytest.raises(StepUnderflow) as doubling:
+            doubling_evolve(params, field, grid)
+        fake.calls.clear()
+        with pytest.raises(StepUnderflow, match="substep 6.250e-13 below 1e-12 of span 1.000e"):
+            evolve(params, field, grid)
+        assert fake.calls == [unit, 2 * unit, 8 * unit]
+        assert str(doubling.value).startswith("substep 6.250e-13")
