@@ -35,12 +35,10 @@ from .overlap_transitions import (
     OverlapArrays,
     amplitude_ratios,
     mixing_probability,
-    overlap_arrays,
 )
 from .scenario import (
     Scenario,
     SweepAxis,
-    SweepSpec,
     axis_values,
     list_shipped,
     load_scenario,
@@ -84,7 +82,6 @@ __all__ = [
     "SnapshotSeries",
     "StepUnderflow",
     "SweepAxis",
-    "SweepSpec",
     "SystemParams",
     "Trajectory",
     "ValidationError",
@@ -98,7 +95,6 @@ __all__ = [
     "lz_oracle",
     "lz_survival",
     "mixing_probability",
-    "overlap_arrays",
     "parse_axis",
     "propagate_fixed",
     "rabi_oracle",

@@ -21,14 +21,14 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ValidationError
 from .nads_core import snapshot_series
-from .overlap_transitions import amplitude_ratios, overlap_arrays
+from .overlap_transitions import OverlapArrays, amplitude_ratios
 from .scenario import (
     Scenario,
-    SweepSpec,
     axis_values,
     load_scenario,
     parse_axis,
     scenario_from_dict,
+    validate_axis_path,
     with_axis_value,
 )
 from .tables import scenario_header, table_json, table_text, write_text
@@ -40,7 +40,7 @@ __all__ = ["main"]
 
 def _reduce_max_p(scenario: Scenario) -> float:
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    return float(np.max(overlap_arrays(series).p_ge))
+    return float(np.max(OverlapArrays(series).p_ge))
 
 
 def _final_trajectory(scenario: Scenario):
@@ -87,7 +87,7 @@ def cmd_snapshot(args) -> int:
     scenario = load_scenario(args.file)
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
     n = len(series)
-    arrays = overlap_arrays(series)
+    arrays = OverlapArrays(series)
     names = [
         "t", "omega", "delta",
         "Re_delta_tilde", "Im_delta_tilde",
@@ -148,10 +148,13 @@ def cmd_sweep(args) -> int:
             f"--reduce must be one of {sorted(REDUCERS)}, got '{args.reduce}'"
         )
     axes = tuple(parse_axis(text) for text in args.axis)
-    SweepSpec(base=scenario, axes=axes, reduce=args.reduce)
+    if not 1 <= len(axes) <= 2:
+        raise ValidationError("sweep requires 1 or 2 axes")
+    resolved = scenario.resolved()
+    for axis in axes:
+        validate_axis_path(resolved, axis.path)
     values = [axis_values(axis) for axis in axes]
     combos = list(itertools.product(*values))
-    resolved = scenario.resolved()
 
     def run_point(combo):
         try:

@@ -30,7 +30,7 @@ __all__ = [
     "FieldModel",
 ]
 
-#: Default smallest admissible Rabi envelope value. Below this the caller is
+#: Smallest admissible Rabi envelope value. Below this the caller is
 #: evaluating too far into a pulse wing for Omega^-1 dOmega/dt to mean
 #: anything; we raise instead of silently clamping.
 OMEGA_FLOOR = 1e-30
@@ -43,6 +43,13 @@ def _require_finite(owner: str, **values) -> None:
             raise ValidationError(f"{owner}.{name} must be finite, got {value}")
 
 
+def _require_positive(owner: str, **values) -> None:
+    """Reject zero and negative parameters by name."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValidationError(f"{owner}.{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Bare frequencies, dipole scale and damping rates of the two-level system.
@@ -53,7 +60,8 @@ class SystemParams:
         Bare angular frequencies of ground and excited state (rad/time unit),
         with ``omega_e > omega_g``.
     mu : float
-        Dimensionless dipole scale; multiplies the Rabi envelope. Default 1.
+        Positive dimensionless dipole scale; multiplies the Rabi envelope.
+        Default 1.
     gamma_g, gamma_e : float
         Non-negative damping rates (1/time unit) entering the Hamiltonian as
         the anti-Hermitian term -i(gamma_j/2)|j><j|.
@@ -70,6 +78,7 @@ class SystemParams:
             "SystemParams", omega_g=self.omega_g, omega_e=self.omega_e,
             mu=self.mu, gamma_g=self.gamma_g, gamma_e=self.gamma_e,
         )
+        _require_positive("SystemParams", mu=self.mu)
         if not (self.omega_e > self.omega_g):
             raise ValidationError(
                 f"omega_e ({self.omega_e}) must exceed omega_g ({self.omega_g})"
@@ -195,7 +204,8 @@ class Chirp:
 
 @dataclass(frozen=True)
 class FieldModel:
-    """Carrier frequency, Rabi envelope and chirped phase of the driving field."""
+    """Positive carrier frequency, Rabi envelope and chirped phase of the
+    driving field."""
 
     carrier_omega: float
     envelope: Envelope
@@ -203,6 +213,7 @@ class FieldModel:
 
     def __post_init__(self):
         _require_finite("FieldModel", carrier_omega=self.carrier_omega)
+        _require_positive("FieldModel", carrier_omega=self.carrier_omega)
 
     @property
     def phase_center(self) -> float:

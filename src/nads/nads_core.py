@@ -14,8 +14,7 @@ Every selection is recorded so a jump can be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +50,8 @@ class SnapshotSeries:
     Arrays are read-only once constructed; treat instances as immutable.
     ``branch_log`` maps each tracked square root to an int8 array of +1
     (principal branch kept) / -1 (negated principal chosen for continuity).
-    ``overlap_cache`` holds the series' lazily built overlap arrays once
-    :func:`nads.overlap_transitions.overlap_arrays` has been called.
+    Overlaps, transition probabilities and amplitude ratios are formed from
+    a series by :mod:`nads.overlap_transitions`.
     """
 
     params: SystemParams
@@ -77,7 +76,6 @@ class SnapshotSeries:
     omega_G: np.ndarray
     omega_E: np.ndarray
     branch_log: dict[str, np.ndarray]
-    overlap_cache: Any = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -174,7 +172,6 @@ def snapshot_series(
     params: SystemParams,
     field: FieldModel,
     grid: np.ndarray,
-    floor: float = OMEGA_FLOOR,
 ) -> SnapshotSeries:
     """Evaluate every dressed-state quantity on a uniform grid of >= 2 points.
 
@@ -206,10 +203,10 @@ def snapshot_series(
     grid, h = uniform_grid(grid)
 
     omega = params.mu * field.envelope.omega(grid)
-    if np.any(omega < floor):
-        k = int(np.argmax(omega < floor))
+    if np.any(omega < OMEGA_FLOOR):
+        k = int(np.argmax(omega < OMEGA_FLOOR))
         raise EnvelopeUnderflow(
-            f"Omega({grid[k]}) = {omega[k]:.3e} below floor {floor:.3e}",
+            f"Omega({grid[k]}) = {omega[k]:.3e} below floor {OMEGA_FLOOR:.3e}",
             grid_index=k,
         )
     log_deriv = field.envelope.log_deriv(grid)

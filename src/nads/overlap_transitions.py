@@ -3,9 +3,9 @@ amplitude ratios along a snapshot series.
 
 Each overlap is the product of a mixing-function bracket and an exponential
 of a cumulative time integral from the grid start. Every integral is a
-trapezoid sum on the series grid. Each overlap is a whole-series array,
-built on first read together with only the integrals it needs
-(:func:`overlap_arrays`) and cached read-only on the series.
+trapezoid sum on the series grid. Each overlap is a whole-series array of
+an :class:`OverlapArrays`, built read-only on first read together with only
+the integrals it needs.
 
 Two algebraically equivalent routes are provided for each overlap (a concise
 form via the dressed-state frequencies and an expanded form via the
@@ -17,7 +17,6 @@ cancellation is verified rather than assumed.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import Literal
 
@@ -27,7 +26,6 @@ from .nads_core import SnapshotSeries
 
 __all__ = [
     "OverlapArrays",
-    "overlap_arrays",
     "mixing_probability",
     "amplitude_ratios",
 ]
@@ -84,8 +82,8 @@ def _built(method):
 class OverlapArrays:
     """Whole-series overlaps and transition probabilities of one series, one
     value per grid point. Each array is built on first read, together with
-    only the integrals it needs, and is read-only; get the series' instance
-    from :func:`overlap_arrays`.
+    only the integrals it needs, and is read-only; callers that read several
+    arrays hold one instance so the integrals are shared.
 
     ``gg`` and ``ee`` are the squared norms of the ground and excited
     dressed states, [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same
@@ -111,10 +109,7 @@ class OverlapArrays:
     """
 
     def __init__(self, series: SnapshotSeries):
-        # A copy sharing the series' arrays, with no overlap cache: holding
-        # ``series`` itself would make it and its cache a reference cycle
-        # that only the cyclic collector frees, and memory would pile up.
-        self._series = dataclasses.replace(series)
+        self._series = series
 
     def _integral(self, y: np.ndarray) -> np.ndarray:
         return _cumtrapz(y, self._series.grid)
@@ -139,14 +134,6 @@ class OverlapArrays:
         return self._series.field.carrier_omega * (grid - grid[0])
 
     @functools.cached_property
-    def _int_im_G(self):
-        return self._integral(self._series.omega_G.imag)
-
-    @functools.cached_property
-    def _int_im_E(self):
-        return self._integral(self._series.omega_E.imag)
-
-    @functools.cached_property
     def _int_eg(self):
         series = self._series
         carrier = series.field.carrier_omega
@@ -162,7 +149,7 @@ class OverlapArrays:
 
     @_built
     def gg(self):
-        return self._weight * np.exp(2.0 * self._int_im_G)
+        return self._weight * np.exp(2.0 * self._int_G.imag)
 
     @_built
     def gg_expanded(self):
@@ -172,7 +159,7 @@ class OverlapArrays:
 
     @_built
     def ee(self):
-        return self._weight * np.exp(2.0 * self._int_im_E)
+        return self._weight * np.exp(2.0 * self._int_E.imag)
 
     @_built
     def ee_expanded(self):
@@ -208,7 +195,7 @@ class OverlapArrays:
         # one exponent, so long damped runs whose norms underflow stay
         # finite; the integrals are still accumulated separately, so their
         # cancellation is checked numerically rather than assumed.
-        log_ratio = -2.0 * self._int_eg.imag - 2.0 * self._int_im_G - 2.0 * self._int_im_E
+        log_ratio = -2.0 * self._int_eg.imag - 2.0 * self._int_G.imag - 2.0 * self._int_E.imag
         return self._bracket_eg**2 / self._weight**2 * np.exp(log_ratio)
 
     @_built
@@ -228,14 +215,6 @@ class OverlapArrays:
         return np.exp(-1j * (self._int_E - self._ramp))
 
 
-def overlap_arrays(series: SnapshotSeries) -> OverlapArrays:
-    """The overlap arrays of ``series``, cached on it
-    (``series.overlap_cache``); each array is built on first read."""
-    if series.overlap_cache is None:
-        series.overlap_cache = OverlapArrays(series)
-    return series.overlap_cache
-
-
 def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
     """Bare-basis amplitude ratio of the dressed state occupied since t0, at
     every grid point.
@@ -246,21 +225,22 @@ def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
     (SIN/COS) exp(-i carrier (t - t0) - i phi(t)). An excited start gives
     c_g/c_e = -(SIN/COS) exp(+i carrier (t - t0) + i phi(t)). Both are
     independent of the overall prefactor of the solution, which is not
-    reconstructed.
+    reconstructed. The int omega'_G and int omega'_E exponentials of the two
+    components cancel analytically and are not formed, so the ratio stays
+    finite where the component weights over- or underflow on long damped
+    runs.
 
-    The ratio is NaN wherever the denominator amplitude is below
-    ``RATIO_FLOOR`` times the numerator amplitude.
+    The ratio is NaN wherever |COS| is below ``RATIO_FLOOR`` times |SIN|.
     """
     if init not in ("ground", "excited"):
         raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
-    arrays = overlap_arrays(series)
     s, c = series.sin_half, series.cos_half
+    grid = series.grid
+    phase = series.field.carrier_omega * (grid - grid[0]) + series.phi
     if init == "ground":
-        # coefficients on |e> and |g>
-        num, den = s * arrays.ground_virtual, c * arrays.ground_real
+        num = s * np.exp(-1j * phase)  # coefficient on |e>; COS is on |g>
     else:
-        # coefficients on |g> and |e>
-        num, den = -s * arrays.excited_virtual, c * arrays.excited_real
-    undefined = np.abs(den) < RATIO_FLOOR * np.abs(num)
+        num = -s * np.exp(1j * phase)  # coefficient on |g>; COS is on |e>
+    undefined = np.abs(c) < RATIO_FLOOR * np.abs(s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(undefined, np.nan, num / den)
+        return np.where(undefined, np.nan, num / c)

@@ -1,5 +1,5 @@
 """Scenario files: strict-schema loading, validation, serialization and
-parameter-sweep specifications.
+parameter-sweep axes.
 
 A scenario is a JSON document with sections ``system``, ``field``, ``grid``
 and ``integrator`` plus a name, an output list and an initial state. The
@@ -34,7 +34,6 @@ from .field_model import (
 __all__ = [
     "Scenario",
     "SweepAxis",
-    "SweepSpec",
     "load_scenario",
     "scenario_from_dict",
     "serialize",
@@ -421,23 +420,6 @@ def with_axis_value(resolved: Mapping, path: str, value: float) -> dict:
         node = node[part]
     node[parts[-1]] = float(value)
     return doc
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A base scenario, one or two axes, and the name of the reduction
-    applied per sweep point."""
-
-    base: Scenario
-    axes: tuple[SweepAxis, ...]
-    reduce: str
-
-    def __post_init__(self):
-        if not 1 <= len(self.axes) <= 2:
-            raise ValidationError("sweep requires 1 or 2 axes")
-        resolved = self.base.resolved()
-        for axis in self.axes:
-            validate_axis_path(resolved, axis.path)
 
 
 def _scenario_dir():

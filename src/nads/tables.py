@@ -37,6 +37,8 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "format_number",
     "scenario_header",
@@ -323,9 +325,15 @@ def _json_cell(cell: Any):
 
 
 def write_text(text: str, out: Optional[str]) -> None:
-    """Write to a file (LF newlines regardless of platform) or stdout."""
+    """Write to a file (LF newlines regardless of platform) or stdout.
+
+    Raises ConfigError naming the file when it cannot be written.
+    """
     if out is None:
         sys.stdout.write(text)
         return
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc

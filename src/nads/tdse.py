@@ -399,11 +399,13 @@ class _FlatTopEnvelope:
     """
 
     t_center = 0.0
+    #: Share of each window half taken by the ramp.
+    RAMP_FRACTION = 0.25
 
-    def __init__(self, omega0: float, window: float, ramp_fraction: float = 0.25):
+    def __init__(self, omega0: float, window: float):
         self.omega0 = omega0
         self.window = window
-        self.ramp = ramp_fraction * window
+        self.ramp = self.RAMP_FRACTION * window
 
     def omega(self, t):
         x = (self.window - np.abs(np.asarray(t, dtype=float))) / self.ramp

@@ -24,7 +24,7 @@ from .field_model import (
     SystemParams,
 )
 from .nads_core import SnapshotSeries, snapshot_series
-from .overlap_transitions import mixing_probability, overlap_arrays
+from .overlap_transitions import OverlapArrays, mixing_probability
 from .scenario import list_shipped, load_shipped
 from .tdse import evolve, lz_oracle, lz_survival, rabi_oracle
 
@@ -168,7 +168,7 @@ def check_adiabatic_theorem(seed: int = 2026, draws: int = 10) -> CheckResult:
         params = SystemParams(omega_g=0.0, omega_e=omega_e)
         field = FieldModel(carrier_omega=carrier, envelope=ConstantEnvelope(omega0))
         series = snapshot_series(params, field, np.linspace(0.0, 5.0, 11))
-        worst = max(worst, float(np.max(overlap_arrays(series).p_ge)))
+        worst = max(worst, float(np.max(OverlapArrays(series).p_ge)))
     return CheckResult(
         name="adiabatic_theorem", passed=worst < 1e-12, worst=worst, bound=1e-12,
         detail=f"max P over {draws} random static scenarios",
@@ -208,7 +208,7 @@ def check_cancellation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """Pointwise Eq.-of-motion-free P equals the overlap-quotient P."""
     worst = 0.0
     for series in series_list:
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         dev = np.max(np.abs(arrays.p_ge - arrays.p_ge_via_overlaps))
         worst = max(worst, float(dev))
     return CheckResult(
@@ -221,7 +221,7 @@ def check_conjugation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """The mirrored ground-excited overlap is the conjugate of eg."""
     worst = 0.0
     for series in series_list:
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         dev = np.max(np.abs(arrays.ge - np.conj(arrays.eg)))
         worst = max(worst, float(dev))
     return CheckResult(
@@ -234,7 +234,7 @@ def check_positivity(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """Both dressed-state norms squared stay strictly positive."""
     smallest = math.inf
     for series in series_list:
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         smallest = min(smallest, float(np.min(arrays.gg)), float(np.min(arrays.ee)))
     return CheckResult(
         name="norm_positivity", passed=smallest > 0.0, worst=smallest, bound=0.0,

@@ -20,7 +20,7 @@ import pytest
 
 from nads.errors import BranchAmbiguity
 from nads.nads_core import _track_branches
-from nads.overlap_transitions import amplitude_ratios, overlap_arrays
+from nads.overlap_transitions import OverlapArrays, amplitude_ratios
 from nads.tables import BLOCK_ROWS, format_number, table_text
 
 REL = 1e-12
@@ -32,7 +32,7 @@ def _prefix_integral(values, grid, k):
 
 def test_overlap_arrays_match_point_formulas(shipped_series):
     for name, (scenario, series) in shipped_series.items():
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         grid = series.grid
         carrier = series.field.carrier_omega
         for k in range(0, len(series), 97):

@@ -74,6 +74,18 @@ def test_constructors_reject_non_finite(bad):
             build()
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+def test_constructors_require_positive_mu_and_carrier(bad):
+    with pytest.raises(
+        ValidationError, match=f"SystemParams.mu must be positive, got {bad}"
+    ):
+        SystemParams(omega_g=0.0, omega_e=1.0, mu=bad)
+    with pytest.raises(
+        ValidationError, match=f"FieldModel.carrier_omega must be positive, got {bad}"
+    ):
+        FieldModel(carrier_omega=bad, envelope=ConstantEnvelope(1.0))
+
+
 class TestEnvelopes:
     def test_constant_derivatives_vanish(self):
         env = ConstantEnvelope(omega0=0.5)

@@ -32,10 +32,15 @@ from nads.nads_core import _track_branches, detuning, snapshot_series
 
 def constant_series(omega0=3.0, delta=4.0, gamma_g=0.0, gamma_e=0.0,
                     phase=None, n=3):
-    """Series of a constant envelope at static detuning ``delta`` on [0, 1]."""
-    params = SystemParams(0.0, 5.0, gamma_g=gamma_g, gamma_e=gamma_e)
+    """Series of a constant envelope at static detuning ``delta`` on [0, 1].
+
+    The excited level is at 5, raised where needed to keep the carrier at
+    1 or above.
+    """
+    omega_e = max(5.0, delta + 1.0)
+    params = SystemParams(0.0, omega_e, gamma_g=gamma_g, gamma_e=gamma_e)
     field = FieldModel(
-        carrier_omega=5.0 - delta,
+        carrier_omega=omega_e - delta,
         envelope=ConstantEnvelope(omega0),
         phase=phase or Chirp(),
     )

@@ -23,9 +23,9 @@ from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
 from nads.nads_core import snapshot_series
 from nads.scenario import load_shipped
 from nads.overlap_transitions import (
+    OverlapArrays,
     amplitude_ratios,
     mixing_probability,
-    overlap_arrays,
 )
 
 
@@ -69,7 +69,7 @@ class TestTransitionProbability:
 
 class TestStaticOverlaps:
     def test_real_static_norms_stay_one(self):
-        arrays = overlap_arrays(static_series())
+        arrays = OverlapArrays(static_series())
         np.testing.assert_allclose(arrays.gg, 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(arrays.ee, 1.0, rtol=0, atol=1e-12)
         assert np.all(np.abs(arrays.eg) < 1e-15)
@@ -79,13 +79,13 @@ class TestStaticOverlaps:
         # gamma_g only, Omega -> 0: Lambda_2 -> 0 so gg stays at 1. Omega must
         # stay above sqrt(eps)*delta or the mixing drowns in sqrt roundoff.
         series = static_series(omega0=1e-4, carrier=1.0, omega_e=5.0, gamma_g=0.1)
-        assert overlap_arrays(series).gg[100] == pytest.approx(1.0, abs=1e-9)
+        assert OverlapArrays(series).gg[100] == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_damping_real_rabi_keeps_ee_over_gg_unity(self):
         series = static_series(gamma_g=0.2, gamma_e=0.2)
         # gamma_g = gamma_e makes delta_tilde complex, but the ee/gg ratio
         # depends only on the +-Im omega_tilde split of the exponents.
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         ratio = arrays.ee[80] / arrays.gg[80]
         expected = math.exp(
             2.0 * np.trapezoid(series.omega_tilde.imag[:81], series.grid[:81])
@@ -96,7 +96,7 @@ class TestStaticOverlaps:
 class TestFlagshipOverlaps:
     def test_values_against_quadrature_oracle(self, flagship):
         _, series = flagship
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         k = 1200  # t = 0
         assert arrays.gg[k] == pytest.approx(0.2942519908684480, rel=5e-6)
         assert arrays.ee[k] == pytest.approx(1374.0735006019437, rel=5e-6)
@@ -107,13 +107,13 @@ class TestFlagshipOverlaps:
 
     def test_norms_real_positive(self, flagship):
         _, series = flagship
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         for norm in (arrays.gg, arrays.ee):
             assert norm.dtype == np.float64 and np.all(norm > 0.0)
 
     def test_expanded_forms_match_concise(self, flagship):
         _, series = flagship
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         np.testing.assert_allclose(arrays.gg_expanded, arrays.gg, rtol=1e-9)
         np.testing.assert_allclose(arrays.ee_expanded, arrays.ee, rtol=1e-9)
         concise, expanded = arrays.eg, arrays.eg_expanded
@@ -123,13 +123,13 @@ class TestFlagshipOverlaps:
 
     def test_exponential_cancellation(self, flagship):
         _, series = flagship
-        routed = overlap_arrays(series).p_ge_via_overlaps
+        routed = OverlapArrays(series).p_ge_via_overlaps
         direct = mixing_probability(series.sin_half, series.cos_half)
         assert np.max(np.abs(routed - direct)) < 1e-9
 
     def test_conjugation_symmetry_exact(self, flagship):
         _, series = flagship
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         assert np.array_equal(arrays.ge, np.conj(arrays.eg))
 
 
@@ -138,7 +138,7 @@ def test_long_damped_run_keeps_overlap_route_finite():
     # quotient is formed in log space and must still match the pointwise P.
     scenario = dataclasses.replace(load_shipped("constant-damped"), t_end=20000.0)
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    arrays = overlap_arrays(series)
+    arrays = OverlapArrays(series)
     assert arrays.ee[-1] == 0.0
     routed = arrays.p_ge_via_overlaps[-1]
     assert math.isfinite(routed) and routed > 0.0
@@ -176,7 +176,7 @@ class TestAmplitudeRatios:
         # Unit weights at the first grid point: the integrals vanish there,
         # leaving exp(-i phi(t0)) on the components that carry the phase.
         _, series = flagship
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         phase = cmath.exp(-1j * float(series.phi[0]))
         assert arrays.ground_real[0] == 1.0
         assert arrays.excited_virtual[0] == 1.0
@@ -193,6 +193,21 @@ class TestAmplitudeRatios:
             ratios = amplitude_ratios(series, init)
             assert np.isnan(ratios[3])
             assert np.all(np.isfinite(ratios[[0, 1, 2, 4]]))
+
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    def test_long_damped_run_stays_finite(self, init):
+        # Over [0, 6000] the component weights exp(-i int omega'_G) and
+        # exp(-i int omega'_E) over- and underflow; they cancel in the ratio,
+        # whose modulus is |SIN/COS| at every point.
+        scenario = dataclasses.replace(
+            load_shipped("constant-damped"), t_end=6000.0, step=0.5
+        )
+        series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+        assert len(series) == 12001
+        ratios = amplitude_ratios(series, init)
+        assert np.all(np.isfinite(ratios))
+        expected = np.abs(series.sin_half / series.cos_half)
+        np.testing.assert_allclose(np.abs(ratios), expected, rtol=1e-12, atol=0)
 
     def test_invalid_init(self, flagship):
         _, series = flagship
@@ -211,22 +226,15 @@ class TestLazyOverlaps:
         scenario, _ = flagship
         return snapshot_series(scenario.system, scenario.field, scenario.grid())
 
-    def test_amplitude_ratios_build_only_the_ground_components(self, flagship):
-        series = self.fresh(flagship)
-        amplitude_ratios(series, "ground")
-        built = set(vars(overlap_arrays(series))) & set(self.PUBLIC)
-        assert built == {"ground_real", "ground_virtual"}
-
     def test_snapshot_columns_build_only_what_they_print(self, flagship):
         series = self.fresh(flagship)
-        arrays = overlap_arrays(series)
+        arrays = OverlapArrays(series)
         arrays.gg, arrays.ee, arrays.eg, arrays.p_ge
         assert set(vars(arrays)) & set(self.PUBLIC) == {"gg", "ee", "eg", "p_ge"}
 
     def test_built_once_and_read_only(self, flagship):
         series = self.fresh(flagship)
-        arrays = overlap_arrays(series)
-        assert overlap_arrays(series) is arrays
+        arrays = OverlapArrays(series)
         for name in self.PUBLIC:
             arr = getattr(arrays, name)
             assert getattr(arrays, name) is arr
@@ -235,10 +243,11 @@ class TestLazyOverlaps:
                 arr[0] = 0.0
 
     def test_series_freed_by_reference_counting(self, flagship):
-        # The cache must not point back at its series: a cycle would leave
-        # every series to the cyclic collector and memory would pile up.
+        # Nothing may point back from the series to its overlaps: a cycle
+        # would leave every series to the cyclic collector and memory would
+        # pile up.
         series = self.fresh(flagship)
-        overlap_arrays(series).gg
+        OverlapArrays(series).gg
         ref = weakref.ref(series)
         gc.disable()
         try:

@@ -23,7 +23,6 @@ from nads.errors import ParseError, ValidationError
 from nads.nads_core import snapshot_series
 from nads.scenario import (
     SweepAxis,
-    SweepSpec,
     axis_values,
     list_shipped,
     load_scenario,
@@ -236,14 +235,6 @@ class TestSweepSpecs:
         assert patched["system"]["gamma_e"] == 0.25
         assert resolved["system"]["gamma_e"] == 0.0
 
-    def test_sweep_spec_checks_paths_before_compute(self, tmp_path):
-        base = load_scenario(write_doc(tmp_path, minimal_doc()))
-        axis = parse_axis("system.gammma_e:0:1:3")
-        with pytest.raises(ValidationError, match="did you mean 'gamma_e'"):
-            SweepSpec(base=base, axes=(axis,), reduce="maxP")
-        with pytest.raises(ValidationError, match="1 or 2 axes"):
-            SweepSpec(base=base, axes=(), reduce="maxP")
-
 
 class TestShippedScenarios:
     def test_corpus_spans_the_feature_grid(self):
@@ -322,6 +313,20 @@ class TestCliSnapshot:
 
 
 class TestCliEvolve:
+    def test_compare_long_damped_excited_start_is_finite(self, tmp_path):
+        # The component weights over- and underflow on this grid; the
+        # closed-form ratio must not.
+        doc = json.loads(shipped_path("constant-damped").read_text())
+        doc["initial_state"] = "excited"
+        doc["grid"] = {"t_start": 0, "t_end": 6000, "step": 0.5}
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", write_doc(tmp_path, doc), "--compare",
+                     "--out", str(out)]) == 0
+        _, names, rows = read_table(out)
+        ratio_model = column(names, rows, "ratio_model")
+        assert len(ratio_model) == 12001
+        assert np.all(np.isfinite(ratio_model))
+
     def test_pi_pulse_final_population(self, tmp_path):
         out = tmp_path / "evolve.csv"
         rc = main(["evolve", str(shipped_path("constant-rabi-resonant")),
@@ -441,6 +446,29 @@ class TestCliSweep:
         ])
         assert rc == 1
         assert "did you mean 'gamma_e'" in capsys.readouterr().err
+
+    def test_axis_path_typo_in_minimal_scenario(self, tmp_path, capsys):
+        rc = main([
+            "sweep", write_doc(tmp_path, minimal_doc()),
+            "--axis", "system.gammma_e:0:1:3",
+            "--reduce", "maxP",
+        ])
+        assert rc == 1
+        assert "did you mean 'gamma_e'" in capsys.readouterr().err
+
+    def test_three_axes_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", write_doc(tmp_path, minimal_doc()),
+            "--axis", "system.gamma_e:0:0.4:2",
+            "--axis", "system.gamma_g:0:0.4:2",
+            "--axis", "field.envelope.omega0:0.5:1:2",
+            "--reduce", "maxP",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "1 or 2 axes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_reducer(self, tmp_path, capsys):
         rc = main([
@@ -628,6 +656,14 @@ class TestCliPlumbing:
         rc = main(["snapshot", write_doc(tmp_path, doc)])
         assert rc == 2
         assert "numerical error" in capsys.readouterr().err
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "absent" / "x.csv"
+        rc = main(["snapshot", str(shipped_path("constant-detuned")),
+                   "--out", str(target)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "cannot write" in err and str(target) in err
 
     def test_snapshot_byte_determinism(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
