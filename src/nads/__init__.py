@@ -32,9 +32,13 @@ from .nads_core import (
     snapshot_series,
 )
 from .overlap_transitions import (
-    OverlapArrays,
     amplitude_ratios,
+    eg_overlap,
+    expanded_overlaps,
+    ge_overlap,
     mixing_probability,
+    norms,
+    p_via_overlaps,
 )
 from .scenario import (
     Scenario,
@@ -75,7 +79,6 @@ __all__ = [
     "NadsError",
     "NumericalError",
     "OMEGA_FLOOR",
-    "OverlapArrays",
     "ParseError",
     "Scenario",
     "SechEnvelope",
@@ -88,13 +91,18 @@ __all__ = [
     "amplitude_ratios",
     "axis_values",
     "detuning",
+    "eg_overlap",
     "evolve",
+    "expanded_overlaps",
+    "ge_overlap",
     "list_shipped",
     "load_scenario",
     "load_shipped",
     "lz_oracle",
     "lz_survival",
     "mixing_probability",
+    "norms",
+    "p_via_overlaps",
     "parse_axis",
     "propagate_fixed",
     "rabi_oracle",

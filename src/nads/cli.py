@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ValidationError
 from .nads_core import snapshot_series
-from .overlap_transitions import OverlapArrays, amplitude_ratios
+from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
 from .scenario import (
     Scenario,
     axis_values,
@@ -40,7 +40,7 @@ __all__ = ["main"]
 
 def _reduce_max_p(scenario: Scenario) -> float:
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    return float(np.max(OverlapArrays(series).p_ge))
+    return float(np.max(mixing_probability(series.sin_half, series.cos_half)))
 
 
 def _final_trajectory(scenario: Scenario):
@@ -87,7 +87,9 @@ def cmd_snapshot(args) -> int:
     scenario = load_scenario(args.file)
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
     n = len(series)
-    arrays = OverlapArrays(series)
+    gg, ee = norms(series)
+    eg = eg_overlap(series)
+    p = mixing_probability(series.sin_half, series.cos_half)
     names = [
         "t", "omega", "delta",
         "Re_delta_tilde", "Im_delta_tilde",
@@ -106,7 +108,7 @@ def cmd_snapshot(args) -> int:
         series.sin_half.real, series.sin_half.imag,
         series.omega_G.real, series.omega_G.imag,
         series.omega_E.real, series.omega_E.imag,
-        arrays.gg, arrays.ee, arrays.eg.real, arrays.eg.imag, arrays.p_ge,
+        gg, ee, eg.real, eg.imag, p,
     ]
     _emit(args, "snapshot table", scenario.resolved(), names, columns)
     return 0
@@ -150,6 +152,8 @@ def cmd_sweep(args) -> int:
     axes = tuple(parse_axis(text) for text in args.axis)
     if not 1 <= len(axes) <= 2:
         raise ValidationError("sweep requires 1 or 2 axes")
+    if len({axis.path for axis in axes}) < len(axes):
+        raise ValidationError(f"sweep axes must differ, got {axes[0].path} twice")
     resolved = scenario.resolved()
     for axis in axes:
         validate_axis_path(resolved, axis.path)

@@ -104,8 +104,7 @@ class ConstantEnvelope:
 
     def __post_init__(self):
         _require_finite("ConstantEnvelope", omega0=self.omega0)
-        if not self.omega0 > 0:
-            raise ValidationError(f"constant envelope requires omega0 > 0, got {self.omega0}")
+        _require_positive("ConstantEnvelope", omega0=self.omega0)
 
     @property
     def t_center(self) -> float:
@@ -134,10 +133,7 @@ class GaussianEnvelope:
         _require_finite(
             "GaussianEnvelope", omega0=self.omega0, t_center=self.t_center, tau=self.tau
         )
-        if not self.tau > 0:
-            raise ValidationError(f"gaussian envelope requires tau > 0, got {self.tau}")
-        if not self.omega0 > 0:
-            raise ValidationError(f"gaussian envelope requires omega0 > 0, got {self.omega0}")
+        _require_positive("GaussianEnvelope", omega0=self.omega0, tau=self.tau)
 
     def omega(self, t):
         x = (np.asarray(t, dtype=float) - self.t_center) / self.tau
@@ -163,10 +159,7 @@ class SechEnvelope:
         _require_finite(
             "SechEnvelope", omega0=self.omega0, t_center=self.t_center, tau=self.tau
         )
-        if not self.tau > 0:
-            raise ValidationError(f"sech envelope requires tau > 0, got {self.tau}")
-        if not self.omega0 > 0:
-            raise ValidationError(f"sech envelope requires omega0 > 0, got {self.omega0}")
+        _require_positive("SechEnvelope", omega0=self.omega0, tau=self.tau)
 
     def omega(self, t):
         x = (np.asarray(t, dtype=float) - self.t_center) / self.tau

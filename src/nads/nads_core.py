@@ -189,9 +189,10 @@ def snapshot_series(
       all nonadiabatic terms on the excited side.
 
     The sgn(delta) factors fix the first grid point only; afterwards each
-    square root keeps the sign nearer its previous sample. Branch continuity is an order-dependent decision, evaluated for the
-    whole grid at once as a prefix product of signs (see
-    :func:`_track_branches`); distinct series are independent.
+    square root keeps the sign nearer its previous sample. Branch continuity
+    is an order-dependent decision, evaluated for the whole grid at once as
+    a prefix product of signs (see :func:`_track_branches`); distinct series
+    are independent.
 
     Raises
     ------

@@ -3,9 +3,9 @@ amplitude ratios along a snapshot series.
 
 Each overlap is the product of a mixing-function bracket and an exponential
 of a cumulative time integral from the grid start. Every integral is a
-trapezoid sum on the series grid. Each overlap is a whole-series array of
-an :class:`OverlapArrays`, built read-only on first read together with only
-the integrals it needs.
+trapezoid sum on the series grid. Each function takes a
+:class:`~nads.nads_core.SnapshotSeries`, computes only the integrals it
+needs and returns fresh whole-series arrays, one value per grid point.
 
 Two algebraically equivalent routes are provided for each overlap (a concise
 form via the dressed-state frequencies and an expanded form via the
@@ -17,7 +17,6 @@ cancellation is verified rather than assumed.
 
 from __future__ import annotations
 
-import functools
 from typing import Literal
 
 import numpy as np
@@ -25,8 +24,12 @@ import numpy as np
 from .nads_core import SnapshotSeries
 
 __all__ = [
-    "OverlapArrays",
+    "norms",
+    "eg_overlap",
+    "ge_overlap",
+    "expanded_overlaps",
     "mixing_probability",
+    "p_via_overlaps",
     "amplitude_ratios",
 ]
 
@@ -67,152 +70,76 @@ def mixing_probability(sin_half, cos_half):
     return _bracket_im(sin_half, cos_half) ** 2 / weight**2
 
 
-def _built(method):
-    """A cached property whose array is made read-only when first built."""
-
-    @functools.wraps(method)
-    def build(self):
-        arr = method(self)
-        arr.flags.writeable = False
-        return arr
-
-    return functools.cached_property(build)
+def _weight(series: SnapshotSeries) -> np.ndarray:
+    return np.abs(series.sin_half) ** 2 + np.abs(series.cos_half) ** 2
 
 
-class OverlapArrays:
-    """Whole-series overlaps and transition probabilities of one series, one
-    value per grid point. Each array is built on first read, together with
-    only the integrals it needs, and is read-only; callers that read several
-    arrays hold one instance so the integrals are shared.
+def _int_eg(series: SnapshotSeries) -> np.ndarray:
+    carrier = series.field.carrier_omega
+    return _cumtrapz(np.conj(series.omega_E) - series.omega_G - carrier, series.grid)
 
-    ``gg`` and ``ee`` are the squared norms of the ground and excited
-    dressed states, [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same
-    with omega'_E; ``eg`` is the excited-ground overlap
+
+def norms(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms (gg, ee) of the ground and excited dressed states:
+    [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same with omega'_E."""
+    weight = _weight(series)
+    int_g = _cumtrapz(series.omega_G, series.grid)
+    int_e = _cumtrapz(series.omega_E, series.grid)
+    return weight * np.exp(2.0 * int_g.imag), weight * np.exp(2.0 * int_e.imag)
+
+
+def eg_overlap(series: SnapshotSeries) -> np.ndarray:
+    """Excited-ground overlap <E|G> =
     [SIN COS* - SIN* COS] exp{i int [conj(omega'_E) - omega'_G - carrier]},
-    which vanishes identically when the mixing functions are real; ``ge`` is
-    its mirror [COS SIN* - COS* SIN] exp{i int [conj(omega'_G) - omega'_E +
-    carrier]}, built by its own formula so that ``ge == conj(eg)`` is a
-    checked property, not a shortcut. The ``*_expanded`` forms use the
-    exponent -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv -+ Im
-    omega_tilde) for ``gg``/``ee`` and int (log_deriv + i Re omega_tilde)
-    for ``eg``.
+    which vanishes identically when the mixing functions are real."""
+    bracket = _bracket_im(series.sin_half, series.cos_half)
+    return 1j * bracket * np.exp(1j * _int_eg(series))
 
-    ``p_ge`` is the pointwise (mixing-function) probability and
-    ``p_ge_via_overlaps`` the overlap quotient |<E|G>|^2 / (<G|G> <E|E>),
-    formed in log space so it stays finite where the norms underflow.
 
-    The four remaining arrays are the unit-weight exponential coefficients
-    of the dressed-state components, each multiplying one bare state:
-    ``ground_real`` multiplies COS on |g> and ``ground_virtual`` SIN on |e>
-    (the ground dressed state); ``excited_real`` multiplies COS on |e> and
-    ``excited_virtual`` -SIN on |g> (the excited dressed state).
+def ge_overlap(series: SnapshotSeries) -> np.ndarray:
+    """Ground-excited overlap <G|E> =
+    [COS SIN* - COS* SIN] exp{i int [conj(omega'_G) - omega'_E + carrier]}.
+
+    Built by its own formula, not as conj(<E|G>), so that the conjugation
+    symmetry is a checked property rather than a shortcut.
     """
+    carrier = series.field.carrier_omega
+    int_ge = _cumtrapz(np.conj(series.omega_G) - series.omega_E + carrier, series.grid)
+    bracket_ge = 1j * _bracket_im(series.cos_half, series.sin_half)
+    return bracket_ge * np.exp(1j * int_ge)
 
-    def __init__(self, series: SnapshotSeries):
-        self._series = series
 
-    def _integral(self, y: np.ndarray) -> np.ndarray:
-        return _cumtrapz(y, self._series.grid)
+def expanded_overlaps(series: SnapshotSeries) -> tuple[np.ndarray, ...]:
+    """(gg, ee, eg) in the expanded arrangement: exponent
+    -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv -+ Im omega_tilde) for
+    gg and ee, and int (log_deriv + i Re omega_tilde) for eg."""
+    grid = series.grid
+    weight = _weight(series)
+    damping = -series.params.gamma_sum_half * (grid - grid[0])
+    int_log_m = _cumtrapz(series.log_deriv - series.omega_tilde.imag, grid)
+    int_log_p = _cumtrapz(series.log_deriv + series.omega_tilde.imag, grid)
+    int_exp_eg = _cumtrapz(series.log_deriv + 1j * series.omega_tilde.real, grid)
+    bracket = _bracket_im(series.sin_half, series.cos_half)
+    return (
+        weight * np.exp(damping + int_log_m),
+        weight * np.exp(damping + int_log_p),
+        1j * bracket * np.exp(damping + int_exp_eg),
+    )
 
-    @functools.cached_property
-    def _weight(self):
-        return np.abs(self._series.sin_half) ** 2 + np.abs(self._series.cos_half) ** 2
 
-    @functools.cached_property
-    def _bracket_eg(self):
-        return _bracket_im(self._series.sin_half, self._series.cos_half)
+def p_via_overlaps(series: SnapshotSeries) -> np.ndarray:
+    """Transition probability from the overlap quotient |<E|G>|^2 / (<G|G> <E|E>).
 
-    @functools.cached_property
-    def _damping(self):
-        grid = self._series.grid
-        return -self._series.params.gamma_sum_half * (grid - grid[0])
-
-    @functools.cached_property
-    def _ramp(self):
-        # Phase integrals exclude the constant carrier ramp, applied exactly here.
-        grid = self._series.grid
-        return self._series.field.carrier_omega * (grid - grid[0])
-
-    @functools.cached_property
-    def _int_eg(self):
-        series = self._series
-        carrier = series.field.carrier_omega
-        return self._integral(np.conj(series.omega_E) - series.omega_G - carrier)
-
-    @functools.cached_property
-    def _int_G(self):
-        return self._integral(self._series.omega_G)
-
-    @functools.cached_property
-    def _int_E(self):
-        return self._integral(self._series.omega_E)
-
-    @_built
-    def gg(self):
-        return self._weight * np.exp(2.0 * self._int_G.imag)
-
-    @_built
-    def gg_expanded(self):
-        series = self._series
-        int_log_m = self._integral(series.log_deriv - series.omega_tilde.imag)
-        return self._weight * np.exp(self._damping + int_log_m)
-
-    @_built
-    def ee(self):
-        return self._weight * np.exp(2.0 * self._int_E.imag)
-
-    @_built
-    def ee_expanded(self):
-        series = self._series
-        int_log_p = self._integral(series.log_deriv + series.omega_tilde.imag)
-        return self._weight * np.exp(self._damping + int_log_p)
-
-    @_built
-    def eg(self):
-        return 1j * self._bracket_eg * np.exp(1j * self._int_eg)
-
-    @_built
-    def eg_expanded(self):
-        series = self._series
-        int_exp_eg = self._integral(series.log_deriv + 1j * series.omega_tilde.real)
-        return 1j * self._bracket_eg * np.exp(self._damping + int_exp_eg)
-
-    @_built
-    def ge(self):
-        series = self._series
-        carrier = series.field.carrier_omega
-        int_ge = self._integral(np.conj(series.omega_G) - series.omega_E + carrier)
-        bracket_ge = 1j * _bracket_im(series.cos_half, series.sin_half)
-        return bracket_ge * np.exp(1j * int_ge)
-
-    @_built
-    def p_ge(self):
-        return mixing_probability(self._series.sin_half, self._series.cos_half)
-
-    @_built
-    def p_ge_via_overlaps(self):
-        # |<E|G>|^2 / (<G|G><E|E>) with the three exponentials combined in
-        # one exponent, so long damped runs whose norms underflow stay
-        # finite; the integrals are still accumulated separately, so their
-        # cancellation is checked numerically rather than assumed.
-        log_ratio = -2.0 * self._int_eg.imag - 2.0 * self._int_G.imag - 2.0 * self._int_E.imag
-        return self._bracket_eg**2 / self._weight**2 * np.exp(log_ratio)
-
-    @_built
-    def ground_real(self):
-        return np.exp(-1j * self._int_G)
-
-    @_built
-    def ground_virtual(self):
-        return np.exp(-1j * (self._int_G + self._ramp) - 1j * self._series.phi)
-
-    @_built
-    def excited_real(self):
-        return np.exp(-1j * self._int_E - 1j * self._series.phi)
-
-    @_built
-    def excited_virtual(self):
-        return np.exp(-1j * (self._int_E - self._ramp))
+    The three exponentials are combined in one exponent, so long damped runs
+    whose norms underflow stay finite; the integrals are still accumulated
+    separately, so their cancellation against :func:`mixing_probability` is
+    checked numerically rather than assumed.
+    """
+    int_g = _cumtrapz(series.omega_G, series.grid)
+    int_e = _cumtrapz(series.omega_E, series.grid)
+    log_ratio = -2.0 * _int_eg(series).imag - 2.0 * int_g.imag - 2.0 * int_e.imag
+    bracket = _bracket_im(series.sin_half, series.cos_half)
+    return bracket**2 / _weight(series) ** 2 * np.exp(log_ratio)
 
 
 def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
@@ -227,8 +154,7 @@ def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
     independent of the overall prefactor of the solution, which is not
     reconstructed. The int omega'_G and int omega'_E exponentials of the two
     components cancel analytically and are not formed, so the ratio stays
-    finite where the component weights over- or underflow on long damped
-    runs.
+    finite where those exponentials over- or underflow on long damped runs.
 
     The ratio is NaN wherever |COS| is below ``RATIO_FLOOR`` times |SIN|.
     """

@@ -313,17 +313,22 @@ def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file.
 
-    Raises ParseError with the file name and line for malformed JSON.
+    Raises ParseError with the file name (and line, for malformed JSON) for
+    a file that cannot be read, is not UTF-8 text or is not JSON.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     try:
         return scenario_from_dict(data, origin="scenario")
     except (ParseError, ValidationError) as exc:

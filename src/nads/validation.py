@@ -24,7 +24,13 @@ from .field_model import (
     SystemParams,
 )
 from .nads_core import SnapshotSeries, snapshot_series
-from .overlap_transitions import OverlapArrays, mixing_probability
+from .overlap_transitions import (
+    eg_overlap,
+    ge_overlap,
+    mixing_probability,
+    norms,
+    p_via_overlaps,
+)
 from .scenario import list_shipped, load_shipped
 from .tdse import evolve, lz_oracle, lz_survival, rabi_oracle
 
@@ -168,7 +174,8 @@ def check_adiabatic_theorem(seed: int = 2026, draws: int = 10) -> CheckResult:
         params = SystemParams(omega_g=0.0, omega_e=omega_e)
         field = FieldModel(carrier_omega=carrier, envelope=ConstantEnvelope(omega0))
         series = snapshot_series(params, field, np.linspace(0.0, 5.0, 11))
-        worst = max(worst, float(np.max(OverlapArrays(series).p_ge)))
+        p = mixing_probability(series.sin_half, series.cos_half)
+        worst = max(worst, float(np.max(p)))
     return CheckResult(
         name="adiabatic_theorem", passed=worst < 1e-12, worst=worst, bound=1e-12,
         detail=f"max P over {draws} random static scenarios",
@@ -208,8 +215,8 @@ def check_cancellation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """Pointwise Eq.-of-motion-free P equals the overlap-quotient P."""
     worst = 0.0
     for series in series_list:
-        arrays = OverlapArrays(series)
-        dev = np.max(np.abs(arrays.p_ge - arrays.p_ge_via_overlaps))
+        direct = mixing_probability(series.sin_half, series.cos_half)
+        dev = np.max(np.abs(direct - p_via_overlaps(series)))
         worst = max(worst, float(dev))
     return CheckResult(
         name="exponential_cancellation", passed=worst < 1e-9, worst=worst,
@@ -221,8 +228,7 @@ def check_conjugation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """The mirrored ground-excited overlap is the conjugate of eg."""
     worst = 0.0
     for series in series_list:
-        arrays = OverlapArrays(series)
-        dev = np.max(np.abs(arrays.ge - np.conj(arrays.eg)))
+        dev = np.max(np.abs(ge_overlap(series) - np.conj(eg_overlap(series))))
         worst = max(worst, float(dev))
     return CheckResult(
         name="overlap_conjugation", passed=worst < 1e-12, worst=worst, bound=1e-12,
@@ -234,8 +240,8 @@ def check_positivity(series_list: Sequence[SnapshotSeries]) -> CheckResult:
     """Both dressed-state norms squared stay strictly positive."""
     smallest = math.inf
     for series in series_list:
-        arrays = OverlapArrays(series)
-        smallest = min(smallest, float(np.min(arrays.gg)), float(np.min(arrays.ee)))
+        gg, ee = norms(series)
+        smallest = min(smallest, float(np.min(gg)), float(np.min(ee)))
     return CheckResult(
         name="norm_positivity", passed=smallest > 0.0, worst=smallest, bound=0.0,
         detail="smallest gg or ee over all shipped grids (must stay > 0)",

@@ -86,6 +86,20 @@ def test_constructors_require_positive_mu_and_carrier(bad):
         FieldModel(carrier_omega=bad, envelope=ConstantEnvelope(1.0))
 
 
+@pytest.mark.parametrize("cls", [ConstantEnvelope, GaussianEnvelope, SechEnvelope])
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_envelopes_require_positive_parameters(cls, bad):
+    with pytest.raises(
+        ValidationError, match=f"{cls.__name__}.omega0 must be positive, got {bad}"
+    ):
+        cls(omega0=bad)
+    if cls is not ConstantEnvelope:
+        with pytest.raises(
+            ValidationError, match=f"{cls.__name__}.tau must be positive, got {bad}"
+        ):
+            cls(omega0=1.0, tau=bad)
+
+
 class TestEnvelopes:
     def test_constant_derivatives_vanish(self):
         env = ConstantEnvelope(omega0=0.5)

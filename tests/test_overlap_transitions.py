@@ -1,4 +1,4 @@
-"""Overlap arrays, transition probability and amplitude ratios.
+"""Overlaps, transition probability and amplitude ratios.
 
 Frozen constants marked 'oracle' regenerate with ``python3 tests/oracles.py``.
 The oracle integrates the same integrands with adaptive high-precision
@@ -23,9 +23,13 @@ from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
 from nads.nads_core import snapshot_series
 from nads.scenario import load_shipped
 from nads.overlap_transitions import (
-    OverlapArrays,
     amplitude_ratios,
+    eg_overlap,
+    expanded_overlaps,
+    ge_overlap,
     mixing_probability,
+    norms,
+    p_via_overlaps,
 )
 
 
@@ -69,24 +73,26 @@ class TestTransitionProbability:
 
 class TestStaticOverlaps:
     def test_real_static_norms_stay_one(self):
-        arrays = OverlapArrays(static_series())
-        np.testing.assert_allclose(arrays.gg, 1.0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(arrays.ee, 1.0, rtol=0, atol=1e-12)
-        assert np.all(np.abs(arrays.eg) < 1e-15)
-        assert np.all(arrays.p_ge_via_overlaps < 1e-30)
+        series = static_series()
+        gg, ee = norms(series)
+        np.testing.assert_allclose(gg, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ee, 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.abs(eg_overlap(series)) < 1e-15)
+        assert np.all(p_via_overlaps(series) < 1e-30)
 
     def test_weak_field_ground_state_does_not_decay(self):
         # gamma_g only, Omega -> 0: Lambda_2 -> 0 so gg stays at 1. Omega must
         # stay above sqrt(eps)*delta or the mixing drowns in sqrt roundoff.
         series = static_series(omega0=1e-4, carrier=1.0, omega_e=5.0, gamma_g=0.1)
-        assert OverlapArrays(series).gg[100] == pytest.approx(1.0, abs=1e-9)
+        gg, _ = norms(series)
+        assert gg[100] == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_damping_real_rabi_keeps_ee_over_gg_unity(self):
         series = static_series(gamma_g=0.2, gamma_e=0.2)
         # gamma_g = gamma_e makes delta_tilde complex, but the ee/gg ratio
         # depends only on the +-Im omega_tilde split of the exponents.
-        arrays = OverlapArrays(series)
-        ratio = arrays.ee[80] / arrays.gg[80]
+        gg, ee = norms(series)
+        ratio = ee[80] / gg[80]
         expected = math.exp(
             2.0 * np.trapezoid(series.omega_tilde.imag[:81], series.grid[:81])
         )
@@ -96,41 +102,42 @@ class TestStaticOverlaps:
 class TestFlagshipOverlaps:
     def test_values_against_quadrature_oracle(self, flagship):
         _, series = flagship
-        arrays = OverlapArrays(series)
+        gg, ee = norms(series)
+        eg = eg_overlap(series)
+        p = mixing_probability(series.sin_half, series.cos_half)
         k = 1200  # t = 0
-        assert arrays.gg[k] == pytest.approx(0.2942519908684480, rel=5e-6)
-        assert arrays.ee[k] == pytest.approx(1374.0735006019437, rel=5e-6)
-        assert arrays.eg[k] == pytest.approx(
+        assert gg[k] == pytest.approx(0.2942519908684480, rel=5e-6)
+        assert ee[k] == pytest.approx(1374.0735006019437, rel=5e-6)
+        assert eg[k] == pytest.approx(
             -0.4583443515165936 + 0.8276412957297821j, rel=5e-6
         )
-        assert arrays.p_ge[k] == pytest.approx(0.0022137443285869459, rel=1e-6)
+        assert p[k] == pytest.approx(0.0022137443285869459, rel=1e-6)
 
     def test_norms_real_positive(self, flagship):
         _, series = flagship
-        arrays = OverlapArrays(series)
-        for norm in (arrays.gg, arrays.ee):
+        for norm in norms(series):
             assert norm.dtype == np.float64 and np.all(norm > 0.0)
 
     def test_expanded_forms_match_concise(self, flagship):
         _, series = flagship
-        arrays = OverlapArrays(series)
-        np.testing.assert_allclose(arrays.gg_expanded, arrays.gg, rtol=1e-9)
-        np.testing.assert_allclose(arrays.ee_expanded, arrays.ee, rtol=1e-9)
-        concise, expanded = arrays.eg, arrays.eg_expanded
+        gg, ee = norms(series)
+        gg_expanded, ee_expanded, expanded = expanded_overlaps(series)
+        np.testing.assert_allclose(gg_expanded, gg, rtol=1e-9)
+        np.testing.assert_allclose(ee_expanded, ee, rtol=1e-9)
+        concise = eg_overlap(series)
         assert np.all(
             np.abs(expanded - concise) <= 1e-9 * np.maximum(1.0, np.abs(concise))
         )
 
     def test_exponential_cancellation(self, flagship):
         _, series = flagship
-        routed = OverlapArrays(series).p_ge_via_overlaps
+        routed = p_via_overlaps(series)
         direct = mixing_probability(series.sin_half, series.cos_half)
         assert np.max(np.abs(routed - direct)) < 1e-9
 
     def test_conjugation_symmetry_exact(self, flagship):
         _, series = flagship
-        arrays = OverlapArrays(series)
-        assert np.array_equal(arrays.ge, np.conj(arrays.eg))
+        assert np.array_equal(ge_overlap(series), np.conj(eg_overlap(series)))
 
 
 def test_long_damped_run_keeps_overlap_route_finite():
@@ -138,11 +145,12 @@ def test_long_damped_run_keeps_overlap_route_finite():
     # quotient is formed in log space and must still match the pointwise P.
     scenario = dataclasses.replace(load_shipped("constant-damped"), t_end=20000.0)
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    arrays = OverlapArrays(series)
-    assert arrays.ee[-1] == 0.0
-    routed = arrays.p_ge_via_overlaps[-1]
+    _, ee = norms(series)
+    assert ee[-1] == 0.0
+    routed = p_via_overlaps(series)[-1]
     assert math.isfinite(routed) and routed > 0.0
-    assert abs(routed - arrays.p_ge[-1]) < 1e-9
+    direct = mixing_probability(series.sin_half[-1], series.cos_half[-1])
+    assert abs(routed - direct) < 1e-9
 
 
 class TestAmplitudeRatios:
@@ -171,17 +179,6 @@ class TestAmplitudeRatios:
         assert ground == pytest.approx(s / c * phase, rel=1e-12)
         excited = amplitude_ratios(series, "excited")[k]
         assert excited == pytest.approx(-s / c / phase, rel=1e-12)
-
-    def test_component_weights_at_grid_start(self, flagship):
-        # Unit weights at the first grid point: the integrals vanish there,
-        # leaving exp(-i phi(t0)) on the components that carry the phase.
-        _, series = flagship
-        arrays = OverlapArrays(series)
-        phase = cmath.exp(-1j * float(series.phi[0]))
-        assert arrays.ground_real[0] == 1.0
-        assert arrays.excited_virtual[0] == 1.0
-        assert arrays.ground_virtual[0] == pytest.approx(phase, rel=1e-12)
-        assert arrays.excited_real[0] == pytest.approx(phase, rel=1e-12)
 
     def test_undefined_ratio(self, flagship):
         scenario, _ = flagship
@@ -215,43 +212,16 @@ class TestAmplitudeRatios:
             amplitude_ratios(series, "superposition")
 
 
-class TestLazyOverlaps:
-    """Each overlap array is built on first read, once, and read-only."""
-
-    PUBLIC = ("gg", "gg_expanded", "ee", "ee_expanded", "eg", "eg_expanded", "ge",
-              "p_ge", "p_ge_via_overlaps", "ground_real", "ground_virtual",
-              "excited_real", "excited_virtual")
-
-    def fresh(self, flagship):
-        scenario, _ = flagship
-        return snapshot_series(scenario.system, scenario.field, scenario.grid())
-
-    def test_snapshot_columns_build_only_what_they_print(self, flagship):
-        series = self.fresh(flagship)
-        arrays = OverlapArrays(series)
-        arrays.gg, arrays.ee, arrays.eg, arrays.p_ge
-        assert set(vars(arrays)) & set(self.PUBLIC) == {"gg", "ee", "eg", "p_ge"}
-
-    def test_built_once_and_read_only(self, flagship):
-        series = self.fresh(flagship)
-        arrays = OverlapArrays(series)
-        for name in self.PUBLIC:
-            arr = getattr(arrays, name)
-            assert getattr(arrays, name) is arr
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-
-    def test_series_freed_by_reference_counting(self, flagship):
-        # Nothing may point back from the series to its overlaps: a cycle
-        # would leave every series to the cyclic collector and memory would
-        # pile up.
-        series = self.fresh(flagship)
-        OverlapArrays(series).gg
-        ref = weakref.ref(series)
-        gc.disable()
-        try:
-            del series
-            assert ref() is None
-        finally:
-            gc.enable()
+def test_series_freed_by_reference_counting(flagship):
+    # Nothing may point back from the series to its overlaps: a cycle would
+    # leave every series to the cyclic collector and memory would pile up.
+    scenario, _ = flagship
+    series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+    norms(series)
+    ref = weakref.ref(series)
+    gc.disable()
+    try:
+        del series
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -470,6 +470,19 @@ class TestCliSweep:
         assert "1 or 2 axes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_axis_path_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", write_doc(tmp_path, minimal_doc()),
+            "--axis", "system.omega_e:1:2:3",
+            "--axis", "system.omega_e:1:2:2",
+            "--reduce", "maxP",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "system.omega_e twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_reducer(self, tmp_path, capsys):
         rc = main([
             "sweep", str(shipped_path("constant-detuned")),
@@ -646,6 +659,20 @@ class TestCliPlumbing:
         rc = main(["snapshot", str(tmp_path / "absent.json")])
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_scenario_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        rc = main(["snapshot", str(path)])
+        assert rc == 1
+        assert "binary.json: not UTF-8" in capsys.readouterr().err
+
+    def test_scenario_json_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        rc = main(["snapshot", str(path)])
+        assert rc == 1
+        assert "deep.json: JSON nested too deeply" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         doc = minimal_doc()
