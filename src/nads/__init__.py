@@ -42,8 +42,6 @@ from .overlap_transitions import (
 )
 from .scenario import (
     Scenario,
-    SweepAxis,
-    axis_values,
     list_shipped,
     load_scenario,
     load_shipped,
@@ -84,12 +82,10 @@ __all__ = [
     "SechEnvelope",
     "SnapshotSeries",
     "StepUnderflow",
-    "SweepAxis",
     "SystemParams",
     "Trajectory",
     "ValidationError",
     "amplitude_ratios",
-    "axis_values",
     "detuning",
     "eg_overlap",
     "evolve",

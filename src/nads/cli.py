@@ -5,8 +5,9 @@ Subcommands: ``snapshot`` (dressed-state quantities per grid point),
 closed-form ratio), ``sweep`` (1- or 2-axis parameter scans with a scalar
 reduction per point) and ``validate`` (the named invariant suite).
 
-Exit codes: 0 success, 1 configuration failure (usage, parse, validation),
-2 numerical failure (branch ambiguity, step underflow and kin).
+Exit codes: 0 success, 1 configuration failure (usage, parse, validation,
+a grid or sweep too large to allocate), 2 numerical failure (branch
+ambiguity, step underflow and kin).
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from .nads_core import snapshot_series
 from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
 from .scenario import (
     Scenario,
-    axis_values,
     load_scenario,
     parse_axis,
     scenario_from_dict,
-    validate_axis_path,
-    with_axis_value,
+    with_axis_values,
 )
 from .tables import scenario_header, table_json, table_text, write_text
 from .tdse import evolve
@@ -149,22 +148,17 @@ def cmd_sweep(args) -> int:
         raise ValidationError(
             f"--reduce must be one of {sorted(REDUCERS)}, got '{args.reduce}'"
         )
-    axes = tuple(parse_axis(text) for text in args.axis)
-    if not 1 <= len(axes) <= 2:
+    if not 1 <= len(args.axis) <= 2:
         raise ValidationError("sweep requires 1 or 2 axes")
-    if len({axis.path for axis in axes}) < len(axes):
-        raise ValidationError(f"sweep axes must differ, got {axes[0].path} twice")
     resolved = scenario.resolved()
-    for axis in axes:
-        validate_axis_path(resolved, axis.path)
-    values = [axis_values(axis) for axis in axes]
+    paths, values = zip(*(parse_axis(text, resolved) for text in args.axis))
+    if len(set(paths)) < len(paths):
+        raise ValidationError(f"sweep axes must differ, got {paths[0]} twice")
     combos = list(itertools.product(*values))
 
     def run_point(combo):
         try:
-            doc = resolved
-            for axis, value in zip(axes, combo):
-                doc = with_axis_value(doc, axis.path, value)
+            doc = with_axis_values(resolved, zip(paths, combo))
             point = scenario_from_dict(doc, origin="scenario")
             return REDUCERS[args.reduce](point), ""
         except (ConfigError, NumericalError) as exc:
@@ -172,10 +166,8 @@ def cmd_sweep(args) -> int:
 
     results = [run_point(combo) for combo in combos]
 
-    names = [axis.path for axis in axes] + [args.reduce, "error"]
-    columns: list[list] = [
-        [combo[i] for combo in combos] for i in range(len(axes))
-    ]
+    names = [*paths, args.reduce, "error"]
+    columns: list[list] = [list(axis) for axis in zip(*combos)]
     columns.append([value for value, _ in results])
     columns.append([err for _, err in results])
     _emit(args, "sweep table", resolved, names, columns)
@@ -256,6 +248,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # An oversized grid or sweep count fails at allocation; the request
+        # is what is wrong, so it is a configuration failure.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -150,7 +150,11 @@ def _track_branches(
 
 
 def uniform_grid(grid) -> tuple[np.ndarray, float]:
-    """The grid as a float array and its spacing.
+    """A float copy of the grid and its spacing.
+
+    The copy keeps the caller's array writeable when a series freezes its
+    grid, and out of reach of the caller once it sits on a series or a
+    trajectory.
 
     Raises
     ------
@@ -158,7 +162,7 @@ def uniform_grid(grid) -> tuple[np.ndarray, float]:
         If the grid is not one-dimensional with at least 2 points, or not
         uniformly increasing.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
     steps = np.diff(grid)

@@ -3,9 +3,15 @@ parameter-sweep axes.
 
 A scenario is a JSON document with sections ``system``, ``field``, ``grid``
 and ``integrator`` plus a name, an output list and an initial state. The
-schema is closed: unknown keys are rejected with a nearest-key suggestion,
-defaults are filled in at load time, and ``serialize`` echoes the fully
-resolved document so that load(serialize(s)) reproduces s exactly.
+schema is closed: unknown keys are rejected with a nearest-key suggestion
+and defaults are filled in at load time. The parsed ``SystemParams``,
+envelope and ``Chirp`` are the one record of those sections:
+``Scenario.resolved`` echoes their dataclass fields, so ``serialize`` writes
+the fully resolved document and load(serialize(s)) reproduces s exactly.
+
+A sweep axis is a plain (dotted path, values) pair. ``parse_axis`` checks
+its text and its path against the resolved document before any point runs;
+``with_axis_values`` writes one point's values into a copy of that document.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import difflib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib.resources import files
 from typing import Any, Mapping
 
@@ -33,14 +39,11 @@ from .field_model import (
 
 __all__ = [
     "Scenario",
-    "SweepAxis",
     "load_scenario",
     "scenario_from_dict",
     "serialize",
     "parse_axis",
-    "axis_values",
-    "with_axis_value",
-    "validate_axis_path",
+    "with_axis_values",
     "list_shipped",
     "shipped_path",
     "load_shipped",
@@ -81,29 +84,20 @@ class Scenario:
         return self.t_start + self.step * np.arange(n + 1)
 
     def resolved(self) -> dict:
-        """Plain-dict echo of the scenario, defaults included."""
+        """Plain-dict echo of the scenario, defaults included.
+
+        The system, envelope and chirp entries are the fields of the parsed
+        objects, so this document and ``scenario_from_dict`` cannot drift
+        apart.
+        """
         env = self.field.envelope
-        env_doc: dict[str, Any] = {"kind": env.kind, "omega0": env.omega0}
-        if env.kind != "constant":
-            env_doc["t_center"] = env.t_center
-            env_doc["tau"] = env.tau
         return {
             "name": self.name,
-            "system": {
-                "omega_g": self.system.omega_g,
-                "omega_e": self.system.omega_e,
-                "mu": self.system.mu,
-                "gamma_g": self.system.gamma_g,
-                "gamma_e": self.system.gamma_e,
-            },
+            "system": asdict(self.system),
             "field": {
                 "carrier_omega": self.field.carrier_omega,
-                "envelope": env_doc,
-                "phase": {
-                    "phi0": self.field.phase.phi0,
-                    "beta": self.field.phase.beta,
-                    "t_center": self.field.phase.t_center,
-                },
+                "envelope": {"kind": env.kind, **asdict(env)},
+                "phase": asdict(self.field.phase),
             },
             "grid": {
                 "t_start": self.t_start,
@@ -341,32 +335,14 @@ def serialize(scenario: Scenario) -> str:
     return json.dumps(scenario.resolved(), indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    """One swept parameter: a dotted path into the resolved scenario
-    document and a linearly or logarithmically spaced value range."""
+def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
+    """Parse '<path>:<min>:<max>:<count>[:log]' into the axis path and its
+    linearly or logarithmically spaced values.
 
-    path: str
-    start: float
-    stop: float
-    count: int
-    spacing: str = "linear"
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValidationError(f"axis {self.path}: count must be >= 2")
-        if self.spacing not in ("linear", "log"):
-            raise ValidationError(
-                f"axis {self.path}: spacing must be 'linear' or 'log'"
-            )
-        if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
-            raise ValidationError(
-                f"axis {self.path}: log spacing requires positive bounds"
-            )
-
-
-def parse_axis(text: str) -> SweepAxis:
-    """Parse '<path>:<min>:<max>:<count>[:log]' into a SweepAxis."""
+    The path must name a numeric field of the resolved scenario document
+    ``resolved``. Raises ParseError for a malformed axis and ValidationError
+    for a count below 2, non-positive log bounds or a bad path.
+    """
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise ParseError(
@@ -384,22 +360,14 @@ def parse_axis(text: str) -> SweepAxis:
         count = int(parts[3])
     except ValueError as exc:
         raise ParseError(f"axis '{text}': count must be an integer") from exc
-    spacing = "linear"
-    if len(parts) == 5:
-        if parts[4] not in ("log", "linear"):
-            raise ParseError(f"axis '{text}': trailing tag must be 'log' or 'linear'")
-        spacing = parts[4]
-    return SweepAxis(path=path, start=start, stop=stop, count=count, spacing=spacing)
+    if len(parts) == 5 and parts[4] not in ("log", "linear"):
+        raise ParseError(f"axis '{text}': trailing tag must be 'log' or 'linear'")
+    log = parts[4:] == ["log"]
+    if count < 2:
+        raise ValidationError(f"axis {path}: count must be >= 2")
+    if log and (start <= 0 or stop <= 0):
+        raise ValidationError(f"axis {path}: log spacing requires positive bounds")
 
-
-def axis_values(axis: SweepAxis) -> np.ndarray:
-    if axis.spacing == "log":
-        return np.geomspace(axis.start, axis.stop, axis.count)
-    return np.linspace(axis.start, axis.stop, axis.count)
-
-
-def validate_axis_path(resolved: Mapping, path: str) -> None:
-    """Check that a dotted axis path names a numeric scenario field."""
     node: Any = resolved
     seen: list[str] = []
     for part in path.split("."):
@@ -414,16 +382,19 @@ def validate_axis_path(resolved: Mapping, path: str) -> None:
         node = node[part]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"axis path '{path}' does not name a numeric field")
+    return path, (np.geomspace if log else np.linspace)(start, stop, count)
 
 
-def with_axis_value(resolved: Mapping, path: str, value: float) -> dict:
-    """Copy the resolved document with one dotted path replaced."""
+def with_axis_values(resolved: Mapping, pairs) -> dict:
+    """One deep copy of the resolved document with each (dotted path,
+    value) pair of a sweep point written in."""
     doc = copy.deepcopy(dict(resolved))
-    node = doc
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = float(value)
+    for path, value in pairs:
+        *parents, leaf = path.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[leaf] = float(value)
     return doc
 
 

@@ -59,6 +59,12 @@ _INITIAL_RADIANS_PER_STEP = 0.2
 #: Substeps whose step matrices are held in memory at once.
 _BLOCK_SUBSTEPS = 4096
 
+#: Landau-Zener survival run: the half-window is LZ_WINDOW_SCALE over the
+#: square root of the sweep rate, integrated to LZ_RTOL and LZ_ATOL.
+LZ_WINDOW_SCALE = 40.0
+LZ_RTOL = 1e-6
+LZ_ATOL = 1e-9
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -414,22 +420,17 @@ class _FlatTopEnvelope:
         return self.omega0 * x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
 
 
-def lz_survival(
-    coupling: float,
-    sweep_rate: float,
-    window: Optional[float] = None,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-) -> float:
+def lz_survival(coupling: float, sweep_rate: float) -> float:
     """Asymptotic diabatic survival probability from a finite-window sweep.
 
     A resonant carrier with a linear chirp at rate ``-sweep_rate`` realizes
-    the linear-sweep crossing; the run covers [-window, window] (default
-    window 40 / sqrt(|sweep_rate|)). With the coupling held abruptly at its
-    full value the finite-window reading carries an interference transient
-    with a 1 / window envelope, far above the accuracy of the integration
-    itself, so the coupling is instead ramped smoothly to zero over the
-    outer quarter of each window half. The crossing region still sees the
+    the linear-sweep crossing; the run covers [-window, window] with window
+    ``LZ_WINDOW_SCALE / sqrt(|sweep_rate|)``, integrated to ``LZ_RTOL`` and
+    ``LZ_ATOL``. With the coupling held abruptly at its full value the
+    finite-window reading carries an interference transient with a
+    1 / window envelope, far above the accuracy of the integration itself,
+    so the coupling is instead ramped smoothly to zero over the outer
+    quarter of each window half. The crossing region still sees the
     constant coupling, the edges carry no beat (the bases coincide where
     the coupling vanishes), and the endpoint ground population converges
     to the asymptotic survival.
@@ -439,10 +440,7 @@ def lz_survival(
     if coupling <= 0:
         raise ValueError("coupling must be positive")
     sweep_rate = abs(sweep_rate)
-    if window is None:
-        window = 40.0 / math.sqrt(sweep_rate)
-    if window <= 0:
-        raise ValueError("window must be positive")
+    window = LZ_WINDOW_SCALE / math.sqrt(sweep_rate)
     params = SystemParams(omega_g=0.0, omega_e=1.0)
     field = FieldModel(
         carrier_omega=1.0,
@@ -451,5 +449,5 @@ def lz_survival(
     )
     grid = np.linspace(-window, window, 401)
     traj = evolve(params, field, grid, init="ground", frame="rotating",
-                  rtol=rtol, atol=atol)
+                  rtol=LZ_RTOL, atol=LZ_ATOL)
     return float(abs(traj.c_g[-1]) ** 2)

@@ -371,3 +371,13 @@ class TestSnapshotSeries:
         _, series = flagship
         with pytest.raises(ValueError):
             series.omega_tilde[0] = 0.0
+
+    def test_caller_grid_stays_writeable(self):
+        params = SystemParams(0.0, 5.0)
+        field = FieldModel(carrier_omega=1.0, envelope=ConstantEnvelope(1.0))
+        grid = np.linspace(0.0, 1.0, 11)
+        series = snapshot_series(params, field, grid)
+        assert series.grid is not grid
+        assert not series.grid.flags.writeable
+        grid[0] = 0.5
+        assert series.grid[0] == 0.0

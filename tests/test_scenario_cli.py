@@ -22,8 +22,6 @@ from nads.cli import main
 from nads.errors import ParseError, ValidationError
 from nads.nads_core import snapshot_series
 from nads.scenario import (
-    SweepAxis,
-    axis_values,
     list_shipped,
     load_scenario,
     load_shipped,
@@ -31,8 +29,7 @@ from nads.scenario import (
     scenario_from_dict,
     serialize,
     shipped_path,
-    validate_axis_path,
-    with_axis_value,
+    with_axis_values,
 )
 from nads.validation import check_lambda_consistency
 
@@ -194,46 +191,59 @@ class TestScenarioLoading:
 
 
 class TestSweepSpecs:
-    def test_parse_axis_forms(self):
-        axis = parse_axis("system.gamma_e:0:0.5:5")
-        assert axis == SweepAxis("system.gamma_e", 0.0, 0.5, 5, "linear")
-        axis = parse_axis("field.envelope.tau:1:100:4:log")
-        assert axis.spacing == "log"
-        assert np.allclose(axis_values(axis), np.geomspace(1.0, 100.0, 4))
+    @pytest.fixture
+    def resolved(self):
+        return load_shipped("sech-damped").resolved()
 
-    def test_parse_axis_errors(self):
+    def test_parse_axis_forms(self, resolved):
+        path, values = parse_axis("system.gamma_e:0:0.5:5", resolved)
+        assert path == "system.gamma_e"
+        assert np.array_equal(values, np.linspace(0.0, 0.5, 5))
+        path, values = parse_axis("field.envelope.tau:1:100:4:log", resolved)
+        assert path == "field.envelope.tau"
+        assert np.array_equal(values, np.geomspace(1.0, 100.0, 4))
+        _, values = parse_axis("field.envelope.tau:1:100:4:linear", resolved)
+        assert np.array_equal(values, np.linspace(1.0, 100.0, 4))
+
+    def test_parse_axis_errors(self, resolved):
         with pytest.raises(ParseError, match="form"):
-            parse_axis("system.gamma_e:0:1")
+            parse_axis("system.gamma_e:0:1", resolved)
         with pytest.raises(ParseError, match="bounds"):
-            parse_axis("p:zero:1:3")
+            parse_axis("p:zero:1:3", resolved)
         with pytest.raises(ParseError, match="count"):
-            parse_axis("p:0:1:many")
+            parse_axis("p:0:1:many", resolved)
         with pytest.raises(ParseError, match="trailing"):
-            parse_axis("p:0:1:3:cubic")
+            parse_axis("p:0:1:3:cubic", resolved)
         with pytest.raises(ParseError, match="finite"):
-            parse_axis("p:nan:1:3")
+            parse_axis("p:nan:1:3", resolved)
         with pytest.raises(ParseError, match="finite"):
-            parse_axis("p:0:inf:3")
+            parse_axis("p:0:inf:3", resolved)
 
-    def test_axis_bounds_validation(self):
-        with pytest.raises(ValidationError, match="count"):
-            SweepAxis("p", 0.0, 1.0, 1)
-        with pytest.raises(ValidationError, match="log"):
-            SweepAxis("p", 0.0, 1.0, 3, "log")
+    def test_axis_bounds_validation(self, resolved):
+        with pytest.raises(ValidationError, match="axis p: count must be >= 2"):
+            parse_axis("p:0:1:1", resolved)
+        with pytest.raises(ValidationError, match="log spacing requires positive"):
+            parse_axis("p:0:1:3:log", resolved)
 
     def test_axis_path_validation(self, tmp_path):
         resolved = load_scenario(write_doc(tmp_path, minimal_doc())).resolved()
-        validate_axis_path(resolved, "field.envelope.omega0")
+        parse_axis("field.envelope.omega0:0:1:3", resolved)
         with pytest.raises(ValidationError, match="did you mean 'envelope'"):
-            validate_axis_path(resolved, "field.envelop.omega0")
+            parse_axis("field.envelop.omega0:0:1:3", resolved)
         with pytest.raises(ValidationError, match="numeric"):
-            validate_axis_path(resolved, "field.envelope.kind")
+            parse_axis("field.envelope.kind:0:1:3", resolved)
+        with pytest.raises(ValidationError, match="no key 'tau' under field.envelope"):
+            parse_axis("field.envelope.tau:1:2:3", resolved)
 
-    def test_with_axis_value_copies(self, tmp_path):
+    def test_with_axis_values_copies(self, tmp_path):
         resolved = load_scenario(write_doc(tmp_path, minimal_doc())).resolved()
-        patched = with_axis_value(resolved, "system.gamma_e", 0.25)
+        before = copy.deepcopy(resolved)
+        patched = with_axis_values(
+            resolved, [("system.gamma_e", 0.25), ("field.envelope.omega0", 2.0)]
+        )
         assert patched["system"]["gamma_e"] == 0.25
-        assert resolved["system"]["gamma_e"] == 0.0
+        assert patched["field"]["envelope"]["omega0"] == 2.0
+        assert resolved == before
 
 
 class TestShippedScenarios:
@@ -683,6 +693,29 @@ class TestCliPlumbing:
         rc = main(["snapshot", write_doc(tmp_path, doc)])
         assert rc == 2
         assert "numerical error" in capsys.readouterr().err
+
+    # Both requests ask for about 7 PiB, more than the address space, so the
+    # allocation fails at once without touching memory.
+    def test_oversized_grid_exits_one_by_name(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["grid"]["step"] = 1e-15
+        out = tmp_path / "table.csv"
+        rc = main(["snapshot", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 1
+        assert "error: out of memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_sweep_count_exits_one_by_name(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", write_doc(tmp_path, minimal_doc()),
+            "--axis", "system.gamma_e:0:1:1000000000000000",
+            "--reduce", "maxP",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "error: out of memory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         target = tmp_path / "absent" / "x.csv"
