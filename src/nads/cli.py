@@ -13,7 +13,6 @@ ambiguity, step underflow and kin).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from typing import Optional
@@ -154,20 +153,22 @@ def cmd_sweep(args) -> int:
     paths, values = zip(*(parse_axis(text, resolved) for text in args.axis))
     if len(set(paths)) < len(paths):
         raise ValidationError(f"sweep axes must differ, got {paths[0]} twice")
-    combos = list(itertools.product(*values))
+    # Full-length axis columns in axis-major order, allocated at once, so an
+    # impossible point count fails before any point runs.
+    columns = [grid.ravel() for grid in np.meshgrid(*values, indexing="ij")]
 
-    def run_point(combo):
+    def run_point(index):
         try:
-            doc = with_axis_values(resolved, zip(paths, combo))
+            pairs = [(path, column[index]) for path, column in zip(paths, columns)]
+            doc = with_axis_values(resolved, pairs)
             point = scenario_from_dict(doc, origin="scenario")
             return REDUCERS[args.reduce](point), ""
         except (ConfigError, NumericalError) as exc:
             return float("nan"), f"{type(exc).__name__}: {exc}"
 
-    results = [run_point(combo) for combo in combos]
+    results = [run_point(index) for index in range(len(columns[0]))]
 
     names = [*paths, args.reduce, "error"]
-    columns: list[list] = [list(axis) for axis in zip(*combos)]
     columns.append([value for value, _ in results])
     columns.append([err for _, err in results])
     _emit(args, "sweep table", resolved, names, columns)
@@ -252,7 +253,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError as exc:
         # An oversized grid or sweep count fails at allocation; the request
         # is what is wrong, so it is a configuration failure.
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

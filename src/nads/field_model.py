@@ -9,6 +9,10 @@ Rabi frequency rather than by field amplitude.
 Only envelopes that are strictly positive everywhere are provided (constant,
 Gaussian, sech): the logarithmic derivative Omega^-1 dOmega/dt enters the
 nonadiabatic detuning and diverges where the envelope vanishes.
+
+These dataclasses are the schema of a scenario's ``system`` and ``field``
+sections: their fields, defaults and checks are its keys, defaults and
+value checks.
 """
 
 from __future__ import annotations
@@ -121,19 +125,25 @@ class ConstantEnvelope:
 
 
 @dataclass(frozen=True)
-class GaussianEnvelope:
-    """Gaussian pulse: Omega(t) = omega0 * exp(-((t - t_center)/tau)^2)."""
+class _PulseEnvelope:
+    """Peak Rabi frequency omega0 > 0, center t_center and width tau > 0 of
+    a pulse; subclasses give its shape."""
 
     omega0: float
     t_center: float = 0.0
     tau: float = 1.0
-    kind = "gaussian"
 
     def __post_init__(self):
-        _require_finite(
-            "GaussianEnvelope", omega0=self.omega0, t_center=self.t_center, tau=self.tau
-        )
-        _require_positive("GaussianEnvelope", omega0=self.omega0, tau=self.tau)
+        owner = type(self).__name__
+        _require_finite(owner, omega0=self.omega0, t_center=self.t_center, tau=self.tau)
+        _require_positive(owner, omega0=self.omega0, tau=self.tau)
+
+
+@dataclass(frozen=True)
+class GaussianEnvelope(_PulseEnvelope):
+    """Gaussian pulse: Omega(t) = omega0 * exp(-((t - t_center)/tau)^2)."""
+
+    kind = "gaussian"
 
     def omega(self, t):
         x = (np.asarray(t, dtype=float) - self.t_center) / self.tau
@@ -147,19 +157,10 @@ class GaussianEnvelope:
 
 
 @dataclass(frozen=True)
-class SechEnvelope:
+class SechEnvelope(_PulseEnvelope):
     """Hyperbolic-secant pulse: Omega(t) = omega0 * sech((t - t_center)/tau)."""
 
-    omega0: float
-    t_center: float = 0.0
-    tau: float = 1.0
     kind = "sech"
-
-    def __post_init__(self):
-        _require_finite(
-            "SechEnvelope", omega0=self.omega0, t_center=self.t_center, tau=self.tau
-        )
-        _require_positive("SechEnvelope", omega0=self.omega0, tau=self.tau)
 
     def omega(self, t):
         x = (np.asarray(t, dtype=float) - self.t_center) / self.tau

@@ -4,10 +4,10 @@ parameter-sweep axes.
 A scenario is a JSON document with sections ``system``, ``field``, ``grid``
 and ``integrator`` plus a name, an output list and an initial state. The
 schema is closed: unknown keys are rejected with a nearest-key suggestion
-and defaults are filled in at load time. The parsed ``SystemParams``,
-envelope and ``Chirp`` are the one record of those sections:
-``Scenario.resolved`` echoes their dataclass fields, so ``serialize`` writes
-the fully resolved document and load(serialize(s)) reproduces s exactly.
+and defaults are filled in at load time. The keys, defaults and value checks
+of ``system`` and ``field`` are the fields and constructors of the
+``field_model`` dataclasses, and ``Scenario.resolved`` echoes those fields,
+so load(serialize(s)) reproduces s exactly.
 
 A sweep axis is a plain (dotted path, values) pair. ``parse_axis`` checks
 its text and its path against the resolved document before any point runs;
@@ -21,7 +21,7 @@ import difflib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib.resources import files
 from typing import Any, Mapping
 
@@ -52,7 +52,9 @@ __all__ = [
 #: Pulsed envelopes must satisfy step <= tau / STEP_FRACTION on load.
 STEP_FRACTION = 400.0
 
-_ENVELOPE_KINDS = ("constant", "gaussian", "sech")
+_ENVELOPES = {
+    cls.kind: cls for cls in (ConstantEnvelope, GaussianEnvelope, SechEnvelope)
+}
 _FRAMES = ("lab", "rotating")
 _POLICIES = ("error", "warn")
 _OUTPUTS = ("snapshot", "evolve")
@@ -86,19 +88,13 @@ class Scenario:
     def resolved(self) -> dict:
         """Plain-dict echo of the scenario, defaults included.
 
-        The system, envelope and chirp entries are the fields of the parsed
-        objects, so this document and ``scenario_from_dict`` cannot drift
-        apart.
+        The system and field entries are the fields of the parsed objects,
+        so this document and ``scenario_from_dict`` cannot drift apart.
         """
-        env = self.field.envelope
         return {
             "name": self.name,
-            "system": asdict(self.system),
-            "field": {
-                "carrier_omega": self.field.carrier_omega,
-                "envelope": {"kind": env.kind, **asdict(env)},
-                "phase": asdict(self.field.phase),
-            },
+            "system": _echo(self.system),
+            "field": _echo(self.field),
             "grid": {
                 "t_start": self.t_start,
                 "t_end": self.t_end,
@@ -113,6 +109,16 @@ class Scenario:
             "outputs": list(self.outputs),
             "initial_state": self.initial_state,
         }
+
+
+def _echo(obj) -> dict:
+    """The fields of a parsed dataclass as a plain dict, nested dataclasses
+    included, with the envelope's ``kind`` first."""
+    out = {"kind": obj.kind} if hasattr(obj, "kind") else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = _echo(value) if is_dataclass(value) else value
+    return out
 
 
 def _suggest(key: str, allowed) -> str:
@@ -171,34 +177,43 @@ def _positive(value: float, path: str) -> float:
     return value
 
 
-def _build_envelope(doc: Mapping, path: str):
+def _build(cls, doc: Any, path: str, extra=(), **nested):
+    """Dataclass ``cls`` from the object ``doc`` at ``path``: keys are its
+    fields plus ``extra``, a field without a default is required, ``nested``
+    maps a field to its parser, ``null`` is kept where the default is None
+    and other values are finite numbers. The constructor's messages name
+    ``path`` instead of the class."""
     doc = _mapping(doc, path)
-    kind = _string(doc, "kind", path, _ENVELOPE_KINDS)
-    if kind == "constant":
-        _check_keys(doc, ("kind", "omega0"), path)
-        return ConstantEnvelope(omega0=_positive(_num(doc, "omega0", path), f"{path}.omega0"))
-    _check_keys(doc, ("kind", "omega0", "t_center", "tau"), path)
-    cls = GaussianEnvelope if kind == "gaussian" else SechEnvelope
-    return cls(
-        omega0=_positive(_num(doc, "omega0", path), f"{path}.omega0"),
-        t_center=_num(doc, "t_center", path, 0.0),
-        tau=_positive(_num(doc, "tau", path, 1.0), f"{path}.tau"),
-    )
+    schema = fields(cls)
+    _check_keys(doc, [f.name for f in schema] + list(extra), path)
+    kwargs = {}
+    for f in schema:
+        if f.name not in doc:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ParseError(f"missing required key '{f.name}' in {path}")
+        elif f.name in nested:
+            kwargs[f.name] = nested[f.name](doc[f.name], f"{path}.{f.name}")
+        elif doc[f.name] is None and f.default is None:
+            kwargs[f.name] = None
+        else:
+            kwargs[f.name] = _num(doc, f.name, path)
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        message = str(exc)
+        relabeled = message.removeprefix(f"{cls.__name__}.")
+        if relabeled == message:
+            raise
+        raise ValidationError(f"{path}.{relabeled}") from exc
 
 
-def _build_phase(doc: Any, path: str) -> Chirp:
-    if doc is None:
-        return Chirp()
-    doc = _mapping(doc, path)
-    _check_keys(doc, ("phi0", "beta", "t_center"), path)
-    t_center = doc.get("t_center")
-    if t_center is not None:
-        t_center = _num(doc, "t_center", path)
-    return Chirp(
-        phi0=_num(doc, "phi0", path, 0.0),
-        beta=_num(doc, "beta", path, 0.0),
-        t_center=t_center,
-    )
+def _envelope(doc: Any, path: str):
+    kind = _string(_mapping(doc, path), "kind", path, _ENVELOPES)
+    return _build(_ENVELOPES[kind], doc, path, extra=("kind",))
+
+
+def _phase(doc: Any, path: str) -> Chirp:
+    return Chirp() if doc is None else _build(Chirp, doc, path)
 
 
 def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
@@ -220,27 +235,8 @@ def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
         raise ParseError(f"{origin}.name must be a non-empty string")
     name = doc["name"]
 
-    sys_doc = _mapping(doc["system"], "system")
-    _check_keys(sys_doc, ("omega_g", "omega_e", "mu", "gamma_g", "gamma_e"), "system")
-    system = SystemParams(
-        omega_g=_num(sys_doc, "omega_g", "system"),
-        omega_e=_num(sys_doc, "omega_e", "system"),
-        mu=_positive(_num(sys_doc, "mu", "system", 1.0), "system.mu"),
-        gamma_g=_num(sys_doc, "gamma_g", "system", 0.0),
-        gamma_e=_num(sys_doc, "gamma_e", "system", 0.0),
-    )
-
-    field_doc = _mapping(doc["field"], "field")
-    _check_keys(field_doc, ("carrier_omega", "envelope", "phase"), "field")
-    if "envelope" not in field_doc:
-        raise ParseError("missing required key 'envelope' in field")
-    field = FieldModel(
-        carrier_omega=_positive(
-            _num(field_doc, "carrier_omega", "field"), "field.carrier_omega"
-        ),
-        envelope=_build_envelope(field_doc["envelope"], "field.envelope"),
-        phase=_build_phase(field_doc.get("phase"), "field.phase"),
-    )
+    system = _build(SystemParams, doc["system"], "system")
+    field = _build(FieldModel, doc["field"], "field", envelope=_envelope, phase=_phase)
 
     grid_doc = _mapping(doc["grid"], "grid")
     _check_keys(grid_doc, ("t_start", "t_end", "step", "step_policy"), "grid")

@@ -591,9 +591,9 @@ BREAKABLE = (
 
 
 @st.composite
-def scenario_docs(draw):
+def scenario_docs(draw, out_of_bounds=True):
     """Scenario documents across the schema on grids of at most 600 steps;
-    one in four has one field out of bounds."""
+    with ``out_of_bounds``, one in four has one field out of bounds."""
     kind = draw(st.sampled_from(["constant", "gaussian", "sech"]))
     tau = draw(st.floats(0.05, 50.0))
     step = tau / 400.0 * draw(st.floats(0.1, 1.2))
@@ -629,7 +629,7 @@ def scenario_docs(draw):
         },
         "initial_state": draw(st.sampled_from(["ground", "excited"])),
     }
-    if draw(st.integers(0, 3)) == 0:
+    if out_of_bounds and draw(st.integers(0, 3)) == 0:
         *parents, key = draw(st.sampled_from(BREAKABLE))
         node = doc
         for part in parents:
@@ -655,6 +655,52 @@ def test_snapshot_fuzz_exit_codes_and_finite_tables(doc):
             cells = np.array([[float(cell) for cell in row] for row in rows])
             assert cells.shape[1] == len(names)
             assert np.all(np.isfinite(cells))
+
+
+#: Optional keys of a fuzzed document and their defaults as the README
+#: documents them.
+OPTIONAL_DEFAULTS = {
+    ("system", "mu"): 1.0,
+    ("system", "gamma_g"): 0.0,
+    ("system", "gamma_e"): 0.0,
+    ("field", "envelope", "t_center"): 0.0,
+    ("field", "envelope", "tau"): 1.0,
+    ("field", "phase"): {"phi0": 0.0, "beta": 0.0, "t_center": None},
+    ("field", "phase", "phi0"): 0.0,
+    ("field", "phase", "beta"): 0.0,
+    ("field", "phase", "t_center"): None,
+    ("initial_state",): "ground",
+}
+
+
+def at_path(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+@given(doc=scenario_docs(out_of_bounds=False), data=st.data())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:grid.step")
+def test_round_trip_with_optional_keys_dropped(doc, data):
+    """A key left out reads back as its documented default, and loading the
+    serialized scenario reproduces the scenario."""
+    # The drawn step need not resolve tau, drawn or the default 1.
+    doc["grid"]["step_policy"] = "warn"
+    present = [
+        path for path in OPTIONAL_DEFAULTS if path[-1] in at_path(doc, path[:-1])
+    ]
+    dropped = data.draw(st.lists(st.sampled_from(present), unique=True))
+    for *parents, key in dropped:
+        node = doc
+        for part in parents:
+            node = node.get(part, {})
+        node.pop(key, None)
+    scenario = scenario_from_dict(doc)
+    assert scenario_from_dict(json.loads(serialize(scenario))) == scenario
+    resolved = scenario.resolved()
+    for path in dropped:
+        assert at_path(resolved, path) == OPTIONAL_DEFAULTS[path], path
 
 
 class TestCliPlumbing:
@@ -716,6 +762,29 @@ class TestCliPlumbing:
         assert rc == 1
         assert "error: out of memory" in capsys.readouterr().err
         assert not out.exists()
+
+    # Two axes of 10^7 values (80 MB each) make 10^14 points: the axis
+    # columns ask for 728 TiB at once, so the sweep fails before any point.
+    def test_oversized_two_axis_sweep_exits_one_by_name(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", write_doc(tmp_path, minimal_doc()),
+            "--axis", "system.gamma_e:0:1:10000000",
+            "--axis", "system.gamma_g:0:1:10000000",
+            "--reduce", "maxP",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "error: out of memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_error_without_text(self, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr("nads.cli.load_scenario", exhausted)
+        assert main(["snapshot", "scenario.json"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         target = tmp_path / "absent" / "x.csv"
