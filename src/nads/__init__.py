@@ -12,9 +12,11 @@ from .errors import (
     DegenerateRabi,
     EnvelopeUnderflow,
     NadsError,
+    NonFiniteValue,
     NumericalError,
     ParseError,
     StepUnderflow,
+    ToleranceUnreachable,
     ValidationError,
 )
 from .field_model import (
@@ -75,6 +77,7 @@ __all__ = [
     "FieldModel",
     "GaussianEnvelope",
     "NadsError",
+    "NonFiniteValue",
     "NumericalError",
     "OMEGA_FLOOR",
     "ParseError",
@@ -83,6 +86,7 @@ __all__ = [
     "SnapshotSeries",
     "StepUnderflow",
     "SystemParams",
+    "ToleranceUnreachable",
     "Trajectory",
     "ValidationError",
     "amplitude_ratios",

@@ -13,6 +13,7 @@ ambiguity, step underflow and kin).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -187,7 +188,10 @@ def cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never
+    changes it, and building it costs more than a small command."""
     parser = argparse.ArgumentParser(
         prog="nads",
         description="Dressed-state quantities, overlaps and amplitude "

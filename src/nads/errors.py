@@ -53,7 +53,17 @@ class DegenerateRabi(NumericalError):
     """The nonadiabatic Rabi frequency is too close to zero to divide by."""
 
 
+class NonFiniteValue(NumericalError):
+    """A computed quantity overflowed or became undefined (inf or NaN) at a
+    grid point."""
+
+
 class StepUnderflow(NumericalError):
     """The integrator substep controller was driven below its floor without
     reaching the requested tolerance."""
 
+
+class ToleranceUnreachable(StepUnderflow):
+    """Halving the substep stopped shrinking the difference between passes
+    before it met the tolerance: rounding error, not truncation error, now
+    sets that difference, and no finer substep can reach the tolerance."""

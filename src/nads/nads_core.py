@@ -22,6 +22,7 @@ from .errors import (
     BranchAmbiguity,
     DegenerateRabi,
     EnvelopeUnderflow,
+    NonFiniteValue,
 )
 from .field_model import (
     FieldModel,
@@ -32,6 +33,7 @@ from .field_model import (
 __all__ = [
     "SnapshotSeries",
     "detuning",
+    "require_finite",
     "snapshot_series",
 ]
 
@@ -88,6 +90,15 @@ class SnapshotSeries:
 def detuning(params: SystemParams, field: FieldModel) -> float:
     """Static detuning: omega_e - omega_g - carrier."""
     return params.omega_e - params.omega_g - field.carrier_omega
+
+
+def require_finite(quantity: str, values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteValue` naming ``quantity`` at the first grid
+    index where ``values`` is inf or NaN."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NonFiniteValue(f"{quantity} is not finite: {values[k]}", grid_index=k)
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
@@ -202,8 +213,9 @@ def snapshot_series(
     ------
     ValueError
         If the grid is not uniform or too short.
-    EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi
-        With the offending grid index attached.
+    EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi, NonFiniteValue
+        With the offending grid index attached; NonFiniteValue when the
+        radicand of the nonadiabatic Rabi frequency overflows.
     """
     grid, h = uniform_grid(grid)
 
@@ -238,8 +250,10 @@ def snapshot_series(
     a, b = delta_tilde.real, delta_tilde.imag
     c, d = d_delta_tilde.real, d_delta_tilde.imag
     radicand = np.empty(len(grid), dtype=complex)
-    radicand.real = (omega * omega + (a * a - b * b)) - (0.0 * c - 2.0 * d)
-    radicand.imag = (0.0 + (a * b + b * a)) - (0.0 * d + 2.0 * c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand.real = (omega * omega + (a * a - b * b)) - (0.0 * c - 2.0 * d)
+        radicand.imag = (0.0 + (a * b + b * a)) - (0.0 * d + 2.0 * c)
+    require_finite("nonadiabatic Rabi frequency radicand", radicand)
     (omega_tilde,), (branch_rabi,) = _track_branches(
         np.sqrt(radicand)[None], (sign_delta,), ("nonadiabatic Rabi frequency",)
     )

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .nads_core import SnapshotSeries
+from .nads_core import SnapshotSeries, require_finite
 
 __all__ = [
     "norms",
@@ -81,19 +81,39 @@ def _int_eg(series: SnapshotSeries) -> np.ndarray:
 
 def norms(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms (gg, ee) of the ground and excited dressed states:
-    [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same with omega'_E."""
+    [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same with omega'_E.
+
+    Raises
+    ------
+    NonFiniteValue
+        At the first grid index where either norm overflows.
+    """
     weight = _weight(series)
     int_g = _cumtrapz(series.omega_G, series.grid)
     int_e = _cumtrapz(series.omega_E, series.grid)
-    return weight * np.exp(2.0 * int_g.imag), weight * np.exp(2.0 * int_e.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gg = weight * np.exp(2.0 * int_g.imag)
+        ee = weight * np.exp(2.0 * int_e.imag)
+    require_finite("ground dressed-state norm <G|G>", gg)
+    require_finite("excited dressed-state norm <E|E>", ee)
+    return gg, ee
 
 
 def eg_overlap(series: SnapshotSeries) -> np.ndarray:
     """Excited-ground overlap <E|G> =
     [SIN COS* - SIN* COS] exp{i int [conj(omega'_E) - omega'_G - carrier]},
-    which vanishes identically when the mixing functions are real."""
+    which vanishes identically when the mixing functions are real.
+
+    Raises
+    ------
+    NonFiniteValue
+        At the first grid index where the overlap overflows.
+    """
     bracket = _bracket_im(series.sin_half, series.cos_half)
-    return 1j * bracket * np.exp(1j * _int_eg(series))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eg = 1j * bracket * np.exp(1j * _int_eg(series))
+    require_finite("overlap <E|G>", eg)
+    return eg
 
 
 def ge_overlap(series: SnapshotSeries) -> np.ndarray:

@@ -15,23 +15,36 @@ and Wanner, "Solving Ordinary Differential Equations I", section II.4). It
 keeps the jumped pass only if the three passes show fourth-order
 convergence, and falls back to plain doubling otherwise.
 
-The equations are linear, so one RK4 substep is a 2x2 step matrix. Step
-matrices are built elementwise in NumPy, multiplied together per output
-interval, and the interval propagators are combined by a prefix product
-(Blelloch, "Prefix sums and their applications", 1990) and applied to the
-initial state. Substeps are processed in blocks of fixed size, carrying the
-state across blocks, so memory does not grow with the grid or ``n_sub``.
+The equations are linear, so one RK4 substep is a 2x2 step matrix: a
+polynomial in the coupling at the substep's start, middle and end, whose
+scalar coefficients depend only on the diagonal rates and the substep (see
+:func:`_step_matrices`). Its diagonal sums the small terms first and adds
+the identity last. In the rotating frame the chirp's phase factor on the
+uniform stage lattice comes by angle addition from one exponential per 64
+lattice points (see :func:`_chirp_factor`). Step matrices are built
+elementwise in NumPy, multiplied together per output interval in pairs (an
+odd last one folded into the last pair), and the interval propagators are
+combined by a prefix product (Blelloch, "Prefix sums and their
+applications", 1990) and applied to the initial state. Substeps are
+processed in blocks of fixed size, carrying the state across blocks, so
+memory does not grow with the grid or ``n_sub``.
+
+The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
+a halving of the substep no longer shrinks the difference between passes:
+rounding, not truncation, then sets that difference, and doubling on could
+only run toward the substep floor.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import StepUnderflow
+from .errors import StepUnderflow, ToleranceUnreachable
 from .field_model import Chirp, FieldModel, SystemParams
 from .nads_core import detuning, uniform_grid
 from .overlap_transitions import InitialState
@@ -58,6 +71,9 @@ _INITIAL_RADIANS_PER_STEP = 0.2
 
 #: Substeps whose step matrices are held in memory at once.
 _BLOCK_SUBSTEPS = 4096
+
+#: Stage-lattice points per exponential of the chirp phase factor.
+_PHASE_RUN = 64
 
 #: Landau-Zener survival run: the half-window is LZ_WINDOW_SCALE over the
 #: square root of the sweep rate, integrated to LZ_RTOL and LZ_ATOL.
@@ -135,22 +151,60 @@ def rhs(
 def _stage_coupling(
     params: SystemParams,
     field: FieldModel,
-    times: np.ndarray,
+    t0: float,
+    s: float,
+    first: int,
+    count: int,
     frame: Frame,
 ) -> tuple[np.ndarray, complex, complex]:
-    """Coupling k(t) on the stage lattice plus the two diagonal constants."""
+    """Coupling k on the stage lattice t_j = t0 + j s, j = first, ...,
+    first + count - 1, plus the two diagonal constants.
+
+    In the rotating frame k = (Omega/2) e^{i phi}, and the phase factor
+    comes from :func:`_chirp_factor`, not from a complex exponential per
+    lattice point.
+    """
+    times = t0 + s * np.arange(first, first + count)
     omega = params.mu * field.envelope.omega(times)
-    phi = field.phi(times)
     if frame == "lab":
-        k = -omega * np.cos(field.carrier_omega * times + phi)
+        k = -omega * np.cos(field.carrier_omega * times + field.phi(times))
         d1 = -1j * params.omega_g - 0.5 * params.gamma_g
         d2 = -1j * params.omega_e - 0.5 * params.gamma_e
     else:
-        k = 0.5 * omega * np.exp(1j * phi)
+        k = 0.5 * omega * _chirp_factor(field, t0, s, first, count)
         delta = detuning(params, field)
         d1 = complex(-0.5 * params.gamma_g)
         d2 = -1j * delta - 0.5 * params.gamma_e
     return k, complex(d1), complex(d2)
+
+
+def _chirp_factor(field: FieldModel, t0: float, s: float, first: int, count: int):
+    """e^{i phi(t_j)} on the stage lattice t_j = t0 + j s by angle addition.
+
+    With x the time from the phase centre and j = first + _PHASE_RUN m + r,
+    phi(x_m + r s) = phi(x_m) + r (beta x_m s) + r^2 (beta s^2 / 2) at the
+    run heads x_m. One exponential per head gives e^{i phi(x_m)}, one more
+    the rate z_m = e^{i beta x_m s}, whose powers z_m^r fill the run by
+    doubling (the second half of the first 2b columns is the first half
+    times z_m^b, and z_m^b is squared each round); a single table of
+    e^{i r^2 beta s^2 / 2} is shared by every run. A constant phase
+    (beta = 0) is the scalar e^{i phi0}.
+    """
+    phase = field.phase
+    if phase.beta == 0.0:
+        return cmath.exp(1j * phase.phi0)
+    heads = (t0 - field.phase_center) + s * np.arange(first, first + count, _PHASE_RUN)
+    factor = np.empty((len(heads), _PHASE_RUN), dtype=complex)
+    factor[:, 0] = np.exp(1j * (phase.phi0 + 0.5 * phase.beta * heads * heads))
+    z = np.exp(1j * (phase.beta * s) * heads)[:, None]
+    b = 1
+    while b < _PHASE_RUN:
+        np.multiply(factor[:, :b], z, out=factor[:, b:2 * b])
+        z = z * z
+        b *= 2
+    r = np.arange(_PHASE_RUN)
+    factor *= np.exp(0.5j * phase.beta * s * s * (r * r))
+    return factor.ravel()[:count]
 
 
 # A 2x2 matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of equal-shape
@@ -163,37 +217,86 @@ def _mul(p, q):
 
 
 def _step_matrices(k0, kh, k1, d1: complex, d2: complex, h: float):
-    """RK4 step matrices M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of
-    y' = [[d1, i k], [i k*, d2]] y, with k sampled at t, t + h/2, t + h."""
+    """RK4 step matrices of y' = [[d1, i k], [i k*, d2]] y, with k sampled
+    at t, t + h/2 and t + h.
 
-    def system(k):
-        return (d1, 1j * k, 1j * np.conj(k), d2)
+    With A_0, A_h, A_1 the system matrix at the three samples, the RK4
+    stages K1 = A_0, K2 = A_h (I + h/2 K1), K3 = A_h (I + h/2 K2),
+    K4 = A_1 (I + h K3) give M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), a
+    polynomial in the samples. Written out, its array terms are the linear
+    samples and the products p = |k_h|^2, u = k_h k_0*, v = k_1 k_h* and
+    w = k_1 k_0*:
 
-    def stage(a, s, prev):  # a @ (I + s prev)
-        return _mul(a, (1.0 + s * prev[0], s * prev[1], s * prev[2], 1.0 + s * prev[3]))
+        M11 = 1 + e(d1) + a1 (u + v) + b(d1) p + (c(d2) + q p) w
+        M12 = k_0 (f(d1) + g(d1) p + g01 v) + f_h k_h + k_1 (f(d2) + g(d2) p)
+        M21 = k_0* (f(d2) + g(d2) p + g01 v*) + f_h k_h* + k_1* (f(d1) + g(d1) p)
+        M22 = 1 + e(d2) + a2 (u + v)* + b(d2) p + (c(d1) + q p) w*
 
-    k_1 = system(k0)
-    a_h = system(kh)
-    k_2 = stage(a_h, 0.5 * h, k_1)
-    k_3 = stage(a_h, 0.5 * h, k_2)
-    k_4 = stage(system(k1), h, k_3)
-    sixth = h / 6.0
-    return tuple(
-        eye + sixth * (w + 2.0 * (x + y) + z)
-        for eye, w, x, y, z in zip((1.0, 0.0, 0.0, 1.0), k_1, k_2, k_3, k_4)
+    where, with z = d h, e(d) = z + z^2/2 + z^3/6 + z^4/24,
+    b(d) = -h^2 (z + 2)^2 / 24, c(d) = -h^2 z^2 / 24, q = h^4 / 24,
+    f(d) = i h (z^3 + 2 z^2 + 4 z + 4) / 24, g(d) = -i h^3 (z + 2) / 24,
+    g01 = -i h^3 (z1 + z2) / 24, a1 and a2 are -h^2/24 times
+    z1^2 + z1 z2 + 2 z1 + 2 z2 + 4 and z1 z2 + z2^2 + 2 z1 + 2 z2 + 4, and
+    f_h = i h (z1^2 z2 + z1 z2^2 + 2 z1^2 + 4 z1 z2 + 2 z2^2 + 8 z1 + 8 z2
+    + 16) / 24. The scalar coefficients are formed once per block. On the
+    diagonal the O(h) terms are summed first and the identity is added
+    last, so the rounding of the small terms is not taken at the scale of 1.
+    """
+    z1, z2 = d1 * h, d2 * h
+    hh = h * h
+    q = hh * hh / 24.0
+
+    def e(z):
+        return z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+    def b(z):
+        return -hh * (z + 2.0) ** 2 / 24.0
+
+    def c(z):
+        return -hh * z * z / 24.0
+
+    def f(z):
+        return 1j * h * (((z + 2.0) * z + 4.0) * z + 4.0) / 24.0
+
+    def g(z):
+        return -1j * h * hh * (z + 2.0) / 24.0
+
+    a1 = -hh * (z1 * z1 + z1 * z2 + 2.0 * (z1 + z2) + 4.0) / 24.0
+    a2 = -hh * (z1 * z2 + z2 * z2 + 2.0 * (z1 + z2) + 4.0) / 24.0
+    f_h = 1j * h * (z1 * z2 * (z1 + z2) + 2.0 * (z1 * z1 + z2 * z2)
+                    + 4.0 * z1 * z2 + 8.0 * (z1 + z2) + 16.0) / 24.0
+    g01 = -1j * h * hh * (z1 + z2) / 24.0
+
+    p = kh.real * kh.real + kh.imag * kh.imag
+    c0, ch = k0.conj(), kh.conj()
+    v = k1 * ch
+    u_v = kh * c0 + v
+    w = k1 * c0
+    qp = q * p
+    x = f(z1) + g(z1) * p
+    y = f(z2) + g(z2) * p
+    return (
+        1.0 + (e(z1) + a1 * u_v + b(z1) * p + (c(z2) + qp) * w),
+        k0 * (x + g01 * v) + f_h * kh + k1 * y,
+        c0 * (y + g01 * v.conj()) + f_h * ch + k1.conj() * x,
+        1.0 + (e(z2) + a2 * u_v.conj() + b(z2) * p + (c(z1) + qp) * w.conj()),
     )
 
 
 def _ordered_product(m):
-    """Product M[:, w-1] ... M[:, 1] M[:, 0] along axis 1, pairwise."""
+    """Product M[:, w-1] ... M[:, 1] M[:, 0] along axis 1, pairwise.
+
+    An odd last column is folded into the last pair instead of being
+    carried to the next round.
+    """
     while m[0].shape[1] > 1:
         w = m[0].shape[1]
-        pairs = _mul(
-            tuple(x[:, 1:w - w % 2:2] for x in m),
-            tuple(x[:, 0:w - w % 2:2] for x in m),
-        )
+        even = w - w % 2
+        pairs = _mul(tuple(x[:, 1:even:2] for x in m), tuple(x[:, 0:even:2] for x in m))
         if w % 2:
-            pairs = tuple(np.concatenate((p, x[:, -1:]), axis=1) for p, x in zip(pairs, m))
+            last = _mul(tuple(x[:, -1] for x in m), tuple(p[:, -1] for p in pairs))
+            for p, x in zip(pairs, last):
+                p[:, -1] = x
         m = pairs
     return tuple(x[:, 0] for x in m)
 
@@ -243,8 +346,8 @@ def propagate_fixed(
         for offset in range(0, n_sub, width):
             w = min(width, n_sub - offset)
             j0 = first * n_sub + offset  # first substep of this slice
-            lattice = grid[0] + 0.5 * h_sub * np.arange(2 * j0, 2 * (j0 + rows * w) + 1)
-            k, d1, d2 = _stage_coupling(params, field, lattice, frame)
+            k, d1, d2 = _stage_coupling(params, field, grid[0], 0.5 * h_sub,
+                                        2 * j0, 2 * rows * w + 1, frame)
             steps = _step_matrices(
                 k[:-1:2].reshape(rows, w), k[1::2].reshape(rows, w),
                 k[2::2].reshape(rows, w), d1, d2, h_sub,
@@ -314,6 +417,10 @@ def evolve(
 
     Raises
     ------
+    ToleranceUnreachable
+        If a halving of the substep, from one pass to the next, does not
+        shrink the difference of the last point: rounding error has
+        overtaken truncation error above the tolerance.
     StepUnderflow
         If the controller drives the substep below 1e-12 of the span.
     """
@@ -339,6 +446,7 @@ def evolve(
     attempts: list[tuple[int, Optional[float]]] = [(n_prev, None)]
     n_sub = 2 * n_prev
     first = None  # difference of the first pair
+    halving = None  # difference of the previous pair, if it was one halving apart
     while True:
         cur = run(n_sub)
         q = n_sub // n_prev
@@ -351,6 +459,14 @@ def evolve(
         if estimate < tol and (q == 2 or _fourth_order(first, diff, q)):
             cur.attempts = tuple(attempts)
             return cur
+        # A NaN difference compares false and keeps doubling.
+        if q == 2 and halving is not None and diff >= halving:
+            raise ToleranceUnreachable(
+                f"difference {float(diff):.3e} at n_sub {n_sub} did not shrink from "
+                f"{float(halving):.3e} at n_sub {n_prev}; rounding error is above "
+                f"the tolerance {tol:.3e}"
+            )
+        halving = diff if q == 2 else None
         n_next = 2 * n_sub
         if first is None:
             first = diff

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nads.cli import main
+from nads.cli import build_parser, main
 from nads.errors import ParseError, ValidationError
 from nads.nads_core import snapshot_series
 from nads.scenario import (
@@ -582,6 +583,42 @@ class TestNonFiniteInputs:
         assert "finite" in capsys.readouterr().err
 
 
+class TestNonFiniteResults:
+    """Finite inputs whose results overflow or stall fail by name with exit
+    2 and write no table (a RuntimeWarning on the way is an error under
+    pytest)."""
+
+    @pytest.mark.parametrize("field, message", [
+        ({"envelope": {"kind": "constant", "omega0": 1e200}},
+         "nonadiabatic Rabi frequency radicand is not finite: (inf+0j) (grid index 0)"),
+        ({"phase": {"beta": 1e12}},
+         "excited dressed-state norm <E|E> is not finite: inf (grid index 1)"),
+    ], ids=["omega0-1e200", "beta-1e12"])
+    def test_snapshot(self, tmp_path, capsys, field, message):
+        doc = minimal_doc()
+        doc["field"].update(field)
+        out = tmp_path / "table.csv"
+        rc = main(["snapshot", write_doc(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
+        assert not out.exists()
+
+    def test_evolve_with_unreachable_tolerance(self, tmp_path, capsys):
+        # The pass differences bottom out near 1e-13 and then grow with
+        # rounding; doubling on toward the substep floor would take hours.
+        doc = minimal_doc()
+        doc["integrator"] = {"rtol": 1e-300, "atol": 1e-300}
+        out = tmp_path / "table.csv"
+        start = time.perf_counter()
+        rc = main(["evolve", write_doc(tmp_path, doc), "--out", str(out)])
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: difference ")
+        assert "did not shrink" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
 #: Fields a fuzzed scenario may set out of bounds (to 0 or -1).
 BREAKABLE = (
     ("system", "mu"), ("system", "gamma_g"), ("system", "gamma_e"),
@@ -710,6 +747,10 @@ class TestCliPlumbing:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        assert [main(["--help"]), main([]), main(["--help"]), main([])] == [0, 1, 0, 1]
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         rc = main(["snapshot", str(tmp_path / "absent.json")])

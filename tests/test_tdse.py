@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nads import tdse
-from nads.errors import StepUnderflow
+from nads.errors import StepUnderflow, ToleranceUnreachable
 from nads.field_model import (
     Chirp,
     ConstantEnvelope,
@@ -20,7 +20,7 @@ from nads.field_model import (
     SechEnvelope,
     SystemParams,
 )
-from nads.nads_core import uniform_grid
+from nads.nads_core import detuning, uniform_grid
 from nads.scenario import list_shipped, load_shipped
 from nads.tdse import (
     _BLOCK_SUBSTEPS,
@@ -239,6 +239,37 @@ class TestValidationAndFailure:
         with pytest.raises(StepUnderflow, match="substep"):
             evolve(params, field, grid, frame="lab")
 
+    def test_unreachable_tolerance_stops_by_name(self):
+        params = SystemParams(omega_g=0.0, omega_e=5.0)
+        field = FieldModel(carrier_omega=4.0, envelope=ConstantEnvelope(0.5))
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ToleranceUnreachable, match="did not shrink"):
+            evolve(params, field, grid, rtol=1e-300, atol=1e-300)
+        assert issubclass(ToleranceUnreachable, StepUnderflow)
+
+    def test_growing_difference_stops_doubling(self, monkeypatch):
+        # Truncation error 1e-6 n^-4 under a rounding error that grows as
+        # 1e-14 n and alternates in sign: the pair difference bottoms out
+        # between 64 and 128 substeps, so the pass at 256 is the last.
+        calls = []
+
+        def fake(params, field, grid, init="ground", frame="rotating", n_sub=1):
+            grid, _ = uniform_grid(grid)
+            c_g = np.zeros(len(grid), dtype=complex)
+            c_e = np.zeros(len(grid), dtype=complex)
+            sign = (-1) ** int(math.log2(n_sub))
+            c_g[-1] = 0.5 + 1e-6 / n_sub**4 + sign * 1e-14 * n_sub
+            calls.append(n_sub)
+            return Trajectory(grid=grid, c_g=c_g, c_e=c_e, norm=np.abs(c_g) ** 2,
+                              frame=frame, n_sub=n_sub)
+
+        monkeypatch.setattr(tdse, "propagate_fixed", fake)
+        params, field = resonant(0.2)
+        with pytest.raises(ToleranceUnreachable,
+                           match="at n_sub 256 did not shrink from .* at n_sub 128"):
+            evolve(params, field, np.linspace(0.0, 1.0, 5), rtol=1e-20, atol=1e-20)
+        assert calls == [1, 2, 64, 128, 256]
+
     def test_grid_validation(self):
         params, field = resonant(0.2)
         with pytest.raises(ValueError, match="uniformly increasing"):
@@ -316,6 +347,103 @@ class TestBlockPropagator:
         ref = reference_rk4(params, field, grid, init, frame, n_sub)
         assert np.max(np.abs(traj.c_g - ref[:, 0])) < 1e-12
         assert np.max(np.abs(traj.c_e - ref[:, 1])) < 1e-12
+
+
+LONG = np.longdouble
+
+
+def long_envelope(envelope, t):
+    """The envelope's Omega(t) evaluated in long double."""
+    if envelope.kind == "constant":
+        return np.full(len(t), LONG(envelope.omega0))
+    x = (t - LONG(envelope.t_center)) / LONG(envelope.tau)
+    if envelope.kind == "gaussian":
+        return LONG(envelope.omega0) * np.exp(-x * x)
+    return LONG(envelope.omega0) / np.cosh(x)
+
+
+def long_phase(field, t):
+    """phi(t) evaluated in long double."""
+    phase = field.phase
+    x = t - LONG(field.phase_center)
+    return LONG(phase.phi0) + LONG(phase.beta) / 2 * x * x
+
+
+def long_double_rk4(params, field, grid, n_sub):
+    """Classic rotating-frame RK4 in long double, one substep at a time.
+
+    The coupling is sampled on the stage lattice grid[0] + j h/2 of
+    ``propagate_fixed``, with every operation in long double, so with the
+    same ``n_sub`` the two differ only by the float64 rounding of
+    ``propagate_fixed``.
+    """
+    grid, h_out = uniform_grid(grid)
+    h = LONG(h_out) / n_sub
+    t = LONG(grid[0]) + np.arange(2 * (len(grid) - 1) * n_sub + 1) * (h / 2)
+    phi = long_phase(field, t)
+    w = LONG(params.mu) * long_envelope(field.envelope, t) / 2 * (np.cos(phi) + 1j * np.sin(phi))
+    iw, iwc = list(1j * w), list(1j * np.conj(w))
+    d_g = -LONG(params.gamma_g) / 2
+    d_e = -1j * LONG(detuning(params, field)) - LONG(params.gamma_e) / 2
+    half, sixth = h / 2, h / 6
+    g, e = np.clongdouble(1), np.clongdouble(0)
+    out = [(g, e)]
+    for i in range(len(grid) - 1):
+        for j in range(2 * i * n_sub, 2 * (i + 1) * n_sub, 2):
+            k1g, k1e = d_g * g + iw[j] * e, d_e * e + iwc[j] * g
+            sg, se = g + half * k1g, e + half * k1e
+            k2g, k2e = d_g * sg + iw[j + 1] * se, d_e * se + iwc[j + 1] * sg
+            sg, se = g + half * k2g, e + half * k2e
+            k3g, k3e = d_g * sg + iw[j + 1] * se, d_e * se + iwc[j + 1] * sg
+            sg, se = g + h * k3g, e + h * k3e
+            k4g, k4e = d_g * sg + iw[j + 2] * se, d_e * se + iwc[j + 2] * sg
+            g = g + sixth * (k1g + 2 * (k2g + k3g) + k4g)
+            e = e + sixth * (k1e + 2 * (k2e + k3e) + k4e)
+        out.append((g, e))
+    return np.array(out)
+
+
+@pytest.mark.skipif(np.finfo(LONG).eps > 1e-18, reason="long double is not extended precision")
+class TestRounding:
+    """Rounding error of ``propagate_fixed`` and of the lattice phase factor
+    against the same computations in long double."""
+
+    # Bounds are 1.5 times the error of the stage-form step matrices that
+    # the closed form replaced (7.66e-13, 5.76e-14 and 7.11e-15). Summing
+    # the identity into the diagonal first instead of last raises the last
+    # case's error twentyfold.
+    @pytest.mark.parametrize("name, intervals, n_sub, bound", [
+        ("constant-detuned", None, 64, 1.15e-12),
+        ("sech-chirped", 800, 16, 8.6e-14),
+        ("gaussian-chirped-damped", 800, 16, 1.07e-14),
+    ])
+    def test_propagator_against_long_double_rk4(self, name, intervals, n_sub, bound):
+        sc = load_shipped(name)
+        grid = sc.grid()[:None if intervals is None else intervals + 1]
+        traj = propagate_fixed(sc.system, sc.field, grid, n_sub=n_sub)
+        ref = long_double_rk4(sc.system, sc.field, grid, n_sub).astype(complex)
+        err = max(np.max(np.abs(traj.c_g - ref[:, 0])), np.max(np.abs(traj.c_e - ref[:, 1])))
+        assert err < bound
+
+    @pytest.mark.parametrize("first, count", [(0, 2 * 400 * 82 + 1), (2 * 4097, 1001)])
+    def test_chirp_factor_against_long_double(self, first, count):
+        # The accepted pass of lz_survival(0.1, 1.0): phases reach 800 rad.
+        window, n_sub = 40.0, 82
+        field = FieldModel(carrier_omega=1.0, envelope=ConstantEnvelope(1.0),
+                           phase=Chirp(phi0=0.3, beta=-1.0, t_center=0.0))
+        s = 0.5 * (2.0 * window / 400 / n_sub)
+        factor = tdse._chirp_factor(field, -window, s, first, count)
+        phi = long_phase(field, LONG(-window) + np.arange(first, first + count) * LONG(s))
+        err = np.hypot((factor.real - np.cos(phi)).astype(float),
+                       (factor.imag - np.sin(phi)).astype(float))
+        scale = float(np.max(np.abs(phi)))
+        assert err.shape == (count,)
+        assert np.max(err) < 3 * np.finfo(float).eps * max(1.0, scale)
+
+    def test_constant_phase_factor(self):
+        field = FieldModel(carrier_omega=1.0, envelope=ConstantEnvelope(1.0),
+                           phase=Chirp(phi0=0.3))
+        assert tdse._chirp_factor(field, -1.0, 0.01, 0, 11) == complex(math.cos(0.3), math.sin(0.3))
 
 
 class TestLandauZener:
