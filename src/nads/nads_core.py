@@ -215,7 +215,8 @@ def snapshot_series(
         If the grid is not uniform or too short.
     EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi, NonFiniteValue
         With the offending grid index attached; NonFiniteValue when the
-        radicand of the nonadiabatic Rabi frequency overflows.
+        radicand of the nonadiabatic Rabi frequency or its finite-difference
+        time derivative overflows.
     """
     grid, h = uniform_grid(grid)
 
@@ -258,7 +259,9 @@ def snapshot_series(
         np.sqrt(radicand)[None], (sign_delta,), ("nonadiabatic Rabi frequency",)
     )
 
-    d_omega_tilde = _central_diff(omega_tilde, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_omega_tilde = _central_diff(omega_tilde, h)
+    require_finite("d omega_tilde/dt", d_omega_tilde)
 
     if np.any(np.abs(omega_tilde) < RABI_DEGENERACY_FLOOR):
         k = int(np.argmax(np.abs(omega_tilde) < RABI_DEGENERACY_FLOOR))

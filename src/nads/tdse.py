@@ -21,13 +21,17 @@ scalar coefficients depend only on the diagonal rates and the substep (see
 :func:`_step_matrices`). Its diagonal sums the small terms first and adds
 the identity last. In the rotating frame the chirp's phase factor on the
 uniform stage lattice comes by angle addition from one exponential per 64
-lattice points (see :func:`_chirp_factor`). Step matrices are built
-elementwise in NumPy, multiplied together per output interval in pairs (an
-odd last one folded into the last pair), and the interval propagators are
-combined by a prefix product (Blelloch, "Prefix sums and their
-applications", 1990) and applied to the initial state. Substeps are
-processed in blocks of fixed size, carrying the state across blocks, so
-memory does not grow with the grid or ``n_sub``.
+lattice points (see :func:`_chirp_factor`). A stack of step matrices is one
+complex array of shape (2, 2, ...), so multiplying two stacks takes two
+broadcast products and a sum. Step matrices are built elementwise in NumPy,
+multiplied together per output interval in pairs (an odd last one folded
+into the last pair), and the interval propagators are combined by a prefix
+product (Hillis and Steele, "Data parallel algorithms", CACM 29(12), 1986)
+and applied to the initial state. Substeps are processed in blocks of fixed
+size, carrying the state across blocks, so memory does not grow with the
+grid or ``n_sub``. In the rotating frame a constant envelope without chirp
+makes the coupling time-independent; every substep then has the same step
+matrix, and one row of them and its interval product serve every block.
 
 The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
 a halving of the substep no longer shrinks the difference between passes:
@@ -207,13 +211,12 @@ def _chirp_factor(field: FieldModel, t0: float, s: float, first: int, count: int
     return factor.ravel()[:count]
 
 
-# A 2x2 matrix [[a, b], [c, d]] is the tuple (a, b, c, d) of equal-shape
-# arrays (or scalars), one matrix per element.
+# A stack of 2x2 matrices [[a, b], [c, d]] is one array of shape (2, 2, ...),
+# one matrix per trailing index.
 def _mul(p, q):
-    """Elementwise matrix product p @ q."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    """Elementwise matrix product p @ q: a e + b g, a f + b h, c e + d g,
+    c f + d h in one broadcast product per column of p."""
+    return p[:, :1] * q[:1] + p[:, 1:] * q[1:]
 
 
 def _step_matrices(k0, kh, k1, d1: complex, d2: complex, h: float):
@@ -275,38 +278,37 @@ def _step_matrices(k0, kh, k1, d1: complex, d2: complex, h: float):
     qp = q * p
     x = f(z1) + g(z1) * p
     y = f(z2) + g(z2) * p
-    return (
-        1.0 + (e(z1) + a1 * u_v + b(z1) * p + (c(z2) + qp) * w),
-        k0 * (x + g01 * v) + f_h * kh + k1 * y,
-        c0 * (y + g01 * v.conj()) + f_h * ch + k1.conj() * x,
-        1.0 + (e(z2) + a2 * u_v.conj() + b(z2) * p + (c(z1) + qp) * w.conj()),
-    )
+    m = np.empty((2, 2) + k0.shape, dtype=complex)
+    np.add(1.0, e(z1) + a1 * u_v + b(z1) * p + (c(z2) + qp) * w, out=m[0, 0])
+    np.add(k0 * (x + g01 * v) + f_h * kh, k1 * y, out=m[0, 1])
+    np.add(c0 * (y + g01 * v.conj()) + f_h * ch, k1.conj() * x, out=m[1, 0])
+    np.add(1.0, e(z2) + a2 * u_v.conj() + b(z2) * p + (c(z1) + qp) * w.conj(), out=m[1, 1])
+    return m
 
 
 def _ordered_product(m):
-    """Product M[:, w-1] ... M[:, 1] M[:, 0] along axis 1, pairwise.
+    """Product M[..., w-1] ... M[..., 1] M[..., 0] along the last axis,
+    pairwise.
 
     An odd last column is folded into the last pair instead of being
     carried to the next round.
     """
-    while m[0].shape[1] > 1:
-        w = m[0].shape[1]
+    while m.shape[-1] > 1:
+        w = m.shape[-1]
         even = w - w % 2
-        pairs = _mul(tuple(x[:, 1:even:2] for x in m), tuple(x[:, 0:even:2] for x in m))
+        pairs = _mul(m[..., 1:even:2], m[..., 0:even:2])
         if w % 2:
-            last = _mul(tuple(x[:, -1] for x in m), tuple(p[:, -1] for p in pairs))
-            for p, x in zip(pairs, last):
-                p[:, -1] = x
+            pairs[..., -1] = _mul(m[..., -1], pairs[..., -1])
         m = pairs
-    return tuple(x[:, 0] for x in m)
+    return m[..., 0]
 
 
 def _prefix_products(m):
-    """Inclusive prefix products P[i] = M[i] ... M[0] (Hillis-Steele scan)."""
+    """Inclusive prefix products P[i] = M[i] ... M[0] along the last axis
+    (Hillis-Steele scan)."""
     shift = 1
-    while shift < len(m[0]):
-        later = _mul(tuple(x[shift:] for x in m), tuple(x[:-shift] for x in m))
-        m = tuple(np.concatenate((x[:shift], p)) for x, p in zip(m, later))
+    while shift < m.shape[-1]:
+        m = np.concatenate((m[..., :shift], _mul(m[..., shift:], m[..., :-shift])), axis=-1)
         shift *= 2
     return m
 
@@ -340,21 +342,26 @@ def propagate_fixed(
     out_g[0], out_e[0] = y_g, y_e
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
+    # A time-independent coupling gives every substep the same step matrix,
+    # so one row of them, built for the first block, serves every block.
+    constant = (frame == "rotating" and field.envelope.kind == "constant"
+                and field.phase.beta == 0.0)
     for first in range(0, n - 1, per_block):
         rows = min(per_block, n - 1 - first)
-        interval = None
-        for offset in range(0, n_sub, width):
-            w = min(width, n_sub - offset)
-            j0 = first * n_sub + offset  # first substep of this slice
-            k, d1, d2 = _stage_coupling(params, field, grid[0], 0.5 * h_sub,
-                                        2 * j0, 2 * rows * w + 1, frame)
-            steps = _step_matrices(
-                k[:-1:2].reshape(rows, w), k[1::2].reshape(rows, w),
-                k[2::2].reshape(rows, w), d1, d2, h_sub,
-            )
-            part = _ordered_product(steps)
-            interval = part if interval is None else _mul(part, interval)
-        a, b, c, d = _prefix_products(interval)
+        built = 1 if constant else rows
+        if first == 0 or not constant:
+            for offset in range(0, n_sub, width):
+                w = min(width, n_sub - offset)
+                j0 = first * n_sub + offset  # first substep of this slice
+                k, d1, d2 = _stage_coupling(params, field, grid[0], 0.5 * h_sub,
+                                            2 * j0, 2 * built * w + 1, frame)
+                steps = _step_matrices(
+                    k[:-1:2].reshape(built, w), k[1::2].reshape(built, w),
+                    k[2::2].reshape(built, w), d1, d2, h_sub,
+                )
+                part = _ordered_product(steps)
+                interval = part if offset == 0 else _mul(part, interval)
+        (a, b), (c, d) = _prefix_products(np.broadcast_to(interval, (2, 2, rows)))
         g = a * y_g + b * y_e
         e = c * y_g + d * y_e
         out_g[first + 1:first + 1 + rows] = g
@@ -520,6 +527,7 @@ class _FlatTopEnvelope:
     beat a hard window edge would imprint on the survival reading.
     """
 
+    kind = "flat-top"
     t_center = 0.0
     #: Share of each window half taken by the ramp.
     RAMP_FRACTION = 0.25

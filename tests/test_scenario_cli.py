@@ -603,6 +603,23 @@ class TestNonFiniteResults:
         assert capsys.readouterr().err == f"numerical error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["snapshot"], ["evolve", "--compare"]],
+                             ids=["snapshot", "evolve-compare"])
+    def test_rabi_derivative_overflow(self, tmp_path, capsys, command):
+        # omega_tilde ~ 1e150 is finite, but its one-sided end differences
+        # over a step of 1e-301 overflow; the error names the derivative,
+        # not the norms it would turn to NaN.
+        doc = minimal_doc()
+        doc["field"]["envelope"]["omega0"] = 1e150
+        doc["grid"] = {"t_start": 0.0, "t_end": 1e-300, "step": 1e-301}
+        out = tmp_path / "table.csv"
+        rc = main([command[0], write_doc(tmp_path, doc), *command[1:], "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical error: d omega_tilde/dt is not finite: (inf+0j) (grid index 0)\n"
+        )
+        assert not out.exists()
+
     def test_evolve_with_unreachable_tolerance(self, tmp_path, capsys):
         # The pass differences bottom out near 1e-13 and then grow with
         # rounding; doubling on toward the substep floor would take hours.

@@ -348,6 +348,80 @@ class TestBlockPropagator:
         assert np.max(np.abs(traj.c_g - ref[:, 0])) < 1e-12
         assert np.max(np.abs(traj.c_e - ref[:, 1])) < 1e-12
 
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    @pytest.mark.parametrize("n_sub", [1, 3, 41, _BLOCK_SUBSTEPS + 3])
+    def test_constant_coupling_matches_scalar_rk4(self, init, n_sub):
+        # One row of step matrices serves every block.
+        params, field = time_independent()
+        intervals = max(3, math.ceil(3.5 * _BLOCK_SUBSTEPS / n_sub))
+        grid = np.linspace(-9.0, 9.0, intervals + 1)
+        traj = propagate_fixed(params, field, grid, init, "rotating", n_sub)
+        ref = reference_rk4(params, field, grid, init, "rotating", n_sub)
+        assert np.max(np.abs(traj.c_g - ref[:, 0])) < 1e-12
+        assert np.max(np.abs(traj.c_e - ref[:, 1])) < 1e-12
+
+
+def time_independent(envelope=ConstantEnvelope, beta=0.0):
+    """Damped, detuned system under a constant field; without chirp its
+    rotating-frame coupling is time-independent."""
+    params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_g=0.02, gamma_e=0.1)
+    field = FieldModel(carrier_omega=4.6, envelope=envelope(1.3),
+                       phase=Chirp(phi0=0.2, beta=beta))
+    return params, field
+
+
+class _DisguisedConstant:
+    """A constant envelope under another kind: ``propagate_fixed`` builds
+    every step matrix for it."""
+
+    kind = "disguised-constant"
+    t_center = 0.0
+
+    def __init__(self, omega0):
+        self.omega0 = omega0
+
+    def omega(self, t):
+        return self.omega0 * np.ones_like(np.asarray(t, dtype=float))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Number of step matrices each ``_step_matrices`` call builds."""
+    sizes = []
+    original = tdse._step_matrices
+
+    def counting(k0, *args):
+        sizes.append(k0.size)
+        return original(k0, *args)
+
+    monkeypatch.setattr(tdse, "_step_matrices", counting)
+    return sizes
+
+
+class TestTimeIndependentCoupling:
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    @pytest.mark.parametrize("n_sub, intervals", [
+        (1, 3 * _BLOCK_SUBSTEPS + 5), (7, 2000), (64, 300), (_BLOCK_SUBSTEPS + 3, 3),
+    ])
+    def test_bitwise_equal_to_general_path(self, built, init, n_sub, intervals):
+        grid = np.linspace(-9.0, 9.0, intervals + 1)
+        fast = propagate_fixed(*time_independent(), grid, init, "rotating", n_sub)
+        assert sum(built) == n_sub
+        built.clear()
+        general = propagate_fixed(*time_independent(_DisguisedConstant), grid, init,
+                                  "rotating", n_sub)
+        assert sum(built) == intervals * n_sub
+        assert np.array_equal(fast.c_g, general.c_g)
+        assert np.array_equal(fast.c_e, general.c_e)
+
+    @pytest.mark.parametrize("frame, beta", [("rotating", 0.05), ("lab", 0.0)])
+    def test_chirp_or_carrier_takes_general_path(self, built, frame, beta):
+        # A chirp, or the carrier of the lab frame, makes the coupling of
+        # the same envelope time-dependent again.
+        grid = np.linspace(-9.0, 9.0, 301)
+        propagate_fixed(*time_independent(beta=beta), grid, "ground", frame, 5)
+        assert sum(built) == 300 * 5
+
 
 LONG = np.longdouble
 
@@ -550,16 +624,40 @@ class TestPredictiveController:
             passes_ref += passes
         assert passes_new < passes_ref
 
-    @pytest.mark.parametrize("name, n_sub", [
-        ("constant-detuned", 64), ("constant-damped", 32), ("sech-chirped", 16),
-    ])
-    def test_three_passes_where_doubling_takes_more(self, name, n_sub):
+    #: The passes ``evolve`` runs on each shipped scenario. Where the
+    #: prediction skips doubling steps it takes three passes.
+    SHIPPED_PASSES = {
+        "constant-damped": [1, 2, 32],
+        "constant-detuned": [1, 2, 64],
+        "constant-rabi-resonant": [1, 2],
+        "gaussian-chirped-damped": [1, 2, 8],
+        "gaussian-slow-adiabatic": [3, 6],
+        "lz-linear-sweep": [10, 20],
+        "sech-chirped": [1, 2, 16],
+        "sech-damped": [1, 2, 4],
+    }
+
+    @pytest.mark.parametrize("name", list(SHIPPED_PASSES))
+    def test_shipped_scenario_passes(self, name):
         sc = load_shipped(name)
         traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state,
                       sc.frame, sc.rtol, sc.atol)
-        assert [n for n, _ in traj.attempts] == [1, 2, n_sub]
+        assert [n for n, _ in traj.attempts] == self.SHIPPED_PASSES[name]
         assert traj.attempts[0][1] is None
-        assert traj.attempts[1][1] > 1.0 > traj.attempts[2][1]
+        assert all(err > 1.0 for _, err in traj.attempts[1:-1])
+        assert traj.attempts[-1][1] < 1.0
+
+    @pytest.mark.parametrize("coupling", [0.1, 0.25, 0.5])
+    def test_lz_survival_passes(self, monkeypatch, coupling):
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(tdse, "evolve", recording)
+        lz_survival(coupling, 1.0)
+        assert [[n for n, _ in traj.attempts] for traj in runs] == [[41, 82]]
 
     def test_attempts_record(self):
         params, field = resonant(0.2)
