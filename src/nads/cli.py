@@ -115,8 +115,8 @@ def cmd_snapshot(args) -> int:
 
 def cmd_evolve(args) -> int:
     scenario = load_scenario(args.file)
-    grid = scenario.grid()
     traj = _final_trajectory(scenario)
+    grid = traj.grid
     names = ["t", "Re_c_g", "Im_c_g", "Re_c_e", "Im_c_e", "norm"]
     columns = [
         grid,

@@ -171,14 +171,15 @@ def uniform_grid(grid) -> tuple[np.ndarray, float]:
     ------
     ValueError
         If the grid is not one-dimensional with at least 2 points, or not
-        uniformly increasing.
+        uniformly increasing: the first step must be positive and finite,
+        and every step within 1e-9 of it, relative.
     """
     grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
     steps = np.diff(grid)
     h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+    if not 0.0 < h < np.inf or not np.all(np.abs(steps - h) <= 1e-9 * h):
         raise ValueError("grid must be uniformly increasing")
     return grid, h
 

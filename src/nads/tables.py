@@ -282,12 +282,12 @@ def table_text(
     writer.writerow(names)
     arrays = [np.asarray(col) for col in columns]
     if arrays and all(arr.dtype.kind in "biuf" for arr in arrays):
-        matrix = np.column_stack(arrays).astype(float)
         # Separator per column, at byte 5 of a cell's exponent word.
         separators = np.full(len(arrays), ord(","), _WORD) << np.uint64(40)
         separators[-1] = ord("\n") << 40
-        for start in range(0, len(matrix), BLOCK_ROWS):
-            block = matrix[start:start + BLOCK_ROWS]
+        for start in range(0, len(arrays[0]), BLOCK_ROWS):
+            block = np.column_stack([arr[start:start + BLOCK_ROWS] for arr in arrays])
+            block = block.astype(float, copy=False)
             buffer.write(_format_cells(block, separators).decode("ascii"))
     else:
         for row in zip(*columns):

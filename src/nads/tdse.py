@@ -23,15 +23,23 @@ the identity last. In the rotating frame the chirp's phase factor on the
 uniform stage lattice comes by angle addition from one exponential per 64
 lattice points (see :func:`_chirp_factor`). A stack of step matrices is one
 complex array of shape (2, 2, ...), so multiplying two stacks takes two
-broadcast products and a sum. Step matrices are built elementwise in NumPy,
-multiplied together per output interval in pairs (an odd last one folded
-into the last pair), and the interval propagators are combined by a prefix
-product (Hillis and Steele, "Data parallel algorithms", CACM 29(12), 1986)
-and applied to the initial state. Substeps are processed in blocks of fixed
-size, carrying the state across blocks, so memory does not grow with the
-grid or ``n_sub``. In the rotating frame a constant envelope without chirp
-makes the coupling time-independent; every substep then has the same step
-matrix, and one row of them and its interval product serve every block.
+broadcast products and a sum.
+
+A pass has two steps. The build (:func:`_intervals`) makes the step
+matrices elementwise in NumPy, in blocks of at most ``_BLOCK_SUBSTEPS``
+substeps, and multiplies them together per output interval in pairs (an
+odd last one folded into the last pair). It keeps one interval propagator
+per output interval, 64 bytes per grid point whatever ``n_sub`` is. The
+expansion (:func:`_expand`) turns the intervals into the states on the
+output grid by a work-efficient scan applied to the state (Blelloch,
+"Prefix sums and their applications", CMU-CS-90-190, 1990; see
+:func:`_scan`), in chunks of at most ``_EXPAND_ROWS`` rows that carry the
+state. :func:`evolve` builds every pass but compares only the last states,
+from a pairwise product of the intervals, and expands only the pass it
+accepts; it holds the intervals of the current pass only. In the rotating
+frame a constant envelope without chirp makes the coupling
+time-independent; every substep then has the same step matrix, and one row
+of them and its interval product serve every interval.
 
 The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
 a halving of the substep no longer shrinks the difference between passes:
@@ -78,6 +86,12 @@ _BLOCK_SUBSTEPS = 4096
 
 #: Stage-lattice points per exponential of the chirp phase factor.
 _PHASE_RUN = 64
+
+#: Rows of interval propagators expanded into states at once.
+_EXPAND_ROWS = 4096
+
+#: Columns below which the expansion scan multiplies out prefix products.
+_SCAN_BASE = 64
 
 #: Landau-Zener survival run: the half-window is LZ_WINDOW_SCALE over the
 #: square root of the sweep rate, integrated to LZ_RTOL and LZ_ATOL.
@@ -305,12 +319,119 @@ def _ordered_product(m):
 
 def _prefix_products(m):
     """Inclusive prefix products P[i] = M[i] ... M[0] along the last axis
-    (Hillis-Steele scan)."""
+    (Hillis-Steele scan), for the short stacks at the base of :func:`_scan`."""
     shift = 1
     while shift < m.shape[-1]:
         m = np.concatenate((m[..., :shift], _mul(m[..., shift:], m[..., :-shift])), axis=-1)
         shift *= 2
     return m
+
+
+def _apply(m, y):
+    """m @ y per column, for a stack m of shape (2, 2, ...) and states y of
+    shape (2, ...)."""
+    return m[:, 0] * y[0] + m[:, 1] * y[1]
+
+
+def _scan(m, y):
+    """States M[j] ... M[0] y for every column j of m, as shape (2, w).
+
+    Work-efficient scan applied to the state (Blelloch, "Prefix sums and
+    their applications", CMU-CS-90-190, 1990): the products of column pairs
+    halve the stack, the states after the odd columns come from the half by
+    recursion, and each even column takes one more matrix-vector step from
+    the odd state before it. Below ``_SCAN_BASE`` columns the prefix
+    products are multiplied out directly.
+    """
+    w = m.shape[-1]
+    if w <= _SCAN_BASE:
+        return _apply(_prefix_products(m), y)
+    even = w - w % 2
+    odd = _scan(_mul(m[..., 1:even:2], m[..., 0:even:2]), y)
+    out = np.empty((2, w), dtype=complex)
+    out[:, 1::2] = odd
+    out[:, 0] = _apply(m[..., 0], y)
+    out[:, 2::2] = _apply(m[..., 2::2], odd[:, :(w - 1) // 2])
+    return out
+
+
+def _start(init: InitialState) -> np.ndarray:
+    """The initial state vector (c_g, c_e)."""
+    if init not in ("ground", "excited"):
+        raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
+    return np.array([1.0, 0.0] if init == "ground" else [0.0, 1.0], dtype=complex)
+
+
+def _intervals(params, field, grid, h_out: float, frame: Frame, n_sub: int):
+    """Interval propagators of one pass with ``n_sub`` substeps per output
+    interval, as a stack of shape (2, 2, len(grid) - 1).
+
+    Each block holds up to ``_BLOCK_SUBSTEPS`` substeps: whole output
+    intervals when ``n_sub`` fits, otherwise consecutive slices of one
+    interval whose products are chained. A time-independent coupling gives
+    every substep the same step matrix, so one row of them, built for the
+    first interval, serves every interval and the stack is a broadcast view.
+    """
+    rows = len(grid) - 1
+    h_sub = h_out / n_sub
+    per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
+    width = min(n_sub, _BLOCK_SUBSTEPS)
+    constant = (frame == "rotating" and field.envelope.kind == "constant"
+                and field.phase.beta == 0.0)
+    out = None if constant else np.empty((2, 2, rows), dtype=complex)
+    for first in range(0, 1 if constant else rows, per_block):
+        built = 1 if constant else min(per_block, rows - first)
+        for offset in range(0, n_sub, width):
+            w = min(width, n_sub - offset)
+            j0 = first * n_sub + offset  # first substep of this slice
+            k, d1, d2 = _stage_coupling(params, field, grid[0], 0.5 * h_sub,
+                                        2 * j0, 2 * built * w + 1, frame)
+            steps = _step_matrices(
+                k[:-1:2].reshape(built, w), k[1::2].reshape(built, w),
+                k[2::2].reshape(built, w), d1, d2, h_sub,
+            )
+            part = _ordered_product(steps)
+            interval = part if offset == 0 else _mul(part, interval)
+        if constant:
+            return np.broadcast_to(interval, (2, 2, rows))
+        out[..., first:first + built] = interval
+    return out
+
+
+def _expand(intervals, y) -> np.ndarray:
+    """States on the output grid, y, M[0] y, M[1] M[0] y, ..., as shape
+    (2, rows + 1), by :func:`_scan` in chunks of ``_EXPAND_ROWS`` rows that
+    carry the state."""
+    rows = intervals.shape[-1]
+    out = np.empty((2, rows + 1), dtype=complex)
+    out[:, 0] = y
+    for first in range(0, rows, _EXPAND_ROWS):
+        chunk = intervals[..., first:first + _EXPAND_ROWS]
+        out[:, first + 1:first + 1 + chunk.shape[-1]] = _scan(chunk, out[:, first])
+    return out
+
+
+def _trajectory(grid, states, frame: Frame, n_sub: int, attempts=()) -> Trajectory:
+    c_g, c_e = states
+    norm = np.abs(c_g) ** 2 + np.abs(c_e) ** 2
+    return Trajectory(grid=grid, c_g=c_g, c_e=c_e, norm=norm, frame=frame,
+                      n_sub=n_sub, attempts=tuple(attempts))
+
+
+@dataclass(eq=False)
+class _Pass:
+    """A built pass: its interval propagators and its last state, from their
+    pairwise product applied to the initial state."""
+
+    intervals: np.ndarray
+    last: np.ndarray
+
+
+def _build_pass(params, field, grid, h_out: float, start, frame: Frame, n_sub: int) -> _Pass:
+    """The pass :func:`evolve` runs with ``n_sub`` substeps on a grid it has
+    validated."""
+    intervals = _intervals(params, field, grid, h_out, frame, n_sub)
+    return _Pass(intervals, _apply(_ordered_product(intervals), start))
 
 
 def propagate_fixed(
@@ -321,55 +442,17 @@ def propagate_fixed(
     frame: Frame = "rotating",
     n_sub: int = 1,
 ) -> Trajectory:
-    """One RK4 pass with exactly ``n_sub`` substeps per output interval.
-
-    Each block holds up to ``_BLOCK_SUBSTEPS`` substeps: whole output
-    intervals when ``n_sub`` fits, otherwise consecutive slices of one
-    interval whose products are chained.
-    """
+    """One RK4 pass with exactly ``n_sub`` substeps per output interval:
+    the interval propagators (:func:`_intervals`) expanded into the states
+    on the grid (:func:`_expand`)."""
     if frame not in ("lab", "rotating"):
         raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
-    if init not in ("ground", "excited"):
-        raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
+    start = _start(init)
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     grid, h_out = uniform_grid(grid)
-    n = len(grid)
-    h_sub = h_out / n_sub
-    out_g = np.zeros(n, dtype=complex)
-    out_e = np.zeros(n, dtype=complex)
-    y_g, y_e = (1.0, 0.0) if init == "ground" else (0.0, 1.0)
-    out_g[0], out_e[0] = y_g, y_e
-    per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
-    width = min(n_sub, _BLOCK_SUBSTEPS)
-    # A time-independent coupling gives every substep the same step matrix,
-    # so one row of them, built for the first block, serves every block.
-    constant = (frame == "rotating" and field.envelope.kind == "constant"
-                and field.phase.beta == 0.0)
-    for first in range(0, n - 1, per_block):
-        rows = min(per_block, n - 1 - first)
-        built = 1 if constant else rows
-        if first == 0 or not constant:
-            for offset in range(0, n_sub, width):
-                w = min(width, n_sub - offset)
-                j0 = first * n_sub + offset  # first substep of this slice
-                k, d1, d2 = _stage_coupling(params, field, grid[0], 0.5 * h_sub,
-                                            2 * j0, 2 * built * w + 1, frame)
-                steps = _step_matrices(
-                    k[:-1:2].reshape(built, w), k[1::2].reshape(built, w),
-                    k[2::2].reshape(built, w), d1, d2, h_sub,
-                )
-                part = _ordered_product(steps)
-                interval = part if offset == 0 else _mul(part, interval)
-        (a, b), (c, d) = _prefix_products(np.broadcast_to(interval, (2, 2, rows)))
-        g = a * y_g + b * y_e
-        e = c * y_g + d * y_e
-        out_g[first + 1:first + 1 + rows] = g
-        out_e[first + 1:first + 1 + rows] = e
-        y_g, y_e = g[-1], e[-1]
-    norm = np.abs(out_g) ** 2 + np.abs(out_e) ** 2
-    return Trajectory(grid=grid, c_g=out_g, c_e=out_e, norm=norm,
-                      frame=frame, n_sub=n_sub)
+    intervals = _intervals(params, field, grid, h_out, frame, n_sub)
+    return _trajectory(grid, _expand(intervals, start), frame, n_sub)
 
 
 def _characteristic_rate(
@@ -434,38 +517,39 @@ def evolve(
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
     grid, h_out = uniform_grid(grid)
+    start = _start(init)
     span = float(grid[-1] - grid[0])
     rate = _characteristic_rate(params, field, grid, frame)
 
     def underflows(n_sub: int) -> bool:
         return h_out / n_sub < STEP_UNDERFLOW_FRACTION * span
 
-    def run(n_sub: int) -> Trajectory:
+    def run(n_sub: int) -> _Pass:
         if underflows(n_sub):
             raise StepUnderflow(
                 f"substep {h_out / n_sub:.3e} below "
                 f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
             )
-        return propagate_fixed(params, field, grid, init, frame, n_sub)
+        return _build_pass(params, field, grid, h_out, start, frame, n_sub)
 
     n_prev = max(1, math.ceil(h_out * rate / _INITIAL_RADIANS_PER_STEP))
-    prev = run(n_prev)
+    prev = run(n_prev).last
     attempts: list[tuple[int, Optional[float]]] = [(n_prev, None)]
     n_sub = 2 * n_prev
     first = None  # difference of the first pair
     halving = None  # difference of the previous pair, if it was one halving apart
     while True:
         cur = run(n_sub)
+        last = cur.last
         q = n_sub // n_prev
         # np.maximum, not max: a NaN in either component must propagate.
-        diff = np.maximum(abs(cur.c_g[-1] - prev.c_g[-1]), abs(cur.c_e[-1] - prev.c_e[-1]))
-        tol = rtol * max(1.0, abs(cur.c_g[-1]), abs(cur.c_e[-1])) + atol
+        diff = np.maximum(abs(last[0] - prev[0]), abs(last[1] - prev[1]))
+        tol = rtol * max(1.0, abs(last[0]), abs(last[1])) + atol
         # Difference of one halving at n_sub; the factor is exactly 1 for q = 2.
         estimate = diff * (15.0 / (q**4 - 1))
         attempts.append((n_sub, float(estimate / tol)))
         if estimate < tol and (q == 2 or _fourth_order(first, diff, q)):
-            cur.attempts = tuple(attempts)
-            return cur
+            return _trajectory(grid, _expand(cur.intervals, start), frame, n_sub, attempts)
         # A NaN difference compares false and keeps doubling.
         if q == 2 and halving is not None and diff >= halving:
             raise ToleranceUnreachable(
@@ -487,7 +571,10 @@ def evolve(
                 # StepUnderflow is raised where doubling raises it.
                 while n_next > 2 * n_sub and underflows(n_next):
                     n_next //= 2
-        prev, n_prev, n_sub = cur, n_sub, n_next
+        # Only the last state of a rejected pass is kept: its intervals are
+        # released before the next pass is built.
+        del cur
+        prev, n_prev, n_sub = last, n_sub, n_next
 
 
 def rabi_oracle(omega0: float, t: float) -> tuple[float, float]:

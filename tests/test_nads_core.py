@@ -27,7 +27,7 @@ from nads.field_model import (
     GaussianEnvelope,
     SystemParams,
 )
-from nads.nads_core import _track_branches, detuning, snapshot_series
+from nads.nads_core import _track_branches, detuning, snapshot_series, uniform_grid
 
 
 def constant_series(omega0=3.0, delta=4.0, gamma_g=0.0, gamma_e=0.0,
@@ -253,6 +253,24 @@ class TestNadsFrequencies:
             params.omega_e - series.lambda2 - 1j * params.gamma_sum_half
             - (series.dphi - 1j * series.log_deriv),
         )
+
+
+class TestUniformGrid:
+    # A step may differ from the first by 1e-9 of it; the steps here are
+    # 1 and 1 + eps.
+    def test_step_within_bound(self):
+        grid, h = uniform_grid([0.0, 1.0, 2.0 + 0.9e-9])
+        assert h == 1.0 and grid.dtype == float
+
+    def test_step_beyond_bound(self):
+        with pytest.raises(ValueError, match="uniformly increasing"):
+            uniform_grid([0.0, 1.0, 2.0 + 1.1e-9])
+
+    def test_decreasing_nan_and_infinite_steps(self):
+        for grid in ([0.0, -1.0, -2.0], [0.0, 1.0, math.nan], [0.0, math.inf],
+                     [0.0, 1.0, math.inf]):
+            with pytest.raises(ValueError, match="uniformly increasing"):
+                uniform_grid(grid)
 
 
 class TestSnapshotSeries:

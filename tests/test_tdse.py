@@ -1,7 +1,8 @@
 """Amplitude-equation integrator: RHS conventions, closed-form oracles,
 convergence order, frame consistency, agreement of the block propagator
-with a scalar RK4 loop, and the predictive substep controller against the
-plain doubling controller."""
+with a scalar RK4 loop, the work-efficient expansion against the
+Hillis-Steele one it replaced, and the predictive substep controller against
+the plain doubling controller."""
 
 from __future__ import annotations
 
@@ -253,17 +254,12 @@ class TestValidationAndFailure:
         # between 64 and 128 substeps, so the pass at 256 is the last.
         calls = []
 
-        def fake(params, field, grid, init="ground", frame="rotating", n_sub=1):
-            grid, _ = uniform_grid(grid)
-            c_g = np.zeros(len(grid), dtype=complex)
-            c_e = np.zeros(len(grid), dtype=complex)
+        def fake(params, field, grid, h_out, start, frame, n_sub):
             sign = (-1) ** int(math.log2(n_sub))
-            c_g[-1] = 0.5 + 1e-6 / n_sub**4 + sign * 1e-14 * n_sub
             calls.append(n_sub)
-            return Trajectory(grid=grid, c_g=c_g, c_e=c_e, norm=np.abs(c_g) ** 2,
-                              frame=frame, n_sub=n_sub)
+            return fake_pass(grid, 0.5 + 1e-6 / n_sub**4 + sign * 1e-14 * n_sub)
 
-        monkeypatch.setattr(tdse, "propagate_fixed", fake)
+        monkeypatch.setattr(tdse, "_build_pass", fake)
         params, field = resonant(0.2)
         with pytest.raises(ToleranceUnreachable,
                            match="at n_sub 256 did not shrink from .* at n_sub 128"):
@@ -327,6 +323,17 @@ def reference_rk4(params, field, grid, init, frame, n_sub):
     return np.array(out)
 
 
+def chirped_pulse():
+    """Damped, detuned system under a chirped Gaussian pulse."""
+    params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_g=0.02, gamma_e=0.1)
+    field = FieldModel(
+        carrier_omega=4.6,
+        envelope=GaussianEnvelope(omega0=1.5, t_center=0.0, tau=3.0),
+        phase=Chirp(phi0=0.2, beta=0.05, t_center=0.0),
+    )
+    return params, field
+
+
 class TestBlockPropagator:
     """``propagate_fixed`` against the scalar loop across block seams."""
 
@@ -334,12 +341,7 @@ class TestBlockPropagator:
     @pytest.mark.parametrize("init", ["ground", "excited"])
     @pytest.mark.parametrize("n_sub", [1, 3, 41, _BLOCK_SUBSTEPS + 3])
     def test_matches_scalar_rk4(self, frame, init, n_sub):
-        params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_g=0.02, gamma_e=0.1)
-        field = FieldModel(
-            carrier_omega=4.6,
-            envelope=GaussianEnvelope(omega0=1.5, t_center=0.0, tau=3.0),
-            phase=Chirp(phi0=0.2, beta=0.05, t_center=0.0),
-        )
+        params, field = chirped_pulse()
         # Over three blocks of substeps; n_sub > block also splits intervals.
         intervals = max(3, math.ceil(3.5 * _BLOCK_SUBSTEPS / n_sub))
         grid = np.linspace(-9.0, 9.0, intervals + 1)
@@ -359,6 +361,95 @@ class TestBlockPropagator:
         ref = reference_rk4(params, field, grid, init, "rotating", n_sub)
         assert np.max(np.abs(traj.c_g - ref[:, 0])) < 1e-12
         assert np.max(np.abs(traj.c_e - ref[:, 1])) < 1e-12
+
+
+def hillis_steele_states(intervals, start, block):
+    """The expansion ``propagate_fixed`` ran before the work-efficient scan:
+    Hillis-Steele prefix products over blocks of ``block`` rows, applied to
+    the state carried across blocks."""
+    rows = intervals.shape[-1]
+    out = np.empty((2, rows + 1), dtype=complex)
+    out[:, 0] = start
+    for first in range(0, rows, block):
+        m = intervals[..., first:first + block]
+        shift = 1
+        while shift < m.shape[-1]:
+            m = np.concatenate((m[..., :shift], tdse._mul(m[..., shift:], m[..., :-shift])),
+                               axis=-1)
+            shift *= 2
+        y = out[:, first]
+        out[:, first + 1:first + 1 + m.shape[-1]] = m[:, 0] * y[0] + m[:, 1] * y[1]
+    return out
+
+
+def relative_error(states, ref):
+    """Largest difference per grid point over the size of the reference
+    state there."""
+    diff = np.maximum(np.abs(states[0] - ref[0]), np.abs(states[1] - ref[1]))
+    return float(np.max(diff / np.sqrt(np.abs(ref[0]) ** 2 + np.abs(ref[1]) ** 2)))
+
+
+class TestExpansion:
+    """The work-efficient scan against the Hillis-Steele expansion it
+    replaced, and the controller's reduced last state against both."""
+
+    @pytest.mark.parametrize("name", list_shipped())
+    def test_accepted_pass_matches_hillis_steele(self, name):
+        sc = load_shipped(name)
+        traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state, sc.frame,
+                      sc.rtol, sc.atol)
+        grid, h_out = uniform_grid(sc.grid())
+        start = tdse._start(sc.initial_state)
+        intervals = tdse._intervals(sc.system, sc.field, grid, h_out, sc.frame, traj.n_sub)
+        states = tdse._expand(intervals, start)
+        assert np.array_equal(states[0], traj.c_g) and np.array_equal(states[1], traj.c_e)
+        block = max(1, _BLOCK_SUBSTEPS // traj.n_sub)
+        assert relative_error(states, hillis_steele_states(intervals, start, block)) < 1e-13
+
+    @pytest.mark.parametrize("frame", ["lab", "rotating"])
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65, 4095, 4096, 4097])
+    def test_row_counts(self, frame, init, rows):
+        params, field = chirped_pulse()
+        grid = np.linspace(-9.0, 9.0, rows + 1)
+        self.check_pass(params, field, grid, init, frame)
+
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65, 4095, 4096, 4097])
+    def test_broadcast_intervals(self, init, rows):
+        grid = np.linspace(-9.0, 9.0, rows + 1)
+        intervals = self.check_pass(*time_independent(), grid, init, "rotating")
+        assert intervals.strides[-1] == 0
+
+    @staticmethod
+    def check_pass(params, field, grid, init, frame, n_sub=2):
+        grid, h_out = uniform_grid(grid)
+        start = tdse._start(init)
+        built = tdse._build_pass(params, field, grid, h_out, start, frame, n_sub)
+        states = tdse._expand(built.intervals, start)
+        ref = hillis_steele_states(built.intervals, start, len(grid))
+        assert states.shape == (2, len(grid))
+        assert np.array_equal(states[:, 0], start)
+        assert relative_error(states, ref) < 1e-13
+        # The reduced last state is the expanded last point up to rounding.
+        assert relative_error(built.last[:, None], states[:, -1:]) < 1e-13
+        return built.intervals
+
+    @pytest.mark.parametrize("name", list_shipped())
+    def test_evolve_expands_one_pass(self, monkeypatch, name):
+        expanded = []
+        original = tdse._expand
+
+        def counting(intervals, start):
+            expanded.append(intervals.shape[-1])
+            return original(intervals, start)
+
+        monkeypatch.setattr(tdse, "_expand", counting)
+        sc = load_shipped(name)
+        traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state, sc.frame,
+                      sc.rtol, sc.atol)
+        assert len(traj.attempts) >= 2
+        assert expanded == [len(traj.grid) - 1]
 
 
 def time_independent(envelope=ConstantEnvelope, beta=0.0):
@@ -544,8 +635,11 @@ def doubling_evolve(params, field, grid, init="ground", frame="rotating",
     """The plain doubling controller, as ``evolve`` ran before it predicted
     the accepted count: double ``n_sub`` from the rate heuristic until one
     halving changes the last point by less than ``rtol * max(1, |c|) + atol``.
-    Returns the accepted pass and the number of passes run."""
+    Like ``evolve`` it compares the reduced last states of the built passes
+    and expands the accepted one. Returns the accepted pass and the number
+    of passes run."""
     grid, h_out = uniform_grid(grid)
+    start = tdse._start(init)
     span = float(grid[-1] - grid[0])
     rate = tdse._characteristic_rate(params, field, grid, frame)
     n_sub = max(1, math.ceil(h_out * rate / tdse._INITIAL_RADIANS_PER_STEP))
@@ -556,13 +650,14 @@ def doubling_evolve(params, field, grid, init="ground", frame="rotating",
                 f"substep {h_out / n_sub:.3e} below "
                 f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
             )
-        cur = tdse.propagate_fixed(params, field, grid, init, frame, n_sub)
+        cur = tdse._build_pass(params, field, grid, h_out, start, frame, n_sub)
         passes += 1
         if prev is not None:
-            err = max(abs(cur.c_g[-1] - prev.c_g[-1]), abs(cur.c_e[-1] - prev.c_e[-1]))
-            scale = max(1.0, abs(cur.c_g[-1]), abs(cur.c_e[-1]))
+            err = max(abs(cur.last[0] - prev.last[0]), abs(cur.last[1] - prev.last[1]))
+            scale = max(1.0, abs(cur.last[0]), abs(cur.last[1]))
             if err < rtol * scale + atol:
-                return cur, passes
+                states = tdse._expand(cur.intervals, start)
+                return tdse._trajectory(grid, states, frame, n_sub), passes
         n_sub *= 2
         prev = cur
 
@@ -669,23 +764,24 @@ class TestPredictiveController:
         assert propagate_fixed(params, field, grid).attempts == ()
 
 
+def fake_pass(grid, last_g, last_e=0.0):
+    """A built pass with identity intervals and the given last state."""
+    identity = np.broadcast_to(np.eye(2, dtype=complex)[..., None], (2, 2, len(grid) - 1))
+    return tdse._Pass(identity, np.array([last_g, last_e], dtype=complex))
+
+
 def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
-    """``propagate_fixed`` stand-in whose last ground amplitude is
+    """``_build_pass`` stand-in whose last ground amplitude is
     0.5 + amplitude (unit / n_sub)^order; from the second pass on, ``bad``
     replaces the last value of ``component`` when given."""
     calls = []
 
-    def fake(params, field, grid, init="ground", frame="rotating", n_sub=1):
-        grid, _ = uniform_grid(grid)
-        c_g = np.zeros(len(grid), dtype=complex)
-        c_e = np.zeros(len(grid), dtype=complex)
-        c_g[-1] = 0.5 + amplitude * (unit / n_sub) ** order
-        amplitudes = {"c_g": c_g, "c_e": c_e}
+    def fake(params, field, grid, h_out, start, frame, n_sub):
+        last = {"c_g": 0.5 + amplitude * (unit / n_sub) ** order, "c_e": 0.0}
         if bad is not None and calls:
-            amplitudes[component][-1] = bad
+            last[component] = bad
         calls.append(n_sub)
-        return Trajectory(grid=grid, norm=np.abs(c_g) ** 2 + np.abs(c_e) ** 2,
-                          frame=frame, n_sub=n_sub, **amplitudes)
+        return fake_pass(grid, last["c_g"], last["c_e"])
 
     fake.calls = calls
     return fake
@@ -705,7 +801,7 @@ class TestControllerRobustness:
         first_pair = 1.0 - 2.0**-order
         amplitude = 1.01 * 16**4 * self.TOL / first_pair
         fake = synthetic(order, amplitude)
-        monkeypatch.setattr(tdse, "propagate_fixed", fake)
+        monkeypatch.setattr(tdse, "_build_pass", fake)
         params, field = resonant(0.2)
         traj = evolve(params, field, self.GRID)
         assert fake.calls == passes
@@ -722,7 +818,7 @@ class TestControllerRobustness:
         # r = 1.01 * 16^6 predicts 2^7; the jump stops at 2^5 and doubling
         # reaches the pass doubling from n0 accepts.
         amplitude = 1.01 * 16**6 * self.TOL / (1.0 - 2.0**-4)
-        monkeypatch.setattr(tdse, "propagate_fixed", synthetic(4, amplitude))
+        monkeypatch.setattr(tdse, "_build_pass", synthetic(4, amplitude))
         params, field = resonant(0.2)
         traj = evolve(params, field, self.GRID)
         assert [n for n, _ in traj.attempts] == [1, 2, 64, 128, 256]
@@ -734,12 +830,12 @@ class TestControllerRobustness:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.nan)])
     def test_non_finite_difference_fails_by_name(self, monkeypatch, bad, component):
         params, field = resonant(0.2)
-        monkeypatch.setattr(tdse, "propagate_fixed", synthetic(4, 1.0, bad=bad))
+        monkeypatch.setattr(tdse, "_build_pass", synthetic(4, 1.0, bad=bad))
         with pytest.raises(StepUnderflow) as doubling:
             doubling_evolve(params, field, self.GRID)
         # With the ground amplitude converging, a NaN in the excited one
         # alone must still count as a non-finite difference.
-        monkeypatch.setattr(tdse, "propagate_fixed",
+        monkeypatch.setattr(tdse, "_build_pass",
                             synthetic(4, 1.0, bad=bad, component=component))
         with pytest.raises(StepUnderflow) as predicted:
             evolve(params, field, self.GRID)
@@ -752,7 +848,7 @@ class TestControllerRobustness:
         params, field = resonant(0.2 * unit)
         grid = np.array([0.0, 1.0])
         fake = synthetic(4, 1.0, unit=unit)
-        monkeypatch.setattr(tdse, "propagate_fixed", fake)
+        monkeypatch.setattr(tdse, "_build_pass", fake)
         with pytest.raises(StepUnderflow) as doubling:
             doubling_evolve(params, field, grid)
         fake.calls.clear()
