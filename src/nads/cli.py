@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -30,7 +31,7 @@ from .scenario import (
     scenario_from_dict,
     with_axis_values,
 )
-from .tables import scenario_header, table_json, table_text, write_text
+from .tables import scenario_header, table_json, write_table, write_text
 from .tdse import evolve
 from .validation import run_all
 
@@ -76,10 +77,9 @@ REDUCERS = {
 
 def _emit(args, title: str, resolved: dict, names, columns) -> None:
     if getattr(args, "json", False):
-        text = table_json(title, resolved, names, columns)
+        write_text(table_json(title, resolved, names, columns), args.out)
     else:
-        text = table_text(scenario_header(title, resolved), names, columns)
-    write_text(text, args.out)
+        write_table(scenario_header(title, resolved), names, columns, args.out)
 
 
 def cmd_snapshot(args) -> int:
@@ -263,6 +263,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout stopped early (``nads snapshot ... | head``):
+        # end quietly with status 0, as when the whole table went out in
+        # one write, with stdout on devnull so that the interpreter's last
+        # flush does not fail again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 0
 
 
 if __name__ == "__main__":

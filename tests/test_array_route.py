@@ -29,7 +29,7 @@ from nads.overlap_transitions import (
     norms,
     p_via_overlaps,
 )
-from nads.tables import BLOCK_ROWS, format_number, table_text
+from nads.tables import BLOCK_CELLS, format_number, table_text
 
 REL = 1e-12
 
@@ -241,13 +241,38 @@ class TestTableText:
             header, names, columns
         )
 
-    def test_multiple_blocks_byte_identical(self):
-        rng = np.random.default_rng(7)
-        n = 2 * BLOCK_ROWS + 5
-        columns = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-                   for _ in range(3)]
-        names = ["x", "y", "z"]
-        assert table_text([], names, columns) == csv_writer_table([], names, columns)
+    @pytest.mark.parametrize("cols", [1, 3, 8, 20, 21])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_cell_block_edges(self, cols, extra):
+        # Blocks hold BLOCK_CELLS // cols whole rows; rows * cols lands one
+        # row short of, on and one row past the edges of one and two blocks.
+        step = BLOCK_CELLS // cols
+        for blocks in (1, 2):
+            rows = blocks * step + extra
+            rng = np.random.default_rng(rows * cols)
+            x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-30, 30, size=(rows, cols))
+            # +0.0 and -0.0 in every column position, in the first and the
+            # last rows.
+            c = np.arange(cols)
+            x[c, c] = 0.0
+            x[rows - 1 - c, c] = -0.0
+            if blocks == 2 and cols > 1:
+                x[:, cols // 2] = 1.0  # a constant column, at a power of ten
+            self.assert_columns_byte_identical(list(x.T))
+
+    @pytest.mark.parametrize("cols", [1, 8, 20])
+    @pytest.mark.parametrize("value", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_special_blocks(self, cols, value):
+        # The middle of three blocks holds only the value.
+        step = BLOCK_CELLS // cols
+        x = np.random.default_rng(cols).normal(size=(3 * step, cols))
+        x[step:2 * step] = value
+        self.assert_columns_byte_identical(list(x.T))
+
+    @staticmethod
+    def assert_columns_byte_identical(columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        assert_same_table(table_text([], names, columns), csv_writer_table([], names, columns))
 
     def test_string_cells_byte_identical(self):
         columns = [

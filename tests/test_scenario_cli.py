@@ -1,7 +1,8 @@
 """Scenario loading, sweep specifications and the command-line interface.
 
 CLI tests call main() in-process with --out into tmp_path, then parse the
-emitted CSV; nothing here shells out.
+emitted CSV; only the test of a reader closing stdout early runs the CLI
+in a child process.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nads
 from nads.cli import build_parser, main
 from nads.errors import ParseError, ValidationError
 from nads.nads_core import snapshot_series
@@ -858,3 +863,61 @@ class TestCliPlumbing:
             assert main(["snapshot", str(shipped_path("sech-damped")),
                          "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+STREAMED_COMMANDS = [["snapshot"], ["evolve", "--compare"]]
+
+
+class TestStreamedOutput:
+    """Tables are written block by block as they are formatted, to stdout or
+    to the --out file, and only once every column is computed."""
+
+    @pytest.mark.parametrize("command", STREAMED_COMMANDS, ids=["snapshot", "evolve-compare"])
+    @pytest.mark.parametrize("name", list_shipped())
+    def test_stdout_matches_out_file(self, tmp_path, capfdbinary, name, command):
+        argv = [command[0], str(shipped_path(name)), *command[1:]]
+        assert main(argv) == 0
+        sys.stdout.flush()
+        printed = capfdbinary.readouterr().out
+        path = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        written = path.read_bytes()
+        assert printed == written
+        assert written.startswith(b"# ") and written.endswith(b"\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("command", STREAMED_COMMANDS, ids=["snapshot", "evolve-compare"])
+    def test_full_device(self, capsys, command):
+        rc = main([command[0], str(shipped_path(SLOW_ADIABATIC)), *command[1:],
+                   "--out", "/dev/full"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", STREAMED_COMMANDS, ids=["snapshot", "evolve-compare"])
+    def test_numerical_failure_writes_nothing(self, tmp_path, capfdbinary, command):
+        # The closed-form columns overflow after the evolve command has
+        # integrated its amplitudes; no byte of the table may precede that.
+        doc = minimal_doc()
+        doc["field"]["envelope"]["omega0"] = 1e150
+        doc["grid"] = {"t_start": 0.0, "t_end": 1e-300, "step": 1e-301}
+        assert main([command[0], write_doc(tmp_path, doc), *command[1:]]) == 2
+        sys.stdout.flush()
+        out, err = capfdbinary.readouterr()
+        assert out == b""
+        assert err.startswith(b"numerical error: ")
+
+    def test_reader_closing_stdout_early(self):
+        # nads snapshot ... | head -c 100: the table is far larger than a pipe
+        # buffer, so the blocks after the first meet a closed pipe.
+        env = dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nads.cli", "snapshot", str(shipped_path(SLOW_ADIABATIC))],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert head.startswith(b"# snapshot table\n")
+        assert err == b""
+        assert proc.returncode == 0

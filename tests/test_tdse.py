@@ -421,6 +421,41 @@ class TestExpansion:
         intervals = self.check_pass(*time_independent(), grid, init, "rotating")
         assert intervals.strides[-1] == 0
 
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 399, 400])
+    def test_broadcast_last_state_by_squaring(self, monkeypatch, init, rows):
+        broadcast_reduced = []
+        pairwise = tdse._ordered_product
+
+        def recording(m):
+            broadcast_reduced.append(m.strides[-1] == 0)
+            return pairwise(m)
+
+        monkeypatch.setattr(tdse, "_ordered_product", recording)
+        grid, h_out = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
+        start = tdse._start(init)
+        built = tdse._build_pass(*time_independent(), grid, h_out, start, "rotating", 2)
+        assert built.intervals.strides[-1] == 0
+        assert not any(broadcast_reduced)
+        ref = tdse._apply(pairwise(built.intervals), start)
+        assert relative_error(built.last[:, None], ref[:, None]) < 1e-13
+
+    def test_power_takes_logarithmic_products(self, monkeypatch):
+        products = []
+        original = tdse._mul
+
+        def counting(p, q):
+            products.append(1)
+            return original(p, q)
+
+        monkeypatch.setattr(tdse, "_mul", counting)
+        m = np.array([[0.6 + 0.1j, 0.3j], [0.3j, 0.7 - 0.2j]])
+        power = tdse._power(m, 400)
+        # 400 = 0b110010000: eight squarings and two products.
+        assert len(products) == 10
+        ref = tdse._ordered_product(np.repeat(m[..., None], 400, axis=-1))
+        assert np.max(np.abs(power - ref)) < 1e-13 * np.max(np.abs(ref))
+
     @staticmethod
     def check_pass(params, field, grid, init, frame, n_sub=2):
         grid, h_out = uniform_grid(grid)
