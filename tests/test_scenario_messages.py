@@ -1,7 +1,7 @@
 """Exact exit codes and error lines for single-fault scenario documents.
 
-Each case changes one key of a valid document with a full ``system``,
-``field``, envelope and ``phase`` and runs ``nads snapshot`` on it. A case
+Each case changes one key of a valid document with every section and key
+written out and runs ``nads snapshot`` on it. A case
 expecting exit 0 checks that stderr stays empty; the others check the whole
 ``error:`` line, file prefix included.
 """
@@ -37,7 +37,10 @@ def base_doc(kind: str) -> dict:
             "envelope": {"kind": kind, **ENVELOPE_KEYS[kind]},
             "phase": {"phi0": 0.0, "beta": 0.001, "t_center": 0.0},
         },
-        "grid": {"t_start": 0.0, "t_end": 1.0, "step": 0.0025},
+        "grid": {"t_start": 0.0, "t_end": 1.0, "step": 0.0025, "step_policy": "error"},
+        "integrator": {"frame": "rotating", "rtol": 1e-10, "atol": 1e-12},
+        "outputs": ["snapshot"],
+        "initial_state": "ground",
     }
 
 
@@ -69,7 +72,7 @@ def cases():
             label = "drop" if value is DROP else repr(value)
             table.append(pytest.param(
                 kind, section, key, value, code, message,
-                id=f"{kind}-{section}.{key}={label}",
+                id=f"{kind}-{section + '.' if section else ''}{key}={label}",
             ))
 
     system = [
@@ -141,6 +144,90 @@ def cases():
         ("bta", 0.1, 1, "unknown key 'bta' in field.phase; did you mean 'beta'?"),
     ]
     add("gaussian", "field.phase", phase)
+
+    grid = [
+        *number_cases("grid", "t_start", required=True, positive=False),
+        *number_cases("grid", "t_end", required=True, positive=False),
+        *number_cases("grid", "step", required=True, positive=True),
+        ("t_start", -1, 0, ""),
+        ("t_start", 1, 1, "grid.t_end (1.0) must exceed grid.t_start (1.0)"),
+        ("t_end", 0, 1, "grid.t_end (0.0) must exceed grid.t_start (0.0)"),
+        ("t_end", -1, 1, "grid.t_end (-1.0) must exceed grid.t_start (0.0)"),
+        ("step", 0.3, 1,
+         "grid.step (0.3) must divide the interval [0.0, 1.0] "
+         "into a whole number of steps"),
+        ("step", 2, 1,
+         "grid.step (2.0) must divide the interval [0.0, 1.0] "
+         "into a whole number of steps"),
+        ("step", 0.01, 1,
+         "grid.step (0.01) exceeds tau/400 (0.005) for the pulsed envelope"),
+        ("step_policy", DROP, 0, ""),
+        ("step_policy", "warn", 0, ""),
+        ("step_policy", None, 1, "grid.step_policy must be a string, got None"),
+        ("step_policy", 1, 1, "grid.step_policy must be a string, got 1"),
+        ("step_policy", "warning", 1,
+         "grid.step_policy must be one of ['error', 'warn'], got 'warning'; "
+         "did you mean 'warn'?"),
+        ("step_policy", "strict", 1,
+         "grid.step_policy must be one of ['error', 'warn'], got 'strict'"),
+        ("stp", 0.1, 1, "unknown key 'stp' in grid; did you mean 'step'?"),
+        ("points", 401, 1, "unknown key 'points' in grid"),
+    ]
+    add("gaussian", "grid", grid)
+
+    frames_message = "integrator.frame must be one of ['lab', 'rotating']"
+    integrator = [
+        *number_cases("integrator", "rtol", required=False, positive=True),
+        *number_cases("integrator", "atol", required=False, positive=True),
+        ("frame", DROP, 0, ""),
+        ("frame", "lab", 0, ""),
+        ("frame", None, 1, "integrator.frame must be a string, got None"),
+        ("frame", 0, 1, "integrator.frame must be a string, got 0"),
+        ("frame", "rotate", 1,
+         f"{frames_message}, got 'rotate'; did you mean 'rotating'?"),
+        ("frame", "Lab", 1, f"{frames_message}, got 'Lab'; did you mean 'lab'?"),
+        ("frame", "bogus", 1, f"{frames_message}, got 'bogus'"),
+        ("rtoll", 1e-8, 1, "unknown key 'rtoll' in integrator; did you mean 'rtol'?"),
+        ("method", "rk4", 1, "unknown key 'method' in integrator"),
+    ]
+    add("gaussian", "integrator", integrator)
+
+    states_message = "scenario.initial_state must be one of ['ground', 'excited']"
+    outputs_message = "scenario.outputs must be a list of strings"
+    top = [
+        ("name", DROP, 1, "missing required key 'name' in scenario"),
+        ("name", None, 1, "scenario.name must be a non-empty string"),
+        ("name", "", 1, "scenario.name must be a non-empty string"),
+        ("name", 3, 1, "scenario.name must be a non-empty string"),
+        ("system", DROP, 1, "missing required key 'system' in scenario"),
+        ("field", DROP, 1, "missing required key 'field' in scenario"),
+        ("grid", DROP, 1, "missing required key 'grid' in scenario"),
+        ("grid", None, 1, "grid must be an object, got NoneType"),
+        ("grid", [], 1, "grid must be an object, got list"),
+        ("integrator", DROP, 0, ""),
+        ("integrator", {}, 0, ""),
+        ("integrator", None, 1, "integrator must be an object, got NoneType"),
+        ("integrator", [], 1, "integrator must be an object, got list"),
+        ("integrater", {}, 1,
+         "unknown key 'integrater' in scenario; did you mean 'integrator'?"),
+        ("initial_state", DROP, 0, ""),
+        ("initial_state", "excited", 0, ""),
+        ("initial_state", None, 1,
+         "scenario.initial_state must be a string, got None"),
+        ("initial_state", "Ground", 1,
+         f"{states_message}, got 'Ground'; did you mean 'ground'?"),
+        ("initial_state", "up", 1, f"{states_message}, got 'up'"),
+        ("outputs", DROP, 0, ""),
+        ("outputs", [], 0, ""),
+        ("outputs", ["evolve", "snapshot"], 0, ""),
+        ("outputs", None, 1, outputs_message),
+        ("outputs", "snapshot", 1, outputs_message),
+        ("outputs", [1], 1, outputs_message),
+        ("outputs", ["snap"], 1,
+         "outputs entry 'snap' must be one of ['snapshot', 'evolve']; "
+         "did you mean 'snapshot'?"),
+    ]
+    add("gaussian", "", top)
 
     for section in ("system", "field"):
         table.append(pytest.param(
