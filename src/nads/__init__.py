@@ -43,6 +43,8 @@ from .overlap_transitions import (
     p_via_overlaps,
 )
 from .scenario import (
+    Grid,
+    Integrator,
     Scenario,
     list_shipped,
     load_scenario,
@@ -76,6 +78,8 @@ __all__ = [
     "EnvelopeUnderflow",
     "FieldModel",
     "GaussianEnvelope",
+    "Grid",
+    "Integrator",
     "NadsError",
     "NonFiniteValue",
     "NumericalError",

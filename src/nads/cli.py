@@ -44,15 +44,8 @@ def _reduce_max_p(scenario: Scenario) -> float:
 
 
 def _final_trajectory(scenario: Scenario):
-    return evolve(
-        scenario.system,
-        scenario.field,
-        scenario.grid(),
-        init=scenario.initial_state,
-        frame=scenario.frame,
-        rtol=scenario.rtol,
-        atol=scenario.atol,
-    )
+    return evolve(scenario.system, scenario.field, scenario.grid(),
+                  scenario.initial_state, **vars(scenario.integrator))
 
 
 def _reduce_final_pe(scenario: Scenario) -> float:

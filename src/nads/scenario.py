@@ -5,9 +5,11 @@ A scenario is a JSON document with sections ``system``, ``field``, ``grid``
 and ``integrator`` plus a name, an output list and an initial state. The
 schema is closed: unknown keys are rejected with a nearest-key suggestion
 and defaults are filled in at load time. The keys, defaults and value checks
-of ``system`` and ``field`` are the fields and constructors of the
-``field_model`` dataclasses, and ``Scenario.resolved`` echoes those fields,
-so load(serialize(s)) reproduces s exactly.
+of every section are the fields and constructors of a frozen dataclass:
+``system`` and ``field`` of the ``field_model`` classes, ``grid`` of
+:class:`Grid` and ``integrator`` of :class:`Integrator`. A field typed as a
+``Literal`` takes one of its strings. ``Scenario.resolved`` echoes those
+fields, so load(serialize(s)) reproduces s exactly.
 
 A sweep axis is a plain (dotted path, values) pair. ``parse_axis`` checks
 its text and its path against the resolved document before any point runs;
@@ -18,12 +20,13 @@ from __future__ import annotations
 
 import copy
 import difflib
+import functools
 import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib.resources import files
-from typing import Any, Mapping
+from typing import Any, Literal, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,9 +38,15 @@ from .field_model import (
     GaussianEnvelope,
     SechEnvelope,
     SystemParams,
+    _require_finite,
+    _require_positive,
 )
+from .overlap_transitions import InitialState
+from .tdse import Frame
 
 __all__ = [
+    "Grid",
+    "Integrator",
     "Scenario",
     "load_scenario",
     "scenario_from_dict",
@@ -55,12 +64,53 @@ STEP_FRACTION = 400.0
 _ENVELOPES = {
     cls.kind: cls for cls in (ConstantEnvelope, GaussianEnvelope, SechEnvelope)
 }
-_FRAMES = ("lab", "rotating")
-_POLICIES = ("error", "warn")
 _OUTPUTS = ("snapshot", "evolve")
-_INITS = ("ground", "excited")
 
-_REQUIRED = object()
+
+@dataclass(frozen=True)
+class Grid:
+    """Uniform time grid t_start + k*step, k = 0..n, covering [t_start, t_end]
+    in a whole number n >= 1 of steps. ``step_policy`` says whether a step
+    above tau/STEP_FRACTION of a pulsed envelope fails or only warns when a
+    scenario is loaded; calling the grid gives its points."""
+
+    t_start: float
+    t_end: float
+    step: float
+    step_policy: Literal["error", "warn"] = "error"
+
+    def __post_init__(self):
+        _require_finite("Grid", t_start=self.t_start, t_end=self.t_end, step=self.step)
+        _require_positive("Grid", step=self.step)
+        if not self.t_end > self.t_start:
+            raise ValidationError(
+                f"grid.t_end ({self.t_end}) must exceed grid.t_start ({self.t_start})"
+            )
+        n_float = (self.t_end - self.t_start) / self.step
+        n = round(n_float)
+        if n < 1 or abs(n_float - n) > 1e-9 * max(1.0, n):
+            raise ValidationError(
+                f"grid.step ({self.step}) must divide the interval "
+                f"[{self.t_start}, {self.t_end}] into a whole number of steps"
+            )
+
+    def __call__(self) -> np.ndarray:
+        n = round((self.t_end - self.t_start) / self.step)
+        return self.t_start + self.step * np.arange(n + 1)
+
+
+@dataclass(frozen=True)
+class Integrator:
+    """Frame and positive tolerances of the RK4 cross-check: the keyword
+    arguments of :func:`nads.tdse.evolve`."""
+
+    frame: Frame = "rotating"
+    rtol: float = 1e-10
+    atol: float = 1e-12
+
+    def __post_init__(self):
+        _require_finite("Integrator", rtol=self.rtol, atol=self.atol)
+        _require_positive("Integrator", rtol=self.rtol, atol=self.atol)
 
 
 @dataclass(frozen=True)
@@ -70,45 +120,18 @@ class Scenario:
     name: str
     system: SystemParams
     field: FieldModel
-    t_start: float
-    t_end: float
-    step: float
-    step_policy: str
-    frame: str
-    rtol: float
-    atol: float
+    grid: Grid
+    integrator: Integrator
     outputs: tuple[str, ...]
-    initial_state: str
-
-    def grid(self) -> np.ndarray:
-        """Uniform time grid t_start + k*step covering [t_start, t_end]."""
-        n = int(round((self.t_end - self.t_start) / self.step))
-        return self.t_start + self.step * np.arange(n + 1)
+    initial_state: InitialState
 
     def resolved(self) -> dict:
         """Plain-dict echo of the scenario, defaults included.
 
-        The system and field entries are the fields of the parsed objects,
-        so this document and ``scenario_from_dict`` cannot drift apart.
+        Every section is the fields of its parsed object, so this document
+        and ``scenario_from_dict`` cannot drift apart.
         """
-        return {
-            "name": self.name,
-            "system": _echo(self.system),
-            "field": _echo(self.field),
-            "grid": {
-                "t_start": self.t_start,
-                "t_end": self.t_end,
-                "step": self.step,
-                "step_policy": self.step_policy,
-            },
-            "integrator": {
-                "frame": self.frame,
-                "rtol": self.rtol,
-                "atol": self.atol,
-            },
-            "outputs": list(self.outputs),
-            "initial_state": self.initial_state,
-        }
+        return {**_echo(self), "outputs": list(self.outputs)}
 
 
 def _echo(obj) -> dict:
@@ -138,11 +161,7 @@ def _check_keys(doc: Mapping, allowed, path: str) -> None:
             raise ParseError(f"unknown key '{key}' in {path}{_suggest(key, allowed)}")
 
 
-def _num(doc: Mapping, key: str, path: str, default: Any = _REQUIRED) -> float:
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ParseError(f"missing required key '{key}' in {path}")
-        return default
+def _num(doc: Mapping, key: str, path: str) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}.{key} must be a number, got {value!r}")
@@ -155,15 +174,15 @@ def _num(doc: Mapping, key: str, path: str, default: Any = _REQUIRED) -> float:
     return value
 
 
-def _string(doc: Mapping, key: str, path: str, allowed, default: Any = _REQUIRED) -> str:
+def _string(doc: Mapping, key: str, path: str, allowed, default: str | None = None) -> str:
     if key not in doc:
-        if default is _REQUIRED:
+        if default is None:
             raise ParseError(f"missing required key '{key}' in {path}")
         return default
     value = doc[key]
     if not isinstance(value, str):
         raise ParseError(f"{path}.{key} must be a string, got {value!r}")
-    if allowed is not None and value not in allowed:
+    if value not in allowed:
         raise ValidationError(
             f"{path}.{key} must be one of {list(allowed)}, got '{value}'"
             f"{_suggest(value, allowed)}"
@@ -171,20 +190,26 @@ def _string(doc: Mapping, key: str, path: str, allowed, default: Any = _REQUIRED
     return value
 
 
-def _positive(value: float, path: str) -> float:
-    if not value > 0:
-        raise ValidationError(f"{path} must be positive, got {value}")
-    return value
+@functools.cache
+def _literals(cls) -> dict[str, tuple]:
+    """The allowed strings of each ``Literal``-typed field of ``cls``."""
+    return {
+        name: get_args(hint)
+        for name, hint in get_type_hints(cls).items()
+        if get_origin(hint) is Literal
+    }
 
 
 def _build(cls, doc: Any, path: str, extra=(), **nested):
     """Dataclass ``cls`` from the object ``doc`` at ``path``: keys are its
     fields plus ``extra``, a field without a default is required, ``nested``
-    maps a field to its parser, ``null`` is kept where the default is None
-    and other values are finite numbers. The constructor's messages name
-    ``path`` instead of the class."""
+    maps a field to its parser, a ``Literal`` field takes one of its
+    strings, ``null`` is kept where the default is None and other values
+    are finite numbers. The constructor's messages name ``path`` instead of
+    the class."""
     doc = _mapping(doc, path)
     schema = fields(cls)
+    literals = _literals(cls)
     _check_keys(doc, [f.name for f in schema] + list(extra), path)
     kwargs = {}
     for f in schema:
@@ -193,6 +218,8 @@ def _build(cls, doc: Any, path: str, extra=(), **nested):
                 raise ParseError(f"missing required key '{f.name}' in {path}")
         elif f.name in nested:
             kwargs[f.name] = nested[f.name](doc[f.name], f"{path}.{f.name}")
+        elif f.name in literals:
+            kwargs[f.name] = _string(doc, f.name, path, literals[f.name])
         elif doc[f.name] is None and f.default is None:
             kwargs[f.name] = None
         else:
@@ -223,79 +250,46 @@ def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
     types) and ValidationError for violated bounds, both naming the field.
     """
     doc = _mapping(data, origin)
-    _check_keys(
-        doc,
-        ("name", "system", "field", "grid", "integrator", "outputs", "initial_state"),
-        origin,
-    )
+    _check_keys(doc, [f.name for f in fields(Scenario)], origin)
     for section in ("name", "system", "field", "grid"):
         if section not in doc:
             raise ParseError(f"missing required key '{section}' in {origin}")
     if not isinstance(doc["name"], str) or not doc["name"]:
         raise ParseError(f"{origin}.name must be a non-empty string")
-    name = doc["name"]
 
     system = _build(SystemParams, doc["system"], "system")
     field = _build(FieldModel, doc["field"], "field", envelope=_envelope, phase=_phase)
-
-    grid_doc = _mapping(doc["grid"], "grid")
-    _check_keys(grid_doc, ("t_start", "t_end", "step", "step_policy"), "grid")
-    t_start = _num(grid_doc, "t_start", "grid")
-    t_end = _num(grid_doc, "t_end", "grid")
-    step = _positive(_num(grid_doc, "step", "grid"), "grid.step")
-    step_policy = _string(grid_doc, "step_policy", "grid", _POLICIES, "error")
-    if not t_end > t_start:
-        raise ValidationError(
-            f"grid.t_end ({t_end}) must exceed grid.t_start ({t_start})"
-        )
-    n_float = (t_end - t_start) / step
-    n = round(n_float)
-    if n < 1 or abs(n_float - n) > 1e-9 * max(1.0, n):
-        raise ValidationError(
-            f"grid.step ({step}) must divide the interval "
-            f"[{t_start}, {t_end}] into a whole number of steps"
-        )
+    grid = _build(Grid, doc["grid"], "grid")
     env = field.envelope
-    if env.kind != "constant" and step > env.tau / STEP_FRACTION * (1 + 1e-12):
+    if env.kind != "constant" and grid.step > env.tau / STEP_FRACTION * (1 + 1e-12):
         message = (
-            f"grid.step ({step}) exceeds tau/{STEP_FRACTION:.0f} "
+            f"grid.step ({grid.step}) exceeds tau/{STEP_FRACTION:.0f} "
             f"({env.tau / STEP_FRACTION}) for the pulsed envelope"
         )
-        if step_policy == "error":
+        if grid.step_policy == "error":
             raise ValidationError(message)
         warnings.warn(message, stacklevel=2)
+    integrator = _build(Integrator, doc.get("integrator", {}), "integrator")
 
-    integ_doc = _mapping(doc.get("integrator", {}), "integrator")
-    _check_keys(integ_doc, ("frame", "rtol", "atol"), "integrator")
-    frame = _string(integ_doc, "frame", "integrator", _FRAMES, "rotating")
-    rtol = _positive(_num(integ_doc, "rtol", "integrator", 1e-10), "integrator.rtol")
-    atol = _positive(_num(integ_doc, "atol", "integrator", 1e-12), "integrator.atol")
-
-    outputs_doc = doc.get("outputs", ["snapshot"])
-    if not isinstance(outputs_doc, list) or not all(
-        isinstance(o, str) for o in outputs_doc
-    ):
+    outputs = doc.get("outputs", ["snapshot"])
+    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         raise ParseError(f"{origin}.outputs must be a list of strings")
-    for out in outputs_doc:
+    for out in outputs:
         if out not in _OUTPUTS:
             raise ValidationError(
                 f"outputs entry '{out}' must be one of {list(_OUTPUTS)}"
                 f"{_suggest(out, _OUTPUTS)}"
             )
-    initial_state = _string(doc, "initial_state", origin, _INITS, "ground")
-
+    initial_state = _string(
+        doc, "initial_state", origin, get_args(InitialState), "ground"
+    )
     return Scenario(
-        name=name,
+        name=doc["name"],
         system=system,
         field=field,
-        t_start=t_start,
-        t_end=t_end,
-        step=step,
-        step_policy=step_policy,
-        frame=frame,
-        rtol=rtol,
-        atol=atol,
-        outputs=tuple(outputs_doc),
+        grid=grid,
+        integrator=integrator,
+        outputs=tuple(outputs),
         initial_state=initial_state,
     )
 

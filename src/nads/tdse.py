@@ -53,7 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -99,6 +99,14 @@ _SCAN_BASE = 64
 LZ_WINDOW_SCALE = 40.0
 LZ_RTOL = 1e-6
 LZ_ATOL = 1e-9
+
+
+def _require_one_of(name: str, value, choices) -> None:
+    """Raise ValueError unless ``value`` is a string of the ``Literal``
+    type ``choices``."""
+    allowed = get_args(choices)
+    if value not in allowed:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -150,6 +158,7 @@ def rhs(
     inspection and as the reference the tests integrate with a scalar RK4
     loop.
     """
+    _require_one_of("frame", frame, Frame)
     c_g, c_e = c
     omega = params.mu * float(field.envelope.omega(t))
     phi = float(field.phi(t))
@@ -158,13 +167,11 @@ def rhs(
         d_g = -1j * (params.omega_g - 0.5j * params.gamma_g) * c_g + 1j * coupling * c_e
         d_e = -1j * (params.omega_e - 0.5j * params.gamma_e) * c_e + 1j * coupling * c_g
         return d_g, d_e
-    if frame == "rotating":
-        delta = detuning(params, field)
-        w = 0.5 * omega * complex(math.cos(phi), math.sin(phi))
-        d_g = -0.5 * params.gamma_g * c_g + 1j * w * c_e
-        d_e = (-1j * delta - 0.5 * params.gamma_e) * c_e + 1j * w.conjugate() * c_g
-        return d_g, d_e
-    raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
+    delta = detuning(params, field)
+    w = 0.5 * omega * complex(math.cos(phi), math.sin(phi))
+    d_g = -0.5 * params.gamma_g * c_g + 1j * w * c_e
+    d_e = (-1j * delta - 0.5 * params.gamma_e) * c_e + 1j * w.conjugate() * c_g
+    return d_g, d_e
 
 
 def _stage_coupling(
@@ -373,8 +380,7 @@ def _scan(m, y):
 
 def _start(init: InitialState) -> np.ndarray:
     """The initial state vector (c_g, c_e)."""
-    if init not in ("ground", "excited"):
-        raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
+    _require_one_of("init", init, InitialState)
     return np.array([1.0, 0.0] if init == "ground" else [0.0, 1.0], dtype=complex)
 
 
@@ -465,8 +471,7 @@ def propagate_fixed(
     """One RK4 pass with exactly ``n_sub`` substeps per output interval:
     the interval propagators (:func:`_intervals`) expanded into the states
     on the grid (:func:`_expand`)."""
-    if frame not in ("lab", "rotating"):
-        raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
+    _require_one_of("frame", frame, Frame)
     start = _start(init)
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
@@ -534,6 +539,7 @@ def evolve(
     StepUnderflow
         If the controller drives the substep below 1e-12 of the span.
     """
+    _require_one_of("frame", frame, Frame)
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
     grid, h_out = uniform_grid(grid)

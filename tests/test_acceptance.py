@@ -133,7 +133,7 @@ def test_criterion_08_analytic_vs_numeric_ratio(shipped_series):
     traj = evolve(
         scenario.system, scenario.field, scenario.grid(),
         init="ground", frame="rotating",
-        rtol=scenario.rtol, atol=scenario.atol,
+        rtol=scenario.integrator.rtol, atol=scenario.integrator.atol,
     )
     center = int(np.argmin(np.abs(series.grid)))
     ratio_tdse = abs(traj.c_e[center] / traj.c_g[center])

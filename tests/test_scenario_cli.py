@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -80,10 +81,8 @@ def column(names, rows, name) -> np.ndarray:
 class TestScenarioLoading:
     def test_defaults_filled(self, tmp_path):
         scenario = load_scenario(write_doc(tmp_path, minimal_doc()))
-        assert scenario.rtol == 1e-10
-        assert scenario.atol == 1e-12
-        assert scenario.frame == "rotating"
-        assert scenario.step_policy == "error"
+        assert scenario.integrator == nads.Integrator("rotating", 1e-10, 1e-12)
+        assert scenario.grid.step_policy == "error"
         assert scenario.outputs == ("snapshot",)
         assert scenario.initial_state == "ground"
         assert scenario.system.mu == 1.0
@@ -158,13 +157,25 @@ class TestScenarioLoading:
         doc["grid"]["step_policy"] = "warn"
         with pytest.warns(UserWarning, match="tau/400"):
             scenario = scenario_from_dict(doc)
-        assert scenario.step == 0.01
+        assert scenario.grid.step == 0.01
 
     def test_reversed_grid_rejected(self):
         doc = minimal_doc()
         doc["grid"] = {"t_start": 1.0, "t_end": 0.0, "step": 0.1}
         with pytest.raises(ValidationError, match="t_end"):
             scenario_from_dict(doc)
+
+    def test_code_built_sections_are_checked(self):
+        grid = load_shipped("constant-damped").grid
+        with pytest.raises(ValidationError, match=r"^grid.t_end \(-5.0\) must exceed"):
+            dataclasses.replace(grid, t_end=-5.0)
+        with pytest.raises(ValidationError, match="whole number of steps"):
+            nads.Grid(0, 1, 0.3)
+        with pytest.raises(ValidationError, match="^Grid.t_end must be finite"):
+            nads.Grid(0, math.inf, 0.1)
+        with pytest.raises(ValidationError, match="^Integrator.rtol must be positive, got 0$"):
+            nads.Integrator(rtol=0)
+        assert np.array_equal(nads.Grid(-1, 1, 0.5)(), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
     def test_outputs_validation(self):
         doc = minimal_doc()
@@ -688,6 +699,12 @@ def scenario_docs(draw, out_of_bounds=True):
         },
         "initial_state": draw(st.sampled_from(["ground", "excited"])),
     }
+    if draw(st.booleans()):
+        doc["integrator"] = {
+            "frame": draw(st.sampled_from(["lab", "rotating"])),
+            "rtol": draw(st.floats(1e-12, 1e-4)),
+            "atol": draw(st.floats(1e-14, 1e-6)),
+        }
     if out_of_bounds and draw(st.integers(0, 3)) == 0:
         *parents, key = draw(st.sampled_from(BREAKABLE))
         node = doc
@@ -728,6 +745,10 @@ OPTIONAL_DEFAULTS = {
     ("field", "phase", "phi0"): 0.0,
     ("field", "phase", "beta"): 0.0,
     ("field", "phase", "t_center"): None,
+    ("grid", "step_policy"): "error",
+    ("integrator", "frame"): "rotating",
+    ("integrator", "rtol"): 1e-10,
+    ("integrator", "atol"): 1e-12,
     ("initial_state",): "ground",
 }
 
@@ -747,7 +768,8 @@ def test_round_trip_with_optional_keys_dropped(doc, data):
     # The drawn step need not resolve tau, drawn or the default 1.
     doc["grid"]["step_policy"] = "warn"
     present = [
-        path for path in OPTIONAL_DEFAULTS if path[-1] in at_path(doc, path[:-1])
+        path for path in OPTIONAL_DEFAULTS
+        if path[0] in doc and path[-1] in at_path(doc, path[:-1])
     ]
     dropped = data.draw(st.lists(st.sampled_from(present), unique=True))
     for *parents, key in dropped:
@@ -755,7 +777,12 @@ def test_round_trip_with_optional_keys_dropped(doc, data):
         for part in parents:
             node = node.get(part, {})
         node.pop(key, None)
-    scenario = scenario_from_dict(doc)
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValidationError as exc:
+        # Under the default step_policy "error" such a step fails.
+        assert ("grid", "step_policy") in dropped and "tau/400" in str(exc)
+        return
     assert scenario_from_dict(json.loads(serialize(scenario))) == scenario
     resolved = scenario.resolved()
     for path in dropped:

@@ -293,6 +293,19 @@ class TestValidationAndFailure:
         with pytest.raises(ValueError, match="frame"):
             propagate_fixed(params, field, grid, frame="galilean")
 
+    def test_every_entry_point_rejects_an_unknown_frame(self):
+        # evolve used to integrate the rotating frame for any other name
+        # and label the trajectory with it.
+        params, field = resonant(0.2)
+        grid = np.linspace(0.0, 1.0, 5)
+        message = "^frame must be 'lab' or 'rotating', got 'bogus'$"
+        with pytest.raises(ValueError, match=message):
+            evolve(params, field, grid, frame="bogus")
+        with pytest.raises(ValueError, match=message):
+            propagate_fixed(params, field, grid, frame="bogus")
+        with pytest.raises(ValueError, match=message):
+            rhs(0.0, (1.0, 0.0), params, field, frame="bogus")
+
 
 def reference_rk4(params, field, grid, init, frame, n_sub):
     """Classic RK4 on ``rhs``, one substep at a time, in scalar arithmetic."""
@@ -396,11 +409,12 @@ class TestExpansion:
     @pytest.mark.parametrize("name", list_shipped())
     def test_accepted_pass_matches_hillis_steele(self, name):
         sc = load_shipped(name)
-        traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state, sc.frame,
-                      sc.rtol, sc.atol)
+        traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state,
+                      **vars(sc.integrator))
         grid, h_out = uniform_grid(sc.grid())
         start = tdse._start(sc.initial_state)
-        intervals = tdse._intervals(sc.system, sc.field, grid, h_out, sc.frame, traj.n_sub)
+        intervals = tdse._intervals(sc.system, sc.field, grid, h_out, sc.integrator.frame,
+                                    traj.n_sub)
         states = tdse._expand(intervals, start)
         assert np.array_equal(states[0], traj.c_g) and np.array_equal(states[1], traj.c_e)
         block = max(1, _BLOCK_SUBSTEPS // traj.n_sub)
@@ -481,8 +495,8 @@ class TestExpansion:
 
         monkeypatch.setattr(tdse, "_expand", counting)
         sc = load_shipped(name)
-        traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state, sc.frame,
-                      sc.rtol, sc.atol)
+        traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state,
+                      **vars(sc.integrator))
         assert len(traj.attempts) >= 2
         assert expanded == [len(traj.grid) - 1]
 
@@ -736,7 +750,9 @@ class TestPredictiveController:
     @pytest.mark.parametrize("name", list_shipped())
     def test_shipped_scenarios_match_doubling(self, name):
         sc = load_shipped(name)
-        args = (sc.system, sc.field, sc.grid(), sc.initial_state, sc.frame, sc.rtol, sc.atol)
+        integ = sc.integrator
+        args = (sc.system, sc.field, sc.grid(), sc.initial_state,
+                integ.frame, integ.rtol, integ.atol)
         new = evolve(*args)
         ref, passes = doubling_evolve(*args)
         assert _same_pass(new, ref)
@@ -771,7 +787,7 @@ class TestPredictiveController:
     def test_shipped_scenario_passes(self, name):
         sc = load_shipped(name)
         traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state,
-                      sc.frame, sc.rtol, sc.atol)
+                      **vars(sc.integrator))
         assert [n for n, _ in traj.attempts] == self.SHIPPED_PASSES[name]
         assert traj.attempts[0][1] is None
         assert all(err > 1.0 for _, err in traj.attempts[1:-1])
