@@ -16,6 +16,7 @@ from .errors import (
     NumericalError,
     ParseError,
     StepUnderflow,
+    StepWarning,
     ToleranceUnreachable,
     ValidationError,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "SechEnvelope",
     "SnapshotSeries",
     "StepUnderflow",
+    "StepWarning",
     "SystemParams",
     "ToleranceUnreachable",
     "Trajectory",

@@ -13,15 +13,17 @@ ambiguity, step underflow and kin).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, StepWarning, ValidationError
 from .nads_core import snapshot_series
 from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
 from .scenario import (
@@ -234,7 +236,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold a
+# 64-bit glibc accepts.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep freed memory in the process heap, once per process.
+
+    glibc returns every freed block of 128 KiB or more to the system and
+    trims the top of the heap, so each table block, RK4 pass and sweep
+    point faults its pages in again. Serving blocks up to 32 MiB from the
+    heap and never trimming it lets a command reuse the memory of the last
+    one. Only the command line sets this: ``import nads`` leaves a library
+    caller's allocator policy alone. Off Linux, or where the C library has
+    no ``mallopt``, nothing changes, and a value ``mallopt`` refuses (it
+    returns 0) stays at the library's default.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
+def _run(args) -> int:
+    """Run the parsed command. A scenario's step warning is a CLI message,
+    printed once however many sweep points repeat it; other warnings are
+    shown as they were."""
+    seen = set()
+    show = warnings.showwarning
+
+    def show_step_warning(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, StepWarning):
+            show(message, category, filename, lineno, file, line)
+        elif str(message) not in seen:
+            seen.add(str(message))
+            print(f"warning: {args.file}: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", StepWarning)
+        warnings.showwarning = show_step_warning
+        return args.func(args)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -243,7 +298,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # failures here (exit 1), while --help stays 0.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

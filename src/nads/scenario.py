@@ -30,7 +30,7 @@ from typing import Any, Literal, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, StepWarning, ValidationError
 from .field_model import (
     Chirp,
     ConstantEnvelope,
@@ -268,7 +268,7 @@ def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
         )
         if grid.step_policy == "error":
             raise ValidationError(message)
-        warnings.warn(message, stacklevel=2)
+        warnings.warn(message, StepWarning, stacklevel=2)
     integrator = _build(Integrator, doc.get("integrator", {}), "integrator")
 
     outputs = doc.get("outputs", ["snapshot"])

@@ -230,9 +230,11 @@ class _BlockFormatter:
     rows of ``len(separators)`` cells, into arrays allocated once and
     reused by every block.
 
-    A block allocates nothing of its own size but its text: a fresh set of
-    block-sized temporaries per block crosses glibc's mmap and trim
-    thresholds and faults in new pages each time. A block's arrays are
+    A block allocates nothing of its own size but its text. That saves
+    about a dozen block-sized allocations per block and, for a library
+    caller that keeps glibc's default mmap and trim thresholds (the CLI
+    raises them, see ``cli._keep_heap``), the fresh pages each of them
+    would fault in. A block's arrays are
     contiguous ``(count, cells)`` rows cut from flat buffers, so a stage
     can work on several rows in one call, and the integer stage reuses the
     rows of the floating-point stage, which is over by then. Each word is

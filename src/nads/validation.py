@@ -10,6 +10,7 @@ them fail by name.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,13 +163,22 @@ def check_branch_continuity(series_list: Sequence[SnapshotSeries]) -> CheckResul
     )
 
 
+def _uniform(rng: random.Random, low: float, high: float, shape) -> np.ndarray:
+    """Draws uniform on [low, high) in an array of ``shape``, 53 random bits
+    each. The seeded checks draw from stdlib ``random``, which NumPy has
+    already imported: importing ``numpy.random`` takes about 5 ms, a fifth
+    of a warm ``nads validate``."""
+    bits = np.frombuffer(rng.randbytes(8 * math.prod(shape)), "<u8") >> 11
+    return low + (high - low) * (bits * 2.0**-53).reshape(shape)
+
+
 def check_adiabatic_theorem(seed: int = 2026, draws: int = 10) -> CheckResult:
     """P vanishes for random static undamped unchirped detuned systems."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(draws):
-        omega0 = float(rng.uniform(0.1, 4.0))
-        delta = float(rng.uniform(0.2, 5.0)) * (1 if rng.uniform() < 0.5 else -1)
+        omega0 = rng.uniform(0.1, 4.0)
+        delta = rng.uniform(0.2, 5.0) * (1 if rng.random() < 0.5 else -1)
         omega_e = 6.0
         carrier = omega_e - delta
         params = SystemParams(omega_g=0.0, omega_e=omega_e)
@@ -184,9 +194,9 @@ def check_adiabatic_theorem(seed: int = 2026, draws: int = 10) -> CheckResult:
 
 def check_probability_bound(seed: int = 2027, draws: int = 10_000) -> CheckResult:
     """0 <= P <= 1 for fuzzed complex mixing pairs across 6 decades."""
-    rng = np.random.default_rng(seed)
-    mag = 10.0 ** rng.uniform(-3, 3, size=(draws, 2))
-    ang = rng.uniform(0.0, 2.0 * math.pi, size=(draws, 2))
+    rng = random.Random(seed)
+    mag = 10.0 ** _uniform(rng, -3.0, 3.0, (draws, 2))
+    ang = _uniform(rng, 0.0, 2.0 * math.pi, (draws, 2))
     pairs = mag * (np.cos(ang) + 1j * np.sin(ang))
     p = mixing_probability(pairs[:, 0], pairs[:, 1])
     worst = max(0.0, float(np.max(np.maximum(-p, p - 1.0))))
@@ -198,8 +208,7 @@ def check_probability_bound(seed: int = 2027, draws: int = 10_000) -> CheckResul
 
 def check_microreversibility(seed: int = 2028, draws: int = 10_000) -> CheckResult:
     """Forward and reverse transition probabilities agree exactly."""
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=(draws, 4))
+    values = _uniform(random.Random(seed), -1.0, 1.0, (draws, 4))
     s = values[:, 0] + 1j * values[:, 1]
     c = values[:, 2] + 1j * values[:, 3]
     forward = mixing_probability(s, c)
@@ -207,7 +216,8 @@ def check_microreversibility(seed: int = 2028, draws: int = 10_000) -> CheckResu
     worst = max(0.0, float(np.max(np.abs(forward - reverse))))
     return CheckResult(
         name="microreversibility", passed=worst == 0.0, worst=worst, bound=0.0,
-        detail=f"max |P_forward - P_reverse| over {draws} fuzzed pairs",
+        detail=f"max |P_forward - P_reverse| over {draws} fuzzed pairs, "
+        "parts uniform on [-1, 1)",
     )
 
 
@@ -307,7 +317,7 @@ def check_landau_zener() -> CheckResult:
 
 def check_derivative_hygiene(seed: int = 2029, draws: int = 1000) -> CheckResult:
     """Analytic envelope and phase derivatives match finite differences."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     h = 1e-5
     worst = 0.0
     envelopes = [
@@ -320,7 +330,7 @@ def check_derivative_hygiene(seed: int = 2029, draws: int = 1000) -> CheckResult
         envelope=envelopes[0],
         phase=Chirp(phi0=0.3, beta=0.02, t_center=1.0),
     )
-    times = rng.uniform(-8.0, 8.0, size=draws)
+    times = _uniform(rng, -8.0, 8.0, (draws,))
     for env in envelopes:
         omega = env.omega(times)
         d_omega_fd = (env.omega(times + h) - env.omega(times - h)) / (2 * h)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nads
-from nads.cli import build_parser, main
+from nads.cli import _keep_heap, build_parser, main
 from nads.errors import ParseError, ValidationError
 from nads.nads_core import snapshot_series
 from nads.scenario import (
@@ -76,6 +77,14 @@ def read_table(path) -> tuple[list[str], list[str], list[list[str]]]:
 def column(names, rows, name) -> np.ndarray:
     idx = names.index(name)
     return np.array([float(row[idx]) for row in rows])
+
+
+def run_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
 
 
 class TestScenarioLoading:
@@ -542,6 +551,15 @@ class TestCliValidate:
         assert by_name["exponential_cancellation"]["worst"] < 1e-9
         assert by_name["exponential_cancellation"]["bound"] == 1e-9
 
+    def test_suite_does_not_import_numpy_random(self):
+        out = run_python(
+            "import sys\n"
+            "from nads.validation import run_all\n"
+            "assert all(result.passed for result in run_all())\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        assert out == "False\n"
+
     def test_injected_sign_flip_fails_by_name(self):
         scenario = load_shipped("constant-detuned")
         series = snapshot_series(
@@ -890,6 +908,84 @@ class TestCliPlumbing:
             assert main(["snapshot", str(shipped_path("sech-damped")),
                          "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["snapshot"],
+        ["sweep", "--axis", "system.gamma_e:0:0.3:4", "--reduce", "maxP"],
+    ], ids=["snapshot", "sweep"])
+    def test_step_warning_is_one_cli_line(self, tmp_path, capsys, command):
+        doc = minimal_doc()
+        doc["field"]["envelope"] = {
+            "kind": "gaussian", "omega0": 1.0, "tau": 1.0, "t_center": 0.5,
+        }
+        doc["grid"] = {"t_start": 0.0, "t_end": 1.0, "step": 0.01,
+                       "step_policy": "warn"}
+        path = write_doc(tmp_path, doc)
+        argv = [command[0], path, *command[1:], "--out", str(tmp_path / "out.csv")]
+        # Twice: a second run in the same process warns again.
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == (
+                f"warning: {path}: grid.step (0.01) exceeds tau/400 (0.0025) "
+                "for the pulsed envelope\n"
+            )
+
+
+#: Minor page faults of the second of two identical CLI runs in one process.
+SECOND_RUN_FAULTS = """
+import resource, sys
+from nads.cli import main
+assert main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class _NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+def _no_c_library(name):
+    raise OSError("cannot load the C library")
+
+
+class TestHeapPolicy:
+    """The CLI keeps freed memory in the heap (glibc ``mallopt``), so a run
+    reuses the pages of the one before it."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    @pytest.mark.parametrize("name, command", [
+        ("sech-chirped", ["evolve", "--compare"]),
+        (SLOW_ADIABATIC, ["snapshot"]),
+    ], ids=["evolve-compare", "snapshot"])
+    def test_second_run_reuses_the_heap(self, tmp_path, name, command):
+        # Without the policy these runs take a few hundred faults each.
+        out = run_python(SECOND_RUN_FAULTS, command[0], str(shipped_path(name)),
+                         *command[1:], "--out", str(tmp_path / "table.csv"))
+        assert int(out) <= 50
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux only")
+    @pytest.mark.parametrize("library", [_NoMallopt, _no_c_library],
+                             ids=["no-mallopt", "no-c-library"])
+    def test_without_mallopt_the_table_is_the_same(self, tmp_path, monkeypatch, library):
+        argv = ["snapshot", str(shipped_path("sech-damped")), "--out"]
+        assert main([*argv, str(tmp_path / "expected.csv")]) == 0
+        loaded = []
+
+        def fake_cdll(name):
+            loaded.append(name)
+            return library(name)
+
+        monkeypatch.setattr("ctypes.CDLL", fake_cdll)
+        _keep_heap.cache_clear()
+        try:
+            assert main([*argv, str(tmp_path / "table.csv")]) == 0
+        finally:
+            _keep_heap.cache_clear()
+        assert loaded == [None]
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 STREAMED_COMMANDS = [["snapshot"], ["evolve", "--compare"]]
