@@ -16,7 +16,6 @@ from .errors import (
     NumericalError,
     ParseError,
     StepUnderflow,
-    StepWarning,
     ToleranceUnreachable,
     ValidationError,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "SechEnvelope",
     "SnapshotSeries",
     "StepUnderflow",
-    "StepWarning",
     "SystemParams",
     "ToleranceUnreachable",
     "Trajectory",

@@ -247,14 +247,16 @@ _MMAP_THRESHOLD_MAX = 32 << 20
 def _keep_heap() -> None:
     """Keep freed memory in the process heap, once per process.
 
-    glibc returns every freed block of 128 KiB or more to the system and
-    trims the top of the heap, so each table block, RK4 pass and sweep
-    point faults its pages in again. Serving blocks up to 32 MiB from the
-    heap and never trimming it lets a command reuse the memory of the last
-    one. Only the command line sets this: ``import nads`` leaves a library
-    caller's allocator policy alone. Off Linux, or where the C library has
-    no ``mallopt``, nothing changes, and a value ``mallopt`` refuses (it
-    returns 0) stays at the library's default.
+    glibc returns every freed array of 128 KiB or more to the system and
+    trims the top of the heap, so the next such array faults its pages in
+    again. Serving arrays up to 32 MiB from the heap and never trimming it
+    lets the points of a sweep, the checks of ``validate`` and a second
+    ``main`` call in one process reuse the memory freed before them; a
+    one-shot command on one scenario frees too few such arrays to gain
+    measurably. Only the command line sets this: ``import nads`` leaves a
+    library caller's allocator policy alone. Off Linux, or where the C
+    library has no ``mallopt``, nothing changes, and a value ``mallopt``
+    refuses (it returns 0) stays at the library's default.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -271,7 +273,8 @@ def _keep_heap() -> None:
 def _run(args) -> int:
     """Run the parsed command. A scenario's step warning is a CLI message,
     printed once however many sweep points repeat it; other warnings are
-    shown as they were."""
+    shown as they were. Python's warning filters (``-W``) still decide
+    whether a warning is shown at all."""
     seen = set()
     show = warnings.showwarning
 
@@ -283,7 +286,6 @@ def _run(args) -> int:
             print(f"warning: {args.file}: {message}", file=sys.stderr)
 
     with warnings.catch_warnings():
-        warnings.simplefilter("always", StepWarning)
         warnings.showwarning = show_step_warning
         return args.func(args)
 

@@ -914,21 +914,44 @@ class TestCliPlumbing:
         ["sweep", "--axis", "system.gamma_e:0:0.3:4", "--reduce", "maxP"],
     ], ids=["snapshot", "sweep"])
     def test_step_warning_is_one_cli_line(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, self.coarse_gaussian_doc())
+        argv = [command[0], path, *command[1:], "--out", str(tmp_path / "out.csv")]
+        # Twice: a second run in the same process warns again.
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == self.step_warning_line(path)
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], "line"),
+        (["-W", "ignore::UserWarning"], ""),
+    ], ids=["default", "ignored"])
+    def test_step_warning_obeys_warning_filters(self, tmp_path, flags, expected):
+        path = write_doc(tmp_path, self.coarse_gaussian_doc())
+        env = dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "nads.cli", "snapshot", path,
+             "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (self.step_warning_line(path) if expected else "")
+
+    @staticmethod
+    def coarse_gaussian_doc() -> dict:
+        """A gaussian tau = 1 scenario whose step 0.01 only warns."""
         doc = minimal_doc()
         doc["field"]["envelope"] = {
             "kind": "gaussian", "omega0": 1.0, "tau": 1.0, "t_center": 0.5,
         }
         doc["grid"] = {"t_start": 0.0, "t_end": 1.0, "step": 0.01,
                        "step_policy": "warn"}
-        path = write_doc(tmp_path, doc)
-        argv = [command[0], path, *command[1:], "--out", str(tmp_path / "out.csv")]
-        # Twice: a second run in the same process warns again.
-        for _ in range(2):
-            assert main(argv) == 0
-            assert capsys.readouterr().err == (
-                f"warning: {path}: grid.step (0.01) exceeds tau/400 (0.0025) "
-                "for the pulsed envelope\n"
-            )
+        return doc
+
+    @staticmethod
+    def step_warning_line(path: str) -> str:
+        return (f"warning: {path}: grid.step (0.01) exceeds tau/400 (0.0025) "
+                "for the pulsed envelope\n")
 
 
 #: Minor page faults of the second of two identical CLI runs in one process.
@@ -936,6 +959,15 @@ SECOND_RUN_FAULTS = """
 import resource, sys
 from nads.cli import main
 assert main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+#: Minor page faults of the only CLI run of a fresh process.
+ONE_SHOT_FAULTS = """
+import resource, sys
+from nads.cli import main
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assert main(sys.argv[1:]) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -952,8 +984,9 @@ def _no_c_library(name):
 
 
 class TestHeapPolicy:
-    """The CLI keeps freed memory in the heap (glibc ``mallopt``), so a run
-    reuses the pages of the one before it."""
+    """The CLI keeps freed memory in the heap (glibc ``mallopt``), so a
+    sweep's points, and a run after another in one process, reuse the pages
+    freed before them."""
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
     @pytest.mark.parametrize("name, command", [
@@ -965,6 +998,16 @@ class TestHeapPolicy:
         out = run_python(SECOND_RUN_FAULTS, command[0], str(shipped_path(name)),
                          *command[1:], "--out", str(tmp_path / "table.csv"))
         assert int(out) <= 50
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_one_shot_sweep_reuses_the_heap(self, tmp_path):
+        # The points of one sweep reuse each other's memory: about 300
+        # faults, where glibc's default policy takes 15,000-17,000.
+        out = run_python(ONE_SHOT_FAULTS, "sweep", str(shipped_path("sech-damped")),
+                         "--axis", "system.gamma_e:0:0.3:4",
+                         "--axis", "field.phase.beta:0:0.05:5", "--reduce", "finalPe",
+                         "--out", str(tmp_path / "table.csv"))
+        assert int(out) <= 1500
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux only")
     @pytest.mark.parametrize("library", [_NoMallopt, _no_c_library],
