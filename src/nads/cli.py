@@ -26,13 +26,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, StepWarning, ValidationError
 from .nads_core import snapshot_series
 from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
-from .scenario import (
-    Scenario,
-    load_scenario,
-    parse_axis,
-    scenario_from_dict,
-    with_axis_values,
-)
+from .scenario import Scenario, load_scenario, parse_axis, with_axis_values
 from .tables import scenario_header, table_json, write_table, write_text
 from .tdse import evolve
 from .validation import run_all
@@ -156,9 +150,7 @@ def cmd_sweep(args) -> int:
     def run_point(index):
         try:
             pairs = [(path, column[index]) for path, column in zip(paths, columns)]
-            doc = with_axis_values(resolved, pairs)
-            point = scenario_from_dict(doc, origin="scenario")
-            return REDUCERS[args.reduce](point), ""
+            return REDUCERS[args.reduce](with_axis_values(scenario, pairs)), ""
         except (ConfigError, NumericalError) as exc:
             return float("nan"), f"{type(exc).__name__}: {exc}"
 

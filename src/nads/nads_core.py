@@ -14,7 +14,8 @@ Every selection is recorded so a jump can be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -99,6 +100,14 @@ def require_finite(quantity: str, values: np.ndarray) -> None:
     if bad.any():
         k = int(np.argmax(bad))
         raise NonFiniteValue(f"{quantity} is not finite: {values[k]}", grid_index=k)
+
+
+def _require_one_of(name: str, value, choices) -> None:
+    """Raise ValueError unless ``value`` is a string of the ``Literal``
+    type ``choices``."""
+    allowed = get_args(choices)
+    if value not in allowed:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
@@ -318,12 +327,8 @@ def snapshot_series(
             "sin_half": branch_sin,
         },
     )
-    for arr in (
-        series.grid, series.omega, series.log_deriv, series.phi, series.dphi,
-        series.delta_tilde, series.d_delta_tilde, series.omega_tilde,
-        series.d_omega_tilde, series.lambda1, series.lambda2, series.lambda_t1,
-        series.lambda_t2, series.cos_half, series.sin_half, series.omega_G,
-        series.omega_E, *series.branch_log.values(),
-    ):
-        arr.flags.writeable = False
+    values = [getattr(series, f.name) for f in fields(series)]
+    for arr in [*values, *series.branch_log.values()]:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return series

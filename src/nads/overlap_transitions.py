@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .nads_core import SnapshotSeries, require_finite
+from .nads_core import SnapshotSeries, _require_one_of, require_finite
 
 __all__ = [
     "norms",
@@ -178,8 +178,7 @@ def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
 
     The ratio is NaN wherever |COS| is below ``RATIO_FLOOR`` times |SIN|.
     """
-    if init not in ("ground", "excited"):
-        raise ValueError(f"init must be 'ground' or 'excited', got {init!r}")
+    _require_one_of("init", init, InitialState)
     s, c = series.sin_half, series.cos_half
     grid = series.grid
     phase = series.field.carrier_omega * (grid - grid[0]) + series.phi

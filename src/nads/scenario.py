@@ -8,17 +8,19 @@ and defaults are filled in at load time. The keys, defaults and value checks
 of every section are the fields and constructors of a frozen dataclass:
 ``system`` and ``field`` of the ``field_model`` classes, ``grid`` of
 :class:`Grid` and ``integrator`` of :class:`Integrator`. A field typed as a
-``Literal`` takes one of its strings. ``Scenario.resolved`` echoes those
+``Literal`` takes one of its strings. Every rule, the tau/400 step rule of
+:class:`Scenario` included, is checked by a constructor, so it holds in
+code, in files and at each sweep point. ``Scenario.resolved`` echoes those
 fields, so load(serialize(s)) reproduces s exactly.
 
 A sweep axis is a plain (dotted path, values) pair. ``parse_axis`` checks
 its text and its path against the resolved document before any point runs;
-``with_axis_values`` writes one point's values into a copy of that document.
+``with_axis_values`` rebuilds the sections on those paths with one point's
+values.
 """
 
 from __future__ import annotations
 
-import copy
 import difflib
 import functools
 import json
@@ -58,7 +60,7 @@ __all__ = [
     "load_shipped",
 ]
 
-#: Pulsed envelopes must satisfy step <= tau / STEP_FRACTION on load.
+#: Pulsed envelopes must satisfy step <= tau / STEP_FRACTION.
 STEP_FRACTION = 400.0
 
 _ENVELOPES = {
@@ -67,12 +69,41 @@ _ENVELOPES = {
 _OUTPUTS = ("snapshot", "evolve")
 
 
+def _suggest(key: str, allowed) -> str:
+    matches = difflib.get_close_matches(key, list(allowed), n=1, cutoff=0.5)
+    return f"; did you mean '{matches[0]}'?" if matches else ""
+
+
+@functools.cache
+def _literals(cls) -> dict[str, tuple]:
+    """The allowed strings of each ``Literal``-typed field of ``cls``."""
+    return {
+        name: get_args(hint)
+        for name, hint in get_type_hints(cls).items()
+        if get_origin(hint) is Literal
+    }
+
+
+def _require_choice(label: str, value, allowed) -> None:
+    if value not in allowed:
+        raise ValidationError(
+            f"{label} must be one of {list(allowed)}, got '{value}'"
+            f"{_suggest(str(value), allowed)}"
+        )
+
+
+def _require_choices(obj) -> None:
+    """Each ``Literal`` field of ``obj`` must hold one of its strings."""
+    for name, allowed in _literals(type(obj)).items():
+        _require_choice(f"{type(obj).__name__}.{name}", getattr(obj, name), allowed)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform time grid t_start + k*step, k = 0..n, covering [t_start, t_end]
     in a whole number n >= 1 of steps. ``step_policy`` says whether a step
-    above tau/STEP_FRACTION of a pulsed envelope fails or only warns when a
-    scenario is loaded; calling the grid gives its points."""
+    above tau/STEP_FRACTION of a pulsed envelope fails or only warns in a
+    :class:`Scenario`; calling the grid gives its points."""
 
     t_start: float
     t_end: float
@@ -80,6 +111,7 @@ class Grid:
     step_policy: Literal["error", "warn"] = "error"
 
     def __post_init__(self):
+        _require_choices(self)
         _require_finite("Grid", t_start=self.t_start, t_end=self.t_end, step=self.step)
         _require_positive("Grid", step=self.step)
         if not self.t_end > self.t_start:
@@ -109,6 +141,7 @@ class Integrator:
     atol: float = 1e-12
 
     def __post_init__(self):
+        _require_choices(self)
         _require_finite("Integrator", rtol=self.rtol, atol=self.atol)
         _require_positive("Integrator", rtol=self.rtol, atol=self.atol)
 
@@ -121,9 +154,29 @@ class Scenario:
     system: SystemParams
     field: FieldModel
     grid: Grid
-    integrator: Integrator
-    outputs: tuple[str, ...]
-    initial_state: InitialState
+    integrator: Integrator = Integrator()
+    outputs: tuple[str, ...] = ("snapshot",)
+    initial_state: InitialState = "ground"
+
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError("Scenario.name must be a non-empty string")
+        env, step = self.field.envelope, self.grid.step
+        if env.kind != "constant" and step > env.tau / STEP_FRACTION * (1 + 1e-12):
+            message = (
+                f"grid.step ({step}) exceeds tau/{STEP_FRACTION:.0f} "
+                f"({env.tau / STEP_FRACTION}) for the pulsed envelope"
+            )
+            if self.grid.step_policy == "error":
+                raise ValidationError(message)
+            warnings.warn(message, StepWarning, stacklevel=3)
+        for out in self.outputs:
+            if out not in _OUTPUTS:
+                raise ValidationError(
+                    f"outputs entry '{out}' must be one of {list(_OUTPUTS)}"
+                    f"{_suggest(str(out), _OUTPUTS)}"
+                )
+        _require_choices(self)
 
     def resolved(self) -> dict:
         """Plain-dict echo of the scenario, defaults included.
@@ -142,11 +195,6 @@ def _echo(obj) -> dict:
         value = getattr(obj, f.name)
         out[f.name] = _echo(value) if is_dataclass(value) else value
     return out
-
-
-def _suggest(key: str, allowed) -> str:
-    matches = difflib.get_close_matches(key, list(allowed), n=1, cutoff=0.5)
-    return f"; did you mean '{matches[0]}'?" if matches else ""
 
 
 def _mapping(obj: Any, path: str) -> dict:
@@ -174,39 +222,28 @@ def _num(doc: Mapping, key: str, path: str) -> float:
     return value
 
 
-def _string(doc: Mapping, key: str, path: str, allowed, default: str | None = None) -> str:
+def _string(doc: Mapping, key: str, path: str) -> str:
     if key not in doc:
-        if default is None:
-            raise ParseError(f"missing required key '{key}' in {path}")
-        return default
+        raise ParseError(f"missing required key '{key}' in {path}")
     value = doc[key]
     if not isinstance(value, str):
         raise ParseError(f"{path}.{key} must be a string, got {value!r}")
-    if value not in allowed:
-        raise ValidationError(
-            f"{path}.{key} must be one of {list(allowed)}, got '{value}'"
-            f"{_suggest(value, allowed)}"
-        )
     return value
 
 
-@functools.cache
-def _literals(cls) -> dict[str, tuple]:
-    """The allowed strings of each ``Literal``-typed field of ``cls``."""
-    return {
-        name: get_args(hint)
-        for name, hint in get_type_hints(cls).items()
-        if get_origin(hint) is Literal
-    }
+def _strings(value: Any, path: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{path} must be a list of strings")
+    return tuple(value)
 
 
 def _build(cls, doc: Any, path: str, extra=(), **nested):
     """Dataclass ``cls`` from the object ``doc`` at ``path``: keys are its
     fields plus ``extra``, a field without a default is required, ``nested``
-    maps a field to its parser, a ``Literal`` field takes one of its
-    strings, ``null`` is kept where the default is None and other values
-    are finite numbers. The constructor's messages name ``path`` instead of
-    the class."""
+    maps a field to its parser, a ``Literal`` field takes a string, ``null``
+    is kept where the default is None and other values are finite numbers.
+    Only these JSON types are checked here; the values are the
+    constructor's to check."""
     doc = _mapping(doc, path)
     schema = fields(cls)
     literals = _literals(cls)
@@ -219,11 +256,16 @@ def _build(cls, doc: Any, path: str, extra=(), **nested):
         elif f.name in nested:
             kwargs[f.name] = nested[f.name](doc[f.name], f"{path}.{f.name}")
         elif f.name in literals:
-            kwargs[f.name] = _string(doc, f.name, path, literals[f.name])
+            kwargs[f.name] = _string(doc, f.name, path)
         elif doc[f.name] is None and f.default is None:
             kwargs[f.name] = None
         else:
             kwargs[f.name] = _num(doc, f.name, path)
+    return _construct(cls, path, kwargs)
+
+
+def _construct(cls, path: str, kwargs: dict):
+    """``cls(**kwargs)``, its messages naming ``path`` instead of the class."""
     try:
         return cls(**kwargs)
     except ValidationError as exc:
@@ -234,8 +276,14 @@ def _build(cls, doc: Any, path: str, extra=(), **nested):
         raise ValidationError(f"{path}.{relabeled}") from exc
 
 
+def _section(cls, **nested):
+    """Parser of a top-level section, which messages name by its key alone."""
+    return lambda doc, path: _build(cls, doc, path.rpartition(".")[2], **nested)
+
+
 def _envelope(doc: Any, path: str):
-    kind = _string(_mapping(doc, path), "kind", path, _ENVELOPES)
+    kind = _string(_mapping(doc, path), "kind", path)
+    _require_choice(f"{path}.kind", kind, _ENVELOPES)
     return _build(_ENVELOPES[kind], doc, path, extra=("kind",))
 
 
@@ -249,48 +297,14 @@ def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
     Raises ParseError for structural problems (unknown/missing keys, wrong
     types) and ValidationError for violated bounds, both naming the field.
     """
-    doc = _mapping(data, origin)
-    _check_keys(doc, [f.name for f in fields(Scenario)], origin)
-    for section in ("name", "system", "field", "grid"):
-        if section not in doc:
-            raise ParseError(f"missing required key '{section}' in {origin}")
-    if not isinstance(doc["name"], str) or not doc["name"]:
-        raise ParseError(f"{origin}.name must be a non-empty string")
-
-    system = _build(SystemParams, doc["system"], "system")
-    field = _build(FieldModel, doc["field"], "field", envelope=_envelope, phase=_phase)
-    grid = _build(Grid, doc["grid"], "grid")
-    env = field.envelope
-    if env.kind != "constant" and grid.step > env.tau / STEP_FRACTION * (1 + 1e-12):
-        message = (
-            f"grid.step ({grid.step}) exceeds tau/{STEP_FRACTION:.0f} "
-            f"({env.tau / STEP_FRACTION}) for the pulsed envelope"
-        )
-        if grid.step_policy == "error":
-            raise ValidationError(message)
-        warnings.warn(message, StepWarning, stacklevel=2)
-    integrator = _build(Integrator, doc.get("integrator", {}), "integrator")
-
-    outputs = doc.get("outputs", ["snapshot"])
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise ParseError(f"{origin}.outputs must be a list of strings")
-    for out in outputs:
-        if out not in _OUTPUTS:
-            raise ValidationError(
-                f"outputs entry '{out}' must be one of {list(_OUTPUTS)}"
-                f"{_suggest(out, _OUTPUTS)}"
-            )
-    initial_state = _string(
-        doc, "initial_state", origin, get_args(InitialState), "ground"
-    )
-    return Scenario(
-        name=doc["name"],
-        system=system,
-        field=field,
-        grid=grid,
-        integrator=integrator,
-        outputs=tuple(outputs),
-        initial_state=initial_state,
+    return _build(
+        Scenario, data, origin,
+        name=lambda value, path: value,
+        system=_section(SystemParams),
+        field=_section(FieldModel, envelope=_envelope, phase=_phase),
+        grid=_section(Grid),
+        integrator=_section(Integrator),
+        outputs=_strings,
     )
 
 
@@ -375,17 +389,27 @@ def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
     return path, (np.geomspace if log else np.linspace)(start, stop, count)
 
 
-def with_axis_values(resolved: Mapping, pairs) -> dict:
-    """One deep copy of the resolved document with each (dotted path,
-    value) pair of a sweep point written in."""
-    doc = copy.deepcopy(dict(resolved))
-    for path, value in pairs:
-        *parents, leaf = path.split(".")
-        node = doc
-        for part in parents:
-            node = node[part]
-        node[leaf] = float(value)
-    return doc
+def with_axis_values(scenario: Scenario, pairs) -> Scenario:
+    """The scenario with each (dotted path, value) pair of a sweep point
+    written in. The sections on the paths are rebuilt through their
+    constructors in field order, so a point is checked as a loaded
+    document is; the other sections are reused."""
+    return _rebuild(scenario, {path: float(value) for path, value in pairs}, ())
+
+
+def _rebuild(obj, values: dict, keys: tuple):
+    """``obj``, the section at the dotted path ``keys``, rebuilt with the
+    ``values`` of the paths under it."""
+    path = ".".join(keys) or "scenario"
+    kwargs = {}
+    for f in fields(obj):
+        key = ".".join((*keys, f.name))
+        kwargs[f.name] = getattr(obj, f.name)
+        if key in values:
+            kwargs[f.name] = _num({f.name: values[key]}, f.name, path)
+        elif any(other.startswith(f"{key}.") for other in values):
+            kwargs[f.name] = _rebuild(kwargs[f.name], values, (*keys, f.name))
+    return _construct(type(obj), path, kwargs)
 
 
 def _scenario_dir():

@@ -53,13 +53,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, get_args
+from typing import Literal, Optional
 
 import numpy as np
 
 from .errors import StepUnderflow, ToleranceUnreachable
 from .field_model import Chirp, FieldModel, SystemParams
-from .nads_core import detuning, uniform_grid
+from .nads_core import _require_one_of, detuning, uniform_grid
 from .overlap_transitions import InitialState
 
 __all__ = [
@@ -99,14 +99,6 @@ _SCAN_BASE = 64
 LZ_WINDOW_SCALE = 40.0
 LZ_RTOL = 1e-6
 LZ_ATOL = 1e-9
-
-
-def _require_one_of(name: str, value, choices) -> None:
-    """Raise ValueError unless ``value`` is a string of the ``Literal``
-    type ``choices``."""
-    allowed = get_args(choices)
-    if value not in allowed:
-        raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
 @dataclass(eq=False)

@@ -7,6 +7,7 @@ Frozen constants marked 'oracle' regenerate with ``python3 tests/oracles.py``.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -389,6 +390,19 @@ class TestSnapshotSeries:
         _, series = flagship
         with pytest.raises(ValueError):
             series.omega_tilde[0] = 0.0
+
+    def test_every_reachable_array_is_frozen(self, flagship):
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict) or dataclasses.is_dataclass(obj):
+                for value in (obj if isinstance(obj, dict) else vars(obj)).values():
+                    yield from arrays(value)
+
+        _, series = flagship
+        found = list(arrays(series))
+        assert len(found) == 20  # 17 array fields and 3 branch logs
+        assert not any(arr.flags.writeable for arr in found)
 
     def test_caller_grid_stays_writeable(self):
         params = SystemParams(0.0, 5.0)
