@@ -345,7 +345,8 @@ def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
 
     The path must name a numeric field of the resolved scenario document
     ``resolved``. Raises ParseError for a malformed axis and ValidationError
-    for a count below 2, non-positive log bounds or a bad path.
+    for a count below 2, non-positive log bounds, a bad path or spacing
+    that overflows to non-finite values.
     """
     parts = text.split(":")
     if len(parts) not in (4, 5):
@@ -386,7 +387,14 @@ def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
         node = node[part]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"axis path '{path}' does not name a numeric field")
-    return path, (np.geomspace if log else np.linspace)(start, stop, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.geomspace if log else np.linspace)(start, stop, count)
+    if not np.isfinite(values).all():
+        raise ValidationError(
+            f"axis {path}: spacing {count} values from {start:g} to {stop:g} "
+            "overflows to non-finite values"
+        )
+    return path, values
 
 
 def with_axis_values(scenario: Scenario, pairs) -> Scenario:

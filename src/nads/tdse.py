@@ -532,8 +532,8 @@ def evolve(
         If the controller drives the substep below 1e-12 of the span.
     """
     _require_one_of("frame", frame, Frame)
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("rtol and atol must be positive and finite")
     grid, h_out = uniform_grid(grid)
     start = _start(init)
     span = float(grid[-1] - grid[0])

@@ -254,3 +254,28 @@ def test_single_fault_message(tmp_path, capsys, kind, section, key, value, code,
     err = capsys.readouterr().err
     assert rc == code
     assert err == (f"error: {path}: {message}\n" if code else "")
+
+
+#: (axis, error line) of sweep axes rejected before any point runs.
+AXIS_CASES = [
+    ("system.gamma_e:-1e308:1e308:3",
+     "axis system.gamma_e: spacing 3 values from -1e+308 to 1e+308 overflows "
+     "to non-finite values"),
+    ("system.gamma_e:0:1:1", "axis system.gamma_e: count must be >= 2"),
+    ("system.gamma_e:0:1:3:log",
+     "axis system.gamma_e: log spacing requires positive bounds"),
+]
+
+
+@pytest.mark.parametrize(
+    "axis, message", AXIS_CASES, ids=[axis for axis, _ in AXIS_CASES]
+)
+def test_sweep_axis_message(tmp_path, capsys, axis, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(base_doc("gaussian")), encoding="utf-8")
+    table = tmp_path / "table.csv"
+    rc = main(["sweep", str(path), "--axis", axis, "--reduce", "maxP",
+               "--out", str(table)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not table.exists()

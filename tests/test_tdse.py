@@ -282,6 +282,11 @@ class TestValidationAndFailure:
             evolve(params, field, grid, rtol=0.0)
         with pytest.raises(ValueError):
             evolve(params, field, grid, atol=-1e-9)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                evolve(params, field, grid, rtol=tol)
+            with pytest.raises(ValueError, match="positive and finite"):
+                evolve(params, field, grid, atol=tol)
 
     def test_propagate_fixed_validation(self):
         params, field = resonant(0.2)
