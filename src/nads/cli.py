@@ -23,39 +23,62 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, StepWarning, ValidationError
-from .nads_core import snapshot_series
+from .errors import ConfigError, NadsError, NumericalError, StepWarning, ValidationError
+from .nads_core import snapshot_batch, snapshot_series
 from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
 from .scenario import Scenario, load_scenario, parse_axis, with_axis_values
 from .tables import scenario_header, table_json, write_table, write_text
-from .tdse import evolve
+from .tdse import evolve, final_states
 from .validation import run_all
 
 __all__ = ["main"]
 
 
-def _reduce_max_p(scenario: Scenario) -> float:
-    series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    return float(np.max(mixing_probability(series.sin_half, series.cos_half)))
+#: Grid points of the snapshot series a ``maxP`` sweep holds at once.
+_SERIES_POINTS = 1 << 14
+
+#: Sweep points built and reduced at once.
+_SWEEP_POINTS = 1024
 
 
-def _final_trajectory(scenario: Scenario):
-    return evolve(scenario.system, scenario.field, scenario.grid(),
-                  scenario.initial_state, **vars(scenario.integrator))
+def _final_states(points: list[Scenario]) -> list:
+    """Last states of sweep points that share a grid, an integrator and an
+    initial state, as one batch."""
+    first = points[0]
+    return final_states([(p.system, p.field) for p in points], first.grid(),
+                        first.initial_state, **vars(first.integrator))
 
 
-def _reduce_final_pe(scenario: Scenario) -> float:
-    return float(abs(_final_trajectory(scenario).c_e[-1]) ** 2)
+def _each(results: list, value) -> list:
+    """``value`` of each result that is not a NumericalError."""
+    return [r if isinstance(r, NumericalError) else value(r) for r in results]
 
 
-def _reduce_final_pg(scenario: Scenario) -> float:
-    return float(abs(_final_trajectory(scenario).c_g[-1]) ** 2)
+def _reduce_max_p(points: list[Scenario]) -> list:
+    grid = points[0].grid()
+    size = max(1, _SERIES_POINTS // len(grid))
+    out = []
+    for first in range(0, len(points), size):
+        batch = snapshot_batch([(p.system, p.field) for p in points[first:first + size]], grid)
+        out += _each(batch, lambda s: float(np.max(mixing_probability(s.sin_half, s.cos_half))))
+    return out
 
 
-def _reduce_final_norm(scenario: Scenario) -> float:
-    return float(_final_trajectory(scenario).norm[-1])
+def _reduce_final_pe(points: list[Scenario]) -> list:
+    return _each(_final_states(points), lambda traj: float(abs(traj.c_e[-1]) ** 2))
 
 
+def _reduce_final_pg(points: list[Scenario]) -> list:
+    return _each(_final_states(points), lambda traj: float(abs(traj.c_g[-1]) ** 2))
+
+
+def _reduce_final_norm(points: list[Scenario]) -> list:
+    return _each(_final_states(points), lambda traj: float(traj.norm[-1]))
+
+
+#: The scalar of each sweep point, for points that share a grid, an
+#: integrator and an initial state: a float, or the NumericalError of the
+#: point.
 REDUCERS = {
     "maxP": _reduce_max_p,
     "finalPe": _reduce_final_pe,
@@ -104,7 +127,8 @@ def cmd_snapshot(args) -> int:
 
 def cmd_evolve(args) -> int:
     scenario = load_scenario(args.file)
-    traj = _final_trajectory(scenario)
+    traj = evolve(scenario.system, scenario.field, scenario.grid(),
+                  scenario.initial_state, **vars(scenario.integrator))
     grid = traj.grid
     names = ["t", "Re_c_g", "Im_c_g", "Re_c_e", "Im_c_e", "norm"]
     columns = [
@@ -146,21 +170,43 @@ def cmd_sweep(args) -> int:
     # Full-length axis columns in axis-major order, allocated at once, so an
     # impossible point count fails before any point runs.
     columns = [grid.ravel() for grid in np.meshgrid(*values, indexing="ij")]
-
-    def run_point(index):
-        try:
-            pairs = [(path, column[index]) for path, column in zip(paths, columns)]
-            return REDUCERS[args.reduce](with_axis_values(scenario, pairs)), ""
-        except (ConfigError, NumericalError) as exc:
-            return float("nan"), f"{type(exc).__name__}: {exc}"
-
-    results = [run_point(index) for index in range(len(columns[0]))]
+    results = []
+    for first in range(0, len(columns[0]), _SWEEP_POINTS):
+        indices = range(first, min(first + _SWEEP_POINTS, len(columns[0])))
+        results += _sweep_points(scenario, paths, [c[indices] for c in columns], args.reduce)
 
     names = [*paths, args.reduce, "error"]
     columns.append([value for value, _ in results])
     columns.append([err for _, err in results])
     _emit(args, "sweep table", resolved, names, columns)
     return 0
+
+
+def _sweep_points(scenario: Scenario, paths, columns, reduce: str) -> list:
+    """(value, error cell) of each sweep point, in order. The points that
+    build share a batch per grid, integrator and initial state; a point
+    that fails, to build or numerically, takes NaN and its own error cell."""
+    results: list = [None] * len(columns[0])
+    batches: dict[tuple, list[int]] = {}
+    points = []
+    for index in range(len(results)):
+        try:
+            point = with_axis_values(scenario, [(path, column[index])
+                                                for path, column in zip(paths, columns)])
+        except ConfigError as exc:
+            results[index] = exc
+            point = None
+        else:
+            key = (point.grid, point.integrator, point.initial_state)
+            batches.setdefault(key, []).append(index)
+        points.append(point)
+    for members in batches.values():
+        for index, value in zip(members, REDUCERS[reduce]([points[i] for i in members])):
+            results[index] = value
+    return [
+        (float("nan"), f"{type(r).__name__}: {r}") if isinstance(r, NadsError) else (r, "")
+        for r in results
+    ]
 
 
 def cmd_validate(args) -> int:

@@ -10,6 +10,11 @@ Complex square roots are tracked for continuity: the principal branch is
 used at the first grid point (times the detuning sign where the definition
 says so) and thereafter the root closer to the previous sample is kept.
 Every selection is recorded so a jump can be audited.
+
+Independent runs on one grid are evaluated as one batch of (B, n) arrays
+(:func:`snapshot_batch`; :func:`snapshot_series` is a batch of one). Every
+operation is elementwise along the batch axis, so each run's series, and
+the failure it raises alone, come out bitwise the same in any batch.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .errors import (
     DegenerateRabi,
     EnvelopeUnderflow,
     NonFiniteValue,
+    NumericalError,
 )
 from .field_model import (
     FieldModel,
@@ -35,6 +41,7 @@ __all__ = [
     "SnapshotSeries",
     "detuning",
     "require_finite",
+    "snapshot_batch",
     "snapshot_series",
 ]
 
@@ -111,62 +118,78 @@ def _require_one_of(name: str, value, choices) -> None:
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order derivative on a uniform grid, one-sided at the ends.
+    """Second-order derivative along the grid of each run (the rows of
+    ``values``) on a uniform grid, one-sided at the ends.
 
     A two-point grid degrades to the single first-order difference, the
     best available estimate there.
     """
     out = np.empty_like(values)
-    if len(values) == 2:
-        out[:] = (values[1] - values[0]) / h
+    if values.shape[1] == 2:
+        out[:] = ((values[:, 1] - values[:, 0]) / h)[:, None]
         return out
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * h)
+    out[:, 0] = (-3.0 * values[:, 0] + 4.0 * values[:, 1] - values[:, 2]) / (2.0 * h)
+    out[:, -1] = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * h)
     return out
+
+
+def _first_failures(errors: list, bad: np.ndarray, make) -> None:
+    """For each run j of ``bad`` (shape (B, ...)) that has no error yet and
+    a True anywhere, set ``errors[j]`` to ``make(j, k)`` with k the flat
+    index of its first True in ``bad[j]``."""
+    if not bad.any():
+        return
+    for j in np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)):
+        if errors[j] is None:
+            errors[j] = make(j, int(np.argmax(bad[j])))
 
 
 def _track_branches(
     principal: np.ndarray,
-    first_sign: tuple[int, ...],
+    first_sign,
     contexts: tuple[str, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Branch-continuous square roots from principal roots, one series per row.
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Branch-continuous square roots from principal roots of shape
+    (C, B, n): C tracked quantities, named by ``contexts``, of B runs.
 
-    Row j starts at ``first_sign[j]`` times its principal root; afterwards
-    each sample keeps whichever of +-principal lies nearer the previous kept
-    root. Since |p_k - s p_{k-1}| and |p_k + s p_{k-1}| only swap with the
-    sign s, the per-step decision is the sign-free comparison of
-    |p_k -+ p_{k-1}|, and the signs are its running product (a prefix scan).
+    Series (c, j) starts at ``first_sign[c, j]`` (shape (C, B), or (C,)
+    for one sign per quantity) times its principal root; afterwards each sample
+    keeps whichever of +-principal lies nearer the previous kept root.
+    Since |p_k - s p_{k-1}| and |p_k + s p_{k-1}| only swap with the sign
+    s, the per-step decision is the sign-free comparison of
+    |p_k -+ p_{k-1}|, and the signs are its running product (a prefix
+    scan).
 
     Returns the tracked roots and their int8 signs (+1 principal kept, -1
-    negated), both shaped like ``principal``.
-
-    Raises
-    ------
-    BranchAmbiguity
-        At the first grid point (rows in order on a shared point) where both
-        candidates are equidistant from the previous sample, within
-        ``BRANCH_AMBIGUITY_RTOL``.
+    negated), both shaped like ``principal``, and one entry per run: the
+    :class:`BranchAmbiguity` at the first grid point (quantities in order
+    on a shared point) where both candidates are equidistant from the
+    previous sample, within ``BRANCH_AMBIGUITY_RTOL``, or None.
     """
-    cur, prev = principal[:, 1:], principal[:, :-1]
+    cur, prev = principal[..., 1:], principal[..., :-1]
     d_keep = np.abs(cur - prev)
     d_flip = np.abs(cur + prev)
-    steps = np.where(d_keep < d_flip, 1, -1).astype(np.int8)
-    signs = np.concatenate(
-        [np.asarray(first_sign, dtype=np.int8)[:, None], steps], axis=1
-    ).cumprod(axis=1, dtype=np.int8)
+    first = np.asarray(first_sign, dtype=np.int8).reshape(len(principal), -1)
+    signs = np.empty(principal.shape, dtype=np.int8)
+    signs[..., 0] = first
+    signs[..., 1:] = np.where(d_keep < d_flip, 1, -1)
+    np.cumprod(signs, axis=-1, out=signs)
     roots = np.where(signs > 0, principal, -principal)
-    roots[:, 0] = np.asarray(first_sign) * principal[:, 0]
+    roots[..., 0] = first * principal[..., 0]
     tie = np.abs(d_keep - d_flip) <= BRANCH_AMBIGUITY_RTOL * np.maximum(d_keep, d_flip)
-    if tie.any():
-        k, j = np.argwhere(tie.T)[0]
-        raise BranchAmbiguity(
-            f"{contexts[j]}: both roots +-{complex(principal[j, k + 1]):.6e} "
-            f"equidistant from previous sample {complex(roots[j, k]):.6e}",
+    errors = [None] * principal.shape[1]
+
+    def ambiguity(j, index):
+        k, c = divmod(index, len(contexts))
+        return BranchAmbiguity(
+            f"{contexts[c]}: both roots +-{complex(principal[c, j, k + 1]):.6e} "
+            f"equidistant from previous sample {complex(roots[c, j, k]):.6e}",
             grid_index=int(k) + 1,
         )
-    return roots, signs
+
+    _first_failures(errors, tie.transpose(1, 2, 0), ambiguity)
+    return roots, signs, errors
 
 
 def uniform_grid(grid) -> tuple[np.ndarray, float]:
@@ -198,7 +221,41 @@ def snapshot_series(
     field: FieldModel,
     grid: np.ndarray,
 ) -> SnapshotSeries:
-    """Evaluate every dressed-state quantity on a uniform grid of >= 2 points.
+    """Evaluate every dressed-state quantity on a uniform grid of >= 2
+    points: :func:`snapshot_batch` on a batch of one run, with its failure
+    raised.
+
+    Raises
+    ------
+    ValueError
+        If the grid is not uniform or too short.
+    EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi, NonFiniteValue
+        As :func:`snapshot_batch` reports them.
+    """
+    (series,) = snapshot_batch(((params, field),), grid)
+    if isinstance(series, NumericalError):
+        raise series
+    return series
+
+
+def _stacked(values) -> np.ndarray:
+    """One row per run from a list of per-run arrays or numbers; a batch of
+    one is a view of its only entry."""
+    return np.array(values) if len(values) > 1 else np.asarray(values[0])[None]
+
+
+def snapshot_batch(runs, grid: np.ndarray) -> list:
+    """Evaluate every dressed-state quantity for B independent runs on one
+    uniform grid of >= 2 points, as (B, n) arrays.
+
+    ``runs`` is a sequence of (SystemParams, FieldModel) pairs. Returns one
+    entry per run, in order: its :class:`SnapshotSeries`, whose arrays are
+    row views of the batch arrays, or the :class:`NumericalError` it fails
+    with. Each run's values, and its failure, are bitwise those of the run
+    alone: every operation is elementwise along the batch axis, with the
+    operands in the same order, and a failing run only takes its own entry.
+    The batch arrays live as long as any of its series, so a caller that
+    reduces many runs bounds their memory by batching them in chunks.
 
     With delta the static :func:`detuning` and gamma = (gamma_g + gamma_e)/2:
 
@@ -217,118 +274,119 @@ def snapshot_series(
     square root keeps the sign nearer its previous sample. Branch continuity
     is an order-dependent decision, evaluated for the whole grid at once as
     a prefix product of signs (see :func:`_track_branches`); distinct series
-    are independent.
+    are independent. Overflowing field values (a huge chirp) raise no
+    warning: the checks below name them.
+
+    A run fails, at the offending grid index, with the first of:
+    EnvelopeUnderflow; NonFiniteValue when the radicand of the nonadiabatic
+    Rabi frequency overflows; BranchAmbiguity of omega_tilde;
+    NonFiniteValue when its finite-difference time derivative overflows;
+    DegenerateRabi; BranchAmbiguity of COS or SIN.
 
     Raises
     ------
     ValueError
         If the grid is not uniform or too short.
-    EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi, NonFiniteValue
-        With the offending grid index attached; NonFiniteValue when the
-        radicand of the nonadiabatic Rabi frequency or its finite-difference
-        time derivative overflows.
     """
     grid, h = uniform_grid(grid)
-
-    omega = params.mu * field.envelope.omega(grid)
-    if np.any(omega < OMEGA_FLOOR):
-        k = int(np.argmax(omega < OMEGA_FLOOR))
-        raise EnvelopeUnderflow(
-            f"Omega({grid[k]}) = {omega[k]:.3e} below floor {OMEGA_FLOOR:.3e}",
+    errors = [None] * len(runs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = _stacked([p.mu * f.envelope.omega(grid) for p, f in runs])
+        log_deriv = _stacked([f.envelope.log_deriv(grid) for _, f in runs])
+        dlog_deriv = _stacked([f.envelope.dlog_deriv(grid) for _, f in runs])
+        phi = _stacked([f.phi(grid) for _, f in runs])
+        dphi = _stacked([f.dphi(grid) for _, f in runs])
+        d2phi = _stacked([f.d2phi(grid) for _, f in runs])
+        _first_failures(errors, omega < OMEGA_FLOOR, lambda j, k: EnvelopeUnderflow(
+            f"Omega({grid[k]}) = {omega[j, k]:.3e} below floor {OMEGA_FLOOR:.3e}",
             grid_index=k,
-        )
-    log_deriv = field.envelope.log_deriv(grid)
-    dlog_deriv = field.envelope.dlog_deriv(grid)
-    phi = field.phi(grid)
-    dphi = field.dphi(grid)
-    d2phi = field.d2phi(grid)
+        ))
 
-    delta = detuning(params, field)
-    sign_delta = 1 if delta >= 0.0 else -1
+        deltas = [detuning(p, f) for p, f in runs]
+        sign_delta = [1 if delta >= 0.0 else -1 for delta in deltas]
+        # delta - i gamma in Python's complex arithmetic, one per run.
+        offset = _stacked([delta - 1j * p.gamma_sum_half
+                           for delta, (p, _) in zip(deltas, runs)])[:, None]
+        delta_tilde = (offset - (dphi - 1j * log_deriv)).astype(complex)
+        d_delta_tilde = (-d2phi + 1j * dlog_deriv).astype(complex)
 
-    delta_tilde = (
-        delta
-        - 1j * params.gamma_sum_half
-        - (dphi - 1j * log_deriv)
-    ).astype(complex)
-    d_delta_tilde = (-d2phi + 1j * dlog_deriv).astype(complex)
-
-    # The radicand Omega^2 + delta_tilde^2 - 2i d_delta_tilde, written out in
-    # real and imaginary parts in the order Python's complex arithmetic
-    # evaluates it. NumPy's complex expression rounds differently in the
-    # last bit on chirped or damped pulses (three of the shipped scenarios),
-    # which would change the bytes of their tables.
-    a, b = delta_tilde.real, delta_tilde.imag
-    c, d = d_delta_tilde.real, d_delta_tilde.imag
-    radicand = np.empty(len(grid), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+        # The radicand Omega^2 + delta_tilde^2 - 2i d_delta_tilde, written
+        # out in real and imaginary parts in the order Python's complex
+        # arithmetic evaluates it. NumPy's complex expression rounds
+        # differently in the last bit on chirped or damped pulses (three of
+        # the shipped scenarios), which would change the bytes of their
+        # tables.
+        a, b = delta_tilde.real, delta_tilde.imag
+        c, d = d_delta_tilde.real, d_delta_tilde.imag
+        radicand = np.empty(delta_tilde.shape, dtype=complex)
         radicand.real = (omega * omega + (a * a - b * b)) - (0.0 * c - 2.0 * d)
         radicand.imag = (0.0 + (a * b + b * a)) - (0.0 * d + 2.0 * c)
-    require_finite("nonadiabatic Rabi frequency radicand", radicand)
-    (omega_tilde,), (branch_rabi,) = _track_branches(
-        np.sqrt(radicand)[None], (sign_delta,), ("nonadiabatic Rabi frequency",)
-    )
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_omega_tilde = _central_diff(omega_tilde, h)
-    require_finite("d omega_tilde/dt", d_omega_tilde)
-
-    if np.any(np.abs(omega_tilde) < RABI_DEGENERACY_FLOOR):
-        k = int(np.argmax(np.abs(omega_tilde) < RABI_DEGENERACY_FLOOR))
-        raise DegenerateRabi(
-            f"|omega_tilde| = {abs(omega_tilde[k]):.3e} below "
-            f"{RABI_DEGENERACY_FLOOR:.0e}", grid_index=k,
+        _require_finite_runs(errors, "nonadiabatic Rabi frequency radicand", radicand)
+        (omega_tilde,), (branch_rabi,), ambiguous = _track_branches(
+            np.sqrt(radicand)[None], [sign_delta], ("nonadiabatic Rabi frequency",)
         )
-    lam1 = 0.5 * (delta_tilde + omega_tilde)
-    lam2 = 0.5 * (delta_tilde - omega_tilde)
-    shift = -1j * d_omega_tilde / (2.0 * omega_tilde)
-    lam_t1 = lam1 + shift
-    lam_t2 = lam2 + shift
+        _merge(errors, ambiguous)
 
-    (cos_half, sin_half), (branch_cos, branch_sin) = _track_branches(
-        np.sqrt(np.stack([lam_t1, -lam_t2]) / omega_tilde),
-        (1, sign_delta),
-        ("COS(theta/2)", "SIN(theta/2)"),
-    )
+        d_omega_tilde = _central_diff(omega_tilde, h)
+        _require_finite_runs(errors, "d omega_tilde/dt", d_omega_tilde)
 
-    omega_G = params.omega_g + lam2
-    omega_E = (
-        params.omega_e
-        - lam2
-        - 1j * params.gamma_sum_half
-        - (dphi - 1j * log_deriv)
-    )
+        _first_failures(
+            errors, np.abs(omega_tilde) < RABI_DEGENERACY_FLOOR,
+            lambda j, k: DegenerateRabi(
+                f"|omega_tilde| = {abs(omega_tilde[j, k]):.3e} below "
+                f"{RABI_DEGENERACY_FLOOR:.0e}", grid_index=k,
+            ),
+        )
+        lam1 = 0.5 * (delta_tilde + omega_tilde)
+        lam2 = 0.5 * (delta_tilde - omega_tilde)
+        shift = -1j * d_omega_tilde / (2.0 * omega_tilde)
+        lam_t1 = lam1 + shift
+        lam_t2 = lam2 + shift
 
-    series = SnapshotSeries(
-        params=params,
-        field=field,
-        grid=grid,
-        sign_delta=sign_delta,
-        delta=delta,
-        omega=np.asarray(omega, dtype=float),
-        log_deriv=np.asarray(log_deriv, dtype=float),
-        phi=np.asarray(phi, dtype=float),
-        dphi=np.asarray(dphi, dtype=float),
-        delta_tilde=delta_tilde,
-        d_delta_tilde=d_delta_tilde,
-        omega_tilde=omega_tilde,
-        d_omega_tilde=d_omega_tilde,
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda_t1=lam_t1,
-        lambda_t2=lam_t2,
-        cos_half=cos_half,
-        sin_half=sin_half,
-        omega_G=omega_G,
-        omega_E=omega_E,
-        branch_log={
-            "omega_tilde": branch_rabi,
-            "cos_half": branch_cos,
-            "sin_half": branch_sin,
-        },
-    )
-    values = [getattr(series, f.name) for f in fields(series)]
-    for arr in [*values, *series.branch_log.values()]:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return series
+        (cos_half, sin_half), (branch_cos, branch_sin), ambiguous = _track_branches(
+            np.sqrt(np.stack([lam_t1, -lam_t2]) / omega_tilde),
+            [[1] * len(runs), sign_delta],
+            ("COS(theta/2)", "SIN(theta/2)"),
+        )
+        _merge(errors, ambiguous)
+
+        omega_g = _stacked([p.omega_g for p, _ in runs])[:, None]
+        omega_e = _stacked([p.omega_e for p, _ in runs])[:, None]
+        damping = _stacked([1j * p.gamma_sum_half for p, _ in runs])[:, None]
+        omega_G = omega_g + lam2
+        omega_E = omega_e - lam2 - damping - (dphi - 1j * log_deriv)
+
+    arrays = {
+        "omega": omega, "log_deriv": log_deriv, "phi": phi, "dphi": dphi,
+        "delta_tilde": delta_tilde, "d_delta_tilde": d_delta_tilde,
+        "omega_tilde": omega_tilde, "d_omega_tilde": d_omega_tilde,
+        "lambda1": lam1, "lambda2": lam2, "lambda_t1": lam_t1, "lambda_t2": lam_t2,
+        "cos_half": cos_half, "sin_half": sin_half,
+        "omega_G": omega_G, "omega_E": omega_E,
+    }
+    branches = {"omega_tilde": branch_rabi, "cos_half": branch_cos, "sin_half": branch_sin}
+    for arr in [grid, *arrays.values(), *branches.values()]:
+        arr.flags.writeable = False
+    return [
+        errors[j] or SnapshotSeries(
+            params=params, field=field, grid=grid,
+            sign_delta=sign_delta[j], delta=deltas[j],
+            **{name: arr[j] for name, arr in arrays.items()},
+            branch_log={name: arr[j] for name, arr in branches.items()},
+        )
+        for j, (params, field) in enumerate(runs)
+    ]
+
+
+def _require_finite_runs(errors: list, quantity: str, values: np.ndarray) -> None:
+    """:func:`require_finite` for each run of ``values`` (shape (B, n)) that
+    has no error yet."""
+    _first_failures(errors, ~np.isfinite(values), lambda j, k: NonFiniteValue(
+        f"{quantity} is not finite: {values[j, k]}", grid_index=k,
+    ))
+
+
+def _merge(errors: list, new: list) -> None:
+    """Keep each run's first error."""
+    for j, error in enumerate(new):
+        errors[j] = errors[j] or error

@@ -34,13 +34,24 @@ expansion (:func:`_expand`) turns the intervals into the states on the
 output grid by a work-efficient scan applied to the state (Blelloch,
 "Prefix sums and their applications", CMU-CS-90-190, 1990; see
 :func:`_scan`), in chunks of at most ``_EXPAND_ROWS`` rows that carry the
-state. :func:`evolve` builds every pass but compares only the last states,
-from a pairwise product of the intervals, and expands only the pass it
-accepts; it holds the intervals of the current pass only. In the rotating
-frame a constant envelope without chirp makes the coupling
+state. The controller builds every pass but compares only the last
+states, from a pairwise product of the intervals, and expands only the
+pass it accepts; it holds the intervals of the current pass only. In the
+rotating frame a constant envelope without chirp makes the coupling
 time-independent; every substep then has the same step matrix, one row of
 them and its interval product serve every interval, and the last state
 comes from that interval propagator's power by repeated squaring.
+
+Independent runs on one grid go through the controller as a batch
+(:func:`final_states`; :func:`evolve` is a batch of one). Each run has its
+own controller; the pending runs that ask for the same ``n_sub`` share a
+pass, whose arrays carry a batch axis after the matrix axes,
+(2, 2, B, ...), and which is built for chunks of runs bounded by
+``_CHUNK_SUBSTEPS`` and ``_CHUNK_INTERVALS``. Every run keeps the block
+partition it has alone, and every operation is elementwise along the
+batch axis, so each run gets the bits it gets alone. :func:`final_states`
+returns the last states only, from the last column of the expansion scan
+(:func:`_expand_last`).
 
 The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
 a halving of the substep no longer shrinks the difference between passes:
@@ -57,7 +68,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import StepUnderflow, ToleranceUnreachable
+from .errors import NonFiniteValue, NumericalError, StepUnderflow, ToleranceUnreachable
 from .field_model import Chirp, FieldModel, SystemParams
 from .nads_core import _require_one_of, detuning, uniform_grid
 from .overlap_transitions import InitialState
@@ -68,10 +79,12 @@ __all__ = [
     "rhs",
     "propagate_fixed",
     "evolve",
+    "final_states",
     "rabi_oracle",
     "lz_oracle",
     "rz_oracle",
     "lz_survival",
+    "lz_survivals",
 ]
 
 Frame = Literal["lab", "rotating"]
@@ -82,8 +95,16 @@ STEP_UNDERFLOW_FRACTION = 1e-12
 #: Initial substep target: fastest angular rate times substep, in radians.
 _INITIAL_RADIANS_PER_STEP = 0.2
 
-#: Substeps whose step matrices are held in memory at once.
+#: Substeps whose step matrices are held in memory at once: a block of one
+#: run, or the blocks of the runs whose step matrices are built together.
 _BLOCK_SUBSTEPS = 4096
+
+#: Substeps of one block whose coupling samples are held at once across
+#: the runs of a batch.
+_CHUNK_SUBSTEPS = 16384
+
+#: Interval propagators held at once across the runs of a batch.
+_CHUNK_INTERVALS = 65536
 
 #: Stage-lattice points per exponential of the chirp phase factor.
 _PHASE_RUN = 64
@@ -166,34 +187,48 @@ def rhs(
     return d_g, d_e
 
 
-def _stage_coupling(
-    params: SystemParams,
-    field: FieldModel,
-    t0: float,
-    s: float,
-    first: int,
-    count: int,
-    frame: Frame,
-) -> tuple[np.ndarray, complex, complex]:
-    """Coupling k on the stage lattice t_j = t0 + j s, j = first, ...,
-    first + count - 1, plus the two diagonal constants.
-
-    In the rotating frame k = (Omega/2) e^{i phi}, and the phase factor
-    comes from :func:`_chirp_factor`, not from a complex exponential per
-    lattice point.
-    """
-    times = t0 + s * np.arange(first, first + count)
-    omega = params.mu * field.envelope.omega(times)
+def _diagonal(params: SystemParams, field: FieldModel, frame: Frame) -> tuple[complex, complex]:
+    """The two diagonal rates d1, d2 of y' = [[d1, i k], [i k*, d2]] y."""
     if frame == "lab":
-        k = -omega * np.cos(field.carrier_omega * times + field.phi(times))
         d1 = -1j * params.omega_g - 0.5 * params.gamma_g
         d2 = -1j * params.omega_e - 0.5 * params.gamma_e
     else:
-        k = 0.5 * omega * _chirp_factor(field, t0, s, first, count)
-        delta = detuning(params, field)
         d1 = complex(-0.5 * params.gamma_g)
-        d2 = -1j * delta - 0.5 * params.gamma_e
-    return k, complex(d1), complex(d2)
+        d2 = -1j * detuning(params, field) - 0.5 * params.gamma_e
+    return complex(d1), complex(d2)
+
+
+def _same_phase(runs) -> list[int]:
+    """For each run, the first run with the same chirp phase, compared by
+    value (the points of a sweep rebuild their sections); repr keeps -0.0
+    apart from 0.0, which compare equal."""
+    phases: dict[str, int] = {}
+    return [phases.setdefault(repr((field.phase, field.phase_center)), j)
+            for j, (_, field) in enumerate(runs)]
+
+
+def _stage_coupling(runs, t0: float, s: float, first: int, count: int, frame: Frame,
+                    same_phase) -> np.ndarray:
+    """Coupling k of each run on the stage lattice t_j = t0 + j s,
+    j = first, ..., first + count - 1, as shape (B, count).
+
+    In the rotating frame k = (Omega/2) e^{i phi}, and the phase factor
+    comes from :func:`_chirp_factor`, not from a complex exponential per
+    lattice point; runs with the same phase (``same_phase``, from
+    :func:`_same_phase`) share it.
+    """
+    times = t0 + s * np.arange(first, first + count)
+    k = np.empty((len(runs), count), dtype=float if frame == "lab" else complex)
+    factors = {}
+    for j, ((params, field), phase) in enumerate(zip(runs, same_phase)):
+        omega = params.mu * field.envelope.omega(times)
+        if frame == "lab":
+            np.multiply(-omega, np.cos(field.carrier_omega * times + field.phi(times)), out=k[j])
+            continue
+        if phase not in factors:
+            factors[phase] = _chirp_factor(field, t0, s, first, count)
+        np.multiply(0.5 * omega, factors[phase], out=k[j])
+    return k
 
 
 def _chirp_factor(field: FieldModel, t0: float, s: float, first: int, count: int):
@@ -233,9 +268,11 @@ def _mul(p, q):
     return p[:, :1] * q[:1] + p[:, 1:] * q[1:]
 
 
-def _step_matrices(k0, kh, k1, d1: complex, d2: complex, h: float):
-    """RK4 step matrices of y' = [[d1, i k], [i k*, d2]] y, with k sampled
-    at t, t + h/2 and t + h.
+def _step_matrices(k0, kh, k1, coefficients, m):
+    """RK4 step matrices of y' = [[d1, i k], [i k*, d2]] y for k sampled
+    at t, t + h/2 and t + h, each of shape (B, ...) for B runs, with the
+    scalar coefficients of each run from :func:`_step_coefficients`,
+    written into ``m`` of shape (2, 2, B, ...).
 
     With A_0, A_h, A_1 the system matrix at the three samples, the RK4
     stages K1 = A_0, K2 = A_h (I + h/2 K1), K3 = A_h (I + h/2 K2),
@@ -255,11 +292,30 @@ def _step_matrices(k0, kh, k1, d1: complex, d2: complex, h: float):
     g01 = -i h^3 (z1 + z2) / 24, a1 and a2 are -h^2/24 times
     z1^2 + z1 z2 + 2 z1 + 2 z2 + 4 and z1 z2 + z2^2 + 2 z1 + 2 z2 + 4, and
     f_h = i h (z1^2 z2 + z1 z2^2 + 2 z1^2 + 4 z1 z2 + 2 z2^2 + 8 z1 + 8 z2
-    + 16) / 24. The scalar coefficients are formed once per block. On the
-    diagonal the O(h) terms are summed first and the identity is added
-    last, so the rounding of the small terms is not taken at the scale of 1.
+    + 16) / 24. On the diagonal the O(h) terms are summed first and the
+    identity is added last, so the rounding of the small terms is not taken
+    at the scale of 1.
     """
-    z1, z2 = d1 * h, d2 * h
+    e1, e2, a1, a2, b1, b2, c1, c2, f1, f2, g1, g2, f_h, g01, q = coefficients
+    p = kh.real * kh.real + kh.imag * kh.imag
+    c0, ch = k0.conj(), kh.conj()
+    v = k1 * ch
+    u_v = kh * c0 + v
+    w = k1 * c0
+    qp = q * p
+    x = f1 + g1 * p
+    y = f2 + g2 * p
+    np.add(1.0, e1 + a1 * u_v + b1 * p + (c2 + qp) * w, out=m[0, 0])
+    np.add(k0 * (x + g01 * v) + f_h * kh, k1 * y, out=m[0, 1])
+    np.add(c0 * (y + g01 * v.conj()) + f_h * ch, k1.conj() * x, out=m[1, 0])
+    np.add(1.0, e2 + a2 * u_v.conj() + b2 * p + (c1 + qp) * w.conj(), out=m[1, 1])
+
+
+def _step_coefficients(diagonals, h: float) -> tuple[list[tuple[complex, ...]], float]:
+    """The scalar coefficients of :func:`_step_matrices` for substep ``h``,
+    from the diagonal rates (d1, d2) of each run: one tuple of complex
+    numbers per run, formed in Python's complex arithmetic as for the run
+    alone, and the shared real q."""
     hh = h * h
     q = hh * hh / 24.0
 
@@ -278,26 +334,26 @@ def _step_matrices(k0, kh, k1, d1: complex, d2: complex, h: float):
     def g(z):
         return -1j * h * hh * (z + 2.0) / 24.0
 
-    a1 = -hh * (z1 * z1 + z1 * z2 + 2.0 * (z1 + z2) + 4.0) / 24.0
-    a2 = -hh * (z1 * z2 + z2 * z2 + 2.0 * (z1 + z2) + 4.0) / 24.0
-    f_h = 1j * h * (z1 * z2 * (z1 + z2) + 2.0 * (z1 * z1 + z2 * z2)
-                    + 4.0 * z1 * z2 + 8.0 * (z1 + z2) + 16.0) / 24.0
-    g01 = -1j * h * hh * (z1 + z2) / 24.0
+    table = []
+    for d1, d2 in diagonals:
+        z1, z2 = d1 * h, d2 * h
+        a1 = -hh * (z1 * z1 + z1 * z2 + 2.0 * (z1 + z2) + 4.0) / 24.0
+        a2 = -hh * (z1 * z2 + z2 * z2 + 2.0 * (z1 + z2) + 4.0) / 24.0
+        f_h = 1j * h * (z1 * z2 * (z1 + z2) + 2.0 * (z1 * z1 + z2 * z2)
+                        + 4.0 * z1 * z2 + 8.0 * (z1 + z2) + 16.0) / 24.0
+        g01 = -1j * h * hh * (z1 + z2) / 24.0
+        table.append((e(z1), e(z2), a1, a2, b(z1), b(z2), c(z1), c(z2),
+                      f(z1), f(z2), g(z1), g(z2), f_h, g01))
+    return table, q
 
-    p = kh.real * kh.real + kh.imag * kh.imag
-    c0, ch = k0.conj(), kh.conj()
-    v = k1 * ch
-    u_v = kh * c0 + v
-    w = k1 * c0
-    qp = q * p
-    x = f(z1) + g(z1) * p
-    y = f(z2) + g(z2) * p
-    m = np.empty((2, 2) + k0.shape, dtype=complex)
-    np.add(1.0, e(z1) + a1 * u_v + b(z1) * p + (c(z2) + qp) * w, out=m[0, 0])
-    np.add(k0 * (x + g01 * v) + f_h * kh, k1 * y, out=m[0, 1])
-    np.add(c0 * (y + g01 * v.conj()) + f_h * ch, k1.conj() * x, out=m[1, 0])
-    np.add(1.0, e(z2) + a2 * u_v.conj() + b(z2) * p + (c(z1) + qp) * w.conj(), out=m[1, 1])
-    return m
+
+def _coefficient_columns(table, q: float):
+    """The coefficients of :func:`_step_matrices` for the runs of ``table``:
+    the numbers themselves for one run, else one complex array of shape
+    (B, 1, 1) per coefficient."""
+    if len(table) == 1:
+        return (*table[0], q)
+    return (*np.array(table, dtype=complex).T.reshape(14, len(table), 1, 1), q)
 
 
 def _ordered_product(m):
@@ -376,38 +432,62 @@ def _start(init: InitialState) -> np.ndarray:
     return np.array([1.0, 0.0] if init == "ground" else [0.0, 1.0], dtype=complex)
 
 
-def _intervals(params, field, grid, h_out: float, frame: Frame, n_sub: int):
-    """Interval propagators of one pass with ``n_sub`` substeps per output
-    interval, as a stack of shape (2, 2, len(grid) - 1).
+def _time_independent(field: FieldModel, frame: Frame) -> bool:
+    """Whether every substep of the run has the same step matrix: a
+    constant envelope without chirp, in the rotating frame."""
+    return (frame == "rotating" and field.envelope.kind == "constant"
+            and field.phase.beta == 0.0)
 
-    Each block holds up to ``_BLOCK_SUBSTEPS`` substeps: whole output
-    intervals when ``n_sub`` fits, otherwise consecutive slices of one
-    interval whose products are chained. A time-independent coupling gives
-    every substep the same step matrix, so one row of them, built for the
-    first interval, serves every interval and the stack is a broadcast view.
+
+def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
+    """Interval propagators of one pass of each of B runs with ``n_sub``
+    substeps per output interval, as a stack of shape
+    (2, 2, B, len(grid) - 1).
+
+    Each block holds up to ``_BLOCK_SUBSTEPS`` substeps of each run: whole
+    output intervals when ``n_sub`` fits, otherwise consecutive slices of
+    one interval whose products are chained. Every run keeps the block
+    partition, and with it the chirp factor's run heads, it has alone. A
+    block's coupling samples and interval products are taken for all runs
+    at once; its step matrices for as many runs as fit in
+    ``_BLOCK_SUBSTEPS`` substeps. That bound keeps their arrays below the
+    256 KiB at which NumPy's operators reuse a right-hand temporary in
+    place, which swaps the operands of a complex product and so rounds it
+    differently from the run alone. When every run's coupling is
+    time-independent, each substep has the same step matrix, so one row of
+    them, built for the first interval, serves every interval and the stack
+    is a broadcast view.
     """
     rows = len(grid) - 1
     h_sub = h_out / n_sub
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
-    constant = (frame == "rotating" and field.envelope.kind == "constant"
-                and field.phase.beta == 0.0)
-    out = None if constant else np.empty((2, 2, rows), dtype=complex)
+    constant = all(_time_independent(field, frame) for _, field in runs)
+    same_phase = _same_phase(runs)
+    table, q = _step_coefficients([_diagonal(*run, frame) for run in runs], h_sub)
+    stacks = {}  # the chunks of runs whose step matrices are built together
+    out = None if constant else np.empty((2, 2, len(runs), rows), dtype=complex)
     for first in range(0, 1 if constant else rows, per_block):
         built = 1 if constant else min(per_block, rows - first)
+        size = max(1, _BLOCK_SUBSTEPS // (built * width))
+        if size not in stacks:
+            subs = [slice(r, r + size) for r in range(0, len(runs), size)]
+            stacks[size] = [(sub, _coefficient_columns(table[sub], q)) for sub in subs]
         for offset in range(0, n_sub, width):
             w = min(width, n_sub - offset)
             j0 = first * n_sub + offset  # first substep of this slice
-            k, d1, d2 = _stage_coupling(params, field, grid[0], 0.5 * h_sub,
-                                        2 * j0, 2 * built * w + 1, frame)
-            steps = _step_matrices(
-                k[:-1:2].reshape(built, w), k[1::2].reshape(built, w),
-                k[2::2].reshape(built, w), d1, d2, h_sub,
-            )
+            k = _stage_coupling(runs, grid[0], 0.5 * h_sub, 2 * j0, 2 * built * w + 1,
+                                frame, same_phase)
+            shape = (len(runs), built, w)
+            k0, kh, k1 = (k[:, :-1:2].reshape(shape), k[:, 1::2].reshape(shape),
+                          k[:, 2::2].reshape(shape))
+            steps = np.empty((2, 2) + shape, dtype=complex)
+            for sub, coefficients in stacks[size]:
+                _step_matrices(k0[sub], kh[sub], k1[sub], coefficients, steps[:, :, sub])
             part = _ordered_product(steps)
             interval = part if offset == 0 else _mul(part, interval)
         if constant:
-            return np.broadcast_to(interval, (2, 2, rows))
+            return np.broadcast_to(interval, (2, 2, len(runs), rows))
         out[..., first:first + built] = interval
     return out
 
@@ -423,6 +503,25 @@ def _expand(intervals, y) -> np.ndarray:
         chunk = intervals[..., first:first + _EXPAND_ROWS]
         out[:, first + 1:first + 1 + chunk.shape[-1]] = _scan(chunk, out[:, first])
     return out
+
+
+def _scan_last(m, y):
+    """The last column of :func:`_scan`, by the same operations, without
+    the states of the other columns."""
+    w = m.shape[-1]
+    if w <= _SCAN_BASE:
+        return _apply(_prefix_products(m)[..., -1], y)
+    even = w - w % 2
+    odd = _scan_last(_mul(m[..., 1:even:2], m[..., 0:even:2]), y)
+    return _apply(m[..., -1], odd) if w % 2 else odd
+
+
+def _expand_last(intervals, y) -> np.ndarray:
+    """The last column of :func:`_expand`, as shape (2, 1): bitwise the
+    last state of the expansion, at the cost of its pair products only."""
+    for first in range(0, intervals.shape[-1], _EXPAND_ROWS):
+        y = _scan_last(intervals[..., first:first + _EXPAND_ROWS], y)
+    return y[:, None]
 
 
 def _trajectory(grid, states, frame: Frame, n_sub: int, attempts=()) -> Trajectory:
@@ -441,10 +540,11 @@ class _Pass:
     last: np.ndarray
 
 
-def _build_pass(params, field, grid, h_out: float, start, frame: Frame, n_sub: int) -> _Pass:
-    """The pass :func:`evolve` runs with ``n_sub`` substeps on a grid it has
-    validated."""
-    intervals = _intervals(params, field, grid, h_out, frame, n_sub)
+def _build_pass(runs, grid, h_out: float, start, frame: Frame, n_sub: int) -> _Pass:
+    """The pass the controller runs with ``n_sub`` substeps for each of B
+    runs on a grid it has validated: intervals of shape (2, 2, B, rows) and
+    last states of shape (2, B)."""
+    intervals = _intervals(runs, grid, h_out, frame, n_sub)
     if intervals.strides[-1] == 0:  # one interval propagator for every row
         total = _power(intervals[..., 0], intervals.shape[-1])
     else:
@@ -468,21 +568,31 @@ def propagate_fixed(
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
     grid, h_out = uniform_grid(grid)
-    intervals = _intervals(params, field, grid, h_out, frame, n_sub)
+    intervals = _intervals(((params, field),), grid, h_out, frame, n_sub)[:, :, 0]
     return _trajectory(grid, _expand(intervals, start), frame, n_sub)
 
 
 def _characteristic_rate(
     params: SystemParams, field: FieldModel, grid: np.ndarray, frame: Frame
 ) -> float:
-    """Fastest angular rate the substep must resolve, estimated on the grid."""
+    """Fastest angular rate the substep must resolve, estimated on the grid.
+
+    Raises
+    ------
+    NonFiniteValue
+        If a rate overflows, as the chirp rate of a huge ``beta`` does.
+    """
     omega_max = float(np.max(params.mu * field.envelope.omega(grid)))
     dphi_max = float(np.max(np.abs(field.dphi(grid))))
-    delta = abs(detuning(params, field))
-    rates = [omega_max, dphi_max, delta, params.gamma_g, params.gamma_e]
+    rates = [omega_max, dphi_max, abs(detuning(params, field)), params.gamma_g, params.gamma_e]
     if frame == "lab":
         rates += [abs(params.omega_g), abs(params.omega_e),
                   abs(field.carrier_omega) + dphi_max]
+    if not all(map(math.isfinite, rates)):
+        names = ("Rabi frequency", "chirp rate |dphi/dt|", "detuning", "gamma_g", "gamma_e",
+                 "omega_g", "omega_e", "carrier plus chirp rate")
+        name, rate = next((n, r) for n, r in zip(names, rates) if not math.isfinite(r))
+        raise NonFiniteValue(f"{name} on the grid is not finite: {rate}")
     return max(rates + [1e-3])
 
 
@@ -494,6 +604,157 @@ def _fourth_order(first: float, second: float, q: int) -> bool:
     return 0.5 * expected * second <= first <= 2.0 * expected * second
 
 
+class _Controller:
+    """The substep controller of one run (see :func:`evolve`): ``n_sub`` is
+    the count of the pass it asks for next, ``attempts`` the passes so far."""
+
+    def __init__(self, n_sub, underflows):
+        self.n_sub = n_sub
+        self.underflows = underflows
+        self.attempts: list[tuple[int, Optional[float]]] = []
+        self.prev = None  # last state of the previous pass
+        self.n_prev = 0
+        self.first = None  # difference of the first pair
+        self.halving = None  # difference of the previous pair, if it was one halving apart
+
+    def accepts(self, last, rtol: float, atol: float) -> bool:
+        """Take the last state of the pass at ``n_sub``. True when that pass
+        is accepted; otherwise ``n_sub`` moves to the next pass.
+
+        Raises
+        ------
+        ToleranceUnreachable
+            If this halving of the substep did not shrink the difference.
+        """
+        n_sub, prev, n_prev = self.n_sub, self.prev, self.n_prev
+        self.prev, self.n_prev = last, n_sub
+        if prev is None:
+            self.attempts.append((n_sub, None))
+            self.n_sub = 2 * n_sub
+            return False
+        q = n_sub // n_prev
+        # np.maximum, not max: a NaN in either component must propagate.
+        diff = np.maximum(abs(last[0] - prev[0]), abs(last[1] - prev[1]))
+        tol = rtol * max(1.0, abs(last[0]), abs(last[1])) + atol
+        # Difference of one halving at n_sub; the factor is exactly 1 for q = 2.
+        estimate = diff * (15.0 / (q**4 - 1))
+        self.attempts.append((n_sub, float(estimate / tol)))
+        if estimate < tol and (q == 2 or _fourth_order(self.first, diff, q)):
+            return True
+        # A NaN difference compares false and keeps doubling.
+        if q == 2 and self.halving is not None and diff >= self.halving:
+            raise ToleranceUnreachable(
+                f"difference {float(diff):.3e} at n_sub {n_sub} did not shrink from "
+                f"{float(self.halving):.3e} at n_sub {n_prev}; rounding error is above "
+                f"the tolerance {tol:.3e}"
+            )
+        self.halving = diff if q == 2 else None
+        self.n_sub = 2 * n_sub
+        if self.first is None:
+            self.first = diff
+            r = diff / tol
+            if math.isfinite(r):
+                # At most 2^5 per jump: beyond that the n^-4 extrapolation
+                # spans more than six decades of error.
+                j = min(5, max(1, math.ceil(math.log2(r) / 4)))
+                self.n_sub = n_sub << j
+                # Land on the last count doubling could run, so that
+                # StepUnderflow is raised where doubling raises it.
+                while self.n_sub > 2 * n_sub and self.underflows(self.n_sub):
+                    self.n_sub //= 2
+        return False
+
+
+def _chunk_runs(rows: int, n_sub: int, constant: bool) -> int:
+    """Runs whose pass is built at once: their coupling samples of one
+    block within ``_CHUNK_SUBSTEPS`` and their interval propagators within
+    ``_CHUNK_INTERVALS``."""
+    width = min(n_sub, _BLOCK_SUBSTEPS)
+    if constant:  # one row of step matrices, broadcast intervals
+        return max(1, _CHUNK_SUBSTEPS // width)
+    block = width * min(max(1, _BLOCK_SUBSTEPS // n_sub), rows)
+    return max(1, min(_CHUNK_SUBSTEPS // block, _CHUNK_INTERVALS // rows))
+
+
+def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: float,
+               last_only: bool) -> list:
+    """The controller of :func:`evolve` for B independent runs on one grid.
+
+    Each run has its own controller and is accepted by itself. The pending
+    runs that ask for the same ``n_sub`` (and agree on whether their
+    coupling is time-independent) share one pass, built for chunks of them
+    at a time (:func:`_chunk_runs`); a run leaves the batch when it is
+    accepted or fails. Only the chunk's intervals of the current pass are
+    held. An accepted run is expanded on the whole grid, or with
+    ``last_only`` to its last state alone (:func:`_expand_last`).
+
+    Returns one entry per run: its Trajectory or the NumericalError it
+    fails with.
+    """
+    _require_one_of("frame", frame, Frame)
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("rtol and atol must be positive and finite")
+    grid, h_out = uniform_grid(grid)
+    start = _start(init)
+    span = float(grid[-1] - grid[0])
+    rows = len(grid) - 1
+
+    def underflows(n_sub) -> bool:
+        return h_out / n_sub < STEP_UNDERFLOW_FRACTION * span
+
+    results: list = [None] * len(runs)
+    pending: dict[int, _Controller] = {}
+    # Overflowing field values raise no warning: they fail by name below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (params, field) in enumerate(runs):
+            try:
+                count = h_out * _characteristic_rate(params, field, grid, frame)
+            except NumericalError as exc:
+                results[j] = exc
+                continue
+            count /= _INITIAL_RADIANS_PER_STEP
+            # A count that overflows is a substep of 0, which underflows.
+            n0 = max(1, math.ceil(count)) if math.isfinite(count) else math.inf
+            pending[j] = _Controller(n0, underflows)
+        while pending:
+            passes: dict[tuple[int, bool], list[int]] = {}
+            for j, controller in list(pending.items()):
+                n_sub = controller.n_sub
+                if underflows(n_sub):
+                    results[j] = StepUnderflow(
+                        f"substep {h_out / n_sub:.3e} below "
+                        f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
+                    )
+                    del pending[j]
+                    continue
+                key = (n_sub, _time_independent(runs[j][1], frame))
+                passes.setdefault(key, []).append(j)
+            for (n_sub, constant), members in passes.items():
+                size = _chunk_runs(rows, n_sub, constant)
+                for chunk in (members[i:i + size] for i in range(0, len(members), size)):
+                    built = _build_pass([runs[j] for j in chunk], grid, h_out, start,
+                                        frame, n_sub)
+                    for i, j in enumerate(chunk):
+                        controller = pending[j]
+                        try:
+                            if not controller.accepts(built.last[:, i], rtol, atol):
+                                continue
+                        except NumericalError as exc:
+                            results[j] = exc
+                        else:
+                            finish = _expand_last if last_only else _expand
+                            results[j] = _trajectory(
+                                grid[-1:] if last_only else grid,
+                                finish(built.intervals[:, :, i], start),
+                                frame, n_sub, controller.attempts,
+                            )
+                        del pending[j]
+                    # The intervals of a chunk's pass are released before
+                    # the next pass is built.
+                    del built
+    return results
+
+
 def evolve(
     params: SystemParams,
     field: FieldModel,
@@ -503,7 +764,9 @@ def evolve(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> Trajectory:
-    """Integrate the amplitude equations on ``grid`` to the given tolerance.
+    """Integrate the amplitude equations on ``grid`` to the given tolerance:
+    :func:`final_states`' controller on a batch of one run, expanded on the
+    whole grid.
 
     The substep count per output interval starts at ``n0`` from a rate
     heuristic. A pass with ``n`` substeps is accepted when its last-point
@@ -530,69 +793,40 @@ def evolve(
         overtaken truncation error above the tolerance.
     StepUnderflow
         If the controller drives the substep below 1e-12 of the span.
+    NonFiniteValue
+        If the fastest rate on the grid overflows.
     """
-    _require_one_of("frame", frame, Frame)
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError("rtol and atol must be positive and finite")
-    grid, h_out = uniform_grid(grid)
-    start = _start(init)
-    span = float(grid[-1] - grid[0])
-    rate = _characteristic_rate(params, field, grid, frame)
+    (traj,) = _propagate(((params, field),), grid, init, frame, rtol, atol, last_only=False)
+    if isinstance(traj, NumericalError):
+        raise traj
+    return traj
 
-    def underflows(n_sub: int) -> bool:
-        return h_out / n_sub < STEP_UNDERFLOW_FRACTION * span
 
-    def run(n_sub: int) -> _Pass:
-        if underflows(n_sub):
-            raise StepUnderflow(
-                f"substep {h_out / n_sub:.3e} below "
-                f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
-            )
-        return _build_pass(params, field, grid, h_out, start, frame, n_sub)
+def final_states(
+    runs,
+    grid: np.ndarray,
+    init: InitialState = "ground",
+    frame: Frame = "rotating",
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> list:
+    """The last states of B independent runs on one grid, integrated to the
+    given tolerance by :func:`evolve`'s controller.
 
-    n_prev = max(1, math.ceil(h_out * rate / _INITIAL_RADIANS_PER_STEP))
-    prev = run(n_prev).last
-    attempts: list[tuple[int, Optional[float]]] = [(n_prev, None)]
-    n_sub = 2 * n_prev
-    first = None  # difference of the first pair
-    halving = None  # difference of the previous pair, if it was one halving apart
-    while True:
-        cur = run(n_sub)
-        last = cur.last
-        q = n_sub // n_prev
-        # np.maximum, not max: a NaN in either component must propagate.
-        diff = np.maximum(abs(last[0] - prev[0]), abs(last[1] - prev[1]))
-        tol = rtol * max(1.0, abs(last[0]), abs(last[1])) + atol
-        # Difference of one halving at n_sub; the factor is exactly 1 for q = 2.
-        estimate = diff * (15.0 / (q**4 - 1))
-        attempts.append((n_sub, float(estimate / tol)))
-        if estimate < tol and (q == 2 or _fourth_order(first, diff, q)):
-            return _trajectory(grid, _expand(cur.intervals, start), frame, n_sub, attempts)
-        # A NaN difference compares false and keeps doubling.
-        if q == 2 and halving is not None and diff >= halving:
-            raise ToleranceUnreachable(
-                f"difference {float(diff):.3e} at n_sub {n_sub} did not shrink from "
-                f"{float(halving):.3e} at n_sub {n_prev}; rounding error is above "
-                f"the tolerance {tol:.3e}"
-            )
-        halving = diff if q == 2 else None
-        n_next = 2 * n_sub
-        if first is None:
-            first = diff
-            r = diff / tol
-            if math.isfinite(r):
-                # At most 2^5 per jump: beyond that the n^-4 extrapolation
-                # spans more than six decades of error.
-                j = min(5, max(1, math.ceil(math.log2(r) / 4)))
-                n_next = n_sub << j
-                # Land on the last count doubling could run, so that
-                # StepUnderflow is raised where doubling raises it.
-                while n_next > 2 * n_sub and underflows(n_next):
-                    n_next //= 2
-        # Only the last state of a rejected pass is kept: its intervals are
-        # released before the next pass is built.
-        del cur
-        prev, n_prev, n_sub = last, n_sub, n_next
+    ``runs`` is a sequence of (SystemParams, FieldModel) pairs. Returns one
+    entry per run, in order: a Trajectory on ``grid[-1:]``, or the
+    NumericalError the run fails with. Each entry is bitwise what
+    :func:`evolve` gives for the run alone at the last grid point, with the
+    same ``n_sub`` and ``attempts``, or the same error. No states of the
+    other grid points are formed.
+
+    Raises
+    ------
+    ValueError
+        For an unknown frame or initial state, a tolerance that is not
+        positive and finite, or a grid that is not uniform.
+    """
+    return _propagate(runs, grid, init, frame, rtol, atol, last_only=True)
 
 
 def rabi_oracle(omega0: float, t: float) -> tuple[float, float]:
@@ -650,10 +884,17 @@ class _FlatTopEnvelope:
 
 
 def lz_survival(coupling: float, sweep_rate: float) -> float:
-    """Asymptotic diabatic survival probability from a finite-window sweep.
+    """Asymptotic diabatic survival probability from a finite-window sweep:
+    :func:`lz_survivals` for one coupling."""
+    return lz_survivals((coupling,), sweep_rate)[0]
+
+
+def lz_survivals(couplings, sweep_rate: float) -> list[float]:
+    """Asymptotic diabatic survival probabilities from finite-window sweeps,
+    one per coupling, integrated as one batch of :func:`final_states`.
 
     A resonant carrier with a linear chirp at rate ``-sweep_rate`` realizes
-    the linear-sweep crossing; the run covers [-window, window] with window
+    the linear-sweep crossing; each run covers [-window, window] with window
     ``LZ_WINDOW_SCALE / sqrt(|sweep_rate|)``, integrated to ``LZ_RTOL`` and
     ``LZ_ATOL``. With the coupling held abruptly at its full value the
     finite-window reading carries an interference transient with a
@@ -666,17 +907,22 @@ def lz_survival(coupling: float, sweep_rate: float) -> float:
     """
     if sweep_rate == 0:
         raise ValueError("sweep_rate must be nonzero")
-    if coupling <= 0:
+    if any(not coupling > 0 for coupling in couplings):
         raise ValueError("coupling must be positive")
     sweep_rate = abs(sweep_rate)
     window = LZ_WINDOW_SCALE / math.sqrt(sweep_rate)
     params = SystemParams(omega_g=0.0, omega_e=1.0)
-    field = FieldModel(
-        carrier_omega=1.0,
-        envelope=_FlatTopEnvelope(2.0 * coupling, window),
-        phase=Chirp(beta=-sweep_rate, t_center=0.0),
-    )
+    chirp = Chirp(beta=-sweep_rate, t_center=0.0)
+    runs = [
+        (params, FieldModel(carrier_omega=1.0, phase=chirp,
+                            envelope=_FlatTopEnvelope(2.0 * coupling, window)))
+        for coupling in couplings
+    ]
     grid = np.linspace(-window, window, 401)
-    traj = evolve(params, field, grid, init="ground", frame="rotating",
-                  rtol=LZ_RTOL, atol=LZ_ATOL)
-    return float(abs(traj.c_g[-1]) ** 2)
+    survivals = []
+    for traj in final_states(runs, grid, init="ground", frame="rotating",
+                             rtol=LZ_RTOL, atol=LZ_ATOL):
+        if isinstance(traj, NumericalError):
+            raise traj
+        survivals.append(float(abs(traj.c_g[-1]) ** 2))
+    return survivals

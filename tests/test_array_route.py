@@ -103,31 +103,53 @@ def test_overlap_arrays_match_point_formulas(shipped_series):
 
 class TestTrackBranches:
     def test_flip_keeps_nearest_root(self):
-        principal = np.array([[1.0, -0.9 + 0.1j, -0.8 + 0.1j]])
-        roots, signs = _track_branches(principal, (1,), ("x",))
-        assert signs.tolist() == [[1, -1, -1]]
+        principal = np.array([[[1.0, -0.9 + 0.1j, -0.8 + 0.1j]]])
+        roots, signs, errors = _track_branches(principal, (1,), ("x",))
+        assert signs.tolist() == [[[1, -1, -1]]]
         assert signs.dtype == np.int8
-        np.testing.assert_array_equal(roots, [[1.0, 0.9 - 0.1j, 0.8 - 0.1j]])
+        assert errors == [None]
+        np.testing.assert_array_equal(roots, [[[1.0, 0.9 - 0.1j, 0.8 - 0.1j]]])
 
     def test_first_sign_applies_to_first_point(self):
-        roots, signs = _track_branches(np.array([[2.0, 2.1]]), (-1,), ("x",))
-        assert signs.tolist() == [[-1, -1]]
-        np.testing.assert_array_equal(roots, [[-2.0, -2.1]])
+        roots, signs, _ = _track_branches(np.array([[[2.0, 2.1]]]), (-1,), ("x",))
+        assert signs.tolist() == [[[-1, -1]]]
+        np.testing.assert_array_equal(roots, [[[-2.0, -2.1]]])
 
     def test_tie_raises_with_grid_index(self):
-        principal = np.array([[1.0, 1.1, 1.2, 1.2j, 1.3j]])
-        with pytest.raises(BranchAmbiguity, match="ctx: both roots") as info:
-            _track_branches(principal, (1,), ("ctx",))
-        assert info.value.grid_index == 3
+        principal = np.array([[[1.0, 1.1, 1.2, 1.2j, 1.3j]]])
+        _, _, (error,) = _track_branches(principal, (1,), ("ctx",))
+        assert isinstance(error, BranchAmbiguity)
+        assert str(error).startswith("ctx: both roots")
+        assert error.grid_index == 3
 
     def test_earliest_tie_across_rows_wins(self):
         principal = np.array([
-            [1.0, 1.1, 1.2, 1.2j],   # tie at grid index 3
-            [1.0, 1.0j, 1.0, 1.0],   # tie at grid index 1
+            [[1.0, 1.1, 1.2, 1.2j]],   # tie at grid index 3
+            [[1.0, 1.0j, 1.0, 1.0]],   # tie at grid index 1
         ])
-        with pytest.raises(BranchAmbiguity, match="second") as info:
-            _track_branches(principal, (1, 1), ("first", "second"))
-        assert info.value.grid_index == 1
+        _, _, (error,) = _track_branches(principal, (1, 1), ("first", "second"))
+        assert str(error).startswith("second")
+        assert error.grid_index == 1
+
+    def test_each_run_reports_its_own_tie(self):
+        # Run 0 ties at grid index 2 on the first quantity, run 1 nowhere,
+        # run 2 at grid index 1 on the second; the signs of every run are
+        # those of the run alone.
+        principal = np.array([
+            [[1.0, 1.1, 1.1j], [1.0, 1.1, 1.2], [1.0, 1.1, 1.2]],
+            [[1.0, 1.1, 1.2], [1.0, 1.1, 1.2], [1.0, 1.0j, 1.0]],
+        ])
+        roots, signs, errors = _track_branches(principal, [[1, -1, 1], [1, 1, -1]],
+                                               ("first", "second"))
+        assert [type(e).__name__ if e else None for e in errors] == [
+            "BranchAmbiguity", None, "BranchAmbiguity"]
+        assert (errors[0].grid_index, errors[2].grid_index) == (2, 1)
+        assert str(errors[0]).startswith("first") and str(errors[2]).startswith("second")
+        for j in range(3):
+            alone, alone_signs, _ = _track_branches(
+                principal[:, j:j + 1], [[1, -1, 1][j], [1, 1, -1][j]], ("first", "second"))
+            assert np.array_equal(roots[:, j:j + 1], alone)
+            assert np.array_equal(signs[:, j:j + 1], alone_signs)
 
 
 def csv_writer_table(header_lines, names, columns) -> str:

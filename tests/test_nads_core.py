@@ -113,27 +113,28 @@ class TestNonadiabaticRabi:
 
     def test_continuation_keeps_nearest_root(self):
         principal = cmath.sqrt(24.92 - 1.6j)
-        row = np.array([[principal, principal, principal]])
-        roots, signs = _track_branches(row, (-1,), ("x",))
-        assert roots.tolist() == [[-principal] * 3]
-        assert signs.tolist() == [[-1, -1, -1]]
-        roots, signs = _track_branches(row, (1,), ("x",))
-        assert roots.tolist() == [[principal] * 3]
+        row = np.array([[[principal, principal, principal]]])
+        roots, signs, errors = _track_branches(row, (-1,), ("x",))
+        assert roots.tolist() == [[[-principal] * 3]]
+        assert signs.tolist() == [[[-1, -1, -1]]]
+        assert errors == [None]
+        roots, signs, _ = _track_branches(row, (1,), ("x",))
+        assert roots.tolist() == [[[principal] * 3]]
 
     def test_sign_delta_ignored_under_continuation(self):
         # The detuning sign picks the first root only; later samples follow
         # the previous root, here back onto the principal one.
         principal = cmath.sqrt(24.92 - 1.6j)
-        roots, _ = _track_branches(
-            np.array([[-principal, principal]]), (-1,), ("x",)
+        roots, _, _ = _track_branches(
+            np.array([[[-principal, principal]]]), (-1,), ("x",)
         )
-        assert roots.tolist() == [[principal, principal]]
+        assert roots.tolist() == [[[principal, principal]]]
 
     def test_equidistant_roots_are_ambiguous(self):
         # A sample orthogonal to the previous root: both candidates equidistant.
-        with pytest.raises(BranchAmbiguity) as info:
-            _track_branches(np.array([[5j, 5.0 + 0.0j]]), (1,), ("x",))
-        assert info.value.grid_index == 1
+        _, _, (error,) = _track_branches(np.array([[[5j, 5.0 + 0.0j]]]), (1,), ("x",))
+        assert isinstance(error, BranchAmbiguity)
+        assert error.grid_index == 1
 
 
 class TestLambdas:
@@ -205,10 +206,10 @@ class TestMixingFunctions:
         # changes sign flips only its own row back.
         c = 0.9487418497131219 - 0.010540275000015836j
         s = 0.3177895453534113 + 0.03146736620576702j
-        principal = np.array([[c, c, c], [s, -s, -s]])
-        roots, signs = _track_branches(principal, (1, 1), ("COS", "SIN"))
-        assert signs.tolist() == [[1, 1, 1], [1, -1, -1]]
-        assert roots.tolist() == [[c] * 3, [s] * 3]
+        principal = np.array([[[c, c, c]], [[s, -s, -s]]])
+        roots, signs, _ = _track_branches(principal, (1, 1), ("COS", "SIN"))
+        assert signs.tolist() == [[[1, 1, 1]], [[1, -1, -1]]]
+        assert roots.tolist() == [[[c] * 3], [[s] * 3]]
 
 
 @given(

@@ -730,9 +730,11 @@ BREAKABLE = (
 
 
 @st.composite
-def scenario_docs(draw, out_of_bounds=True):
+def scenario_docs(draw, out_of_bounds=True, extremes=False):
     """Scenario documents across the schema on grids of at most 600 steps;
-    with ``out_of_bounds``, one in four has one field out of bounds."""
+    with ``out_of_bounds``, one in four has one field out of bounds, and
+    with ``extremes`` one in three a finite chirp rate or peak Rabi
+    frequency from 1e100 to 1e308."""
     kind = draw(st.sampled_from(["constant", "gaussian", "sech"]))
     tau = draw(st.floats(0.05, 50.0))
     step = tau / 400.0 * draw(st.floats(0.1, 1.2))
@@ -774,6 +776,10 @@ def scenario_docs(draw, out_of_bounds=True):
             "rtol": draw(st.floats(1e-12, 1e-4)),
             "atol": draw(st.floats(1e-14, 1e-6)),
         }
+    if extremes and draw(st.integers(0, 2)) == 0:
+        node, key = draw(st.sampled_from([(doc["field"]["phase"], "beta"),
+                                          (doc["field"]["envelope"], "omega0")]))
+        node[key] = draw(st.sampled_from([1e100, 1e154, 1e200, 1e308]))
     if out_of_bounds and draw(st.integers(0, 3)) == 0:
         *parents, key = draw(st.sampled_from(BREAKABLE))
         node = doc
@@ -800,6 +806,27 @@ def test_snapshot_fuzz_exit_codes_and_finite_tables(doc):
             cells = np.array([[float(cell) for cell in row] for row in rows])
             assert cells.shape[1] == len(names)
             assert np.all(np.isfinite(cells))
+
+
+@given(doc=scenario_docs(extremes=True))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:grid.step")
+def test_evolve_compare_fuzz_exit_codes_and_finite_tables(doc):
+    """Any scenario, huge chirps and Rabi frequencies included: no bare
+    exception, exit 0, 1 or 2, and a table written with exit 0 holds only
+    finite numbers, except the documented NaN of an undefined ratio."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = Path(tmp) / "table.csv"
+        rc = main(["evolve", str(path), "--compare", "--out", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            _, names, rows = read_table(out)
+            cells = np.array([[float(cell) for cell in row] for row in rows])
+            assert cells.shape[1] == len(names) == 8
+            assert np.all(np.isfinite(cells[:, :6]))
+            assert not np.any(np.isinf(cells[:, 6:]))
 
 
 #: Optional keys of a fuzzed document and their defaults as the README

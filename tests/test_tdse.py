@@ -30,6 +30,7 @@ from nads.tdse import (
     evolve,
     lz_oracle,
     lz_survival,
+    lz_survivals,
     propagate_fixed,
     rabi_oracle,
     rhs,
@@ -254,7 +255,7 @@ class TestValidationAndFailure:
         # between 64 and 128 substeps, so the pass at 256 is the last.
         calls = []
 
-        def fake(params, field, grid, h_out, start, frame, n_sub):
+        def fake(runs, grid, h_out, start, frame, n_sub):
             sign = (-1) ** int(math.log2(n_sub))
             calls.append(n_sub)
             return fake_pass(grid, 0.5 + 1e-6 / n_sub**4 + sign * 1e-14 * n_sub)
@@ -418,8 +419,8 @@ class TestExpansion:
                       **vars(sc.integrator))
         grid, h_out = uniform_grid(sc.grid())
         start = tdse._start(sc.initial_state)
-        intervals = tdse._intervals(sc.system, sc.field, grid, h_out, sc.integrator.frame,
-                                    traj.n_sub)
+        intervals = tdse._intervals(((sc.system, sc.field),), grid, h_out,
+                                    sc.integrator.frame, traj.n_sub)[:, :, 0]
         states = tdse._expand(intervals, start)
         assert np.array_equal(states[0], traj.c_g) and np.array_equal(states[1], traj.c_e)
         block = max(1, _BLOCK_SUBSTEPS // traj.n_sub)
@@ -453,11 +454,11 @@ class TestExpansion:
         monkeypatch.setattr(tdse, "_ordered_product", recording)
         grid, h_out = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
         start = tdse._start(init)
-        built = tdse._build_pass(*time_independent(), grid, h_out, start, "rotating", 2)
+        built = tdse._build_pass((time_independent(),), grid, h_out, start, "rotating", 2)
         assert built.intervals.strides[-1] == 0
         assert not any(broadcast_reduced)
         ref = tdse._apply(pairwise(built.intervals), start)
-        assert relative_error(built.last[:, None], ref[:, None]) < 1e-13
+        assert relative_error(built.last, ref) < 1e-13
 
     def test_power_takes_logarithmic_products(self, monkeypatch):
         products = []
@@ -479,15 +480,18 @@ class TestExpansion:
     def check_pass(params, field, grid, init, frame, n_sub=2):
         grid, h_out = uniform_grid(grid)
         start = tdse._start(init)
-        built = tdse._build_pass(params, field, grid, h_out, start, frame, n_sub)
-        states = tdse._expand(built.intervals, start)
-        ref = hillis_steele_states(built.intervals, start, len(grid))
+        built = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub)
+        intervals = built.intervals[:, :, 0]
+        states = tdse._expand(intervals, start)
+        ref = hillis_steele_states(intervals, start, len(grid))
         assert states.shape == (2, len(grid))
         assert np.array_equal(states[:, 0], start)
         assert relative_error(states, ref) < 1e-13
-        # The reduced last state is the expanded last point up to rounding.
-        assert relative_error(built.last[:, None], states[:, -1:]) < 1e-13
-        return built.intervals
+        # The reduced last state is the expanded last point up to rounding,
+        # and the last column of the expansion is its last point bitwise.
+        assert relative_error(built.last, states[:, -1:]) < 1e-13
+        assert np.array_equal(tdse._expand_last(intervals, start), states[:, -1:])
+        return intervals
 
     @pytest.mark.parametrize("name", list_shipped())
     def test_evolve_expands_one_pass(self, monkeypatch, name):
@@ -704,16 +708,17 @@ def doubling_evolve(params, field, grid, init="ground", frame="rotating",
                 f"substep {h_out / n_sub:.3e} below "
                 f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
             )
-        cur = tdse._build_pass(params, field, grid, h_out, start, frame, n_sub)
+        cur = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub)
+        last = cur.last[:, 0]
         passes += 1
         if prev is not None:
-            err = max(abs(cur.last[0] - prev.last[0]), abs(cur.last[1] - prev.last[1]))
-            scale = max(1.0, abs(cur.last[0]), abs(cur.last[1]))
+            err = max(abs(last[0] - prev[0]), abs(last[1] - prev[1]))
+            scale = max(1.0, abs(last[0]), abs(last[1]))
             if err < rtol * scale + atol:
-                states = tdse._expand(cur.intervals, start)
+                states = tdse._expand(cur.intervals[:, :, 0], start)
                 return tdse._trajectory(grid, states, frame, n_sub), passes
         n_sub *= 2
-        prev = cur
+        prev = last
 
 
 def random_case(rng, i):
@@ -798,17 +803,34 @@ class TestPredictiveController:
         assert all(err > 1.0 for _, err in traj.attempts[1:-1])
         assert traj.attempts[-1][1] < 1.0
 
-    @pytest.mark.parametrize("coupling", [0.1, 0.25, 0.5])
-    def test_lz_survival_passes(self, monkeypatch, coupling):
-        runs = []
+    @staticmethod
+    def record_batches(monkeypatch):
+        """The passes of every run of each :func:`final_states` call."""
+        batches = []
+        original = tdse.final_states
 
         def recording(*args, **kwargs):
-            runs.append(evolve(*args, **kwargs))
-            return runs[-1]
+            results = original(*args, **kwargs)
+            batches.append([[n for n, _ in traj.attempts] for traj in results])
+            return results
 
-        monkeypatch.setattr(tdse, "evolve", recording)
+        monkeypatch.setattr(tdse, "final_states", recording)
+        return batches
+
+    @pytest.mark.parametrize("coupling", [0.1, 0.25, 0.5])
+    def test_lz_survival_passes(self, monkeypatch, coupling):
+        batches = self.record_batches(monkeypatch)
         lz_survival(coupling, 1.0)
-        assert [[n for n, _ in traj.attempts] for traj in runs] == [[41, 82]]
+        assert batches == [[[41, 82]]]
+
+    def test_lz_couplings_run_as_one_batch(self, monkeypatch):
+        # The three couplings of the validate check: one batch, each run
+        # with the passes it takes alone, and the survivals of the runs alone.
+        batches = self.record_batches(monkeypatch)
+        couplings = (0.1, 0.25, 0.5)
+        survivals = lz_survivals(couplings, 1.0)
+        assert batches == [[[41, 82]] * 3]
+        assert survivals == [lz_survival(coupling, 1.0) for coupling in couplings]
 
     def test_attempts_record(self):
         params, field = resonant(0.2)
@@ -821,9 +843,11 @@ class TestPredictiveController:
 
 
 def fake_pass(grid, last_g, last_e=0.0):
-    """A built pass with identity intervals and the given last state."""
-    identity = np.broadcast_to(np.eye(2, dtype=complex)[..., None], (2, 2, len(grid) - 1))
-    return tdse._Pass(identity, np.array([last_g, last_e], dtype=complex))
+    """A built pass of one run with identity intervals and the given last
+    state."""
+    identity = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None, None],
+                               (2, 2, 1, len(grid) - 1))
+    return tdse._Pass(identity, np.array([[last_g], [last_e]], dtype=complex))
 
 
 def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
@@ -832,7 +856,7 @@ def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
     replaces the last value of ``component`` when given."""
     calls = []
 
-    def fake(params, field, grid, h_out, start, frame, n_sub):
+    def fake(runs, grid, h_out, start, frame, n_sub):
         last = {"c_g": 0.5 + amplitude * (unit / n_sub) ** order, "c_e": 0.0}
         if bad is not None and calls:
             last[component] = bad

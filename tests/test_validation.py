@@ -112,8 +112,8 @@ CALL_CASES = {
     "field_free_decay": (validation.check_decay_law, validation, "evolve",
                          lambda spoil, traj: dataclasses.replace(
                              traj, norm=spoil(traj.norm, 2.0))),
-    "landau_zener": (validation.check_landau_zener, validation, "lz_survival",
-                     lambda spoil, survival: spoil(survival, 2.0)),
+    "landau_zener": (validation.check_landau_zener, validation, "lz_survivals",
+                     lambda spoil, survivals: spoil(survivals, 2.0)),
     "derivative_hygiene": (validation.check_derivative_hygiene, SechEnvelope,
                            "dlog_deriv", lambda spoil, dlog: spoil(dlog, 10.0)),
 }
