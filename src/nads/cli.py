@@ -35,7 +35,7 @@ __all__ = ["main"]
 
 
 #: Grid points of the snapshot series a ``maxP`` sweep holds at once.
-_SERIES_POINTS = 1 << 14
+_SERIES_POINTS = 4096
 
 #: Sweep points built and reduced at once.
 _SWEEP_POINTS = 1024
@@ -172,8 +172,8 @@ def cmd_sweep(args) -> int:
     columns = [grid.ravel() for grid in np.meshgrid(*values, indexing="ij")]
     results = []
     for first in range(0, len(columns[0]), _SWEEP_POINTS):
-        indices = range(first, min(first + _SWEEP_POINTS, len(columns[0])))
-        results += _sweep_points(scenario, paths, [c[indices] for c in columns], args.reduce)
+        chunk = [column[first:first + _SWEEP_POINTS] for column in columns]
+        results += _sweep_points(scenario, paths, chunk, args.reduce)
 
     names = [*paths, args.reduce, "error"]
     columns.append([value for value, _ in results])

@@ -289,6 +289,8 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
         If the grid is not uniform or too short.
     """
     grid, h = uniform_grid(grid)
+    if not runs:
+        return []
     errors = [None] * len(runs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega = _stacked([p.mu * f.envelope.omega(grid) for p, f in runs])
