@@ -311,11 +311,12 @@ def _step_matrices(k0, kh, k1, coefficients, m):
     np.add(1.0, e2 + a2 * u_v.conj() + b2 * p + (c1 + qp) * w.conj(), out=m[1, 1])
 
 
-def _step_coefficients(diagonals, h: float) -> tuple[list[tuple[complex, ...]], float]:
+def _step_coefficients(diagonals, h: float):
     """The scalar coefficients of :func:`_step_matrices` for substep ``h``,
-    from the diagonal rates (d1, d2) of each run: one tuple of complex
-    numbers per run, formed in Python's complex arithmetic as for the run
-    alone, and the shared real q."""
+    from the diagonal rates (d1, d2) of each run, each formed in Python's
+    complex arithmetic as for the run alone: the numbers themselves for one
+    run, else one complex array of shape (B, 1, 1) per coefficient; the
+    real q last."""
     hh = h * h
     q = hh * hh / 24.0
 
@@ -344,13 +345,6 @@ def _step_coefficients(diagonals, h: float) -> tuple[list[tuple[complex, ...]], 
         g01 = -1j * h * hh * (z1 + z2) / 24.0
         table.append((e(z1), e(z2), a1, a2, b(z1), b(z2), c(z1), c(z2),
                       f(z1), f(z2), g(z1), g(z2), f_h, g01))
-    return table, q
-
-
-def _coefficient_columns(table, q: float):
-    """The coefficients of :func:`_step_matrices` for the runs of ``table``:
-    the numbers themselves for one run, else one complex array of shape
-    (B, 1, 1) per coefficient."""
     if len(table) == 1:
         return (*table[0], q)
     return (*np.array(table, dtype=complex).T.reshape(14, len(table), 1, 1), q)
@@ -464,7 +458,7 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
     width = min(n_sub, _BLOCK_SUBSTEPS)
     constant = all(_time_independent(field, frame) for _, field in runs)
     same_phase = _same_phase(runs)
-    table, q = _step_coefficients([_diagonal(*run, frame) for run in runs], h_sub)
+    diagonals = [_diagonal(*run, frame) for run in runs]
     stacks = {}  # the chunks of runs whose step matrices are built together
     out = None if constant else np.empty((2, 2, len(runs), rows), dtype=complex)
     for first in range(0, 1 if constant else rows, per_block):
@@ -472,7 +466,7 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
         size = max(1, _BLOCK_SUBSTEPS // (built * width))
         if size not in stacks:
             subs = [slice(r, r + size) for r in range(0, len(runs), size)]
-            stacks[size] = [(sub, _coefficient_columns(table[sub], q)) for sub in subs]
+            stacks[size] = [(sub, _step_coefficients(diagonals[sub], h_sub)) for sub in subs]
         for offset in range(0, n_sub, width):
             w = min(width, n_sub - offset)
             j0 = first * n_sub + offset  # first substep of this slice
@@ -606,16 +600,33 @@ def _fourth_order(first: float, second: float, q: int) -> bool:
 
 class _Controller:
     """The substep controller of one run (see :func:`evolve`): ``n_sub`` is
-    the count of the pass it asks for next, ``attempts`` the passes so far."""
+    the count of the pass it asks for next, ``attempts`` the passes so far.
 
-    def __init__(self, n_sub, underflows):
-        self.n_sub = n_sub
-        self.underflows = underflows
+    It starts at ``count`` (rounded up) substeps per output interval of
+    ``h_out`` on a grid of ``span``, and raises StepUnderflow as soon as
+    the pass it would ask for next underflows; a count that overflows is a
+    substep of 0.
+    """
+
+    def __init__(self, count: float, h_out: float, span: float):
+        self.h_out, self.span = h_out, span
         self.attempts: list[tuple[int, Optional[float]]] = []
         self.prev = None  # last state of the previous pass
         self.n_prev = 0
         self.first = None  # difference of the first pair
         self.halving = None  # difference of the previous pair, if it was one halving apart
+        self._ask(max(1, math.ceil(count)) if math.isfinite(count) else math.inf)
+
+    def underflows(self, n_sub) -> bool:
+        return self.h_out / n_sub < STEP_UNDERFLOW_FRACTION * self.span
+
+    def _ask(self, n_sub) -> None:
+        if self.underflows(n_sub):
+            raise StepUnderflow(
+                f"substep {self.h_out / n_sub:.3e} below "
+                f"{STEP_UNDERFLOW_FRACTION:.0e} of span {self.span:.3e}"
+            )
+        self.n_sub = n_sub
 
     def accepts(self, last, rtol: float, atol: float) -> bool:
         """Take the last state of the pass at ``n_sub``. True when that pass
@@ -625,12 +636,14 @@ class _Controller:
         ------
         ToleranceUnreachable
             If this halving of the substep did not shrink the difference.
+        StepUnderflow
+            If the next pass would underflow.
         """
         n_sub, prev, n_prev = self.n_sub, self.prev, self.n_prev
         self.prev, self.n_prev = last, n_sub
         if prev is None:
             self.attempts.append((n_sub, None))
-            self.n_sub = 2 * n_sub
+            self._ask(2 * n_sub)
             return False
         q = n_sub // n_prev
         # np.maximum, not max: a NaN in either component must propagate.
@@ -649,7 +662,7 @@ class _Controller:
                 f"the tolerance {tol:.3e}"
             )
         self.halving = diff if q == 2 else None
-        self.n_sub = 2 * n_sub
+        n_next = 2 * n_sub
         if self.first is None:
             self.first = diff
             r = diff / tol
@@ -657,11 +670,12 @@ class _Controller:
                 # At most 2^5 per jump: beyond that the n^-4 extrapolation
                 # spans more than six decades of error.
                 j = min(5, max(1, math.ceil(math.log2(r) / 4)))
-                self.n_sub = n_sub << j
+                n_next = n_sub << j
                 # Land on the last count doubling could run, so that
                 # StepUnderflow is raised where doubling raises it.
-                while self.n_sub > 2 * n_sub and self.underflows(self.n_sub):
-                    self.n_sub //= 2
+                while n_next > 2 * n_sub and self.underflows(n_next):
+                    n_next //= 2
+        self._ask(n_next)
         return False
 
 
@@ -698,36 +712,20 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     start = _start(init)
     span = float(grid[-1] - grid[0])
     rows = len(grid) - 1
-
-    def underflows(n_sub) -> bool:
-        return h_out / n_sub < STEP_UNDERFLOW_FRACTION * span
-
     results: list = [None] * len(runs)
     pending: dict[int, _Controller] = {}
-    # Overflowing field values raise no warning: they fail by name below.
+    # Overflowing field values raise no warning: they fail by name.
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (params, field) in enumerate(runs):
             try:
-                count = h_out * _characteristic_rate(params, field, grid, frame)
+                rate = _characteristic_rate(params, field, grid, frame)
+                pending[j] = _Controller(h_out * rate / _INITIAL_RADIANS_PER_STEP, h_out, span)
             except NumericalError as exc:
                 results[j] = exc
-                continue
-            count /= _INITIAL_RADIANS_PER_STEP
-            # A count that overflows is a substep of 0, which underflows.
-            n0 = max(1, math.ceil(count)) if math.isfinite(count) else math.inf
-            pending[j] = _Controller(n0, underflows)
         while pending:
             passes: dict[tuple[int, bool], list[int]] = {}
-            for j, controller in list(pending.items()):
-                n_sub = controller.n_sub
-                if underflows(n_sub):
-                    results[j] = StepUnderflow(
-                        f"substep {h_out / n_sub:.3e} below "
-                        f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
-                    )
-                    del pending[j]
-                    continue
-                key = (n_sub, _time_independent(runs[j][1], frame))
+            for j, controller in pending.items():
+                key = (controller.n_sub, _time_independent(runs[j][1], frame))
                 passes.setdefault(key, []).append(j)
             for (n_sub, constant), members in passes.items():
                 size = _chunk_runs(rows, n_sub, constant)
@@ -735,9 +733,8 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
                     built = _build_pass([runs[j] for j in chunk], grid, h_out, start,
                                         frame, n_sub)
                     for i, j in enumerate(chunk):
-                        controller = pending[j]
                         try:
-                            if not controller.accepts(built.last[:, i], rtol, atol):
+                            if not pending[j].accepts(built.last[:, i], rtol, atol):
                                 continue
                         except NumericalError as exc:
                             results[j] = exc
@@ -746,7 +743,7 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
                             results[j] = _trajectory(
                                 grid[-1:] if last_only else grid,
                                 finish(built.intervals[:, :, i], start),
-                                frame, n_sub, controller.attempts,
+                                frame, n_sub, pending[j].attempts,
                             )
                         del pending[j]
                     # The intervals of a chunk's pass are released before
