@@ -19,7 +19,7 @@ the failure it raises alone, come out bitwise the same in any batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import get_args
 
 import numpy as np
@@ -156,8 +156,9 @@ def _track_branches(
     (C, B, n): C tracked quantities, named by ``contexts``, of B runs.
 
     Series (c, j) starts at ``first_sign[c, j]`` (shape (C, B), or (C,)
-    for one sign per quantity) times its principal root; afterwards each sample
-    keeps whichever of +-principal lies nearer the previous kept root.
+    for one sign per quantity) times its principal root; afterwards each
+    sample keeps whichever of +-principal lies nearer the previous kept
+    root.
     Since |p_k - s p_{k-1}| and |p_k + s p_{k-1}| only swap with the sign
     s, the per-step decision is the sign-free comparison of
     |p_k -+ p_{k-1}|, and the signs are its running product (a prefix
