@@ -202,6 +202,8 @@ def _same_phase(runs) -> list[int]:
     """For each run, the first run with the same chirp phase, compared by
     value (the points of a sweep rebuild their sections); repr keeps -0.0
     apart from 0.0, which compare equal."""
+    if len(runs) == 1:
+        return [0]
     phases: dict[str, int] = {}
     return [phases.setdefault(repr((field.phase, field.phase_center)), j)
             for j, (_, field) in enumerate(runs)]
@@ -904,7 +906,7 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
     """
     if sweep_rate == 0:
         raise ValueError("sweep_rate must be nonzero")
-    if any(not coupling > 0 for coupling in couplings):
+    if any(coupling <= 0 for coupling in couplings):
         raise ValueError("coupling must be positive")
     sweep_rate = abs(sweep_rate)
     window = LZ_WINDOW_SCALE / math.sqrt(sweep_rate)
