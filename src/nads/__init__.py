@@ -31,7 +31,6 @@ from .field_model import (
 from .nads_core import (
     SnapshotSeries,
     detuning,
-    snapshot_batch,
     snapshot_series,
 )
 from .overlap_transitions import (
@@ -58,10 +57,8 @@ from .scenario import (
 from .tdse import (
     Trajectory,
     evolve,
-    final_states,
     lz_oracle,
     lz_survival,
-    lz_survivals,
     propagate_fixed,
     rabi_oracle,
     rhs,
@@ -101,14 +98,12 @@ __all__ = [
     "eg_overlap",
     "evolve",
     "expanded_overlaps",
-    "final_states",
     "ge_overlap",
     "list_shipped",
     "load_scenario",
     "load_shipped",
     "lz_oracle",
     "lz_survival",
-    "lz_survivals",
     "mixing_probability",
     "norms",
     "p_via_overlaps",
@@ -121,7 +116,6 @@ __all__ = [
     "scenario_from_dict",
     "serialize",
     "shipped_path",
-    "snapshot_batch",
     "snapshot_series",
     "__version__",
 ]

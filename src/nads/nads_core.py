@@ -41,7 +41,6 @@ __all__ = [
     "SnapshotSeries",
     "detuning",
     "require_finite",
-    "snapshot_batch",
     "snapshot_series",
 ]
 
@@ -135,13 +134,12 @@ def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def _first_failures(errors: list, bad: np.ndarray, make) -> None:
-    """For each run j of ``bad`` (the runs of ``errors`` along its first
-    axis, or one run) that has no error yet and a True anywhere, set
-    ``errors[j]`` to ``make(j, k)`` with k the flat index of its first True
-    in run j."""
+    """For each run j of ``bad`` (shape (B, ...)) that has no error yet and
+    a True anywhere, set ``errors[j]`` to ``make(j, k)`` with k the flat
+    index of its first True in ``bad[j]``."""
     if not bad.any():
         return
-    bad = bad.reshape(len(errors), -1)
+    bad = bad.reshape(len(bad), -1)
     for j in np.flatnonzero(bad.any(axis=1)):
         if errors[j] is None:
             errors[j] = make(j, int(np.argmax(bad[j])))
@@ -241,12 +239,9 @@ def snapshot_series(
     return series
 
 
-def _stacked(values):
-    """The per-run arrays or numbers in ``values`` as one batch: their
-    rows, numbers as a column, or for one run the entry itself, so that a
-    batch of one computes with the shapes and scalars of the run alone."""
-    if len(values) == 1:
-        return values[0]
+def _stacked(values) -> np.ndarray:
+    """The per-run arrays or numbers in ``values`` as one batch: their rows,
+    numbers as a column."""
     out = np.array(values)
     return out if out.ndim > 1 else out[:, None]
 
@@ -299,10 +294,6 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
     if not runs:
         return []
     errors = [None] * len(runs)
-
-    def each(values):  # the runs of a batch array along its first axis
-        return values.reshape(len(runs), -1)
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         omega = _stacked([p.mu * f.envelope.omega(grid) for p, f in runs])
         log_deriv = _stacked([f.envelope.log_deriv(grid) for _, f in runs])
@@ -311,7 +302,7 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
         dphi = _stacked([f.dphi(grid) for _, f in runs])
         d2phi = _stacked([f.d2phi(grid) for _, f in runs])
         _first_failures(errors, omega < OMEGA_FLOOR, lambda j, k: EnvelopeUnderflow(
-            f"Omega({grid[k]}) = {each(omega)[j, k]:.3e} below floor {OMEGA_FLOOR:.3e}",
+            f"Omega({grid[k]}) = {omega[j, k]:.3e} below floor {OMEGA_FLOOR:.3e}",
             grid_index=k,
         ))
 
@@ -335,9 +326,8 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
         radicand.imag = (0.0 + (a * b + b * a)) - (0.0 * d + 2.0 * c)
         _require_finite_runs(errors, "nonadiabatic Rabi frequency radicand", radicand)
         (omega_tilde,), (branch_rabi,), ambiguous = _track_branches(
-            each(np.sqrt(radicand))[None], [sign_delta], ("nonadiabatic Rabi frequency",)
+            np.sqrt(radicand)[None], [sign_delta], ("nonadiabatic Rabi frequency",)
         )
-        omega_tilde = omega_tilde.reshape(radicand.shape)
         _merge(errors, ambiguous)
 
         d_omega_tilde = _central_diff(omega_tilde, h)
@@ -346,7 +336,7 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
         _first_failures(
             errors, np.abs(omega_tilde) < RABI_DEGENERACY_FLOOR,
             lambda j, k: DegenerateRabi(
-                f"|omega_tilde| = {abs(each(omega_tilde)[j, k]):.3e} below "
+                f"|omega_tilde| = {abs(omega_tilde[j, k]):.3e} below "
                 f"{RABI_DEGENERACY_FLOOR:.0e}", grid_index=k,
             ),
         )
@@ -357,11 +347,10 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
         lam_t2 = lam2 + shift
 
         (cos_half, sin_half), (branch_cos, branch_sin), ambiguous = _track_branches(
-            np.sqrt(np.stack([each(lam_t1), -each(lam_t2)]) / each(omega_tilde)),
+            np.sqrt(np.stack([lam_t1, -lam_t2]) / omega_tilde),
             [[1] * len(runs), sign_delta],
             ("COS(theta/2)", "SIN(theta/2)"),
         )
-        cos_half, sin_half = cos_half.reshape(radicand.shape), sin_half.reshape(radicand.shape)
         _merge(errors, ambiguous)
 
         omega_G = _stacked([p.omega_g for p, _ in runs]) + lam2
@@ -383,13 +372,11 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
     branches = {"omega_tilde": branch_rabi, "cos_half": branch_cos, "sin_half": branch_sin}
     for arr in [grid, *arrays.values(), *branches.values()]:
         arr.flags.writeable = False
-    rows = [arrays] if len(runs) == 1 else [
-        {name: arr[j] for name, arr in arrays.items()} for j in range(len(runs))
-    ]
     return [
         errors[j] or SnapshotSeries(
             params=params, field=field, grid=grid,
-            sign_delta=sign_delta[j], delta=deltas[j], **rows[j],
+            sign_delta=sign_delta[j], delta=deltas[j],
+            **{name: arr[j] for name, arr in arrays.items()},
             branch_log={name: arr[j] for name, arr in branches.items()},
         )
         for j, (params, field) in enumerate(runs)
@@ -397,10 +384,10 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
 
 
 def _require_finite_runs(errors: list, quantity: str, values: np.ndarray) -> None:
-    """:func:`require_finite` for each run of ``values`` (runs along the
-    first axis, or one run) that has no error yet."""
+    """:func:`require_finite` for each run of ``values`` (shape (B, n)) that
+    has no error yet."""
     _first_failures(errors, ~np.isfinite(values), lambda j, k: NonFiniteValue(
-        f"{quantity} is not finite: {values.reshape(len(errors), -1)[j, k]}", grid_index=k,
+        f"{quantity} is not finite: {values[j, k]}", grid_index=k,
     ))
 
 

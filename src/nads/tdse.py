@@ -79,12 +79,10 @@ __all__ = [
     "rhs",
     "propagate_fixed",
     "evolve",
-    "final_states",
     "rabi_oracle",
     "lz_oracle",
     "rz_oracle",
     "lz_survival",
-    "lz_survivals",
 ]
 
 Frame = Literal["lab", "rotating"]
@@ -202,8 +200,6 @@ def _same_phase(runs) -> list[int]:
     """For each run, the first run with the same chirp phase, compared by
     value (the points of a sweep rebuild their sections); repr keeps -0.0
     apart from 0.0, which compare equal."""
-    if len(runs) == 1:
-        return [0]
     phases: dict[str, int] = {}
     return [phases.setdefault(repr((field.phase, field.phase_center)), j)
             for j, (_, field) in enumerate(runs)]
@@ -316,9 +312,8 @@ def _step_matrices(k0, kh, k1, coefficients, m):
 def _step_coefficients(diagonals, h: float):
     """The scalar coefficients of :func:`_step_matrices` for substep ``h``,
     from the diagonal rates (d1, d2) of each run, each formed in Python's
-    complex arithmetic as for the run alone: the numbers themselves for one
-    run, else one complex array of shape (B, 1, 1) per coefficient; the
-    real q last."""
+    complex arithmetic: one complex array of shape (B, 1, 1) per
+    coefficient, and the real q last."""
     hh = h * h
     q = hh * hh / 24.0
 
@@ -347,8 +342,6 @@ def _step_coefficients(diagonals, h: float):
         g01 = -1j * h * hh * (z1 + z2) / 24.0
         table.append((e(z1), e(z2), a1, a2, b(z1), b(z2), c(z1), c(z2),
                       f(z1), f(z2), g(z1), g(z2), f_h, g01))
-    if len(table) == 1:
-        return (*table[0], q)
     return (*np.array(table, dtype=complex).T.reshape(14, len(table), 1, 1), q)
 
 
