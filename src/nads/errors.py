@@ -61,7 +61,8 @@ class NonFiniteValue(NumericalError):
 
 class StepUnderflow(NumericalError):
     """The integrator substep controller was driven below its floor without
-    reaching the requested tolerance."""
+    reaching the requested tolerance: a substep below a fraction of the
+    span, or a pass of more substeps than one pass may build."""
 
 
 class ToleranceUnreachable(StepUnderflow):

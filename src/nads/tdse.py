@@ -47,16 +47,21 @@ Independent runs on one grid go through the controller as a batch
 own controller; the pending runs that ask for the same ``n_sub`` share a
 pass, whose arrays carry a batch axis after the matrix axes,
 (2, 2, B, ...), and which is built for chunks of runs bounded by
-``_CHUNK_SUBSTEPS`` and ``_CHUNK_INTERVALS``. Every run keeps the block
-partition it has alone, and every operation is elementwise along the
-batch axis, so each run gets the bits it gets alone. :func:`final_states`
-returns the last states only, from the last column of the expansion scan
-(:func:`_expand_last`).
+``_CHUNK_SUBSTEPS`` and ``_CHUNK_INTERVALS``. In the rotating frame the
+runs of a pass share their coupling samples per distinct (envelope,
+phase) pair, compared by value, and each run scales them by its own
+amplitude, mu / 2 (see :func:`_stage_coupling`). Every run keeps the
+block partition it has alone, and every operation is elementwise along
+the batch axis, so each run gets the bits it gets alone.
+:func:`final_states` returns the last states only, from the last column
+of the expansion scan (:func:`_expand_last`).
 
 The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
 a halving of the substep no longer shrinks the difference between passes:
 rounding, not truncation, then sets that difference, and doubling on could
-only run toward the substep floor.
+only run toward the substep floor. A pass of more than
+``MAX_PASS_SUBSTEPS`` substeps fails with
+:class:`~nads.errors.StepUnderflow` before it is built.
 """
 
 from __future__ import annotations
@@ -92,6 +97,12 @@ STEP_UNDERFLOW_FRACTION = 1e-12
 
 #: Initial substep target: fastest angular rate times substep, in radians.
 _INITIAL_RADIANS_PER_STEP = 0.2
+
+#: Substeps one pass may build for a run: ``n_sub`` per output interval
+#: times the intervals, or ``n_sub`` when one row of step matrices serves
+#: every interval. At about 1e7 substeps a second, a pass at the limit
+#: takes seconds, and the controller's next one would take twice as long.
+MAX_PASS_SUBSTEPS = 2**26
 
 #: Substeps whose step matrices are held in memory at once: a block of one
 #: run, or the blocks of the runs whose step matrices are built together.
@@ -196,36 +207,48 @@ def _diagonal(params: SystemParams, field: FieldModel, frame: Frame) -> tuple[co
     return complex(d1), complex(d2)
 
 
-def _same_phase(runs) -> list[int]:
-    """For each run, the first run with the same chirp phase, compared by
-    value (the points of a sweep rebuild their sections); repr keeps -0.0
-    apart from 0.0, which compare equal."""
+def _same_coupling(runs) -> list[tuple[int, int]]:
+    """For each run, the first run with the same envelope and the first run
+    with the same chirp phase, compared by value (the points of a sweep
+    rebuild their sections); repr keeps -0.0 apart from 0.0, which compare
+    equal."""
+    envelopes: dict[str, int] = {}
     phases: dict[str, int] = {}
-    return [phases.setdefault(repr((field.phase, field.phase_center)), j)
+    return [(envelopes.setdefault(repr(field.envelope), j),
+             phases.setdefault(repr((field.phase, field.phase_center)), j))
             for j, (_, field) in enumerate(runs)]
 
 
 def _stage_coupling(runs, t0: float, s: float, first: int, count: int, frame: Frame,
-                    same_phase) -> np.ndarray:
+                    same) -> np.ndarray:
     """Coupling k of each run on the stage lattice t_j = t0 + j s,
     j = first, ..., first + count - 1, as shape (B, count).
 
-    In the rotating frame k = (Omega/2) e^{i phi}, and the phase factor
-    comes from :func:`_chirp_factor`, not from a complex exponential per
-    lattice point; runs with the same phase (``same_phase``, from
-    :func:`_same_phase`) share it.
+    In the rotating frame k = (mu / 2) Omega e^{i phi}. Runs share their
+    samples by value (``same``, from :func:`_same_coupling`): each distinct
+    envelope is evaluated once, each distinct phase factor comes once from
+    :func:`_chirp_factor`, not from a complex exponential per lattice point,
+    and each distinct pair of them is multiplied once. A run then scales
+    its pair's product by its own mu / 2.
     """
     times = t0 + s * np.arange(first, first + count)
     k = np.empty((len(runs), count), dtype=float if frame == "lab" else complex)
-    factors = {}
-    for j, ((params, field), phase) in enumerate(zip(runs, same_phase)):
-        omega = params.mu * field.envelope.omega(times)
-        if frame == "lab":
+    if frame == "lab":
+        for j, (params, field) in enumerate(runs):
+            omega = params.mu * field.envelope.omega(times)
             np.multiply(-omega, np.cos(field.carrier_omega * times + field.phi(times)), out=k[j])
-            continue
-        if phase not in factors:
-            factors[phase] = _chirp_factor(field, t0, s, first, count)
-        np.multiply(0.5 * omega, factors[phase], out=k[j])
+        return k
+    samples, factors, products = {}, {}, {}
+    for j, ((params, field), pair) in enumerate(zip(runs, same)):
+        envelope, phase = pair
+        if pair not in products:
+            if envelope not in samples:
+                samples[envelope] = field.envelope.omega(times)
+            if phase not in factors:
+                factors[phase] = _chirp_factor(field, t0, s, first, count)
+            products[pair] = samples[envelope] * factors[phase]
+        # A real scale of both components, not a complex product.
+        np.multiply(products[pair].view(float), 0.5 * params.mu, out=k[j].view(float))
     return k
 
 
@@ -446,13 +469,25 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
     time-independent, each substep has the same step matrix, so one row of
     them, built for the first interval, serves every interval and the stack
     is a broadcast view.
+
+    Raises
+    ------
+    StepUnderflow
+        If the pass would build more than ``MAX_PASS_SUBSTEPS`` substeps
+        per run.
     """
     rows = len(grid) - 1
+    constant = all(_time_independent(field, frame) for _, field in runs)
+    substeps = n_sub if constant else n_sub * rows
+    if substeps > MAX_PASS_SUBSTEPS:
+        raise StepUnderflow(
+            f"a pass at {n_sub} substeps per output interval would build {substeps} "
+            f"substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass"
+        )
     h_sub = h_out / n_sub
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
-    constant = all(_time_independent(field, frame) for _, field in runs)
-    same_phase = _same_phase(runs)
+    same = _same_coupling(runs)
     diagonals = [_diagonal(*run, frame) for run in runs]
     stacks = {}  # the chunks of runs whose step matrices are built together
     out = None if constant else np.empty((2, 2, len(runs), rows), dtype=complex)
@@ -466,7 +501,7 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
             w = min(width, n_sub - offset)
             j0 = first * n_sub + offset  # first substep of this slice
             k = _stage_coupling(runs, grid[0], 0.5 * h_sub, 2 * j0, 2 * built * w + 1,
-                                frame, same_phase)
+                                frame, same)
             shape = (len(runs), built, w)
             k0, kh, k1 = (k[:, :-1:2].reshape(shape), k[:, 1::2].reshape(shape),
                           k[:, 2::2].reshape(shape))
@@ -551,7 +586,13 @@ def propagate_fixed(
 ) -> Trajectory:
     """One RK4 pass with exactly ``n_sub`` substeps per output interval:
     the interval propagators (:func:`_intervals`) expanded into the states
-    on the grid (:func:`_expand`)."""
+    on the grid (:func:`_expand`).
+
+    Raises
+    ------
+    StepUnderflow
+        If the pass would build more than ``MAX_PASS_SUBSTEPS`` substeps.
+    """
     _require_one_of("frame", frame, Frame)
     start = _start(init)
     if n_sub < 1:
@@ -725,8 +766,14 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
             for (n_sub, constant), members in passes.items():
                 size = _chunk_runs(rows, n_sub, constant)
                 for chunk in (members[i:i + size] for i in range(0, len(members), size)):
-                    built = _build_pass([runs[j] for j in chunk], grid, h_out, start,
-                                        frame, n_sub)
+                    try:
+                        built = _build_pass([runs[j] for j in chunk], grid, h_out, start,
+                                            frame, n_sub)
+                    except StepUnderflow as exc:  # beyond MAX_PASS_SUBSTEPS
+                        for j in chunk:
+                            results[j] = exc
+                            del pending[j]
+                        continue
                     for i, j in enumerate(chunk):
                         try:
                             if not pending[j].accepts(built.last[:, i], rtol, atol):
@@ -784,7 +831,8 @@ def evolve(
         shrink the difference of the last point: rounding error has
         overtaken truncation error above the tolerance.
     StepUnderflow
-        If the controller drives the substep below 1e-12 of the span.
+        If the controller drives the substep below 1e-12 of the span, or
+        asks for a pass of more than ``MAX_PASS_SUBSTEPS`` substeps.
     NonFiniteValue
         If the fastest rate on the grid overflows.
     """
@@ -848,6 +896,7 @@ def rz_oracle(omega0: float, tau: float, delta: float) -> float:
     return (math.sin(0.5 * area) / math.cosh(0.5 * math.pi * delta * tau)) ** 2
 
 
+@dataclass(frozen=True)
 class _FlatTopEnvelope:
     """Constant coupling with smoothstep ramps to zero at the window edges.
 
@@ -858,21 +907,18 @@ class _FlatTopEnvelope:
     beat a hard window edge would imprint on the survival reading.
     """
 
+    omega0: float
+    window: float
     kind = "flat-top"
     t_center = 0.0
     #: Share of each window half taken by the ramp.
     RAMP_FRACTION = 0.25
 
-    def __init__(self, omega0: float, window: float):
-        self.omega0 = omega0
-        self.window = window
-        self.ramp = self.RAMP_FRACTION * window
-
     def omega(self, t):
-        x = (self.window - np.abs(np.asarray(t, dtype=float))) / self.ramp
-        x = np.clip(x, 0.0, 1.0)
+        x = (self.window - np.abs(np.asarray(t, dtype=float))) / (self.RAMP_FRACTION * self.window)
+        x = np.minimum(np.maximum(x, 0.0), 1.0)
         # Quintic smoothstep: C2 at both ends.
-        return self.omega0 * x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
+        return self.omega0 * (x * x * x) * (10.0 - 15.0 * x + 6.0 * x * x)
 
 
 def lz_survival(coupling: float, sweep_rate: float) -> float:
@@ -903,13 +949,12 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
         raise ValueError("coupling must be positive")
     sweep_rate = abs(sweep_rate)
     window = LZ_WINDOW_SCALE / math.sqrt(sweep_rate)
-    params = SystemParams(omega_g=0.0, omega_e=1.0)
-    chirp = Chirp(beta=-sweep_rate, t_center=0.0)
-    runs = [
-        (params, FieldModel(carrier_omega=1.0, phase=chirp,
-                            envelope=_FlatTopEnvelope(2.0 * coupling, window)))
-        for coupling in couplings
-    ]
+    # Each run carries its coupling on mu over one unit flat-top envelope,
+    # so the runs share their coupling samples.
+    field = FieldModel(carrier_omega=1.0, phase=Chirp(beta=-sweep_rate, t_center=0.0),
+                       envelope=_FlatTopEnvelope(1.0, window))
+    runs = [(SystemParams(omega_g=0.0, omega_e=1.0, mu=2.0 * coupling), field)
+            for coupling in couplings]
     grid = np.linspace(-window, window, 401)
     survivals = []
     for traj in final_states(runs, grid, init="ground", frame="rotating",

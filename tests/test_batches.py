@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,12 +181,20 @@ def runs(draw):
 @given(batch=st.lists(runs(), min_size=1, max_size=6), points=st.integers(2, 60),
        init=st.sampled_from(["ground", "excited"]),
        frame=st.sampled_from(["rotating", "rotating", "lab"]),
-       rtol=st.sampled_from([1e-6, 1e-8]))
+       rtol=st.sampled_from([1e-6, 1e-8]),
+       systems=st.lists(st.tuples(st.sampled_from([0.25, 1.0, 1.5, 3.0]),
+                                  st.sampled_from([0.0, 0.02]),
+                                  st.sampled_from([0.0, 0.1, 0.3])), max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_batched_runs_are_the_runs_alone(batch, points, init, frame, rtol):
+def test_batched_runs_are_the_runs_alone(batch, points, init, frame, rtol, systems):
     grid = np.linspace(-3.0, 3.0, points)
-    # A run repeated in the batch shares its coupling samples.
-    check_batch(batch + batch[:1], grid, init, frame, rtol)
+    # A run repeated in the batch shares its coupling samples, and so do
+    # runs on a rebuilt equal field that differ in mu and damping.
+    params, field = batch[0]
+    rebuilt = replace(field, envelope=replace(field.envelope), phase=replace(field.phase))
+    shared = [(replace(params, mu=mu, gamma_g=gamma_g, gamma_e=gamma_e), rebuilt)
+              for mu, gamma_g, gamma_e in systems]
+    check_batch(batch + batch[:1] + shared, grid, init, frame, rtol)
 
 
 def test_branch_ambiguity_fails_only_its_run(monkeypatch):

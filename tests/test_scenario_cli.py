@@ -705,6 +705,36 @@ class TestNonFiniteResults:
         )
         assert not out.exists()
 
+    @staticmethod
+    def fast_coupling_doc():
+        # The first pass asks for 5e8 substeps per output interval: above
+        # the substep floor, 1e-12 of the span, but hours of work.
+        doc = minimal_doc()
+        doc["field"]["envelope"]["omega0"] = 1e12
+        doc["grid"] = {"t_start": 0.0, "t_end": 1e-3, "step": 1e-4}
+        return doc
+
+    def test_evolve_beyond_the_substep_limit(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        start = time.perf_counter()
+        rc = main(["evolve", write_doc(tmp_path, self.fast_coupling_doc()), "--compare",
+                   "--out", str(out)])
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical error: a pass at 500000000 substeps per output interval would build "
+            "500000000 substeps, beyond the limit of 67108864 per pass\n")
+        assert not out.exists()
+
+    def test_sweep_beyond_the_substep_limit_fills_its_cell(self, tmp_path, capsys):
+        rc = main(["sweep", write_doc(tmp_path, self.fast_coupling_doc()),
+                   "--axis", "field.envelope.omega0:1:1e12:2", "--reduce", "finalPe", "--json"])
+        assert rc == 0
+        columns = json.loads(capsys.readouterr().out)["columns"]
+        assert columns["error"][0] == "" and 0.0 < columns["finalPe"][0] < 1e-6
+        assert columns["error"][1].startswith("StepUnderflow: a pass at 500000000 substeps")
+        assert columns["finalPe"][1] is None
+
     def test_evolve_with_unreachable_tolerance(self, tmp_path, capsys):
         # The pass differences bottom out near 1e-13 and then grow with
         # rounding; doubling on toward the substep floor would take hours.
@@ -734,7 +764,7 @@ def scenario_docs(draw, out_of_bounds=True, extremes=False):
     """Scenario documents across the schema on grids of at most 600 steps;
     with ``out_of_bounds``, one in four has one field out of bounds, and
     with ``extremes`` one in three a finite chirp rate or peak Rabi
-    frequency from 1e100 to 1e308."""
+    frequency from 1e12 to 1e308."""
     kind = draw(st.sampled_from(["constant", "gaussian", "sech"]))
     tau = draw(st.floats(0.05, 50.0))
     step = tau / 400.0 * draw(st.floats(0.1, 1.2))
@@ -779,7 +809,7 @@ def scenario_docs(draw, out_of_bounds=True, extremes=False):
     if extremes and draw(st.integers(0, 2)) == 0:
         node, key = draw(st.sampled_from([(doc["field"]["phase"], "beta"),
                                           (doc["field"]["envelope"], "omega0")]))
-        node[key] = draw(st.sampled_from([1e100, 1e154, 1e200, 1e308]))
+        node[key] = draw(st.sampled_from([1e12, 1e100, 1e154, 1e200, 1e308]))
     if out_of_bounds and draw(st.integers(0, 3)) == 0:
         *parents, key = draw(st.sampled_from(BREAKABLE))
         node = doc

@@ -7,6 +7,7 @@ the plain doubling controller."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from nads.nads_core import detuning, uniform_grid
 from nads.scenario import list_shipped, load_shipped
 from nads.tdse import (
     _BLOCK_SUBSTEPS,
+    MAX_PASS_SUBSTEPS,
     STEP_UNDERFLOW_FRACTION,
     Trajectory,
     evolve,
@@ -547,6 +549,45 @@ def built(monkeypatch):
     return sizes
 
 
+class TestSubstepLimit:
+    """A pass of more than ``MAX_PASS_SUBSTEPS`` substeps fails by name
+    before any step matrix is built."""
+
+    @pytest.mark.parametrize("envelope, n0, rows_built", [
+        (ConstantEnvelope(1e12), 5e8, 1),
+        # A time-dependent coupling builds the substeps of every interval.
+        (GaussianEnvelope(omega0=5e10, t_center=5e-4, tau=1e-3), 2.5e7, 10),
+    ], ids=["constant", "gaussian"])
+    def test_pass_beyond_the_substep_limit_fails_by_name(self, built, envelope, n0, rows_built):
+        # The substep stays above the floor, 1e-12 of the span, but one pass
+        # would take hours: it fails before any step matrix is built.
+        params = SystemParams(omega_g=0.0, omega_e=5.0)
+        field = FieldModel(carrier_omega=4.0, envelope=envelope)
+        grid = np.linspace(0.0, 1e-3, 11)
+        with pytest.raises(StepUnderflow) as failure:
+            evolve(params, field, grid)
+        match = re.fullmatch(r"a pass at (\d+) substeps per output interval would build "
+                             rf"(\d+) substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass",
+                             str(failure.value))
+        n_sub, count = int(match[1]), int(match[2])
+        # The first pass: h_out times the peak Rabi frequency over 0.2 rad.
+        assert n_sub == pytest.approx(n0, rel=1e-6)
+        assert count == rows_built * n_sub > MAX_PASS_SUBSTEPS
+        assert built == []
+        (batched,) = tdse.final_states([(params, field)], grid)
+        assert type(batched) is StepUnderflow and str(batched) == str(failure.value)
+
+    @pytest.mark.parametrize("run, rows, n_sub, count", [
+        (time_independent(), 4, MAX_PASS_SUBSTEPS + 1, MAX_PASS_SUBSTEPS + 1),
+        (chirped_pulse(), 4, MAX_PASS_SUBSTEPS // 4 + 1, MAX_PASS_SUBSTEPS + 4),
+    ], ids=["constant", "chirped"])
+    def test_propagate_fixed_keeps_the_substep_limit(self, built, run, rows, n_sub, count):
+        grid = np.linspace(0.0, 1.0, rows + 1)
+        with pytest.raises(StepUnderflow, match=f"would build {count} substeps"):
+            propagate_fixed(*run, grid, n_sub=n_sub)
+        assert built == []
+
+
 class TestTimeIndependentCoupling:
     @pytest.mark.parametrize("init", ["ground", "excited"])
     @pytest.mark.parametrize("n_sub, intervals", [
@@ -831,6 +872,27 @@ class TestPredictiveController:
         survivals = lz_survivals(couplings, 1.0)
         assert batches == [[[41, 82]] * 3]
         assert survivals == [lz_survival(coupling, 1.0) for coupling in couplings]
+
+    def test_lz_couplings_share_their_envelope_samples(self, monkeypatch):
+        # The runs differ in mu alone: each block evaluates the envelope
+        # once, besides the rate estimate of each run.
+        calls = {"omega": 0, "blocks": 0}
+        omega, stage_coupling = tdse._FlatTopEnvelope.omega, tdse._stage_coupling
+
+        def counting_omega(envelope, t):
+            calls["omega"] += 1
+            return omega(envelope, t)
+
+        def counting_blocks(*args):
+            calls["blocks"] += 1
+            return stage_coupling(*args)
+
+        monkeypatch.setattr(tdse._FlatTopEnvelope, "omega", counting_omega)
+        monkeypatch.setattr(tdse, "_stage_coupling", counting_blocks)
+        lz_survivals((0.1, 0.25, 0.5), 1.0)
+        # 400 intervals in blocks of 99 at n_sub 41 and of 49 at n_sub 82.
+        assert calls["blocks"] == 5 + 9
+        assert calls["omega"] == calls["blocks"] + 3
 
     def test_attempts_record(self):
         params, field = resonant(0.2)
