@@ -58,7 +58,6 @@ from .tdse import (
     Trajectory,
     evolve,
     lz_oracle,
-    lz_survival,
     propagate_fixed,
     rabi_oracle,
     rhs,
@@ -103,7 +102,6 @@ __all__ = [
     "load_scenario",
     "load_shipped",
     "lz_oracle",
-    "lz_survival",
     "mixing_probability",
     "norms",
     "p_via_overlaps",

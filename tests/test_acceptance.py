@@ -31,7 +31,7 @@ from nads.overlap_transitions import (
     p_via_overlaps,
 )
 from nads.scenario import shipped_path
-from nads.tdse import evolve, lz_oracle, lz_survival, propagate_fixed, rabi_oracle
+from nads.tdse import evolve, lz_oracle, lz_survivals, propagate_fixed, rabi_oracle
 
 from conftest import FLAGSHIP, SLOW_ADIABATIC
 
@@ -123,7 +123,7 @@ def test_criterion_07_integrator_oracles():
     assert abs(abs(traj.c_e[-1]) ** 2 - math.exp(-1.0)) < 1e-8
 
     for coupling in (0.1, 0.25, 0.5):
-        err = abs(lz_survival(coupling, 1.0) - lz_oracle(coupling, 1.0))
+        err = abs(lz_survivals((coupling,), 1.0)[0] - lz_oracle(coupling, 1.0))
         assert err < 1e-3
 
 

@@ -1,8 +1,9 @@
 """Amplitude-equation integrator: RHS conventions, closed-form oracles,
 convergence order, frame consistency, agreement of the block propagator
 with a scalar RK4 loop, the work-efficient expansion against the
-Hillis-Steele one it replaced, and the predictive substep controller against
-the plain doubling controller."""
+Hillis-Steele one it replaced, the starting rate against the one with the
+chirp unweighted, and the predictive substep controller against the plain
+doubling controller."""
 
 from __future__ import annotations
 
@@ -11,8 +12,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nads import tdse
+from nads.cli import main
 from nads.errors import StepUnderflow, ToleranceUnreachable
 from nads.field_model import (
     Chirp,
@@ -23,7 +27,7 @@ from nads.field_model import (
     SystemParams,
 )
 from nads.nads_core import detuning, uniform_grid
-from nads.scenario import list_shipped, load_shipped
+from nads.scenario import list_shipped, load_shipped, scenario_from_dict
 from nads.tdse import (
     _BLOCK_SUBSTEPS,
     MAX_PASS_SUBSTEPS,
@@ -31,13 +35,14 @@ from nads.tdse import (
     Trajectory,
     evolve,
     lz_oracle,
-    lz_survival,
     lz_survivals,
     propagate_fixed,
     rabi_oracle,
     rhs,
     rz_oracle,
 )
+
+from test_scenario_cli import read_table, write_doc
 
 OFF = ConstantEnvelope(1e-20)  # coupling far below every tolerance in use
 
@@ -691,7 +696,8 @@ class TestRounding:
 
     @pytest.mark.parametrize("first, count", [(0, 2 * 400 * 82 + 1), (2 * 4097, 1001)])
     def test_chirp_factor_against_long_double(self, first, count):
-        # The accepted pass of lz_survival(0.1, 1.0): phases reach 800 rad.
+        # A pass of lz_survivals((0.1,), 1.0) at n_sub 82, above the accepted
+        # 64: phases reach 800 rad.
         window, n_sub = 40.0, 82
         field = FieldModel(carrier_omega=1.0, envelope=ConstantEnvelope(1.0),
                            phase=Chirp(phi0=0.3, beta=-1.0, t_center=0.0))
@@ -713,20 +719,106 @@ class TestRounding:
 class TestLandauZener:
     def test_survival_matches_asymptotic_formula(self):
         for coupling in (0.1, 0.25):
-            err = abs(lz_survival(coupling, 1.0) - lz_oracle(coupling, 1.0))
+            err = abs(lz_survivals((coupling,), 1.0)[0] - lz_oracle(coupling, 1.0))
             assert err < 1e-4
 
     def test_faster_sweep(self):
-        assert abs(lz_survival(0.3, 4.0) - lz_oracle(0.3, 4.0)) < 1e-4
+        assert abs(lz_survivals((0.3,), 4.0)[0] - lz_oracle(0.3, 4.0)) < 1e-4
 
     def test_sweep_direction_irrelevant(self):
-        assert lz_survival(0.2, -1.0) == lz_survival(0.2, 1.0)
+        assert lz_survivals((0.2,), -1.0) == lz_survivals((0.2,), 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sweep_rate"):
-            lz_survival(0.1, 0.0)
+            lz_survivals((0.1,), 0.0)
         with pytest.raises(ValueError, match="coupling"):
-            lz_survival(0.0, 1.0)
+            lz_survivals((0.0,), 1.0)
+
+
+def unweighted_rate(params, field, grid, frame):
+    """The starting rate with the chirp counted at its full |dphi/dt|, as
+    before the coupling weighted it."""
+    dphi_max = float(np.max(np.abs(field.dphi(grid))))
+    rates = [float(np.max(params.mu * field.envelope.omega(grid))), dphi_max,
+             abs(detuning(params, field)), params.gamma_g, params.gamma_e, 1e-3]
+    if frame == "lab":
+        rates += [abs(params.omega_g), abs(params.omega_e), abs(field.carrier_omega) + dphi_max]
+    return max(rates)
+
+
+@st.composite
+def rate_cases(draw):
+    """A run and a grid, with Gaussian wings that may underflow on the
+    whole grid."""
+    kind = draw(st.sampled_from(["constant", "gaussian", "sech"]))
+    omega0 = draw(st.floats(1e-3, 10.0))
+    if kind == "constant":
+        envelope = ConstantEnvelope(omega0)
+    else:
+        cls = GaussianEnvelope if kind == "gaussian" else SechEnvelope
+        envelope = cls(omega0=omega0, t_center=draw(st.floats(-5.0, 5.0)),
+                       tau=draw(st.floats(0.1, 5.0)))
+    phase = Chirp(phi0=draw(st.floats(-1.0, 1.0)), beta=draw(st.floats(-50.0, 50.0)),
+                  t_center=draw(st.none() | st.floats(-5.0, 5.0)))
+    params = SystemParams(omega_g=0.0, omega_e=draw(st.floats(0.5, 10.0)),
+                          mu=draw(st.floats(0.1, 10.0)), gamma_g=draw(st.floats(0.0, 1.0)),
+                          gamma_e=draw(st.floats(0.0, 1.0)))
+    field = FieldModel(carrier_omega=draw(st.floats(0.5, 10.0)), envelope=envelope, phase=phase)
+    t0 = draw(st.floats(-60.0, 60.0))
+    grid = np.linspace(t0, t0 + draw(st.floats(0.1, 40.0)), draw(st.integers(2, 200)))
+    return params, field, grid, draw(st.sampled_from(["rotating", "lab"]))
+
+
+class TestCharacteristicRate:
+    """The chirp rate counts where the coupling it turns is on."""
+
+    @given(case=rate_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_rate_never_exceeds_the_full_rate(self, case):
+        params, field, grid, frame = case
+        rate = tdse._characteristic_rate(params, field, grid, frame)
+        full = unweighted_rate(params, field, grid, frame)
+        assert rate <= full
+        if field.envelope.kind == "constant":
+            assert rate == full
+
+    FAR_PULSE = {
+        "name": "far-pulse",
+        "system": {"omega_g": 0.0, "omega_e": 5.0},
+        "field": {"carrier_omega": 4.0,
+                  "envelope": {"kind": "gaussian", "omega0": 0.5, "t_center": 1000.0, "tau": 1.0},
+                  "phase": {"beta": 0.3}},
+        "grid": {"t_start": 0.0, "t_end": 2.0, "step": 0.0025},
+    }
+
+    def test_envelope_zero_on_the_whole_grid(self, tmp_path, capsys):
+        # Omega underflows to 0 everywhere: the chirp counts unweighted.
+        sc = scenario_from_dict(self.FAR_PULSE)
+        grid = sc.grid()
+        assert not np.any(sc.field.envelope.omega(grid))
+        assert (tdse._characteristic_rate(sc.system, sc.field, grid, "rotating")
+                == unweighted_rate(sc.system, sc.field, grid, "rotating"))
+        out = tmp_path / "table.csv"
+        assert main(["evolve", write_doc(tmp_path, self.FAR_PULSE), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, header, rows = read_table(out)
+        assert header == ["t", "Re_c_g", "Im_c_g", "Re_c_e", "Im_c_e", "norm"]
+        assert len(rows) == len(grid)
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def test_overflow_in_underflowed_wings_fails_by_name(self, tmp_path, capsys):
+        # The chirp rate overflows where the Gaussian's wings underflow to 0;
+        # it is checked before the weighting could make inf * 0 a NaN.
+        doc = dict(self.FAR_PULSE, name="wing-chirp-overflow",
+                   field={"carrier_omega": 4.0,
+                          "envelope": {"kind": "gaussian", "omega0": 0.5, "tau": 2.0},
+                          "phase": {"beta": 1e308}},
+                   grid={"t_start": -100.0, "t_end": 100.0, "step": 0.005})
+        out = tmp_path / "table.csv"
+        assert main(["evolve", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: chirp rate |dphi/dt| on the grid is not finite: inf\n")
+        assert not out.exists()
 
 
 def doubling_evolve(params, field, grid, init="ground", frame="rotating",
@@ -861,8 +953,8 @@ class TestPredictiveController:
     @pytest.mark.parametrize("coupling", [0.1, 0.25, 0.5])
     def test_lz_survival_passes(self, monkeypatch, coupling):
         batches = self.record_batches(monkeypatch)
-        lz_survival(coupling, 1.0)
-        assert batches == [[[41, 82]]]
+        lz_survivals((coupling,), 1.0)
+        assert batches == [[[32, 64]]]
 
     def test_lz_couplings_run_as_one_batch(self, monkeypatch):
         # The three couplings of the validate check: one batch, each run
@@ -870,8 +962,8 @@ class TestPredictiveController:
         batches = self.record_batches(monkeypatch)
         couplings = (0.1, 0.25, 0.5)
         survivals = lz_survivals(couplings, 1.0)
-        assert batches == [[[41, 82]] * 3]
-        assert survivals == [lz_survival(coupling, 1.0) for coupling in couplings]
+        assert batches == [[[32, 64]] * 3]
+        assert survivals == [lz_survivals((coupling,), 1.0)[0] for coupling in couplings]
 
     def test_lz_couplings_share_their_envelope_samples(self, monkeypatch):
         # The runs differ in mu alone: each block evaluates the envelope
@@ -890,8 +982,8 @@ class TestPredictiveController:
         monkeypatch.setattr(tdse._FlatTopEnvelope, "omega", counting_omega)
         monkeypatch.setattr(tdse, "_stage_coupling", counting_blocks)
         lz_survivals((0.1, 0.25, 0.5), 1.0)
-        # 400 intervals in blocks of 99 at n_sub 41 and of 49 at n_sub 82.
-        assert calls["blocks"] == 5 + 9
+        # 400 intervals in blocks of 128 at n_sub 32 and of 64 at n_sub 64.
+        assert calls["blocks"] == 4 + 7
         assert calls["omega"] == calls["blocks"] + 3
 
     def test_attempts_record(self):
