@@ -36,7 +36,6 @@ from .nads_core import (
 from .overlap_transitions import (
     amplitude_ratios,
     eg_overlap,
-    expanded_overlaps,
     ge_overlap,
     mixing_probability,
     norms,
@@ -58,10 +57,7 @@ from .tdse import (
     Trajectory,
     evolve,
     lz_oracle,
-    propagate_fixed,
     rabi_oracle,
-    rhs,
-    rz_oracle,
 )
 from .validation import CheckResult, run_all
 
@@ -96,7 +92,6 @@ __all__ = [
     "detuning",
     "eg_overlap",
     "evolve",
-    "expanded_overlaps",
     "ge_overlap",
     "list_shipped",
     "load_scenario",
@@ -106,11 +101,8 @@ __all__ = [
     "norms",
     "p_via_overlaps",
     "parse_axis",
-    "propagate_fixed",
     "rabi_oracle",
-    "rhs",
     "run_all",
-    "rz_oracle",
     "scenario_from_dict",
     "serialize",
     "shipped_path",

@@ -7,12 +7,12 @@ trapezoid sum on the series grid. Each function takes a
 :class:`~nads.nads_core.SnapshotSeries`, computes only the integrals it
 needs and returns fresh whole-series arrays, one value per grid point.
 
-Two algebraically equivalent routes are provided for each overlap (a concise
-form via the dressed-state frequencies and an expanded form via the
-envelope log-derivative and the nonadiabatic Rabi frequency) so tests can
-cross-check the rearrangement, and for the transition probability (pointwise
-mixing functions vs. the full overlap quotient) so the exponential
-cancellation is verified rather than assumed.
+The transition probability has two routes, the pointwise mixing functions
+and the full overlap quotient, so that the cancellation of the exponentials
+is verified rather than assumed. The overlaps are written with the
+dressed-state frequencies; the tests cross-check them against the expanded
+arrangement via the envelope log-derivative and the nonadiabatic Rabi
+frequency.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "norms",
     "eg_overlap",
     "ge_overlap",
-    "expanded_overlaps",
     "mixing_probability",
     "p_via_overlaps",
     "amplitude_ratios",
@@ -127,24 +126,6 @@ def ge_overlap(series: SnapshotSeries) -> np.ndarray:
     int_ge = _cumtrapz(np.conj(series.omega_G) - series.omega_E + carrier, series.grid)
     bracket_ge = 1j * _bracket_im(series.cos_half, series.sin_half)
     return bracket_ge * np.exp(1j * int_ge)
-
-
-def expanded_overlaps(series: SnapshotSeries) -> tuple[np.ndarray, ...]:
-    """(gg, ee, eg) in the expanded arrangement: exponent
-    -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv -+ Im omega_tilde) for
-    gg and ee, and int (log_deriv + i Re omega_tilde) for eg."""
-    grid = series.grid
-    weight = _weight(series)
-    damping = -series.params.gamma_sum_half * (grid - grid[0])
-    int_log_m = _cumtrapz(series.log_deriv - series.omega_tilde.imag, grid)
-    int_log_p = _cumtrapz(series.log_deriv + series.omega_tilde.imag, grid)
-    int_exp_eg = _cumtrapz(series.log_deriv + 1j * series.omega_tilde.real, grid)
-    bracket = _bracket_im(series.sin_half, series.cos_half)
-    return (
-        weight * np.exp(damping + int_log_m),
-        weight * np.exp(damping + int_log_p),
-        1j * bracket * np.exp(damping + int_exp_eg),
-    )
 
 
 def p_via_overlaps(series: SnapshotSeries) -> np.ndarray:

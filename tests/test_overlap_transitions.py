@@ -25,12 +25,13 @@ from nads.scenario import load_shipped
 from nads.overlap_transitions import (
     amplitude_ratios,
     eg_overlap,
-    expanded_overlaps,
     ge_overlap,
     mixing_probability,
     norms,
     p_via_overlaps,
 )
+
+from reference import expanded_overlaps
 
 
 def static_series(omega0=3.0, carrier=1.0, omega_e=5.0, gamma_g=0.0, gamma_e=0.0,

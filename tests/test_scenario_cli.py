@@ -506,6 +506,29 @@ class TestCliSweep:
         assert errors[1] == "" and errors[2] == ""
         assert math.isnan(float(rows[0][names.index("maxP")]))
 
+    # A far start makes a grid whose step count overflows a float, or whose
+    # points no array can hold: the point fails in its own cell, and the
+    # point at 0 keeps the value it has in a sweep of its own.
+    @pytest.mark.parametrize("axis, error", [
+        ("grid.t_start:-1e308:0:2",
+         "ValidationError: grid.step (0.1): the number of steps in [-1e+308, 1.0] "
+         "overflows a float"),
+        ("grid.t_start:-1e30:0:2",
+         "ValidationError: grid.step (0.1) divides [-1e+30, 1.0] into 1e+31 steps, "
+         "more points than an array can hold"),
+    ], ids=["overflow", "size"])
+    def test_far_grid_start_fails_in_its_own_cell(self, tmp_path, axis, error):
+        path = write_doc(tmp_path, minimal_doc())
+        out, alone = tmp_path / "sweep.csv", tmp_path / "alone.csv"
+        assert main(["sweep", path, "--axis", axis, "--reduce", "maxP", "--out", str(out)]) == 0
+        assert main(["sweep", path, "--axis", "grid.t_start:0:0.5:2", "--reduce", "maxP",
+                     "--out", str(alone)]) == 0
+        _, names, rows = read_table(out)
+        _, _, alone_rows = read_table(alone)
+        assert [row[names.index("error")] for row in rows] == [error, ""]
+        assert rows[0][names.index("maxP")] == "nan"
+        assert rows[1] == alone_rows[0]
+
     def test_failed_point_is_null_in_json(self, tmp_path):
         out = tmp_path / "sweep.json"
         rc = main([
@@ -1057,6 +1080,52 @@ class TestCliPlumbing:
         ])
         assert rc == 1
         assert "error: out of memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Grids that a float or an array cannot hold, and an axis count beyond
+    # an array's size, fail by name in every command that builds them.
+    BAD_GRIDS = {
+        "far-from-origin": ({"t_start": 1e9, "t_end": 1000000001, "step": 0.001},
+                            "grid.step (0.001) is too fine for floats on [1000000000.0, "
+                            "1000000001.0]: the grid points are not uniformly spaced"),
+        "step-count-overflow": ({"t_start": 0, "t_end": 1e300, "step": 1e-300},
+                                "grid.step (1e-300): the number of steps in [0.0, 1e+300] "
+                                "overflows a float"),
+        "span-overflow": ({"t_start": -1e308, "t_end": 1e308, "step": 1e307},
+                          "grid.step (1e+307): the number of steps in [-1e+308, 1e+308] "
+                          "overflows a float"),
+        "array-size": ({"t_start": 0, "t_end": 1e30, "step": 1},
+                       "grid.step (1.0) divides [0.0, 1e+30] into 1e+30 steps, "
+                       "more points than an array can hold"),
+    }
+
+    @pytest.mark.parametrize("command", [
+        ["snapshot"], ["evolve", "--compare"],
+        ["sweep", "--axis", "system.gamma_e:0:0.2:3", "--reduce", "maxP"],
+    ], ids=["snapshot", "evolve", "sweep"])
+    @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+    def test_unrepresentable_grid_exits_one_by_name(self, tmp_path, capsys, command, grid):
+        doc = minimal_doc()
+        doc["grid"], message = self.BAD_GRIDS[grid]
+        out = tmp_path / "table.csv"
+        path = write_doc(tmp_path, doc)
+        rc = main([command[0], path, *command[1:], "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_axis_count_beyond_an_array_exits_one_by_name(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", write_doc(tmp_path, minimal_doc()),
+            "--axis", "system.gamma_e:0:1:100000000000000000000",
+            "--reduce", "maxP",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: axis system.gamma_e: 100000000000000000000 values are more than "
+            "an array can hold\n")
         assert not out.exists()
 
     def test_memory_error_without_text(self, monkeypatch, capsys):
