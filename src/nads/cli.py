@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NadsError, NumericalError, StepWarning, ValidationError
+from .errors import ConfigError, NumericalError, StepWarning, ValidationError
 from .nads_core import snapshot_batch, snapshot_series
 from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
 from .scenario import Scenario, load_scenario, parse_axis, with_axis_values
@@ -193,7 +193,7 @@ def _sweep_points(scenario: Scenario, paths, columns, reduce: str) -> list:
         try:
             point = with_axis_values(scenario, [(path, column[index])
                                                 for path, column in zip(paths, columns)])
-        except ConfigError as exc:
+        except (ConfigError, MemoryError) as exc:
             results[index] = exc
             point = None
         else:
@@ -203,10 +203,15 @@ def _sweep_points(scenario: Scenario, paths, columns, reduce: str) -> list:
     for members in batches.values():
         for index, value in zip(members, REDUCERS[reduce]([points[i] for i in members])):
             results[index] = value
-    return [
-        (float("nan"), f"{type(r).__name__}: {r}") if isinstance(r, NadsError) else (r, "")
-        for r in results
-    ]
+    return [(float("nan"), f"{type(r).__name__}: {_message(r)}") if isinstance(r, Exception)
+            else (r, "") for r in results]
+
+
+def _message(exc: Exception) -> str:
+    """The text of an error; an allocation that failed says so."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)
 
 
 def cmd_validate(args) -> int:
@@ -345,8 +350,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError as exc:
         # An oversized grid or sweep count fails at allocation; the request
         # is what is wrong, so it is a configuration failure.
-        detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

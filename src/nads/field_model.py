@@ -162,9 +162,11 @@ class SechEnvelope(_PulseEnvelope):
 
     kind = "sech"
 
+    # cosh overflows to inf in the far wings, where sech is simply 0.
     def omega(self, t):
         x = (np.asarray(t, dtype=float) - self.t_center) / self.tau
-        return self.omega0 / np.cosh(x)
+        with np.errstate(over="ignore"):
+            return self.omega0 / np.cosh(x)
 
     def log_deriv(self, t):
         x = (np.asarray(t, dtype=float) - self.t_center) / self.tau
@@ -172,7 +174,8 @@ class SechEnvelope(_PulseEnvelope):
 
     def dlog_deriv(self, t):
         x = (np.asarray(t, dtype=float) - self.t_center) / self.tau
-        return -1.0 / (np.cosh(x) ** 2 * self.tau**2)
+        with np.errstate(over="ignore"):
+            return -1.0 / (np.cosh(x) ** 2 * self.tau**2)
 
 
 Envelope = Union[ConstantEnvelope, GaussianEnvelope, SechEnvelope]

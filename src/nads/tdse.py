@@ -41,13 +41,14 @@ expansion (:func:`_expand`) turns the intervals into the states on the
 output grid by a work-efficient scan applied to the state (Blelloch,
 "Prefix sums and their applications", CMU-CS-90-190, 1990; see
 :func:`_scan`), in chunks of at most ``_EXPAND_ROWS`` rows that carry the
-state. The controller builds every pass but compares only the last
-states, from a pairwise product of the intervals, and expands only the
-pass it accepts; it holds the intervals of the current pass only. In the
-rotating frame a constant envelope without chirp makes the coupling
-time-independent; every substep then has the same step matrix, one row of
-them and its interval product serve every interval, and the last state
-comes from that interval propagator's power by repeated squaring.
+state. The controller builds every pass but compares only its last states,
+the scan's last column from its pair products alone
+(:func:`_expand_last`), and expands only the pass it accepts; it holds the
+intervals of the current pass only. In the rotating frame a constant
+envelope without chirp makes the coupling time-independent; every substep
+then has the same step matrix, one row of them and its interval product
+serve every interval as a broadcast stack, and each round of pair products
+takes one product for it (:func:`_pairs`).
 
 Independent runs on one grid go through the controller as a batch
 (:func:`final_states`; :func:`evolve` is a batch of one). Each run has its
@@ -60,8 +61,8 @@ phase) pair, compared by value, and each run scales them by its own
 amplitude, mu / 2 (see :func:`_stage_coupling`). Every run keeps the
 block partition it has alone, and every operation is elementwise along
 the batch axis, so each run gets the bits it gets alone.
-:func:`final_states` returns the last states only, from the last column
-of the expansion scan (:func:`_expand_last`).
+:func:`final_states` returns the last states only: the ones its
+controller compared, with no scan after acceptance.
 
 The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
 a halving of the substep no longer shrinks the difference between passes:
@@ -252,11 +253,11 @@ def _mul(p, q):
     return p[:, :1] * q[:1] + p[:, 1:] * q[1:]
 
 
-def _step_matrices(k0, kh, k1, coefficients, m):
+def _step_matrices(k0, kh, k1, table, q, m):
     """RK4 step matrices of y' = [[d1, i k], [i k*, d2]] y for k sampled
     at t, t + h/2 and t + h, each of shape (B, ...) for B runs, with the
-    scalar coefficients of each run from :func:`_step_coefficients`,
-    written into ``m`` of shape (2, 2, B, ...).
+    scalar coefficients ``table`` of each run and ``q`` from
+    :func:`_step_coefficients`, written into ``m`` of shape (2, 2, B, ...).
 
     With A_0, A_h, A_1 the system matrix at the three samples, the RK4
     stages K1 = A_0, K2 = A_h (I + h/2 K1), K3 = A_h (I + h/2 K2),
@@ -280,7 +281,7 @@ def _step_matrices(k0, kh, k1, coefficients, m):
     identity is added last, so the rounding of the small terms is not taken
     at the scale of 1.
     """
-    e1, e2, a1, a2, b1, b2, c1, c2, f1, f2, g1, g2, f_h, g01, q = coefficients
+    e1, e2, a1, a2, b1, b2, c1, c2, f1, f2, g1, g2, f_h, g01 = table
     p = kh.real * kh.real + kh.imag * kh.imag
     c0, ch = k0.conj(), kh.conj()
     v = k1 * ch
@@ -298,8 +299,8 @@ def _step_matrices(k0, kh, k1, coefficients, m):
 def _step_coefficients(diagonals, h: float):
     """The scalar coefficients of :func:`_step_matrices` for substep ``h``,
     from the diagonal rates (d1, d2) of each run, each formed in Python's
-    complex arithmetic: one complex array of shape (B, 1, 1) per
-    coefficient, and the real q last."""
+    complex arithmetic: a table of shape (14, B, 1, 1), one row per
+    complex coefficient, and the real q."""
     hh = h * h
     q = hh * hh / 24.0
 
@@ -328,39 +329,32 @@ def _step_coefficients(diagonals, h: float):
         g01 = -1j * h * hh * (z1 + z2) / 24.0
         table.append((e(z1), e(z2), a1, a2, b(z1), b(z2), c(z1), c(z2),
                       f(z1), f(z2), g(z1), g(z2), f_h, g01))
-    return (*np.array(table, dtype=complex).T.reshape(14, len(table), 1, 1), q)
+    return np.array(table, dtype=complex).T.reshape(14, len(table), 1, 1), q
+
+
+def _pairs(m):
+    """Products M[2i+1] M[2i] of the column pairs along the last axis; an
+    odd last column is left out. A stack with stride 0 along its columns is
+    one matrix broadcast to every column: its one product is taken once and
+    broadcast to every pair."""
+    if m.strides[-1] == 0:
+        return np.broadcast_to(_mul(m[..., 1:2], m[..., :1]), m[..., 1::2].shape)
+    return _mul(m[..., 1::2], m[..., :-1:2])
 
 
 def _ordered_product(m):
-    """Product M[..., w-1] ... M[..., 1] M[..., 0] along the last axis,
-    pairwise.
+    """Product M[..., w-1] ... M[..., 1] M[..., 0] along the last axis of a
+    built (not broadcast) stack, pairwise.
 
     An odd last column is folded into the last pair instead of being
     carried to the next round.
     """
     while m.shape[-1] > 1:
-        w = m.shape[-1]
-        even = w - w % 2
-        pairs = _mul(m[..., 1:even:2], m[..., 0:even:2])
-        if w % 2:
+        pairs = _pairs(m)
+        if m.shape[-1] % 2:
             pairs[..., -1] = _mul(m[..., -1], pairs[..., -1])
         m = pairs
     return m[..., 0]
-
-
-def _power(m, count: int):
-    """M**count for one 2x2 matrix of shape (2, 2) and count >= 1, by
-    repeated squaring: about log2(count) products. With :func:`_mul`'s
-    products; ``np.linalg.matrix_power`` rounds differently and missed the
-    expanded last state by 2e-13 at 4095 rows."""
-    result = None
-    while True:
-        if count & 1:
-            result = m if result is None else _mul(m, result)
-        count >>= 1
-        if not count:
-            return result
-        m = _mul(m, m)
 
 
 def _prefix_products(m):
@@ -387,13 +381,13 @@ def _scan(m, y):
     halve the stack, the states after the odd columns come from the half by
     recursion, and each even column takes one more matrix-vector step from
     the odd state before it. Below ``_SCAN_BASE`` columns the prefix
-    products are multiplied out directly.
+    products are multiplied out directly. The pair products come from
+    :func:`_pairs`, so a broadcast stack takes one product per round.
     """
     w = m.shape[-1]
     if w <= _SCAN_BASE:
         return _apply(_prefix_products(m), y)
-    even = w - w % 2
-    odd = _scan(_mul(m[..., 1:even:2], m[..., 0:even:2]), y)
+    odd = _scan(_pairs(m), y)
     out = np.empty((2, w), dtype=complex)
     out[:, 1::2] = odd
     out[:, 0] = _apply(m[..., 0], y)
@@ -451,15 +445,11 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
     same = _same_coupling(runs)
-    diagonals = [_diagonal(*run, frame) for run in runs]
-    stacks = {}  # the chunks of runs whose step matrices are built together
+    table, q = _step_coefficients([_diagonal(*run, frame) for run in runs], h_sub)
     out = None if constant else np.empty((2, 2, len(runs), rows), dtype=complex)
     for first in range(0, 1 if constant else rows, per_block):
         built = 1 if constant else min(per_block, rows - first)
-        size = max(1, _BLOCK_SUBSTEPS // (built * width))
-        if size not in stacks:
-            subs = [slice(r, r + size) for r in range(0, len(runs), size)]
-            stacks[size] = [(sub, _step_coefficients(diagonals[sub], h_sub)) for sub in subs]
+        size = max(1, _BLOCK_SUBSTEPS // (built * width))  # runs built together
         for offset in range(0, n_sub, width):
             w = min(width, n_sub - offset)
             j0 = first * n_sub + offset  # first substep of this slice
@@ -469,8 +459,8 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
             k0, kh, k1 = (k[:, :-1:2].reshape(shape), k[:, 1::2].reshape(shape),
                           k[:, 2::2].reshape(shape))
             steps = np.empty((2, 2) + shape, dtype=complex)
-            for sub, coefficients in stacks[size]:
-                _step_matrices(k0[sub], kh[sub], k1[sub], coefficients, steps[:, :, sub])
+            for sub in (slice(r, r + size) for r in range(0, len(runs), size)):
+                _step_matrices(k0[sub], kh[sub], k1[sub], table[:, sub], q, steps[:, :, sub])
             part = _ordered_product(steps)
             interval = part if offset == 0 else _mul(part, interval)
         if constant:
@@ -494,21 +484,22 @@ def _expand(intervals, y) -> np.ndarray:
 
 def _scan_last(m, y):
     """The last column of :func:`_scan`, by the same operations, without
-    the states of the other columns."""
+    the states of the other columns; m may carry a batch axis before its
+    columns."""
     w = m.shape[-1]
     if w <= _SCAN_BASE:
         return _apply(_prefix_products(m)[..., -1], y)
-    even = w - w % 2
-    odd = _scan_last(_mul(m[..., 1:even:2], m[..., 0:even:2]), y)
+    odd = _scan_last(_pairs(m), y)
     return _apply(m[..., -1], odd) if w % 2 else odd
 
 
 def _expand_last(intervals, y) -> np.ndarray:
-    """The last column of :func:`_expand`, as shape (2, 1): bitwise the
-    last state of the expansion, at the cost of its pair products only."""
+    """The last column of :func:`_expand` for each run of a stack of shape
+    (2, 2, B, rows), as shape (2, B): bitwise the last state of each run's
+    expansion, at the cost of its pair products only."""
     for first in range(0, intervals.shape[-1], _EXPAND_ROWS):
         y = _scan_last(intervals[..., first:first + _EXPAND_ROWS], y)
-    return y[:, None]
+    return y
 
 
 def _trajectory(grid, states, frame: Frame, n_sub: int, attempts) -> Trajectory:
@@ -520,8 +511,8 @@ def _trajectory(grid, states, frame: Frame, n_sub: int, attempts) -> Trajectory:
 
 @dataclass(eq=False)
 class _Pass:
-    """A built pass: its interval propagators and its last state, from their
-    pairwise product applied to the initial state."""
+    """A built pass: its interval propagators and its last states, the last
+    column of their expansion (:func:`_expand_last`)."""
 
     intervals: np.ndarray
     last: np.ndarray
@@ -532,11 +523,7 @@ def _build_pass(runs, grid, h_out: float, start, frame: Frame, n_sub: int) -> _P
     runs on a grid it has validated: intervals of shape (2, 2, B, rows) and
     last states of shape (2, B)."""
     intervals = _intervals(runs, grid, h_out, frame, n_sub)
-    if intervals.strides[-1] == 0:  # one interval propagator for every row
-        total = _power(intervals[..., 0], intervals.shape[-1])
-    else:
-        total = _ordered_product(intervals)
-    return _Pass(intervals, _apply(total, start))
+    return _Pass(intervals, _expand_last(intervals, start))
 
 
 def _characteristic_rate(
@@ -695,7 +682,7 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     at a time (:func:`_chunk_runs`); a run leaves the batch when it is
     accepted or fails. Only the chunk's intervals of the current pass are
     held. An accepted run is expanded on the whole grid, or with
-    ``last_only`` to its last state alone (:func:`_expand_last`).
+    ``last_only`` keeps the last state its pass was compared by.
 
     Returns one entry per run: its Trajectory or the NumericalError it
     fails with.
@@ -740,10 +727,10 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
                         except NumericalError as exc:
                             results[j] = exc
                         else:
-                            finish = _expand_last if last_only else _expand
                             results[j] = _trajectory(
                                 grid[-1:] if last_only else grid,
-                                finish(built.intervals[:, :, i], start),
+                                built.last[:, i:i + 1] if last_only
+                                else _expand(built.intervals[:, :, i], start),
                                 frame, n_sub, pending[j].attempts,
                             )
                         del pending[j]

@@ -6,6 +6,7 @@ Frozen constants marked 'oracle' regenerate with ``python3 tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ class TestEnvelopes:
         assert float(env.omega(0.0)) == 1.0
         assert float(env.log_deriv(0.0)) == 0.0
         assert float(env.dlog_deriv(0.0)) == pytest.approx(-0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [72.0, np.array([-80.0, 72.0])])
+    def test_sech_far_wing_is_zero_without_warning(self, t):
+        # cosh overflows beyond 710 tau from the centre; sech is 0 there.
+        env = SechEnvelope(omega0=1.0, tau=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            omega, dlog = env.omega(t), env.dlog_deriv(t)
+        assert np.all(omega == 0.0) and not np.any(np.signbit(omega))
+        assert np.all(dlog == 0.0) and np.all(np.signbit(dlog))
 
     def test_sech_log_deriv_matches_finite_difference(self):
         env = SechEnvelope(omega0=1.3, t_center=-1.0, tau=4.0)

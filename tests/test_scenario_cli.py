@@ -529,6 +529,35 @@ class TestCliSweep:
         assert rows[0][names.index("maxP")] == "nan"
         assert rows[1] == alone_rows[0]
 
+    # A grid from -1e15 has 1e16 points: its request exceeds the address
+    # space, so it fails at once without touching memory, in its own cell.
+    @pytest.mark.parametrize("reduce", ["maxP", "finalPe"])
+    def test_oversized_grid_point_fails_in_its_own_cell(self, tmp_path, capsys, reduce):
+        path = write_doc(tmp_path, minimal_doc())
+        out, alone = tmp_path / "sweep.csv", tmp_path / "alone.csv"
+        assert main(["sweep", path, "--axis", "grid.t_start:-1e15:0:2", "--reduce", reduce,
+                     "--out", str(out)]) == 0
+        assert main(["sweep", path, "--axis", "grid.t_start:0:0.5:2", "--reduce", reduce,
+                     "--out", str(alone)]) == 0
+        assert capsys.readouterr().err == ""
+        _, names, rows = read_table(out)
+        _, _, alone_rows = read_table(alone)
+        assert rows[0][names.index("error")].startswith(
+            "MemoryError: out of memory: Unable to allocate")
+        assert rows[0][names.index(reduce)] == "nan"
+        assert rows[1] == alone_rows[0]
+
+    def test_memory_error_without_text_in_its_own_cell(self, tmp_path, monkeypatch):
+        def exhausted(scenario, values):
+            raise MemoryError
+
+        monkeypatch.setattr("nads.cli.with_axis_values", exhausted)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", write_doc(tmp_path, minimal_doc()), "--axis",
+                     "system.gamma_e:0:0.1:2", "--reduce", "maxP", "--out", str(out)]) == 0
+        _, names, rows = read_table(out)
+        assert [row[names.index("error")] for row in rows] == ["MemoryError: out of memory"] * 2
+
     def test_failed_point_is_null_in_json(self, tmp_path):
         out = tmp_path / "sweep.json"
         rc = main([
@@ -1243,8 +1272,9 @@ class TestHeapPolicy:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
     def test_one_shot_sweep_reuses_the_heap(self, tmp_path):
-        # The points of one sweep reuse each other's memory: about 300
-        # faults, where glibc's default policy takes 15,000-17,000.
+        # The points of one sweep reuse each other's memory: about 1,200
+        # faults on a 2-vCPU Linux host with NumPy 2.4, where glibc's
+        # default policy takes 15,000-17,000.
         out = run_python(ONE_SHOT_FAULTS, "sweep", str(shipped_path("sech-damped")),
                          "--axis", "system.gamma_e:0:0.3:4",
                          "--axis", "field.phase.beta:0:0.05:5", "--reduce", "finalPe",

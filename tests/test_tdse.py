@@ -406,7 +406,8 @@ def relative_error(states, ref):
 
 class TestExpansion:
     """The work-efficient scan against the Hillis-Steele expansion it
-    replaced, and the controller's reduced last state against both."""
+    replaced, and the controller's last state against the scan's last
+    column."""
 
     @pytest.mark.parametrize("name", list_shipped())
     def test_accepted_pass_matches_hillis_steele(self, name):
@@ -438,39 +439,38 @@ class TestExpansion:
         assert intervals.strides[-1] == 0
 
     @pytest.mark.parametrize("init", ["ground", "excited"])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 399, 400])
-    def test_broadcast_last_state_by_squaring(self, monkeypatch, init, rows):
-        broadcast_reduced = []
-        pairwise = tdse._ordered_product
-
-        def recording(m):
-            broadcast_reduced.append(m.strides[-1] == 0)
-            return pairwise(m)
-
-        monkeypatch.setattr(tdse, "_ordered_product", recording)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64, 65, 399, 400, 4096, 4097])
+    def test_broadcast_last_state_takes_one_product_per_pair(self, monkeypatch, init, rows):
+        # Two runs whose interval propagators are broadcast along the rows.
+        params, field = time_independent()
+        runs = [(params, field), (SystemParams(omega_g=0.0, omega_e=4.9, gamma_e=0.3), field)]
         grid, h_out = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
         start = tdse._start(init)
-        built = tdse._build_pass((time_independent(),), grid, h_out, start, "rotating", 2)
-        assert built.intervals.strides[-1] == 0
-        assert not any(broadcast_reduced)
-        ref = tdse._apply(pairwise(built.intervals), start)
-        assert relative_error(built.last, ref) < 1e-13
+        intervals = tdse._intervals(runs, grid, h_out, "rotating", 2)
+        assert intervals.strides[-1] == 0
+        expected = tdse._expand_last(np.ascontiguousarray(intervals), start)
+        widths, pairing = [], []
+        pairs, mul = tdse._pairs, tdse._mul
 
-    def test_power_takes_logarithmic_products(self, monkeypatch):
-        products = []
-        original = tdse._mul
+        def recording_pairs(m):
+            pairing.append(m)
+            try:
+                return pairs(m)
+            finally:
+                pairing.pop()
 
-        def counting(p, q):
-            products.append(1)
-            return original(p, q)
+        def recording_mul(p, q):
+            if pairing:
+                widths.append(p.shape[-1])
+            return mul(p, q)
 
-        monkeypatch.setattr(tdse, "_mul", counting)
-        m = np.array([[0.6 + 0.1j, 0.3j], [0.3j, 0.7 - 0.2j]])
-        power = tdse._power(m, 400)
-        # 400 = 0b110010000: eight squarings and two products.
-        assert len(products) == 10
-        ref = tdse._ordered_product(np.repeat(m[..., None], 400, axis=-1))
-        assert np.max(np.abs(power - ref)) < 1e-13 * np.max(np.abs(ref))
+        monkeypatch.setattr(tdse, "_pairs", recording_pairs)
+        monkeypatch.setattr(tdse, "_mul", recording_mul)
+        last = tdse._expand_last(intervals, start)
+        assert last.shape == (2, 2)
+        assert np.array_equal(last, expected)
+        assert bool(widths) == (rows > tdse._SCAN_BASE)
+        assert all(width == 1 for width in widths)
 
     @staticmethod
     def check_pass(params, field, grid, init, frame, n_sub=2):
@@ -483,10 +483,9 @@ class TestExpansion:
         assert states.shape == (2, len(grid))
         assert np.array_equal(states[:, 0], start)
         assert relative_error(states, ref) < 1e-13
-        # The reduced last state is the expanded last point up to rounding,
-        # and the last column of the expansion is its last point bitwise.
-        assert relative_error(built.last, states[:, -1:]) < 1e-13
-        assert np.array_equal(tdse._expand_last(intervals, start), states[:, -1:])
+        # The last state the controller compares is the expansion's last
+        # column bitwise.
+        assert np.array_equal(built.last, states[:, -1:])
         return intervals
 
     @pytest.mark.parametrize("name", list_shipped())
@@ -504,6 +503,32 @@ class TestExpansion:
                       **vars(sc.integrator))
         assert len(traj.attempts) >= 2
         assert expanded == [len(traj.grid) - 1]
+
+    @pytest.mark.parametrize("name", list_shipped())
+    def test_final_states_scans_nothing_after_acceptance(self, monkeypatch, name):
+        # Each pass takes one last-column scan, in its build; the accepted
+        # state is that pass's, so acceptance adds no scan.
+        events = []
+        build_pass, expand_last = tdse._build_pass, tdse._expand_last
+
+        def recording_build(*args):
+            events.append("build")
+            return build_pass(*args)
+
+        def recording_expand_last(intervals, start):
+            events.append("scan")
+            return expand_last(intervals, start)
+
+        def no_scan(*args):
+            raise AssertionError("a full expansion in final_states")
+
+        monkeypatch.setattr(tdse, "_build_pass", recording_build)
+        monkeypatch.setattr(tdse, "_expand_last", recording_expand_last)
+        monkeypatch.setattr(tdse, "_expand", no_scan)
+        sc = load_shipped(name)
+        (traj,) = tdse.final_states([(sc.system, sc.field)], sc.grid(), sc.initial_state,
+                                    **vars(sc.integrator))
+        assert events == ["build", "scan"] * len(traj.attempts)
 
 
 def time_independent(envelope=ConstantEnvelope, beta=0.0):
@@ -817,7 +842,7 @@ def doubling_evolve(params, field, grid, init="ground", frame="rotating",
     """The plain doubling controller, as ``evolve`` ran before it predicted
     the accepted count: double ``n_sub`` from the rate heuristic until one
     halving changes the last point by less than ``rtol * max(1, |c|) + atol``.
-    Like ``evolve`` it compares the reduced last states of the built passes
+    Like ``evolve`` it compares the last states of the built passes
     and expands the accepted one. Returns the accepted pass and the number
     of passes run."""
     grid, h_out = uniform_grid(grid)
