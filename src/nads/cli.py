@@ -147,8 +147,12 @@ def cmd_evolve(args) -> int:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_traj = np.abs(num) / np.abs(den)
         ratio_traj = np.where(np.isfinite(ratio_traj), ratio_traj, np.nan)
-        series = snapshot_series(scenario.system, scenario.field, grid)
-        ratio_model = np.abs(amplitude_ratios(series, scenario.initial_state))
+        # The series is a temporary: it is released before the table is
+        # formatted, where evolve's memory peaks.
+        ratio_model = np.abs(amplitude_ratios(
+            snapshot_series(scenario.system, scenario.field, grid),
+            scenario.initial_state,
+        ))
         names += ["ratio_tdse", "ratio_model"]
         columns += [ratio_traj, ratio_model]
     _emit(args, "evolve table", scenario.resolved(), names, columns)

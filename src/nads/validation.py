@@ -5,7 +5,11 @@ grid point, per draw or per run), ``_reduce`` takes the worst of them, and
 ``_result`` compares that worst value with the check's bound and builds the
 CheckResult. A NaN anywhere in a measurement makes the worst value NaN,
 and a NaN never passes. ``run_all`` executes the full suite against the
-shipped scenarios plus synthetic draws. The checks accept their inputs as
+shipped scenarios plus synthetic draws. The eight checks of dressed-state
+series are each one ``_SeriesCheck``, a per-series measurement and its
+reduction; ``run_all`` builds the shipped series one at a time, has every
+series check measure it and drops it before building the next, so the
+suite never holds more than one of them. The checks accept their inputs as
 arguments so tests can aim them at deliberately corrupted data and watch
 them fail by name.
 """
@@ -16,7 +20,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -107,57 +111,112 @@ def _result(name: str, worst: float, bound: float, detail: str,
     return CheckResult(name, bool(rule(worst, bound)), worst, bound, detail)
 
 
-def check_trig_identity(series_list: Sequence[SnapshotSeries]) -> CheckResult:
-    """cos_half^2 + sin_half^2 = 1 at every grid point."""
-    worst = _reduce(np.abs(s.cos_half**2 + s.sin_half**2 - 1.0) for s in series_list)
-    return _result("trig_identity", worst, 1e-10,
-                   "max |COS^2 + SIN^2 - 1| over all shipped grids")
+class _SeriesCheck(NamedTuple):
+    """A check of dressed-state series, measured one series at a time.
+
+    ``measure(series)`` gives a series' deviations, arrays or numbers. The
+    worst is ``pick`` of ``start`` and every deviation, and the check
+    passes when ``rule(worst, bound)`` holds. A max or min of per-series
+    worsts is the worst over them all, so a series can be dropped once it
+    is measured. With ``only``, the check measures just the series ``only``
+    accepts, fills their count into ``detail`` and fails when there is none.
+    """
+
+    name: str
+    bound: float
+    detail: str
+    measure: Callable[[SnapshotSeries], Iterable]
+    start: float = 0.0
+    pick: Callable = np.max
+    rule: Callable[[float, float], bool] = operator.lt
+    only: Optional[Callable[[SnapshotSeries], bool]] = None
+
+    def result(self, worst: float, measured: int) -> CheckResult:
+        if self.only is None:
+            return _result(self.name, worst, self.bound, self.detail, self.rule)
+        return _result(self.name, worst, self.bound, self.detail.format(measured),
+                       rule=lambda worst, bound: measured > 0 and self.rule(worst, bound))
+
+    def __call__(self, series_list: Sequence[SnapshotSeries]) -> CheckResult:
+        return _stream([self], series_list)[0]
 
 
-def check_lambda_consistency(series_list: Sequence[SnapshotSeries]) -> CheckResult:
-    """(Lambda_1 - Lambda_2) reproduces the nonadiabatic Rabi frequency."""
-    worst = _reduce(np.abs((s.lambda1 - s.lambda2) - s.omega_tilde) for s in series_list)
-    return _result("lambda_consistency", worst, 1e-12,
-                   "max |(Lambda_1 - Lambda_2) - omega_tilde|")
+def _stream(checks: Sequence[_SeriesCheck], series_iter: Iterable[SnapshotSeries],
+            ) -> list[CheckResult]:
+    """The result of each of ``checks`` over ``series_iter``, read once:
+    every check measures a series before the next one is taken, and the
+    loop holds no series while the next is built."""
+    worst = [check.start for check in checks]
+    measured = [0] * len(checks)
+    for series in series_iter:
+        for i, check in enumerate(checks):
+            if check.only is None or check.only(series):
+                worst[i] = _reduce(check.measure(series), worst[i], check.pick)
+                measured[i] += 1
+        del series
+    return [check.result(w, n) for check, w, n in zip(checks, worst, measured)]
 
 
-def check_lambda_tilde_consistency(
-    series_list: Sequence[SnapshotSeries],
-) -> CheckResult:
-    """The derivative shifts cancel in Lambda'_1 - Lambda'_2."""
-    worst = _reduce(
-        np.abs((s.lambda_t1 - s.lambda_t2) - s.omega_tilde) for s in series_list
-    )
-    return _result("lambda_tilde_consistency", worst, 1e-10,
-                   "max |(Lambda'_1 - Lambda'_2) - omega_tilde|")
+def _is_static(s: SnapshotSeries) -> bool:
+    """Undamped, unchirped and with a constant envelope."""
+    return (s.params.gamma_g == 0.0 and s.params.gamma_e == 0.0
+            and s.field.phase.beta == 0.0 and s.field.envelope.kind == "constant")
 
 
-def check_static_reality(series_list: Sequence[SnapshotSeries]) -> CheckResult:
-    """Undamped unchirped constant-envelope series are real throughout."""
-    static = [
-        s for s in series_list
-        if s.params.gamma_g == 0.0 and s.params.gamma_e == 0.0
-        and s.field.phase.beta == 0.0 and s.field.envelope.kind == "constant"
-    ]
-    worst = _reduce(
-        np.abs(arr.imag)
-        for s in static
-        for arr in (s.delta_tilde, s.omega_tilde, s.lambda1, s.lambda2,
-                    s.lambda_t1, s.lambda_t2, s.cos_half, s.sin_half)
-    )
-    return _result("static_reality", worst, 1e-12,
-                   f"max |Im| over {len(static)} static series",
-                   rule=lambda worst, bound: bool(static) and worst < bound)
+# cos_half^2 + sin_half^2 = 1 at every grid point.
+check_trig_identity = _SeriesCheck(
+    "trig_identity", 1e-10, "max |COS^2 + SIN^2 - 1| over all shipped grids",
+    lambda s: [np.abs(s.cos_half**2 + s.sin_half**2 - 1.0)],
+)
+# (Lambda_1 - Lambda_2) reproduces the nonadiabatic Rabi frequency.
+check_lambda_consistency = _SeriesCheck(
+    "lambda_consistency", 1e-12, "max |(Lambda_1 - Lambda_2) - omega_tilde|",
+    lambda s: [np.abs((s.lambda1 - s.lambda2) - s.omega_tilde)],
+)
+# The derivative shifts cancel in Lambda'_1 - Lambda'_2.
+check_lambda_tilde_consistency = _SeriesCheck(
+    "lambda_tilde_consistency", 1e-10, "max |(Lambda'_1 - Lambda'_2) - omega_tilde|",
+    lambda s: [np.abs((s.lambda_t1 - s.lambda_t2) - s.omega_tilde)],
+)
+# Undamped unchirped constant-envelope series are real throughout.
+check_static_reality = _SeriesCheck(
+    "static_reality", 1e-12, "max |Im| over {} static series",
+    lambda s: [np.abs(arr.imag)
+               for arr in (s.delta_tilde, s.omega_tilde, s.lambda1, s.lambda2,
+                           s.lambda_t1, s.lambda_t2, s.cos_half, s.sin_half)],
+    only=_is_static,
+)
+# Consecutive samples stay on the nearer square-root branch.
+check_branch_continuity = _SeriesCheck(
+    "branch_continuity", 0.0,
+    "max |x_{k+1} - x_k| - |x_{k+1} + x_k| (negative = continuous)",
+    lambda s: [np.abs(np.diff(arr)) - np.abs(arr[1:] + arr[:-1])
+               for arr in (s.omega_tilde, s.cos_half, s.sin_half)],
+    start=-math.inf,
+)
+# Pointwise Eq.-of-motion-free P equals the overlap-quotient P.
+check_cancellation = _SeriesCheck(
+    "exponential_cancellation", 1e-9, "max |P_pointwise - P_overlap_route|",
+    lambda s: [np.abs(mixing_probability(s.sin_half, s.cos_half) - p_via_overlaps(s))],
+)
+# The mirrored ground-excited overlap is the conjugate of eg.
+check_conjugation = _SeriesCheck(
+    "overlap_conjugation", 1e-12, "max |<G|E> - conj(<E|G>)|",
+    lambda s: [np.abs(ge_overlap(s) - np.conj(eg_overlap(s)))],
+)
+# Both dressed-state norms squared stay strictly positive.
+check_positivity = _SeriesCheck(
+    "norm_positivity", 0.0, "smallest gg or ee over all shipped grids (must stay > 0)",
+    lambda s: norms(s),  # resolved at call time, like the other callees
+    start=math.inf, pick=np.min, rule=operator.gt,
+)
 
-
-def check_branch_continuity(series_list: Sequence[SnapshotSeries]) -> CheckResult:
-    """Consecutive samples stay on the nearer square-root branch."""
-    margins = (
-        np.abs(np.diff(arr)) - np.abs(arr[1:] + arr[:-1])
-        for s in series_list for arr in (s.omega_tilde, s.cos_half, s.sin_half)
-    )
-    return _result("branch_continuity", _reduce(margins, start=-math.inf), 0.0,
-                   "max |x_{k+1} - x_k| - |x_{k+1} + x_k| (negative = continuous)")
+#: The checks of dressed-state series, in report order.
+_SERIES_CHECKS = (
+    check_trig_identity, check_lambda_consistency, check_lambda_tilde_consistency,
+    check_static_reality, check_branch_continuity, check_cancellation,
+    check_conjugation, check_positivity,
+)
 
 
 def _uniform(rng: random.Random, low: float, high: float, shape) -> np.ndarray:
@@ -213,34 +272,6 @@ def check_microreversibility(seed: int = 2028, draws: int = 10_000) -> CheckResu
                    f"max |P_forward - P_reverse| over {draws} fuzzed pairs, "
                    "parts uniform on [-1, 1)",
                    rule=operator.eq)
-
-
-def check_cancellation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
-    """Pointwise Eq.-of-motion-free P equals the overlap-quotient P."""
-    worst = _reduce(
-        np.abs(mixing_probability(s.sin_half, s.cos_half) - p_via_overlaps(s))
-        for s in series_list
-    )
-    return _result("exponential_cancellation", worst, 1e-9,
-                   "max |P_pointwise - P_overlap_route|")
-
-
-def check_conjugation(series_list: Sequence[SnapshotSeries]) -> CheckResult:
-    """The mirrored ground-excited overlap is the conjugate of eg."""
-    worst = _reduce(
-        np.abs(ge_overlap(s) - np.conj(eg_overlap(s))) for s in series_list
-    )
-    return _result("overlap_conjugation", worst, 1e-12, "max |<G|E> - conj(<E|G>)|")
-
-
-def check_positivity(series_list: Sequence[SnapshotSeries]) -> CheckResult:
-    """Both dressed-state norms squared stay strictly positive."""
-    smallest = _reduce(
-        (norm for s in series_list for norm in norms(s)), start=math.inf, pick=np.min
-    )
-    return _result("norm_positivity", smallest, 0.0,
-                   "smallest gg or ee over all shipped grids (must stay > 0)",
-                   rule=operator.gt)
 
 
 def _constant_run(carrier: float, omega0: float, grid: np.ndarray,
@@ -318,27 +349,28 @@ def check_derivative_hygiene(seed: int = 2029, draws: int = 1000) -> CheckResult
                    f"max relative error, analytic vs central difference, {draws} points")
 
 
-def _shipped_series() -> list[SnapshotSeries]:
-    scenarios = [load_shipped(name) for name in list_shipped()]
-    return [snapshot_series(s.system, s.field, s.grid()) for s in scenarios]
-
-
 def run_all() -> list[CheckResult]:
-    """Run every invariant check against shipped scenarios and synthetic
-    draws; deterministic across runs."""
-    series_list = _shipped_series()
+    """Run every invariant check against the shipped scenarios and synthetic
+    draws; deterministic across runs. The shipped series are built,
+    measured by every series check and dropped one at a time, so no two
+    of them are held at once."""
+    shipped = (snapshot_series(s.system, s.field, s.grid())
+               for s in map(load_shipped, list_shipped()))
+    (trig_identity, lambda_consistency, lambda_tilde_consistency, static_reality,
+     branch_continuity, cancellation, conjugation, positivity) = _stream(
+        _SERIES_CHECKS, shipped)
     return [
-        check_trig_identity(series_list),
-        check_lambda_consistency(series_list),
-        check_lambda_tilde_consistency(series_list),
-        check_static_reality(series_list),
-        check_branch_continuity(series_list),
+        trig_identity,
+        lambda_consistency,
+        lambda_tilde_consistency,
+        static_reality,
+        branch_continuity,
         check_adiabatic_theorem(),
         check_probability_bound(),
         check_microreversibility(),
-        check_cancellation(series_list),
-        check_conjugation(series_list),
-        check_positivity(series_list),
+        cancellation,
+        conjugation,
+        positivity,
         check_rabi_pulse(),
         check_norm_conservation(),
         check_decay_law(),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nads
+from nads import cli
 from nads.cli import _keep_heap, build_parser, main
 from nads.errors import ConfigError, ParseError, StepWarning, ValidationError
 from nads.nads_core import snapshot_series
@@ -40,6 +43,7 @@ from nads.scenario import (
     shipped_path,
     with_axis_values,
 )
+from nads.tables import write_table
 from nads.validation import check_lambda_consistency
 
 from conftest import FLAGSHIP, SLOW_ADIABATIC
@@ -454,6 +458,28 @@ class TestCliEvolve:
         tdse = column(names, rows, "ratio_tdse")[center]
         model = column(names, rows, "ratio_model")[center]
         assert abs(tdse - model) / tdse < 0.05
+
+    def test_compare_releases_its_series_before_the_table(self, tmp_path, monkeypatch):
+        # The closed-form series is needed only for ratio_model; holding it
+        # while the table is formatted raises evolve's peak memory.
+        series_refs, alive_at_write = [], []
+
+        def recording_series(*args, **kwargs):
+            series = snapshot_series(*args, **kwargs)
+            series_refs.append(weakref.ref(series))
+            return series
+
+        def checking_write(*args, **kwargs):
+            gc.collect()
+            alive_at_write.extend(ref() is not None for ref in series_refs)
+            return write_table(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "snapshot_series", recording_series)
+        monkeypatch.setattr(cli, "write_table", checking_write)
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", str(shipped_path("constant-detuned")),
+                     "--compare", "--out", str(out)]) == 0
+        assert alive_at_write == [False]
 
 
 class TestCliSweep:

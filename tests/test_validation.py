@@ -5,8 +5,10 @@ names, order, bounds and details it has always had."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from nads import cli, validation
 from nads.field_model import SechEnvelope
 from nads.nads_core import snapshot_series
-from nads.scenario import load_shipped
+from nads.scenario import list_shipped, load_shipped
 
 #: The perfbench reference, whose ``validate`` entry pins the check names.
 REFERENCE = (
@@ -62,10 +64,10 @@ def spoil(request):
     return spoil
 
 
-def _series():
-    """The series of the static scenario constant-detuned, built afresh so
-    a test may spoil it."""
-    scenario = load_shipped("constant-detuned")
+def _series(name="constant-detuned"):
+    """The series of a shipped scenario, by default the static
+    constant-detuned, built afresh so a test may spoil it."""
+    scenario = load_shipped(name)
     return snapshot_series(scenario.system, scenario.field, scenario.grid())
 
 
@@ -117,6 +119,73 @@ CALL_CASES = {
     "derivative_hygiene": (validation.check_derivative_hygiene, SechEnvelope,
                            "dlog_deriv", lambda spoil, dlog: spoil(dlog, 10.0)),
 }
+
+
+#: name -> check of every check that measures dressed-state series.
+SERIES_CHECKS = {
+    **{name: check for name, (check, *_) in SERIES_CASES.items()},
+    "exponential_cancellation": validation.check_cancellation,
+    "overlap_conjugation": validation.check_conjugation,
+    "norm_positivity": validation.check_positivity,
+}
+
+#: name -> worst of each series check on no series: its start value.
+EMPTY_WORST = {
+    "trig_identity": 0.0,
+    "lambda_consistency": 0.0,
+    "lambda_tilde_consistency": 0.0,
+    "static_reality": 0.0,
+    "branch_continuity": -math.inf,
+    "exponential_cancellation": 0.0,
+    "overlap_conjugation": 0.0,
+    "norm_positivity": math.inf,
+}
+
+
+@pytest.mark.parametrize("scenarios", [(), ("constant-detuned",),
+                                       ("gaussian-chirped-damped",)],
+                         ids=["none", "static", "pulsed"])
+@pytest.mark.parametrize("name", SERIES_CHECKS)
+def test_series_check_on_no_series_or_one(name, scenarios):
+    result = SERIES_CHECKS[name]([_series(scenario) for scenario in scenarios])
+    static = "constant-detuned" in scenarios
+    if not scenarios or (name == "static_reality" and not static):
+        assert result.worst == EMPTY_WORST[name]
+    else:
+        assert math.isfinite(result.worst)
+    if name == "static_reality":
+        # No static series is a failure, not a vacuous pass.
+        assert result.passed is static
+        assert result.detail == f"max |Im| over {int(static)} static series"
+    else:
+        assert result.passed is True
+        assert result.detail == {pin: detail for pin, _, detail in PINNED}[name]
+
+
+def test_streamed_report_matches_the_checks_on_all_shipped_series():
+    # Every shipped series held at once, each check measuring the list.
+    series_list = [_series(name) for name in list_shipped()]
+    report = {result.name: result for result in validation.run_all()}
+    for name, check in SERIES_CHECKS.items():
+        expected = check(series_list)
+        assert report[name].as_dict() == expected.as_dict()
+        assert report[name].worst.hex() == expected.worst.hex()
+
+
+def test_run_all_holds_one_shipped_series_at_a_time(monkeypatch):
+    built = []
+    alive_at_build = []
+
+    def recording_series(*args, **kwargs):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        series = snapshot_series(*args, **kwargs)
+        built.append(weakref.ref(series))
+        return series
+
+    monkeypatch.setattr(validation, "snapshot_series", recording_series)
+    assert all(result.passed for result in validation.run_all())
+    assert alive_at_build == [0] * len(list_shipped())
 
 
 @pytest.mark.parametrize("name", SERIES_CASES)
