@@ -60,9 +60,9 @@ class NonFiniteValue(NumericalError):
 
 
 class StepUnderflow(NumericalError):
-    """The integrator substep controller was driven below its floor without
-    reaching the requested tolerance: a substep below a fraction of the
-    span, or a pass of more substeps than one pass may build."""
+    """The integrator substep controller did not reach the requested
+    tolerance before its next pass would build more substeps than one pass
+    may (``nads.tdse.MAX_PASS_SUBSTEPS``)."""
 
 
 class ToleranceUnreachable(StepUnderflow):

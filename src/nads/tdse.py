@@ -44,18 +44,20 @@ output grid by a work-efficient scan applied to the state (Blelloch,
 state. The controller builds every pass but compares only its last states,
 the scan's last column from its pair products alone
 (:func:`_expand_last`), and expands only the pass it accepts; it holds the
-intervals of the current pass only. In the rotating frame a constant
-envelope without chirp makes the coupling time-independent; every substep
-then has the same step matrix, one row of them and its interval product
-serve every interval as a broadcast stack, and each round of pair products
-takes one product for it (:func:`_pairs`).
+intervals of the current pass only. A pass builds ``n_sub`` substeps for
+each row it builds (:func:`_built_rows`), every output interval in
+general. In the rotating frame a constant envelope without chirp makes
+the coupling time-independent; every substep then has the same step
+matrix, so a pass builds one row, its interval product serves every
+interval as a broadcast stack, and each round of pair products takes one
+product for it (:func:`_pairs`).
 
 Independent runs on one grid go through the controller as a batch
 (:func:`final_states`; :func:`evolve` is a batch of one). Each run has its
-own controller; the pending runs that ask for the same ``n_sub`` share a
-pass, whose arrays carry a batch axis after the matrix axes,
-(2, 2, B, ...), and which is built for chunks of runs bounded by
-``_CHUNK_SUBSTEPS`` and ``_CHUNK_INTERVALS``. In the rotating frame the
+own controller; the pending runs that ask for the same ``n_sub`` and
+build the same rows share a pass, whose arrays carry a batch axis after
+the matrix axes, (2, 2, B, ...), and which is built for chunks of runs
+bounded by ``_CHUNK_SUBSTEPS`` and ``_CHUNK_INTERVALS``. In the rotating frame the
 runs of a pass share their coupling samples per distinct (envelope,
 phase) pair, compared by value, and each run scales them by its own
 amplitude, mu / 2 (see :func:`_stage_coupling`). Every run keeps the
@@ -67,9 +69,11 @@ controller compared, with no scan after acceptance.
 The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
 a halving of the substep no longer shrinks the difference between passes:
 rounding, not truncation, then sets that difference, and doubling on could
-only run toward the substep floor. A pass of more than
-``MAX_PASS_SUBSTEPS`` substeps fails with
-:class:`~nads.errors.StepUnderflow` before it is built.
+only run toward the pass limit. The controller refuses to ask for a pass
+of more than ``MAX_PASS_SUBSTEPS`` substeps: the run fails with
+:class:`~nads.errors.StepUnderflow` before that pass is built, and a
+predicted jump lands on the last count doubling could run under the
+limit.
 """
 
 from __future__ import annotations
@@ -96,16 +100,13 @@ __all__ = [
 
 Frame = Literal["lab", "rotating"]
 
-#: Substep below this fraction of the full span aborts the run.
-STEP_UNDERFLOW_FRACTION = 1e-12
-
 #: Initial substep target: fastest angular rate times substep, in radians.
 _INITIAL_RADIANS_PER_STEP = 0.2
 
-#: Substeps one pass may build for a run: ``n_sub`` per output interval
-#: times the intervals, or ``n_sub`` when one row of step matrices serves
-#: every interval. At about 1e7 substeps a second, a pass at the limit
-#: takes seconds, and the controller's next one would take twice as long.
+#: Substeps one pass may build for a run: ``n_sub`` times the rows of step
+#: matrices it builds (see :func:`_built_rows`). At about 1e7 substeps a
+#: second, a pass at the limit takes seconds, and the controller's next one
+#: would take twice as long.
 MAX_PASS_SUBSTEPS = 2**26
 
 #: Substeps whose step matrices are held in memory at once: a block of one
@@ -401,11 +402,13 @@ def _start(init: InitialState) -> np.ndarray:
     return np.array([1.0, 0.0] if init == "ground" else [0.0, 1.0], dtype=complex)
 
 
-def _time_independent(field: FieldModel, frame: Frame) -> bool:
-    """Whether every substep of the run has the same step matrix: a
-    constant envelope without chirp, in the rotating frame."""
-    return (frame == "rotating" and field.envelope.kind == "constant"
-            and field.phase.beta == 0.0)
+def _built_rows(field: FieldModel, frame: Frame, rows: int) -> int:
+    """Rows of step matrices a pass of the run builds: one when every
+    substep has the same step matrix, as under a constant envelope without
+    chirp in the rotating frame, otherwise one per output interval."""
+    if frame == "rotating" and field.envelope.kind == "constant" and field.phase.beta == 0.0:
+        return 1
+    return rows
 
 
 def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
@@ -422,33 +425,17 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
     ``_BLOCK_SUBSTEPS`` substeps. That bound keeps their arrays below the
     256 KiB at which NumPy's operators reuse a right-hand temporary in
     place, which swaps the operands of a complex product and so rounds it
-    differently from the run alone. When every run's coupling is
-    time-independent, each substep has the same step matrix, so one row of
-    them, built for the first interval, serves every interval and the stack
-    is a broadcast view.
-
-    Raises
-    ------
-    StepUnderflow
-        If the pass would build more than ``MAX_PASS_SUBSTEPS`` substeps
-        per run.
+    differently from the run alone.
     """
     rows = len(grid) - 1
-    constant = all(_time_independent(field, frame) for _, field in runs)
-    substeps = n_sub if constant else n_sub * rows
-    if substeps > MAX_PASS_SUBSTEPS:
-        raise StepUnderflow(
-            f"a pass at {n_sub} substeps per output interval would build {substeps} "
-            f"substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass"
-        )
     h_sub = h_out / n_sub
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
     same = _same_coupling(runs)
     table, q = _step_coefficients([_diagonal(*run, frame) for run in runs], h_sub)
-    out = None if constant else np.empty((2, 2, len(runs), rows), dtype=complex)
-    for first in range(0, 1 if constant else rows, per_block):
-        built = 1 if constant else min(per_block, rows - first)
+    out = np.empty((2, 2, len(runs), rows), dtype=complex)
+    for first in range(0, rows, per_block):
+        built = min(per_block, rows - first)
         size = max(1, _BLOCK_SUBSTEPS // (built * width))  # runs built together
         for offset in range(0, n_sub, width):
             w = min(width, n_sub - offset)
@@ -463,8 +450,6 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
                 _step_matrices(k0[sub], kh[sub], k1[sub], table[:, sub], q, steps[:, :, sub])
             part = _ordered_product(steps)
             interval = part if offset == 0 else _mul(part, interval)
-        if constant:
-            return np.broadcast_to(interval, (2, 2, len(runs), rows))
         out[..., first:first + built] = interval
     return out
 
@@ -518,11 +503,19 @@ class _Pass:
     last: np.ndarray
 
 
-def _build_pass(runs, grid, h_out: float, start, frame: Frame, n_sub: int) -> _Pass:
+def _build_pass(runs, grid, h_out: float, start, frame: Frame, n_sub: int,
+                built_rows: int) -> _Pass:
     """The pass the controller runs with ``n_sub`` substeps for each of B
     runs on a grid it has validated: intervals of shape (2, 2, B, rows) and
-    last states of shape (2, B)."""
-    intervals = _intervals(runs, grid, h_out, frame, n_sub)
+    last states of shape (2, B).
+
+    The runs share ``built_rows`` (:func:`_built_rows`). With one built
+    row, each substep of a run has the same step matrix, so the interval
+    propagator of the first interval serves every interval and the stack
+    is a broadcast view.
+    """
+    built = _intervals(runs, grid[:built_rows + 1], h_out, frame, n_sub)
+    intervals = np.broadcast_to(built, built.shape[:-1] + (len(grid) - 1,))
     return _Pass(intervals, _expand_last(intervals, start))
 
 
@@ -584,14 +577,15 @@ class _Controller:
     """The substep controller of one run (see :func:`evolve`): ``n_sub`` is
     the count of the pass it asks for next, ``attempts`` the passes so far.
 
-    It starts at ``count`` (rounded up) substeps per output interval of
-    ``h_out`` on a grid of ``span``, and raises StepUnderflow as soon as
-    the pass it would ask for next underflows; a count that overflows is a
-    substep of 0.
+    It starts at ``count`` (rounded up) substeps per output interval, for
+    a run whose passes build ``built_rows`` rows of step matrices
+    (:func:`_built_rows`), and raises StepUnderflow as soon as the pass it
+    would ask for next builds more than ``MAX_PASS_SUBSTEPS`` substeps; a
+    count that overflows is such a pass.
     """
 
-    def __init__(self, count: float, h_out: float, span: float):
-        self.h_out, self.span = h_out, span
+    def __init__(self, count: float, built_rows: int):
+        self.built_rows = built_rows
         self.attempts: list[tuple[int, Optional[float]]] = []
         self.prev = None  # last state of the previous pass
         self.n_prev = 0
@@ -599,14 +593,12 @@ class _Controller:
         self.halving = None  # difference of the previous pair, if it was one halving apart
         self._ask(max(1, math.ceil(count)) if math.isfinite(count) else math.inf)
 
-    def underflows(self, n_sub) -> bool:
-        return self.h_out / n_sub < STEP_UNDERFLOW_FRACTION * self.span
-
     def _ask(self, n_sub) -> None:
-        if self.underflows(n_sub):
+        substeps = n_sub * self.built_rows
+        if substeps > MAX_PASS_SUBSTEPS:
             raise StepUnderflow(
-                f"substep {self.h_out / n_sub:.3e} below "
-                f"{STEP_UNDERFLOW_FRACTION:.0e} of span {self.span:.3e}"
+                f"a pass at {n_sub} substeps per output interval would build {substeps} "
+                f"substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass"
             )
         self.n_sub = n_sub
 
@@ -619,7 +611,8 @@ class _Controller:
         ToleranceUnreachable
             If this halving of the substep did not shrink the difference.
         StepUnderflow
-            If the next pass would underflow.
+            If the next pass would build more than ``MAX_PASS_SUBSTEPS``
+            substeps.
         """
         n_sub, prev, n_prev = self.n_sub, self.prev, self.n_prev
         self.prev, self.n_prev = last, n_sub
@@ -655,19 +648,17 @@ class _Controller:
                 n_next = n_sub << j
                 # Land on the last count doubling could run, so that
                 # StepUnderflow is raised where doubling raises it.
-                while n_next > 2 * n_sub and self.underflows(n_next):
+                while n_next > 2 * n_sub and n_next * self.built_rows > MAX_PASS_SUBSTEPS:
                     n_next //= 2
         self._ask(n_next)
         return False
 
 
-def _chunk_runs(rows: int, n_sub: int, constant: bool) -> int:
-    """Runs whose pass is built at once: their coupling samples of one
-    block within ``_CHUNK_SUBSTEPS`` and their interval propagators within
-    ``_CHUNK_INTERVALS``."""
+def _chunk_runs(rows: int, n_sub: int) -> int:
+    """Runs whose pass is built at once, for ``rows`` built rows: their
+    coupling samples of one block within ``_CHUNK_SUBSTEPS`` and their
+    interval propagators within ``_CHUNK_INTERVALS``."""
     width = min(n_sub, _BLOCK_SUBSTEPS)
-    if constant:  # one row of step matrices, broadcast intervals
-        return max(1, _CHUNK_SUBSTEPS // width)
     block = width * min(max(1, _BLOCK_SUBSTEPS // n_sub), rows)
     return max(1, min(_CHUNK_SUBSTEPS // block, _CHUNK_INTERVALS // rows))
 
@@ -677,12 +668,12 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     """The controller of :func:`evolve` for B independent runs on one grid.
 
     Each run has its own controller and is accepted by itself. The pending
-    runs that ask for the same ``n_sub`` (and agree on whether their
-    coupling is time-independent) share one pass, built for chunks of them
-    at a time (:func:`_chunk_runs`); a run leaves the batch when it is
-    accepted or fails. Only the chunk's intervals of the current pass are
-    held. An accepted run is expanded on the whole grid, or with
-    ``last_only`` keeps the last state its pass was compared by.
+    runs that ask for the same ``n_sub`` (and build the same rows of step
+    matrices) share one pass, built for chunks of them at a time
+    (:func:`_chunk_runs`); a run leaves the batch when it is accepted or
+    fails. Only the chunk's intervals of the current pass are held. An
+    accepted run is expanded on the whole grid, or with ``last_only``
+    keeps the last state its pass was compared by.
 
     Returns one entry per run: its Trajectory or the NumericalError it
     fails with.
@@ -692,7 +683,6 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
         raise ValueError("rtol and atol must be positive and finite")
     grid, h_out = uniform_grid(grid)
     start = _start(init)
-    span = float(grid[-1] - grid[0])
     rows = len(grid) - 1
     results: list = [None] * len(runs)
     pending: dict[int, _Controller] = {}
@@ -701,25 +691,20 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
         for j, (params, field) in enumerate(runs):
             try:
                 rate = _characteristic_rate(params, field, grid, frame)
-                pending[j] = _Controller(h_out * rate / _INITIAL_RADIANS_PER_STEP, h_out, span)
+                pending[j] = _Controller(h_out * rate / _INITIAL_RADIANS_PER_STEP,
+                                         _built_rows(field, frame, rows))
             except NumericalError as exc:
                 results[j] = exc
         while pending:
-            passes: dict[tuple[int, bool], list[int]] = {}
+            passes: dict[tuple[int, int], list[int]] = {}
             for j, controller in pending.items():
-                key = (controller.n_sub, _time_independent(runs[j][1], frame))
+                key = (controller.n_sub, controller.built_rows)
                 passes.setdefault(key, []).append(j)
-            for (n_sub, constant), members in passes.items():
-                size = _chunk_runs(rows, n_sub, constant)
+            for (n_sub, built_rows), members in passes.items():
+                size = _chunk_runs(built_rows, n_sub)
                 for chunk in (members[i:i + size] for i in range(0, len(members), size)):
-                    try:
-                        built = _build_pass([runs[j] for j in chunk], grid, h_out, start,
-                                            frame, n_sub)
-                    except StepUnderflow as exc:  # beyond MAX_PASS_SUBSTEPS
-                        for j in chunk:
-                            results[j] = exc
-                            del pending[j]
-                        continue
+                    built = _build_pass([runs[j] for j in chunk], grid, h_out, start, frame,
+                                        n_sub, built_rows)
                     for i, j in enumerate(chunk):
                         try:
                             if not pending[j].accepts(built.last[:, i], rtol, atol):
@@ -768,6 +753,7 @@ def evolve(
     by ``15 / (q^4 - 1)`` with ``q = N / (2 n0)``, is below tol and the
     three passes show fourth-order convergence; otherwise plain doubling
     continues from ``N``. ``N`` stays a power-of-two multiple of ``n0``,
+    lowered to the last one doubling could run under ``MAX_PASS_SUBSTEPS``,
     so a right prediction accepts the same pass doubling would. A
     non-finite pair difference takes the doubling path. The returned
     ``attempts`` records every pass.
@@ -779,8 +765,10 @@ def evolve(
         shrink the difference of the last point: rounding error has
         overtaken truncation error above the tolerance.
     StepUnderflow
-        If the controller drives the substep below 1e-12 of the span, or
-        asks for a pass of more than ``MAX_PASS_SUBSTEPS`` substeps.
+        If the controller would ask for a pass of more than
+        ``MAX_PASS_SUBSTEPS`` substeps: ``n_sub`` for each row of step
+        matrices the pass builds, one row for a time-independent coupling
+        and every output interval otherwise.
     NonFiniteValue
         If the fastest rate on the grid overflows.
     """
@@ -812,7 +800,9 @@ def final_states(
     ------
     ValueError
         For an unknown frame or initial state, a tolerance that is not
-        positive and finite, or a grid that is not uniform.
+        positive and finite, or a grid that is not uniform. A run's
+        NumericalError is its entry, not raised: a StepUnderflow from the
+        pass limit of :func:`evolve` among them.
     """
     return _propagate(runs, grid, init, frame, rtol, atol, last_only=True)
 

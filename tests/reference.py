@@ -44,11 +44,15 @@ def rhs(t, c, params, field, frame="lab"):
 
 def fixed_pass(params, field, grid, init="ground", frame="rotating", n_sub=1):
     """One RK4 pass of :mod:`nads.tdse` with exactly ``n_sub`` substeps per
-    output interval: its interval propagators expanded into the states on
-    the grid, as a Trajectory with no controller attempts."""
+    output interval, built as the controller builds it, with no limit on
+    its substeps: its interval propagators expanded into the states on the
+    grid, as a Trajectory with no controller attempts."""
     grid, h_out = uniform_grid(grid)
-    intervals = tdse._intervals(((params, field),), grid, h_out, frame, n_sub)[:, :, 0]
-    return tdse._trajectory(grid, tdse._expand(intervals, tdse._start(init)), frame, n_sub, ())
+    start = tdse._start(init)
+    built = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub,
+                             tdse._built_rows(field, frame, len(grid) - 1))
+    return tdse._trajectory(grid, tdse._expand(built.intervals[:, :, 0], start), frame,
+                            n_sub, ())
 
 
 def expanded_overlaps(series: SnapshotSeries) -> tuple[np.ndarray, ...]:

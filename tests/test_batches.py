@@ -148,7 +148,7 @@ def runs(draw):
     """A system and field of any envelope kind, chirped and damped; about
     one in four fails: a Gaussian that underflows in its wing, a chirp
     whose rate overflows everywhere or only late on the grid, or a
-    coupling too fast for the substep floor."""
+    coupling too fast for the pass limit."""
     kind = draw(st.sampled_from(["constant", "gaussian", "sech"]))
     omega0 = draw(st.floats(0.05, 3.0))
     failure = draw(st.sampled_from([None] * 12 + ["wing", "chirp", "late chirp", "fast"]))

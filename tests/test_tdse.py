@@ -31,7 +31,6 @@ from nads.scenario import list_shipped, load_shipped, scenario_from_dict
 from nads.tdse import (
     _BLOCK_SUBSTEPS,
     MAX_PASS_SUBSTEPS,
-    STEP_UNDERFLOW_FRACTION,
     Trajectory,
     evolve,
     lz_oracle,
@@ -238,7 +237,7 @@ class TestValidationAndFailure:
         params = SystemParams(omega_g=0.0, omega_e=1e15)
         field = FieldModel(carrier_omega=1e15, envelope=ConstantEnvelope(1.0))
         grid = np.linspace(0.0, 1e-3, 3)
-        with pytest.raises(StepUnderflow, match="substep"):
+        with pytest.raises(StepUnderflow, match="^a pass at 2500000000000 substeps"):
             evolve(params, field, grid, frame="lab")
 
     def test_unreachable_tolerance_stops_by_name(self):
@@ -255,7 +254,7 @@ class TestValidationAndFailure:
         # between 64 and 128 substeps, so the pass at 256 is the last.
         calls = []
 
-        def fake(runs, grid, h_out, start, frame, n_sub):
+        def fake(runs, grid, h_out, start, frame, n_sub, built_rows):
             sign = (-1) ** int(math.log2(n_sub))
             calls.append(n_sub)
             return fake_pass(grid, 0.5 + 1e-6 / n_sub**4 + sign * 1e-14 * n_sub)
@@ -416,8 +415,10 @@ class TestExpansion:
                       **vars(sc.integrator))
         grid, h_out = uniform_grid(sc.grid())
         start = tdse._start(sc.initial_state)
-        intervals = tdse._intervals(((sc.system, sc.field),), grid, h_out,
-                                    sc.integrator.frame, traj.n_sub)[:, :, 0]
+        frame = sc.integrator.frame
+        built = tdse._build_pass(((sc.system, sc.field),), grid, h_out, start, frame,
+                                 traj.n_sub, tdse._built_rows(sc.field, frame, len(grid) - 1))
+        intervals = built.intervals[:, :, 0]
         states = tdse._expand(intervals, start)
         assert np.array_equal(states[0], traj.c_g) and np.array_equal(states[1], traj.c_e)
         block = max(1, _BLOCK_SUBSTEPS // traj.n_sub)
@@ -446,7 +447,7 @@ class TestExpansion:
         runs = [(params, field), (SystemParams(omega_g=0.0, omega_e=4.9, gamma_e=0.3), field)]
         grid, h_out = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
         start = tdse._start(init)
-        intervals = tdse._intervals(runs, grid, h_out, "rotating", 2)
+        intervals = tdse._build_pass(runs, grid, h_out, start, "rotating", 2, 1).intervals
         assert intervals.strides[-1] == 0
         expected = tdse._expand_last(np.ascontiguousarray(intervals), start)
         widths, pairing = [], []
@@ -476,7 +477,8 @@ class TestExpansion:
     def check_pass(params, field, grid, init, frame, n_sub=2):
         grid, h_out = uniform_grid(grid)
         start = tdse._start(init)
-        built = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub)
+        built = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub,
+                                 tdse._built_rows(field, frame, len(grid) - 1))
         intervals = built.intervals[:, :, 0]
         states = tdse._expand(intervals, start)
         ref = hillis_steele_states(intervals, start, len(grid))
@@ -568,42 +570,45 @@ def built(monkeypatch):
     return sizes
 
 
+def fast_run(envelope):
+    """A run whose coupling is too fast for any pass on the grid of
+    :class:`TestSubstepLimit`."""
+    field = FieldModel(carrier_omega=4.0, envelope=envelope)
+    return SystemParams(omega_g=0.0, omega_e=5.0), field
+
+
 class TestSubstepLimit:
     """A pass of more than ``MAX_PASS_SUBSTEPS`` substeps fails by name
     before any step matrix is built."""
 
-    @pytest.mark.parametrize("envelope, n0, rows_built", [
-        (ConstantEnvelope(1e12), 5e8, 1),
+    @pytest.mark.parametrize("run, rows, n0, rows_built, forced", [
+        (fast_run(ConstantEnvelope(1e12)), 10, 5e8, 1, False),
         # A time-dependent coupling builds the substeps of every interval.
-        (GaussianEnvelope(omega0=5e10, t_center=5e-4, tau=1e-3), 2.5e7, 10),
-    ], ids=["constant", "gaussian"])
-    def test_pass_beyond_the_substep_limit_fails_by_name(self, built, envelope, n0, rows_built):
-        # The substep stays above the floor, 1e-12 of the span, but one pass
-        # would take hours: it fails before any step matrix is built.
-        params = SystemParams(omega_g=0.0, omega_e=5.0)
-        field = FieldModel(carrier_omega=4.0, envelope=envelope)
-        grid = np.linspace(0.0, 1e-3, 11)
+        (fast_run(GaussianEnvelope(omega0=5e10, t_center=5e-4, tau=1e-3)), 10, 2.5e7, 10, False),
+        # First passes one substep past the limit, from a rate set to ask
+        # for them.
+        (time_independent(), 4, MAX_PASS_SUBSTEPS + 1, 1, True),
+        (chirped_pulse(), 4, MAX_PASS_SUBSTEPS // 4 + 1, 4, True),
+    ], ids=["constant", "gaussian", "constant-at-the-limit", "chirped-at-the-limit"])
+    def test_pass_beyond_the_substep_limit_fails_by_name(self, monkeypatch, built, run, rows,
+                                                         n0, rows_built, forced):
+        # One pass would take hours: it fails before any step matrix is built.
+        grid = np.linspace(0.0, 1e-3, rows + 1)
+        if forced:
+            rate = tdse._INITIAL_RADIANS_PER_STEP * (n0 - 0.5) / uniform_grid(grid)[1]
+            monkeypatch.setattr(tdse, "_characteristic_rate", lambda *args: rate)
         with pytest.raises(StepUnderflow) as failure:
-            evolve(params, field, grid)
+            evolve(*run, grid)
         match = re.fullmatch(r"a pass at (\d+) substeps per output interval would build "
                              rf"(\d+) substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass",
                              str(failure.value))
         n_sub, count = int(match[1]), int(match[2])
         # The first pass: h_out times the peak Rabi frequency over 0.2 rad.
-        assert n_sub == pytest.approx(n0, rel=1e-6)
+        assert n_sub == (n0 if forced else pytest.approx(n0, rel=1e-6))
         assert count == rows_built * n_sub > MAX_PASS_SUBSTEPS
         assert built == []
-        (batched,) = tdse.final_states([(params, field)], grid)
+        (batched,) = tdse.final_states([run], grid)
         assert type(batched) is StepUnderflow and str(batched) == str(failure.value)
-
-    @pytest.mark.parametrize("run, rows, n_sub, count", [
-        (time_independent(), 4, MAX_PASS_SUBSTEPS + 1, MAX_PASS_SUBSTEPS + 1),
-        (chirped_pulse(), 4, MAX_PASS_SUBSTEPS // 4 + 1, MAX_PASS_SUBSTEPS + 4),
-    ], ids=["constant", "chirped"])
-    def test_fixed_pass_keeps_the_substep_limit(self, built, run, rows, n_sub, count):
-        grid = np.linspace(0.0, 1.0, rows + 1)
-        with pytest.raises(StepUnderflow, match=f"would build {count} substeps"):
-            fixed_pass(*run, grid, n_sub=n_sub)
         assert built == []
 
 
@@ -843,21 +848,21 @@ def doubling_evolve(params, field, grid, init="ground", frame="rotating",
     the accepted count: double ``n_sub`` from the rate heuristic until one
     halving changes the last point by less than ``rtol * max(1, |c|) + atol``.
     Like ``evolve`` it compares the last states of the built passes
-    and expands the accepted one. Returns the accepted pass and the number
-    of passes run."""
+    and expands the accepted one, and it stops at the same pass limit.
+    Returns the accepted pass and the number of passes run."""
     grid, h_out = uniform_grid(grid)
     start = tdse._start(init)
-    span = float(grid[-1] - grid[0])
+    built_rows = tdse._built_rows(field, frame, len(grid) - 1)
     rate = tdse._characteristic_rate(params, field, grid, frame)
     n_sub = max(1, math.ceil(h_out * rate / tdse._INITIAL_RADIANS_PER_STEP))
     prev, passes = None, 0
     while True:
-        if h_out / n_sub < STEP_UNDERFLOW_FRACTION * span:
+        if n_sub * built_rows > MAX_PASS_SUBSTEPS:
             raise StepUnderflow(
-                f"substep {h_out / n_sub:.3e} below "
-                f"{STEP_UNDERFLOW_FRACTION:.0e} of span {span:.3e}"
+                f"a pass at {n_sub} substeps per output interval would build "
+                f"{n_sub * built_rows} substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass"
             )
-        cur = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub)
+        cur = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub, built_rows)
         last = cur.last[:, 0]
         passes += 1
         if prev is not None:
@@ -1025,7 +1030,7 @@ def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
     replaces the last value of ``component`` when given."""
     calls = []
 
-    def fake(runs, grid, h_out, start, frame, n_sub):
+    def fake(runs, grid, h_out, start, frame, n_sub, built_rows):
         last = {"c_g": 0.5 + amplitude * (unit / n_sub) ** order, "c_e": 0.0}
         if bad is not None and calls:
             last[component] = bad
@@ -1090,18 +1095,24 @@ class TestControllerRobustness:
             evolve(params, field, self.GRID)
         assert str(predicted.value) == str(doubling.value)
 
-    def test_jump_past_underflow_limit(self, monkeypatch):
-        # n0 = 1e11 on a one-interval grid of span 1: 8 n0 is the last count
-        # above 1e-12 of the span, and the predicted jump of 2^5 would pass it.
-        unit = 10**11
-        params, field = resonant(0.2 * unit)
-        grid = np.array([0.0, 1.0])
-        fake = synthetic(4, 1.0, unit=unit)
+    def test_jump_lands_under_the_pass_limit(self, monkeypatch):
+        # n0 = 2^21 substeps per interval of a constant coupling, whose
+        # passes build one row of the four: the predicted jump of 2^5 from
+        # 2 n0 would ask for 2^27, past the limit of 2^26. It lands on 2^26,
+        # the last count doubling runs, and the pass after it fails as
+        # doubling's does.
+        n0 = 2**21
+        params, field = resonant(0.8 * n0)
+        grid = np.linspace(0.0, 1.0, 5)
+        fake = synthetic(4, 1.0, unit=n0)
         monkeypatch.setattr(tdse, "_build_pass", fake)
         with pytest.raises(StepUnderflow) as doubling:
             doubling_evolve(params, field, grid)
+        assert fake.calls == [n0 << i for i in range(6)]
         fake.calls.clear()
-        with pytest.raises(StepUnderflow, match="substep 6.250e-13 below 1e-12 of span 1.000e"):
+        with pytest.raises(StepUnderflow) as predicted:
             evolve(params, field, grid)
-        assert fake.calls == [unit, 2 * unit, 8 * unit]
-        assert str(doubling.value).startswith("substep 6.250e-13")
+        assert fake.calls == [n0, 2 * n0, MAX_PASS_SUBSTEPS]
+        assert str(predicted.value) == str(doubling.value) == (
+            "a pass at 134217728 substeps per output interval would build 134217728 "
+            f"substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass")
