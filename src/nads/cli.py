@@ -41,14 +41,6 @@ _SERIES_POINTS = 4096
 _SWEEP_POINTS = 1024
 
 
-def _final_states(points: list[Scenario]) -> list:
-    """Last states of sweep points that share a grid, an integrator and an
-    initial state, as one batch."""
-    first = points[0]
-    return final_states([(p.system, p.field) for p in points], first.grid(),
-                        first.initial_state, **vars(first.integrator))
-
-
 def _each(results: list, value) -> list:
     """``value`` of each result that is not a NumericalError."""
     return [r if isinstance(r, NumericalError) else value(r) for r in results]
@@ -64,16 +56,15 @@ def _reduce_max_p(points: list[Scenario]) -> list:
     return out
 
 
-def _reduce_final_pe(points: list[Scenario]) -> list:
-    return _each(_final_states(points), lambda traj: float(abs(traj.c_e[-1]) ** 2))
-
-
-def _reduce_final_pg(points: list[Scenario]) -> list:
-    return _each(_final_states(points), lambda traj: float(abs(traj.c_g[-1]) ** 2))
-
-
-def _reduce_final_norm(points: list[Scenario]) -> list:
-    return _each(_final_states(points), lambda traj: float(traj.norm[-1]))
+def _reduce_final(value):
+    """The reducer taking ``value`` of each point's last trajectory; the
+    points share a grid, an integrator and an initial state, and run as
+    one batch."""
+    def reduce(points: list[Scenario]) -> list:
+        first = points[0]
+        return _each(final_states([(p.system, p.field) for p in points], first.grid(),
+                                  first.initial_state, **vars(first.integrator)), value)
+    return reduce
 
 
 #: The scalar of each sweep point, for points that share a grid, an
@@ -81,9 +72,9 @@ def _reduce_final_norm(points: list[Scenario]) -> list:
 #: point.
 REDUCERS = {
     "maxP": _reduce_max_p,
-    "finalPe": _reduce_final_pe,
-    "finalPg": _reduce_final_pg,
-    "finalNorm": _reduce_final_norm,
+    "finalPe": _reduce_final(lambda traj: float(abs(traj.c_e[-1]) ** 2)),
+    "finalPg": _reduce_final(lambda traj: float(abs(traj.c_g[-1]) ** 2)),
+    "finalNorm": _reduce_final(lambda traj: float(traj.norm[-1])),
 }
 
 

@@ -63,6 +63,11 @@ def mixing_probability(sin_half, cos_half):
     alone: the overlap exponentials cancel exactly in the normalized
     quotient, so it needs no integrals. Zero when s and c are real.
 
+    P is the instantaneous dressed-state admixture, not the population a
+    pulse leaves behind: once the field is off the dressed states are the
+    bare ones and P returns to 0. That population is the integrated final
+    |c_e|^2 (the ``finalPe`` sweep reducer).
+
     Exchanging s and c gives bitwise-identical results.
     """
     weight = np.abs(sin_half) ** 2 + np.abs(cos_half) ** 2
@@ -134,7 +139,10 @@ def p_via_overlaps(series: SnapshotSeries) -> np.ndarray:
     The three exponentials are combined in one exponent, so long damped runs
     whose norms underflow stay finite; the integrals are still accumulated
     separately, so their cancellation against :func:`mixing_probability` is
-    checked numerically rather than assumed.
+    checked numerically rather than assumed. Like
+    :func:`mixing_probability`, it is the instantaneous dressed-state
+    admixture, which returns to 0 once the field is off, not the population
+    a pulse leaves behind.
     """
     int_g = _cumtrapz(series.omega_G, series.grid)
     int_e = _cumtrapz(series.omega_E, series.grid)

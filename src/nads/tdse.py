@@ -853,16 +853,26 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
     one per coupling, integrated as one batch of :func:`final_states`.
 
     A resonant carrier with a linear chirp at rate ``-sweep_rate`` realizes
-    the linear-sweep crossing; each run covers [-window, window] with window
-    ``LZ_WINDOW_SCALE / sqrt(|sweep_rate|)``, integrated to ``LZ_RTOL`` and
-    ``LZ_ATOL``. With the coupling held abruptly at its full value the
-    finite-window reading carries an interference transient with a
-    1 / window envelope, far above the accuracy of the integration itself,
-    so the coupling is instead ramped smoothly to zero over the outer
-    quarter of each window half. The crossing region still sees the
-    constant coupling, the edges carry no beat (the bases coincide where
-    the coupling vanishes), and the endpoint ground population converges
-    to the asymptotic survival.
+    the linear-sweep crossing over [-window, window], with window
+    ``LZ_WINDOW_SCALE / sqrt(|sweep_rate|)``. With the coupling held
+    abruptly at its full value the finite-window reading carries an
+    interference transient with a 1 / window envelope, far above the
+    accuracy of the integration itself, so the coupling is instead ramped
+    smoothly to zero over the outer quarter of each window half. The
+    crossing region still sees the constant coupling, the edges carry no
+    beat (the bases coincide where the coupling vanishes), and the endpoint
+    ground population converges to the asymptotic survival.
+
+    Each run integrates the half sweep [0, window] only, to ``LZ_RTOL`` and
+    ``LZ_ATOL``, and rebuilds the full one from its time symmetry. The
+    carrier is resonant (delta = 0), the system undamped, the envelope even
+    and the chirp centred at 0 with phi0 = 0, so the rotating-frame
+    generator A = [[0, i k], [i k*, 0]] has A(-t) = A(t), tr A = 0 and
+    sigma_x A* sigma_x = -A. Then V = U(window, 0) lies in SU(2), the first
+    half is U(0, -window) = sigma_x V^T sigma_x, and the full sweep's
+    amplitude is <g|U(window, -window)|g> = |V_gg|^2 - |V_eg|^2. The
+    survival is its square, with V_gg and V_eg the amplitudes at the window
+    edge of a ground start at t = 0.
     """
     if sweep_rate == 0:
         raise ValueError("sweep_rate must be nonzero")
@@ -876,11 +886,11 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
                        envelope=_FlatTopEnvelope(1.0, window))
     runs = [(SystemParams(omega_g=0.0, omega_e=1.0, mu=2.0 * coupling), field)
             for coupling in couplings]
-    grid = np.linspace(-window, window, 401)
+    grid = np.linspace(0.0, window, 201)
     survivals = []
     for traj in final_states(runs, grid, init="ground", frame="rotating",
                              rtol=LZ_RTOL, atol=LZ_ATOL):
         if isinstance(traj, NumericalError):
             raise traj
-        survivals.append(float(abs(traj.c_g[-1]) ** 2))
+        survivals.append(float((abs(traj.c_g[-1]) ** 2 - abs(traj.c_e[-1]) ** 2) ** 2))
     return survivals

@@ -715,8 +715,8 @@ class TestRounding:
 
     @pytest.mark.parametrize("first, count", [(0, 2 * 400 * 82 + 1), (2 * 4097, 1001)])
     def test_chirp_factor_against_long_double(self, first, count):
-        # A pass of lz_survivals((0.1,), 1.0) at n_sub 82, above the accepted
-        # 64: phases reach 800 rad.
+        # A chirp lattice over [-40, 40], 400 intervals of 82 substeps:
+        # phases reach 800 rad.
         window, n_sub = 40.0, 82
         field = FieldModel(carrier_omega=1.0, envelope=ConstantEnvelope(1.0),
                            phase=Chirp(phi0=0.3, beta=-1.0, t_center=0.0))
@@ -735,11 +735,44 @@ class TestRounding:
         assert tdse._chirp_factor(field, -1.0, 0.01, 0, 11) == complex(math.cos(0.3), math.sin(0.3))
 
 
+def full_sweep_survivals(couplings, sweep_rate):
+    """The survivals of :func:`lz_survivals` integrated over the whole sweep
+    [-window, window] from the ground state, as before the half sweep
+    replaced it."""
+    window = tdse.LZ_WINDOW_SCALE / math.sqrt(sweep_rate)
+    field = FieldModel(carrier_omega=1.0, phase=Chirp(beta=-sweep_rate, t_center=0.0),
+                       envelope=tdse._FlatTopEnvelope(1.0, window))
+    runs = [(SystemParams(omega_g=0.0, omega_e=1.0, mu=2.0 * coupling), field)
+            for coupling in couplings]
+    trajs = tdse.final_states(runs, np.linspace(-window, window, 401), init="ground",
+                              frame="rotating", rtol=tdse.LZ_RTOL, atol=tdse.LZ_ATOL)
+    return [float(abs(traj.c_g[-1]) ** 2) for traj in trajs]
+
+
 class TestLandauZener:
+    # Runs that accept the same substep on both sweeps agree to 2.4e-14. At
+    # rate 0.5 the full sweep of coupling 0.8 accepts 128 substeps per
+    # interval and its half sweep 64: they differ by 3.8e-12, the truncation
+    # error of the coarser pass, far inside the tolerance both passes meet.
+    @pytest.mark.parametrize("couplings, sweep_rate, bound", [
+        ((0.1, 0.25, 0.5), 1.0, 1e-12),
+        ((0.05, 0.3, 0.8), 0.5, 1e-11),
+        ((0.05, 0.3, 0.8), 2.0, 1e-12),
+    ])
+    def test_half_sweep_matches_full_sweep(self, couplings, sweep_rate, bound):
+        # The time symmetry rebuilds the full sweep's survival from half of it.
+        half = lz_survivals(couplings, sweep_rate)
+        full = full_sweep_survivals(couplings, sweep_rate)
+        assert max(abs(h - f) for h, f in zip(half, full)) < bound
+
     def test_survival_matches_asymptotic_formula(self):
-        for coupling in (0.1, 0.25):
-            err = abs(lz_survivals((coupling,), 1.0)[0] - lz_oracle(coupling, 1.0))
-            assert err < 1e-4
+        # The couplings of the validate check, each bound at 1.5 times its
+        # measured error (7.52e-9, 2.98e-8, 3.17e-8), far inside the
+        # check's own 1e-3.
+        couplings = (0.1, 0.25, 0.5)
+        errors = [abs(survival - lz_oracle(coupling, 1.0))
+                  for coupling, survival in zip(couplings, lz_survivals(couplings, 1.0))]
+        assert all(error < bound for error, bound in zip(errors, [1.13e-8, 4.47e-8, 4.75e-8]))
 
     def test_faster_sweep(self):
         assert abs(lz_survivals((0.3,), 4.0)[0] - lz_oracle(0.3, 4.0)) < 1e-4
@@ -1003,8 +1036,8 @@ class TestPredictiveController:
         monkeypatch.setattr(tdse._FlatTopEnvelope, "omega", counting_omega)
         monkeypatch.setattr(tdse, "_stage_coupling", counting_blocks)
         lz_survivals((0.1, 0.25, 0.5), 1.0)
-        # 400 intervals in blocks of 128 at n_sub 32 and of 64 at n_sub 64.
-        assert calls["blocks"] == 4 + 7
+        # 200 intervals in blocks of 128 at n_sub 32 and of 64 at n_sub 64.
+        assert calls["blocks"] == 2 + 4
         assert calls["omega"] == calls["blocks"] + 3
 
     def test_attempts_record(self):
