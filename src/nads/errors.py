@@ -22,8 +22,9 @@ class ParseError(ConfigError):
     """Malformed scenario file: bad syntax or unknown keys."""
 
 
-class ValidationError(ConfigError):
-    """Well-formed scenario that violates a documented invariant."""
+class ValidationError(ConfigError, ValueError):
+    """A scenario field or library argument that violates a documented
+    invariant; also a ValueError, as library callers expect of a bad value."""
 
 
 class NumericalError(NadsError):

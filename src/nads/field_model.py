@@ -12,14 +12,17 @@ nonadiabatic detuning and diverges where the envelope vanishes.
 
 These dataclasses are the schema of a scenario's ``system`` and ``field``
 sections: their fields, defaults and checks are its keys, defaults and
-value checks.
+value checks. The module also holds what every layer checks a run with:
+the types of the run's choices, :data:`Frame` and :data:`InitialState`, and
+the value checks, which raise a ValidationError naming the value.
 """
 
 from __future__ import annotations
 
+import difflib
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 
@@ -38,6 +41,27 @@ __all__ = [
 #: evaluating too far into a pulse wing for Omega^-1 dOmega/dt to mean
 #: anything; we raise instead of silently clamping.
 OMEGA_FLOOR = 1e-30
+
+#: A run's choices: the frame it is integrated in and the state it starts in.
+Frame = Literal["lab", "rotating"]
+InitialState = Literal["ground", "excited"]
+
+
+def _suggest(key: str, allowed) -> str:
+    matches = difflib.get_close_matches(key, list(allowed), n=1, cutoff=0.5)
+    return f"; did you mean '{matches[0]}'?" if matches else ""
+
+
+def _require_choice(label: str, value, allowed) -> None:
+    """Reject a value outside ``allowed``, a ``Literal`` type or a collection
+    of strings, naming the nearest choice."""
+    if get_origin(allowed) is Literal:
+        allowed = get_args(allowed)
+    if value not in allowed:
+        raise ValidationError(
+            f"{label} must be one of {list(allowed)}, got '{value}'"
+            f"{_suggest(str(value), allowed)}"
+        )
 
 
 def _require_finite(owner: str, **values) -> None:

@@ -20,7 +20,6 @@ the failure it raises alone, come out bitwise the same in any batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import get_args
 
 import numpy as np
 
@@ -106,14 +105,6 @@ def require_finite(quantity: str, values: np.ndarray) -> None:
     if bad.any():
         k = int(np.argmax(bad))
         raise NonFiniteValue(f"{quantity} is not finite: {values[k]}", grid_index=k)
-
-
-def _require_one_of(name: str, value, choices) -> None:
-    """Raise ValueError unless ``value`` is a string of the ``Literal``
-    type ``choices``."""
-    allowed = get_args(choices)
-    if value not in allowed:
-        raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:

@@ -17,11 +17,10 @@ frequency.
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
-from .nads_core import SnapshotSeries, _require_one_of, require_finite
+from .field_model import InitialState, _require_choice
+from .nads_core import SnapshotSeries, require_finite
 
 __all__ = [
     "norms",
@@ -34,8 +33,6 @@ __all__ = [
 
 #: |denominator| below this multiple of |numerator| makes the ratio undefined.
 RATIO_FLOOR = 1e-14
-
-InitialState = Literal["ground", "excited"]
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -136,10 +133,10 @@ def ge_overlap(series: SnapshotSeries) -> np.ndarray:
 def p_via_overlaps(series: SnapshotSeries) -> np.ndarray:
     """Transition probability from the overlap quotient |<E|G>|^2 / (<G|G> <E|E>).
 
-    The three exponentials are combined in one exponent, so long damped runs
-    whose norms underflow stay finite; the integrals are still accumulated
-    separately, so their cancellation against :func:`mixing_probability` is
-    checked numerically rather than assumed. Like
+    It is :func:`mixing_probability` times the three exponentials,
+    combined in one exponent, so long damped runs whose norms underflow stay
+    finite; the integrals are still accumulated separately, so their
+    cancellation is checked numerically rather than assumed. Like
     :func:`mixing_probability`, it is the instantaneous dressed-state
     admixture, which returns to 0 once the field is off, not the population
     a pulse leaves behind.
@@ -147,8 +144,7 @@ def p_via_overlaps(series: SnapshotSeries) -> np.ndarray:
     int_g = _cumtrapz(series.omega_G, series.grid)
     int_e = _cumtrapz(series.omega_E, series.grid)
     log_ratio = -2.0 * _int_eg(series).imag - 2.0 * int_g.imag - 2.0 * int_e.imag
-    bracket = _bracket_im(series.sin_half, series.cos_half)
-    return bracket**2 / _weight(series) ** 2 * np.exp(log_ratio)
+    return mixing_probability(series.sin_half, series.cos_half) * np.exp(log_ratio)
 
 
 def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
@@ -167,7 +163,7 @@ def amplitude_ratios(series: SnapshotSeries, init: InitialState) -> np.ndarray:
 
     The ratio is NaN wherever |COS| is below ``RATIO_FLOOR`` times |SIN|.
     """
-    _require_one_of("init", init, InitialState)
+    _require_choice("init", init, InitialState)
     s, c = series.sin_half, series.cos_half
     grid = series.grid
     phase = series.field.carrier_omega * (grid - grid[0]) + series.phi

@@ -21,14 +21,13 @@ values.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib.resources import files
-from typing import Any, Literal, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Literal, Mapping, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,15 +36,17 @@ from .field_model import (
     Chirp,
     ConstantEnvelope,
     FieldModel,
+    Frame,
     GaussianEnvelope,
+    InitialState,
     SechEnvelope,
     SystemParams,
+    _require_choice,
     _require_finite,
     _require_positive,
+    _suggest,
 )
 from .nads_core import uniform_grid
-from .overlap_transitions import InitialState
-from .tdse import Frame
 
 __all__ = [
     "Grid",
@@ -70,27 +71,14 @@ _ENVELOPES = {
 _OUTPUTS = ("snapshot", "evolve")
 
 
-def _suggest(key: str, allowed) -> str:
-    matches = difflib.get_close_matches(key, list(allowed), n=1, cutoff=0.5)
-    return f"; did you mean '{matches[0]}'?" if matches else ""
-
-
 @functools.cache
-def _literals(cls) -> dict[str, tuple]:
-    """The allowed strings of each ``Literal``-typed field of ``cls``."""
+def _literals(cls) -> dict[str, Any]:
+    """The ``Literal`` type of each ``Literal``-typed field of ``cls``."""
     return {
-        name: get_args(hint)
+        name: hint
         for name, hint in get_type_hints(cls).items()
         if get_origin(hint) is Literal
     }
-
-
-def _require_choice(label: str, value, allowed) -> None:
-    if value not in allowed:
-        raise ValidationError(
-            f"{label} must be one of {list(allowed)}, got '{value}'"
-            f"{_suggest(str(value), allowed)}"
-        )
 
 
 def _require_choices(obj) -> None:

@@ -81,14 +81,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NonFiniteValue, NumericalError, StepUnderflow, ToleranceUnreachable
-from .field_model import Chirp, FieldModel, SystemParams
-from .nads_core import _require_one_of, detuning, uniform_grid
-from .overlap_transitions import InitialState
+from .field_model import Chirp, FieldModel, Frame, InitialState, SystemParams, _require_choice
+from .nads_core import detuning, uniform_grid
 
 __all__ = [
     "Trajectory",
@@ -97,8 +96,6 @@ __all__ = [
     "rabi_oracle",
     "lz_oracle",
 ]
-
-Frame = Literal["lab", "rotating"]
 
 #: Initial substep target: fastest angular rate times substep, in radians.
 _INITIAL_RADIANS_PER_STEP = 0.2
@@ -398,7 +395,7 @@ def _scan(m, y):
 
 def _start(init: InitialState) -> np.ndarray:
     """The initial state vector (c_g, c_e)."""
-    _require_one_of("init", init, InitialState)
+    _require_choice("init", init, InitialState)
     return np.array([1.0, 0.0] if init == "ground" else [0.0, 1.0], dtype=complex)
 
 
@@ -678,7 +675,7 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     Returns one entry per run: its Trajectory or the NumericalError it
     fails with.
     """
-    _require_one_of("frame", frame, Frame)
+    _require_choice("frame", frame, Frame)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive and finite")
     grid, h_out = uniform_grid(grid)
@@ -799,8 +796,9 @@ def final_states(
     Raises
     ------
     ValueError
-        For an unknown frame or initial state, a tolerance that is not
-        positive and finite, or a grid that is not uniform. A run's
+        For an unknown frame or initial state (a ValidationError), a
+        tolerance that is not positive and finite, or a grid that is not
+        uniform. A run's
         NumericalError is its entry, not raised: a StepUnderflow from the
         pass limit of :func:`evolve` among them.
     """
@@ -872,14 +870,15 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
     half is U(0, -window) = sigma_x V^T sigma_x, and the full sweep's
     amplitude is <g|U(window, -window)|g> = |V_gg|^2 - |V_eg|^2. The
     survival is its square, with V_gg and V_eg the amplitudes at the window
-    edge of a ground start at t = 0.
+    edge of a ground start at t = 0. Either sign of ``sweep_rate`` keeps
+    the chirp even; the mirrored sweep conjugates the coupling, so it gives
+    conj c_g, -conj c_e and the same survival.
     """
     if sweep_rate == 0:
         raise ValueError("sweep_rate must be nonzero")
     if any(coupling <= 0 for coupling in couplings):
         raise ValueError("coupling must be positive")
-    sweep_rate = abs(sweep_rate)
-    window = LZ_WINDOW_SCALE / math.sqrt(sweep_rate)
+    window = LZ_WINDOW_SCALE / math.sqrt(abs(sweep_rate))
     # Each run carries its coupling on mu over one unit flat-top envelope,
     # so the runs share their coupling samples.
     field = FieldModel(carrier_omega=1.0, phase=Chirp(beta=-sweep_rate, t_center=0.0),

@@ -1,0 +1,95 @@
+"""A run's choices are declared once: ``field_model`` holds the frame and
+initial-state types and the one check of a choice, which the scenario
+schema and the library entry points share."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nads import tdse
+from nads.errors import ValidationError
+from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
+from nads.nads_core import snapshot_series
+from nads.overlap_transitions import amplitude_ratios
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nads"
+
+
+def parsed_modules() -> dict[str, ast.Module]:
+    """The syntax tree of each module of the package, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def relative_imports(tree: ast.Module) -> set[str]:
+    """The package modules ``tree`` imports with ``from .module import ...``."""
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def declarations(tree: ast.Module) -> set[str]:
+    """The names ``tree`` defines at module level by ``def`` or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", ["scenario", "tdse"])
+def test_lower_layers_import_no_sibling_above_them(module):
+    # The scenario schema and the integrator reach the choice types without
+    # loading each other or the overlap layer.
+    assert relative_imports(parsed_modules()[module]) == {"errors", "field_model", "nads_core"}
+
+
+def test_each_choice_and_its_check_is_declared_once():
+    owners = {name: [module for module, tree in parsed_modules().items()
+                     if name in declarations(tree)]
+              for name in ("Frame", "InitialState", "_require_choice", "_suggest",
+                           "_require_one_of")}
+    assert owners == {"Frame": ["field_model"], "InitialState": ["field_model"],
+                      "_require_choice": ["field_model"], "_suggest": ["field_model"],
+                      "_require_one_of": []}
+
+
+def rejected(call, label: str, value: str, allowed: list[str]) -> None:
+    """``call()`` raises the shared choice check's ValidationError, which is
+    also a ValueError and names the right spelling."""
+    message = (f"{label} must be one of {allowed}, got '{value}'; "
+               f"did you mean '{value.lower()}'?")
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$") as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
+class TestMisspelledChoices:
+    params = SystemParams(omega_g=0.0, omega_e=5.0)
+    field = FieldModel(carrier_omega=5.0, envelope=ConstantEnvelope(0.2))
+    grid = np.linspace(0.0, 1.0, 5)
+    frames = ["lab", "rotating"]
+    states = ["ground", "excited"]
+
+    def test_evolve(self):
+        rejected(lambda: tdse.evolve(self.params, self.field, self.grid, frame="Lab"),
+                 "frame", "Lab", self.frames)
+        rejected(lambda: tdse.evolve(self.params, self.field, self.grid, init="Ground"),
+                 "init", "Ground", self.states)
+
+    def test_final_states(self):
+        runs = [(self.params, self.field)]
+        rejected(lambda: tdse.final_states(runs, self.grid, frame="Lab"),
+                 "frame", "Lab", self.frames)
+        rejected(lambda: tdse.final_states(runs, self.grid, init="Ground"),
+                 "init", "Ground", self.states)
+
+    def test_amplitude_ratios(self):
+        series = snapshot_series(self.params, self.field, self.grid)
+        rejected(lambda: amplitude_ratios(series, "Ground"), "init", "Ground", self.states)

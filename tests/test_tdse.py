@@ -207,6 +207,36 @@ class TestEvolveOracles:
         assert len(traj.c_g) == 2
 
 
+def counter_rotating_gap(omega: float, omega0: float) -> float:
+    """The largest |Pe_lab - Pe_rot| over one Rabi period 2 pi / omega0 of a
+    resonant constant drive at carrier omega, on 201 points."""
+    params, field = resonant(omega0, omega_e=omega)
+    grid = np.linspace(0.0, 2.0 * math.pi / omega0, 201)
+    lab = evolve(params, field, grid, frame="lab")
+    rot = evolve(params, field, grid, frame="rotating")
+    return float(np.max(np.abs(np.abs(lab.c_e) ** 2 - np.abs(rot.c_e) ** 2)))
+
+
+class TestCounterRotatingTerm:
+    """The lab frame keeps the counter-rotating term that the rotating frame
+    drops. Over one Rabi period of a resonant drive the two frames' excited
+    populations differ by about Omega / (4 omega), that term's first-order
+    amplitude (Bloch and Siegert, Phys. Rev. 57:522, 1940)."""
+
+    @pytest.mark.parametrize("omega, omega0, ratio", [
+        (5.0, 0.5, 0.989), (10.0, 0.5, 0.967), (20.0, 0.5, 0.958), (5.0, 1.0, 1.080),
+    ])
+    def test_gap_follows_the_first_order_amplitude(self, omega, omega0, ratio):
+        # Each ratio is pinned within 2% of its measured value.
+        gap = counter_rotating_gap(omega, omega0)
+        assert gap / (omega0 / (4.0 * omega)) == pytest.approx(ratio, rel=0.02)
+
+    def test_gap_depends_on_omega_over_omega0_alone(self):
+        # (10, 1) is (5, 0.5) with time halved, a power-of-two rescaling
+        # that leaves every rounding as it was.
+        assert counter_rotating_gap(10.0, 1.0) == counter_rotating_gap(5.0, 0.5)
+
+
 class TestConvergence:
     def test_fourth_order_substep_halving(self):
         params, field = resonant(2.0)
@@ -301,7 +331,7 @@ class TestValidationAndFailure:
         # and label the trajectory with it.
         params, field = resonant(0.2)
         grid = np.linspace(0.0, 1.0, 5)
-        message = "^frame must be 'lab' or 'rotating', got 'bogus'$"
+        message = "^" + re.escape("frame must be one of ['lab', 'rotating'], got 'bogus'") + "$"
         with pytest.raises(ValueError, match=message):
             evolve(params, field, grid, frame="bogus")
         with pytest.raises(ValueError, match=message):
@@ -777,8 +807,24 @@ class TestLandauZener:
     def test_faster_sweep(self):
         assert abs(lz_survivals((0.3,), 4.0)[0] - lz_oracle(0.3, 4.0)) < 1e-4
 
-    def test_sweep_direction_irrelevant(self):
-        assert lz_survivals((0.2,), -1.0) == lz_survivals((0.2,), 1.0)
+    def test_sweep_direction_irrelevant(self, monkeypatch):
+        # The mirrored sweep integrates the opposite chirp, whose coupling is
+        # the conjugate one: it gives conj c_g, -conj c_e and the same survival.
+        runs = []
+        original = tdse.final_states
+
+        def recording(batch, *args, **kwargs):
+            (traj,) = original(batch, *args, **kwargs)
+            runs.append((batch[0][1].phase.beta, traj))
+            return [traj]
+
+        monkeypatch.setattr(tdse, "final_states", recording)
+        forward, mirrored = lz_survivals((0.2,), 1.0), lz_survivals((0.2,), -1.0)
+        (beta, traj), (beta_mirrored, traj_mirrored) = runs
+        assert beta_mirrored == -beta != 0.0
+        assert traj_mirrored.c_g[-1] == np.conj(traj.c_g[-1])
+        assert traj_mirrored.c_e[-1] == -np.conj(traj.c_e[-1])
+        assert mirrored == forward
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sweep_rate"):
