@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError, StepWarning, ValidationError
+from .field_model import _require_choice
 from .nads_core import snapshot_batch, snapshot_series
 from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
 from .scenario import Scenario, load_scenario, parse_axis, with_axis_values
@@ -152,10 +153,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.file)
-    if args.reduce not in REDUCERS:
-        raise ValidationError(
-            f"--reduce must be one of {sorted(REDUCERS)}, got '{args.reduce}'"
-        )
+    _require_choice("--reduce", args.reduce, sorted(REDUCERS))
     if not 1 <= len(args.axis) <= 2:
         raise ValidationError("sweep requires 1 or 2 axes")
     resolved = scenario.resolved()

@@ -19,7 +19,6 @@ the value checks, which raise a ValidationError naming the value.
 
 from __future__ import annotations
 
-import difflib
 import math
 from dataclasses import dataclass, field
 from typing import Literal, Union, get_args, get_origin
@@ -48,6 +47,7 @@ InitialState = Literal["ground", "excited"]
 
 
 def _suggest(key: str, allowed) -> str:
+    import difflib  # only error messages need it, so no start-up loads it
     matches = difflib.get_close_matches(key, list(allowed), n=1, cutoff=0.5)
     return f"; did you mean '{matches[0]}'?" if matches else ""
 

@@ -180,11 +180,7 @@ class Scenario:
                 raise ValidationError(message)
             warnings.warn(message, StepWarning, stacklevel=3)
         for out in self.outputs:
-            if out not in _OUTPUTS:
-                raise ValidationError(
-                    f"outputs entry '{out}' must be one of {list(_OUTPUTS)}"
-                    f"{_suggest(str(out), _OUTPUTS)}"
-                )
+            _require_choice("Scenario.outputs", out, _OUTPUTS)
         _require_choices(self)
 
     def resolved(self) -> dict:
@@ -354,8 +350,9 @@ def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
 
     The path must name a numeric field of the resolved scenario document
     ``resolved``. Raises ParseError for a malformed axis and ValidationError
-    for a count below 2 or beyond an array's size, non-positive log bounds,
-    a bad path or spacing that overflows to non-finite values.
+    for an unknown spacing tag, a count below 2 or beyond an array's size,
+    non-positive log bounds, a bad path or spacing that overflows to
+    non-finite values.
     """
     parts = text.split(":")
     if len(parts) not in (4, 5):
@@ -374,8 +371,8 @@ def parse_axis(text: str, resolved: Mapping) -> tuple[str, np.ndarray]:
         count = int(parts[3])
     except ValueError as exc:
         raise ParseError(f"axis '{text}': count must be an integer") from exc
-    if len(parts) == 5 and parts[4] not in ("log", "linear"):
-        raise ParseError(f"axis '{text}': trailing tag must be 'log' or 'linear'")
+    if len(parts) == 5:
+        _require_choice(f"axis '{text}': trailing tag", parts[4], ("log", "linear"))
     log = parts[4:] == ["log"]
     if count < 2:
         raise ValidationError(f"axis {path}: count must be >= 2")

@@ -86,7 +86,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteValue, NumericalError, StepUnderflow, ToleranceUnreachable
-from .field_model import Chirp, FieldModel, Frame, InitialState, SystemParams, _require_choice
+from .field_model import (Chirp, FieldModel, Frame, InitialState, SystemParams, _require_choice,
+                          _require_finite, _require_positive)
 from .nads_core import detuning, uniform_grid
 
 __all__ = [
@@ -676,8 +677,8 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     fails with.
     """
     _require_choice("frame", frame, Frame)
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError("rtol and atol must be positive and finite")
+    _require_finite("Integrator", rtol=rtol, atol=atol)
+    _require_positive("Integrator", rtol=rtol, atol=atol)
     grid, h_out = uniform_grid(grid)
     start = _start(init)
     rows = len(grid) - 1
@@ -757,6 +758,9 @@ def evolve(
 
     Raises
     ------
+    ValidationError
+        For an unknown frame or initial state, or a tolerance that is not
+        positive and finite. A grid that is not uniform is a ValueError.
     ToleranceUnreachable
         If a halving of the substep, from one pass to the next, does not
         shrink the difference of the last point: rounding error has
@@ -795,20 +799,18 @@ def final_states(
 
     Raises
     ------
-    ValueError
-        For an unknown frame or initial state (a ValidationError), a
-        tolerance that is not positive and finite, or a grid that is not
-        uniform. A run's
-        NumericalError is its entry, not raised: a StepUnderflow from the
-        pass limit of :func:`evolve` among them.
+    ValidationError
+        For an unknown frame or initial state, or a tolerance that is not
+        positive and finite. A grid that is not uniform is a ValueError. A
+        run's NumericalError is its entry, not raised: a StepUnderflow from
+        the pass limit of :func:`evolve` among them.
     """
     return _propagate(runs, grid, init, frame, rtol, atol, last_only=True)
 
 
 def rabi_oracle(omega0: float, t: float) -> tuple[float, float]:
     """Closed-form resonant undamped populations: p_e = sin^2(omega0 t / 2)."""
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
+    _require_positive("rabi_oracle", omega0=omega0)
     p_e = math.sin(0.5 * omega0 * t) ** 2
     return 1.0 - p_e, p_e
 
@@ -876,8 +878,8 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
     """
     if sweep_rate == 0:
         raise ValueError("sweep_rate must be nonzero")
-    if any(coupling <= 0 for coupling in couplings):
-        raise ValueError("coupling must be positive")
+    for coupling in couplings:
+        _require_positive("lz_survivals", coupling=coupling)
     window = LZ_WINDOW_SCALE / math.sqrt(abs(sweep_rate))
     # Each run carries its coupling on mu over one unit flat-top envelope,
     # so the runs share their coupling samples.

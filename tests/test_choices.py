@@ -1,6 +1,6 @@
 """A run's choices are declared once: ``field_model`` holds the frame and
 initial-state types and the one check of a choice, which the scenario
-schema and the library entry points share."""
+schema, the command line and the library entry points share."""
 
 from __future__ import annotations
 
@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 from nads import tdse
+from nads.cli import main
 from nads.errors import ValidationError
 from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
 from nads.nads_core import snapshot_series
 from nads.overlap_transitions import amplitude_ratios
+from nads.scenario import shipped_path
+
+from test_scenario_cli import minimal_doc, run_python, write_doc
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nads"
 
@@ -60,6 +64,14 @@ def test_each_choice_and_its_check_is_declared_once():
                       "_require_one_of": []}
 
 
+def test_only_the_shared_check_words_a_choice():
+    # Every other module calls _require_choice rather than its own message.
+    wording = {module for module, tree in parsed_modules().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and "must be one of" in str(node.value)}
+    assert wording == {"field_model"}
+
+
 def rejected(call, label: str, value: str, allowed: list[str]) -> None:
     """``call()`` raises the shared choice check's ValidationError, which is
     also a ValueError and names the right spelling."""
@@ -93,3 +105,42 @@ class TestMisspelledChoices:
     def test_amplitude_ratios(self):
         series = snapshot_series(self.params, self.field, self.grid)
         rejected(lambda: amplitude_ratios(series, "Ground"), "init", "Ground", self.states)
+
+
+SECH = str(shipped_path("sech-damped"))
+SWEEP = ["sweep", SECH, "--axis", "system.gamma_e:0:0.3:4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*SWEEP, "--reduce", "finalpe"],
+     "--reduce must be one of ['finalNorm', 'finalPe', 'finalPg', 'maxP'], got 'finalpe'; "
+     "did you mean 'finalPe'?"),
+    (["sweep", SECH, "--axis", "system.gamma_e:0:0.3:4:lin", "--reduce", "maxP"],
+     "axis 'system.gamma_e:0:0.3:4:lin': trailing tag must be one of ['log', 'linear'], "
+     "got 'lin'; did you mean 'linear'?"),
+], ids=["reduce", "axis-tag"])
+def test_command_line_choices(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_scenario_outputs(tmp_path, capsys):
+    path = write_doc(tmp_path, {**minimal_doc(), "outputs": ["snap"]})
+    assert main(["snapshot", path, "--out", str(tmp_path / "table.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: scenario.outputs must be one of ['snapshot', 'evolve'], "
+        "got 'snap'; did you mean 'snapshot'?\n")
+
+
+def test_start_up_leaves_the_suggestion_out():
+    # difflib is loaded by the first message that suggests a spelling.
+    out = run_python(
+        "import contextlib, sys\n"
+        "import nads.cli\n"
+        "print('difflib' in sys.modules)\n"
+        "with contextlib.redirect_stderr(sys.stdout):\n"
+        "    print(nads.cli.main(sys.argv[1:]))\n",
+        *SWEEP, "--reduce", "finalpe",
+    )
+    assert out.startswith("False\nerror: --reduce must be one of ")
+    assert out.endswith("; did you mean 'finalPe'?\n1\n")

@@ -224,7 +224,7 @@ def cases():
         ("outputs", "snapshot", 1, outputs_message),
         ("outputs", [1], 1, outputs_message),
         ("outputs", ["snap"], 1,
-         "outputs entry 'snap' must be one of ['snapshot', 'evolve']; "
+         "scenario.outputs must be one of ['snapshot', 'evolve'], got 'snap'; "
          "did you mean 'snapshot'?"),
     ]
     add("gaussian", "", top)

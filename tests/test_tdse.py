@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from nads import tdse
 from nads.cli import main
-from nads.errors import StepUnderflow, ToleranceUnreachable
+from nads.errors import StepUnderflow, ToleranceUnreachable, ValidationError
 from nads.field_model import (
     Chirp,
     ConstantEnvelope,
@@ -92,11 +92,11 @@ class TestClosedFormOracles:
         assert p_g == pytest.approx(0.5, abs=1e-15)
         assert p_e == pytest.approx(0.5, abs=1e-15)
 
-    def test_rabi_oracle_validation(self):
-        with pytest.raises(ValueError):
-            rabi_oracle(0.0, 1.0)
-        with pytest.raises(ValueError):
-            rabi_oracle(-0.2, 1.0)
+    @pytest.mark.parametrize("omega0", [0.0, -0.2, math.nan])
+    def test_rabi_oracle_validation(self, omega0):
+        message = f"^rabi_oracle.omega0 must be positive, got {omega0}$"
+        with pytest.raises(ValidationError, match=message):
+            rabi_oracle(omega0, 1.0)
 
     def test_lz_oracle_values(self):
         assert lz_oracle(0.0, 1.0) == 1.0
@@ -305,18 +305,18 @@ class TestValidationAndFailure:
         with pytest.raises(ValueError, match="at least 2"):
             evolve(params, field, np.array([0.0]))
 
-    def test_tolerance_validation(self):
+    @pytest.mark.parametrize("tol, rule", [(math.nan, "finite"), (math.inf, "finite"),
+                                           (0.0, "positive"), (-1e-9, "positive")])
+    def test_tolerance_validation(self, tol, rule):
+        # Both entry points check a tolerance as Integrator checks its fields.
         params, field = resonant(0.2)
         grid = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            evolve(params, field, grid, rtol=0.0)
-        with pytest.raises(ValueError):
-            evolve(params, field, grid, atol=-1e-9)
-        for tol in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="positive and finite"):
-                evolve(params, field, grid, rtol=tol)
-            with pytest.raises(ValueError, match="positive and finite"):
-                evolve(params, field, grid, atol=tol)
+        for name in ("rtol", "atol"):
+            message = "^" + re.escape(f"Integrator.{name} must be {rule}, got {tol}") + "$"
+            with pytest.raises(ValidationError, match=message):
+                evolve(params, field, grid, **{name: tol})
+            with pytest.raises(ValidationError, match=message):
+                tdse.final_states([(params, field)], grid, **{name: tol})
 
     def test_every_entry_point_rejects_an_unknown_initial_state(self):
         params, field = resonant(0.2)
@@ -829,8 +829,10 @@ class TestLandauZener:
     def test_validation(self):
         with pytest.raises(ValueError, match="sweep_rate"):
             lz_survivals((0.1,), 0.0)
-        with pytest.raises(ValueError, match="coupling"):
-            lz_survivals((0.0,), 1.0)
+        for coupling in (0.0, -0.1, math.nan):
+            with pytest.raises(ValidationError,
+                               match=f"^lz_survivals.coupling must be positive, got {coupling}$"):
+                lz_survivals((0.2, coupling), 1.0)
 
 
 def unweighted_rate(params, field, grid, frame):
