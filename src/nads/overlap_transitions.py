@@ -53,6 +53,11 @@ def _bracket_im(u, v):
     return (u.imag * v.real - u.real * v.imag) - (u.real * v.imag - u.imag * v.real)
 
 
+def _weight(sin_half, cos_half):
+    """|s|^2 + |c|^2 elementwise: P's denominator and both norms' factor."""
+    return np.abs(sin_half) ** 2 + np.abs(cos_half) ** 2
+
+
 def mixing_probability(sin_half, cos_half):
     """|s c* - s* c|^2 / (|s|^2 + |c|^2)^2 elementwise, for scalars or arrays.
 
@@ -67,12 +72,7 @@ def mixing_probability(sin_half, cos_half):
 
     Exchanging s and c gives bitwise-identical results.
     """
-    weight = np.abs(sin_half) ** 2 + np.abs(cos_half) ** 2
-    return _bracket_im(sin_half, cos_half) ** 2 / weight**2
-
-
-def _weight(series: SnapshotSeries) -> np.ndarray:
-    return np.abs(series.sin_half) ** 2 + np.abs(series.cos_half) ** 2
+    return _bracket_im(sin_half, cos_half) ** 2 / _weight(sin_half, cos_half) ** 2
 
 
 def _int_eg(series: SnapshotSeries) -> np.ndarray:
@@ -89,7 +89,7 @@ def norms(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
     NonFiniteValue
         At the first grid index where either norm overflows.
     """
-    weight = _weight(series)
+    weight = _weight(series.sin_half, series.cos_half)
     int_g = _cumtrapz(series.omega_G, series.grid)
     int_e = _cumtrapz(series.omega_E, series.grid)
     with np.errstate(over="ignore", invalid="ignore"):

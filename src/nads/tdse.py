@@ -40,17 +40,19 @@ per output interval, 64 bytes per grid point whatever ``n_sub`` is. The
 expansion (:func:`_expand`) turns the intervals into the states on the
 output grid by a work-efficient scan applied to the state (Blelloch,
 "Prefix sums and their applications", CMU-CS-90-190, 1990; see
-:func:`_scan`), in chunks of at most ``_EXPAND_ROWS`` rows that carry the
-state. The controller builds every pass but compares only its last states,
-the scan's last column from its pair products alone
-(:func:`_expand_last`), and expands only the pass it accepts; it holds the
-intervals of the current pass only. A pass builds ``n_sub`` substeps for
-each row it builds (:func:`_built_rows`), every output interval in
-general. In the rotating frame a constant envelope without chirp makes
-the coupling time-independent; every substep then has the same step
-matrix, so a pass builds one row, its interval product serves every
-interval as a broadcast stack, and each round of pair products takes one
-product for it (:func:`_pairs`).
+:func:`_scan`): pair products halve the stack, round after round down to
+one column, and the states come back up one matrix-vector step each. It
+runs in chunks of at most ``_EXPAND_ROWS`` rows that carry the state.
+The controller builds every pass but compares only its last states, the
+scan's last column from its pair products alone (:func:`_expand_last`),
+and expands only the pass it accepts; it holds the intervals of the
+current pass only. A pass builds ``n_sub`` substeps for each row it
+builds (:func:`_built_rows`), every output interval in general. In the
+rotating frame a constant envelope without chirp makes the coupling
+time-independent; every substep then has the same step matrix, so a pass
+builds one row, its interval product serves every interval as a
+broadcast stack, and each round of pair products, down to the last,
+takes one product for it (:func:`_pairs`).
 
 Independent runs on one grid go through the controller as a batch
 (:func:`final_states`; :func:`evolve` is a batch of one). Each run has its
@@ -85,7 +87,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteValue, NumericalError, StepUnderflow, ToleranceUnreachable
+from .errors import (NonFiniteValue, NumericalError, StepUnderflow, ToleranceUnreachable,
+                     ValidationError)
 from .field_model import (Chirp, FieldModel, Frame, InitialState, SystemParams, _require_choice,
                           _require_finite, _require_positive)
 from .nads_core import detuning, uniform_grid
@@ -123,9 +126,6 @@ _PHASE_RUN = 64
 
 #: Rows of interval propagators expanded into states at once.
 _EXPAND_ROWS = 4096
-
-#: Columns below which the expansion scan multiplies out prefix products.
-_SCAN_BASE = 64
 
 #: Landau-Zener survival run: the half-window is LZ_WINDOW_SCALE over the
 #: square root of the sweep rate, integrated to LZ_RTOL and LZ_ATOL.
@@ -356,16 +356,6 @@ def _ordered_product(m):
     return m[..., 0]
 
 
-def _prefix_products(m):
-    """Inclusive prefix products P[i] = M[i] ... M[0] along the last axis
-    (Hillis-Steele scan), for the short stacks at the base of :func:`_scan`."""
-    shift = 1
-    while shift < m.shape[-1]:
-        m = np.concatenate((m[..., :shift], _mul(m[..., shift:], m[..., :-shift])), axis=-1)
-        shift *= 2
-    return m
-
-
 def _apply(m, y):
     """m @ y per column, for a stack m of shape (2, 2, ...) and states y of
     shape (2, ...)."""
@@ -379,18 +369,17 @@ def _scan(m, y):
     their applications", CMU-CS-90-190, 1990): the products of column pairs
     halve the stack, the states after the odd columns come from the half by
     recursion, and each even column takes one more matrix-vector step from
-    the odd state before it. Below ``_SCAN_BASE`` columns the prefix
-    products are multiplied out directly. The pair products come from
+    the odd state before it. The recursion runs down to one column, whose
+    state is one matrix-vector step from y. The pair products come from
     :func:`_pairs`, so a broadcast stack takes one product per round.
     """
     w = m.shape[-1]
-    if w <= _SCAN_BASE:
-        return _apply(_prefix_products(m), y)
-    odd = _scan(_pairs(m), y)
     out = np.empty((2, w), dtype=complex)
-    out[:, 1::2] = odd
     out[:, 0] = _apply(m[..., 0], y)
-    out[:, 2::2] = _apply(m[..., 2::2], odd[:, :(w - 1) // 2])
+    if w > 1:
+        odd = _scan(_pairs(m), y)
+        out[:, 1::2] = odd
+        out[:, 2::2] = _apply(m[..., 2::2], odd[:, :(w - 1) // 2])
     return out
 
 
@@ -467,11 +456,12 @@ def _expand(intervals, y) -> np.ndarray:
 
 def _scan_last(m, y):
     """The last column of :func:`_scan`, by the same operations, without
-    the states of the other columns; m may carry a batch axis before its
-    columns."""
+    the states of the other columns: the pair products of every round and
+    one matrix-vector step per round with an odd column count. m may carry
+    a batch axis before its columns."""
     w = m.shape[-1]
-    if w <= _SCAN_BASE:
-        return _apply(_prefix_products(m)[..., -1], y)
+    if w == 1:
+        return _apply(m[..., 0], y)
     odd = _scan_last(_pairs(m), y)
     return _apply(m[..., -1], odd) if w % 2 else odd
 
@@ -810,16 +800,24 @@ def final_states(
 
 def rabi_oracle(omega0: float, t: float) -> tuple[float, float]:
     """Closed-form resonant undamped populations: p_e = sin^2(omega0 t / 2)."""
+    _require_finite("rabi_oracle", omega0=omega0, t=t)
     _require_positive("rabi_oracle", omega0=omega0)
     p_e = math.sin(0.5 * omega0 * t) ** 2
     return 1.0 - p_e, p_e
 
 
+def _require_sweep_rate(owner: str, sweep_rate: float) -> None:
+    """Reject a Landau-Zener sweep rate that is not finite and nonzero."""
+    _require_finite(owner, sweep_rate=sweep_rate)
+    if sweep_rate == 0:
+        raise ValidationError(f"{owner}.sweep_rate must be nonzero, got {sweep_rate}")
+
+
 def lz_oracle(coupling: float, sweep_rate: float) -> float:
     """Diabatic survival probability exp(-2 pi V^2 / |alpha|) for a linear
     sweep of the level gap at rate alpha and off-diagonal coupling V."""
-    if sweep_rate == 0:
-        raise ValueError("sweep_rate must be nonzero")
+    _require_finite("lz_oracle", coupling=coupling)
+    _require_sweep_rate("lz_oracle", sweep_rate)
     return math.exp(-2.0 * math.pi * coupling * coupling / abs(sweep_rate))
 
 
@@ -876,9 +874,9 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
     the chirp even; the mirrored sweep conjugates the coupling, so it gives
     conj c_g, -conj c_e and the same survival.
     """
-    if sweep_rate == 0:
-        raise ValueError("sweep_rate must be nonzero")
+    _require_sweep_rate("lz_survivals", sweep_rate)
     for coupling in couplings:
+        _require_finite("lz_survivals", coupling=coupling)
         _require_positive("lz_survivals", coupling=coupling)
     window = LZ_WINDOW_SCALE / math.sqrt(abs(sweep_rate))
     # Each run carries its coupling on mu over one unit flat-top envelope,

@@ -60,7 +60,7 @@ def expanded_overlaps(series: SnapshotSeries) -> tuple[np.ndarray, ...]:
     -(gamma_g + gamma_e)/2 (t - t0) + int (log_deriv -+ Im omega_tilde) for
     gg and ee, and int (log_deriv + i Re omega_tilde) for eg."""
     grid = series.grid
-    weight = _weight(series)
+    weight = _weight(series.sin_half, series.cos_half)
     damping = -series.params.gamma_sum_half * (grid - grid[0])
     int_log_m = _cumtrapz(series.log_deriv - series.omega_tilde.imag, grid)
     int_log_p = _cumtrapz(series.log_deriv + series.omega_tilde.imag, grid)

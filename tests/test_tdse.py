@@ -92,11 +92,17 @@ class TestClosedFormOracles:
         assert p_g == pytest.approx(0.5, abs=1e-15)
         assert p_e == pytest.approx(0.5, abs=1e-15)
 
-    @pytest.mark.parametrize("omega0", [0.0, -0.2, math.nan])
-    def test_rabi_oracle_validation(self, omega0):
-        message = f"^rabi_oracle.omega0 must be positive, got {omega0}$"
-        with pytest.raises(ValidationError, match=message):
-            rabi_oracle(omega0, 1.0)
+    @pytest.mark.parametrize("omega0, t, message", [
+        (0.0, 1.0, "rabi_oracle.omega0 must be positive, got 0.0"),
+        (-0.2, 1.0, "rabi_oracle.omega0 must be positive, got -0.2"),
+        (math.nan, 1.0, "rabi_oracle.omega0 must be finite, got nan"),
+        (math.inf, 1.0, "rabi_oracle.omega0 must be finite, got inf"),
+        (0.2, math.inf, "rabi_oracle.t must be finite, got inf"),
+        (0.2, math.nan, "rabi_oracle.t must be finite, got nan"),
+    ], ids=["0.0", "-0.2", "nan", "inf", "t-inf", "t-nan"])
+    def test_rabi_oracle_validation(self, omega0, t, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            rabi_oracle(omega0, t)
 
     def test_lz_oracle_values(self):
         assert lz_oracle(0.0, 1.0) == 1.0
@@ -107,8 +113,16 @@ class TestClosedFormOracles:
         assert lz_oracle(0.3, -2.0) == lz_oracle(0.3, 2.0)
 
     def test_lz_oracle_validation(self):
-        with pytest.raises(ValueError):
-            lz_oracle(0.1, 0.0)
+        for coupling, sweep_rate, message in [
+            (0.1, 0.0, "lz_oracle.sweep_rate must be nonzero, got 0.0"),
+            (0.1, -0.0, "lz_oracle.sweep_rate must be nonzero, got -0.0"),
+            (0.1, math.nan, "lz_oracle.sweep_rate must be finite, got nan"),
+            (0.1, -math.inf, "lz_oracle.sweep_rate must be finite, got -inf"),
+            (math.inf, 1.0, "lz_oracle.coupling must be finite, got inf"),
+            (math.nan, 1.0, "lz_oracle.coupling must be finite, got nan"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                lz_oracle(coupling, sweep_rate)
 
     def test_rz_oracle_values(self):
         assert rz_oracle(0.5, 2.0, 0.0) == pytest.approx(1.0, abs=1e-15)  # pulse area pi
@@ -472,35 +486,33 @@ class TestExpansion:
     @pytest.mark.parametrize("init", ["ground", "excited"])
     @pytest.mark.parametrize("rows", [1, 2, 3, 64, 65, 399, 400, 4096, 4097])
     def test_broadcast_last_state_takes_one_product_per_pair(self, monkeypatch, init, rows):
-        # Two runs whose interval propagators are broadcast along the rows.
+        # Two runs whose interval propagators are broadcast along the rows:
+        # every matrix product of their expansion, full or last column only,
+        # multiplies one column, and the states are bitwise those of the
+        # same stack built column by column.
         params, field = time_independent()
         runs = [(params, field), (SystemParams(omega_g=0.0, omega_e=4.9, gamma_e=0.3), field)]
         grid, h_out = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
         start = tdse._start(init)
         intervals = tdse._build_pass(runs, grid, h_out, start, "rotating", 2, 1).intervals
         assert intervals.strides[-1] == 0
-        expected = tdse._expand_last(np.ascontiguousarray(intervals), start)
-        widths, pairing = [], []
-        pairs, mul = tdse._pairs, tdse._mul
-
-        def recording_pairs(m):
-            pairing.append(m)
-            try:
-                return pairs(m)
-            finally:
-                pairing.pop()
+        contiguous = np.ascontiguousarray(intervals)
+        expected_last = tdse._expand_last(contiguous, start)
+        expected = [tdse._expand(contiguous[:, :, i], start) for i in range(len(runs))]
+        widths = []
+        mul = tdse._mul
 
         def recording_mul(p, q):
-            if pairing:
-                widths.append(p.shape[-1])
+            widths.append(p.shape[-1])
             return mul(p, q)
 
-        monkeypatch.setattr(tdse, "_pairs", recording_pairs)
         monkeypatch.setattr(tdse, "_mul", recording_mul)
         last = tdse._expand_last(intervals, start)
+        states = [tdse._expand(intervals[:, :, i], start) for i in range(len(runs))]
         assert last.shape == (2, 2)
-        assert np.array_equal(last, expected)
-        assert bool(widths) == (rows > tdse._SCAN_BASE)
+        assert np.array_equal(last, expected_last)
+        assert all(np.array_equal(a, b) for a, b in zip(states, expected))
+        assert bool(widths) == (rows >= 2)
         assert all(width == 1 for width in widths)
 
     @staticmethod
@@ -827,12 +839,17 @@ class TestLandauZener:
         assert mirrored == forward
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="sweep_rate"):
-            lz_survivals((0.1,), 0.0)
-        for coupling in (0.0, -0.1, math.nan):
-            with pytest.raises(ValidationError,
-                               match=f"^lz_survivals.coupling must be positive, got {coupling}$"):
-                lz_survivals((0.2, coupling), 1.0)
+        for couplings, sweep_rate, message in [
+            ((0.1,), 0.0, "lz_survivals.sweep_rate must be nonzero, got 0.0"),
+            ((0.1,), math.nan, "lz_survivals.sweep_rate must be finite, got nan"),
+            ((0.1,), math.inf, "lz_survivals.sweep_rate must be finite, got inf"),
+            ((0.2, 0.0), 1.0, "lz_survivals.coupling must be positive, got 0.0"),
+            ((0.2, -0.1), 1.0, "lz_survivals.coupling must be positive, got -0.1"),
+            ((0.2, math.nan), 1.0, "lz_survivals.coupling must be finite, got nan"),
+            ((math.inf,), 1.0, "lz_survivals.coupling must be finite, got inf"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                lz_survivals(couplings, sweep_rate)
 
 
 def unweighted_rate(params, field, grid, frame):
