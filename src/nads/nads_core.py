@@ -29,6 +29,7 @@ from .errors import (
     EnvelopeUnderflow,
     NonFiniteValue,
     NumericalError,
+    ValidationError,
 )
 from .field_model import (
     FieldModel,
@@ -193,18 +194,18 @@ def uniform_grid(grid) -> tuple[np.ndarray, float]:
 
     Raises
     ------
-    ValueError
+    ValidationError
         If the grid is not one-dimensional with at least 2 points, or not
         uniformly increasing: the first step must be positive and finite,
         and every step within 1e-9 of it, relative.
     """
     grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("grid must be one-dimensional with at least 2 points")
+        raise ValidationError("grid must be one-dimensional with at least 2 points")
     steps = np.diff(grid)
     h = float(steps[0])
     if not 0.0 < h < np.inf or not np.all(np.abs(steps - h) <= 1e-9 * h):
-        raise ValueError("grid must be uniformly increasing")
+        raise ValidationError("grid must be uniformly increasing")
     return grid, h
 
 
@@ -219,7 +220,7 @@ def snapshot_series(
 
     Raises
     ------
-    ValueError
+    ValidationError
         If the grid is not uniform or too short.
     EnvelopeUnderflow, BranchAmbiguity, DegenerateRabi, NonFiniteValue
         As :func:`snapshot_batch` reports them.
@@ -278,7 +279,7 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
 
     Raises
     ------
-    ValueError
+    ValidationError
         If the grid is not uniform or too short.
     """
     grid, h = uniform_grid(grid)

@@ -129,7 +129,7 @@ class Grid:
             ) from exc
         try:
             uniform_grid(points)
-        except ValueError as exc:
+        except ValidationError as exc:
             raise ValidationError(
                 f"grid.step ({self.step}) is too fine for floats on {interval}: "
                 "the grid points are not uniformly spaced"
@@ -219,12 +219,9 @@ def _num(doc: Mapping, key: str, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}.{key} must be a number, got {value!r}")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ParseError(f"{path}.{key} must be a finite number, got {doc[key]!r}")
-    return value
+        return math.inf if value > 0 else -math.inf
 
 
 def _string(doc: Mapping, key: str, path: str) -> str:
@@ -246,9 +243,9 @@ def _build(cls, doc: Any, path: str, extra=(), **nested):
     """Dataclass ``cls`` from the object ``doc`` at ``path``: keys are its
     fields plus ``extra``, a field without a default is required, ``nested``
     maps a field to its parser, a ``Literal`` field takes a string, ``null``
-    is kept where the default is None and other values are finite numbers.
-    Only these JSON types are checked here; the values are the
-    constructor's to check."""
+    is kept where the default is None and other values are numbers.
+    Only these JSON types are checked here; the values, finiteness
+    included, are the constructor's to check."""
     doc = _mapping(doc, path)
     schema = fields(cls)
     literals = _literals(cls)
@@ -296,14 +293,15 @@ def _phase(doc: Any, path: str) -> Chirp:
     return Chirp() if doc is None else _build(Chirp, doc, path)
 
 
-def scenario_from_dict(data: Mapping, origin: str = "scenario") -> Scenario:
+def scenario_from_dict(data: Mapping) -> Scenario:
     """Validate a parsed scenario document and fill defaults.
 
     Raises ParseError for structural problems (unknown/missing keys, wrong
-    types) and ValidationError for violated bounds, both naming the field.
+    types) and ValidationError for violated bounds, a non-finite number
+    included, both naming the field.
     """
     return _build(
-        Scenario, data, origin,
+        Scenario, data, "scenario",
         name=lambda value, path: value,
         system=_section(SystemParams),
         field=_section(FieldModel, envelope=_envelope, phase=_phase),
@@ -333,7 +331,7 @@ def load_scenario(path) -> Scenario:
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
     try:
-        return scenario_from_dict(data, origin="scenario")
+        return scenario_from_dict(data)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 

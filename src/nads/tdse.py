@@ -750,7 +750,7 @@ def evolve(
     ------
     ValidationError
         For an unknown frame or initial state, or a tolerance that is not
-        positive and finite. A grid that is not uniform is a ValueError.
+        positive and finite, or a grid that is not uniform.
     ToleranceUnreachable
         If a halving of the substep, from one pass to the next, does not
         shrink the difference of the last point: rounding error has
@@ -791,9 +791,9 @@ def final_states(
     ------
     ValidationError
         For an unknown frame or initial state, or a tolerance that is not
-        positive and finite. A grid that is not uniform is a ValueError. A
-        run's NumericalError is its entry, not raised: a StepUnderflow from
-        the pass limit of :func:`evolve` among them.
+        positive and finite, or a grid that is not uniform. A run's
+        NumericalError is its entry, not raised: a StepUnderflow from the
+        pass limit of :func:`evolve` among them.
     """
     return _propagate(runs, grid, init, frame, rtol, atol, last_only=True)
 
@@ -802,7 +802,9 @@ def rabi_oracle(omega0: float, t: float) -> tuple[float, float]:
     """Closed-form resonant undamped populations: p_e = sin^2(omega0 t / 2)."""
     _require_finite("rabi_oracle", omega0=omega0, t=t)
     _require_positive("rabi_oracle", omega0=omega0)
-    p_e = math.sin(0.5 * omega0 * t) ** 2
+    phase = 0.5 * omega0 * t
+    _require_finite("rabi_oracle", **{"omega0*t/2": phase})
+    p_e = math.sin(phase) ** 2
     return 1.0 - p_e, p_e
 
 

@@ -20,6 +20,7 @@ from nads.errors import (
     DegenerateRabi,
     EnvelopeUnderflow,
     NumericalError,
+    ValidationError,
 )
 from nads.field_model import (
     Chirp,
@@ -265,13 +266,13 @@ class TestUniformGrid:
         assert h == 1.0 and grid.dtype == float
 
     def test_step_beyond_bound(self):
-        with pytest.raises(ValueError, match="uniformly increasing"):
+        with pytest.raises(ValidationError, match="uniformly increasing"):
             uniform_grid([0.0, 1.0, 2.0 + 1.1e-9])
 
     def test_decreasing_nan_and_infinite_steps(self):
         for grid in ([0.0, -1.0, -2.0], [0.0, 1.0, math.nan], [0.0, math.inf],
                      [0.0, 1.0, math.inf]):
-            with pytest.raises(ValueError, match="uniformly increasing"):
+            with pytest.raises(ValidationError, match="uniformly increasing"):
                 uniform_grid(grid)
 
 

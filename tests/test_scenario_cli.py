@@ -1015,7 +1015,7 @@ def patched_and_parsed(resolved, pairs):
         for part in parents:
             node = node[part]
         node[leaf] = float(value)
-    return scenario_from_dict(doc, origin="scenario")
+    return scenario_from_dict(doc)
 
 
 def outcome(build):

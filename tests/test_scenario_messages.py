@@ -45,7 +45,8 @@ def base_doc(kind: str) -> dict:
 
 
 def number_cases(section: str, key: str, required: bool, positive: bool):
-    """Missing, null, string, bool and (for positive fields) 0 and -1."""
+    """Missing, null, string, bool, NaN, an integer too large for a float
+    and (for positive fields) 0 and -1."""
     path = f"{section}.{key}"
     cases = [
         (key, DROP, 1, f"missing required key '{key}' in {section}")
@@ -53,7 +54,8 @@ def number_cases(section: str, key: str, required: bool, positive: bool):
         (key, None, 1, f"{path} must be a number, got None"),
         (key, "1.0", 1, f"{path} must be a number, got '1.0'"),
         (key, True, 1, f"{path} must be a number, got True"),
-        (key, float("nan"), 1, f"{path} must be a finite number, got nan"),
+        (key, float("nan"), 1, f"{path} must be finite, got nan"),
+        (key, 10**400, 1, f"{path} must be finite, got inf"),
     ]
     if positive:
         cases += [
@@ -70,6 +72,8 @@ def cases():
     def add(kind, section, rows):
         for key, value, code, message in rows:
             label = "drop" if value is DROP else repr(value)
+            if len(label) > 40:  # a JSON integer too large for a float
+                label = f"{'-' * (value < 0)}10**{len(str(abs(value))) - 1}"
             table.append(pytest.param(
                 kind, section, key, value, code, message,
                 id=f"{kind}-{section + '.' if section else ''}{key}={label}",
@@ -140,7 +144,8 @@ def cases():
         ("t_center", None, 0, ""),
         ("t_center", "1.0", 1, "field.phase.t_center must be a number, got '1.0'"),
         ("t_center", float("nan"), 1,
-         "field.phase.t_center must be a finite number, got nan"),
+         "field.phase.t_center must be finite, got nan"),
+        ("t_center", -10**400, 1, "field.phase.t_center must be finite, got -inf"),
         ("bta", 0.1, 1, "unknown key 'bta' in field.phase; did you mean 'beta'?"),
     ]
     add("gaussian", "field.phase", phase)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nads
 from nads import tdse
 from nads.cli import main
-from nads.errors import StepUnderflow, ToleranceUnreachable, ValidationError
+from nads.errors import NadsError, StepUnderflow, ToleranceUnreachable, ValidationError
 from nads.field_model import (
     Chirp,
     ConstantEnvelope,
@@ -99,7 +100,8 @@ class TestClosedFormOracles:
         (math.inf, 1.0, "rabi_oracle.omega0 must be finite, got inf"),
         (0.2, math.inf, "rabi_oracle.t must be finite, got inf"),
         (0.2, math.nan, "rabi_oracle.t must be finite, got nan"),
-    ], ids=["0.0", "-0.2", "nan", "inf", "t-inf", "t-nan"])
+        (1e308, 10.0, "rabi_oracle.omega0*t/2 must be finite, got inf"),
+    ], ids=["0.0", "-0.2", "nan", "inf", "t-inf", "t-nan", "phase-overflow"])
     def test_rabi_oracle_validation(self, omega0, t, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             rabi_oracle(omega0, t)
@@ -318,6 +320,21 @@ class TestValidationAndFailure:
             evolve(params, field, np.array([0.0, -0.1, -0.2]))
         with pytest.raises(ValueError, match="at least 2"):
             evolve(params, field, np.array([0.0]))
+
+    @pytest.mark.parametrize("grid, message", [
+        (np.array([0.0, 1.0, 3.0]), "grid must be uniformly increasing"),
+        (np.array([0.0]), "grid must be one-dimensional with at least 2 points"),
+        (np.array([[0.0, 1.0], [2.0, 3.0]]),
+         "grid must be one-dimensional with at least 2 points"),
+    ], ids=["non-uniform", "one-point", "2-D"])
+    @pytest.mark.parametrize("call", [
+        lambda run, grid: nads.evolve(*run, grid),
+        lambda run, grid: tdse.final_states([run], grid),
+        lambda run, grid: nads.snapshot_series(*run, grid),
+    ], ids=["evolve", "final_states", "snapshot_series"])
+    def test_bad_grid_is_a_nads_error(self, call, grid, message):
+        with pytest.raises(NadsError, match=f"^{re.escape(message)}$"):
+            call(resonant(0.2), grid)
 
     @pytest.mark.parametrize("tol, rule", [(math.nan, "finite"), (math.inf, "finite"),
                                            (0.0, "positive"), (-1e-9, "positive")])
