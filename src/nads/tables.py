@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 __all__ = [
     "format_number",
@@ -413,10 +413,10 @@ def _table_blocks(
     are checked, and a table with a string cell rendered whole, before the
     first piece is taken; all-numeric rows are formatted a block per piece."""
     if len(names) != len(columns):
-        raise ValueError("one name per column required")
+        raise ValidationError("one name per column required")
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
-        raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
+        raise ValidationError(f"columns have unequal lengths {sorted(lengths)}")
     buffer = io.StringIO()
     for line in header_lines:
         buffer.write(line + "\n")

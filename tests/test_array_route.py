@@ -13,12 +13,13 @@ import csv
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nads.errors import BranchAmbiguity
+from nads.errors import BranchAmbiguity, ValidationError
 from nads.nads_core import _track_branches
 from nads.overlap_transitions import (
     amplitude_ratios,
@@ -28,7 +29,7 @@ from nads.overlap_transitions import (
     norms,
     p_via_overlaps,
 )
-from nads.tables import BLOCK_CELLS, format_number, table_text
+from nads.tables import BLOCK_CELLS, format_number, table_text, write_table
 
 from reference import expanded_overlaps
 
@@ -311,6 +312,19 @@ class TestTableText:
     def test_no_rows(self):
         columns = [np.array([]), np.array([])]
         assert table_text([], ["a", "b"], columns) == "a,b\n"
+
+    @pytest.mark.parametrize("names, columns, message", [
+        (["a"], [[1.0], [2.0]], "one name per column required"),
+        (["a", "b"], [[1.0], [1.0, 2.0]], "columns have unequal lengths [1, 2]"),
+    ], ids=["names", "lengths"])
+    @pytest.mark.parametrize("render", [
+        lambda names, columns: table_text([], names, columns),
+        lambda names, columns: write_table([], names, columns, None),
+    ], ids=["table_text", "write_table"])
+    def test_mismatched_columns_are_a_validation_error(self, render, names, columns, message):
+        # A library caller's mistake, so a ValidationError (also a ValueError).
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            render(names, columns)
 
     def assert_signed_byte_identical(self, values):
         values = np.asarray(values, dtype=float)

@@ -8,18 +8,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nads
 from nads import cli, nads_core, tdse, validation
 from nads.cli import main
 from nads.errors import NumericalError
@@ -35,20 +32,32 @@ from nads.nads_core import snapshot_batch, snapshot_series
 from nads.scenario import load_shipped, shipped_path, with_axis_values
 from nads.tdse import Trajectory, evolve, final_states
 
-from test_scenario_cli import write_doc
+from test_scenario_cli import child_env, write_doc
 
-#: Commands whose every run goes through a batch.
+DAMPING = "ValidationError: damping rates must be >= 0, got gamma_g=0.02, gamma_e=-0.05"
+
+#: Commands whose every run goes through a batch, and texts their output holds.
 COMMANDS = {
-    "validate-json": ["validate", "--json"],
+    "validate-json": (["validate", "--json"], ['"passed": true']),
     # Two axes, with the rows of negative damping failing by name.
-    "sweep-maxP": ["sweep", "sech-damped", "--axis", "system.gamma_e:-0.05:0.3:8",
-                   "--axis", "field.envelope.omega0:0.5:2:6", "--reduce", "maxP"],
+    "sweep-maxP": (["sweep", "sech-damped", "--axis", "system.gamma_e:-0.05:0.3:8",
+                    "--axis", "field.envelope.omega0:0.5:2:6", "--reduce", "maxP"], [DAMPING]),
     # The points accept n_sub 2, 4 and 8: three passes of the batch.
-    "sweep-finalPe": ["sweep", "sech-damped", "--axis", "system.gamma_e:-0.05:0.3:8",
-                      "--axis", "field.envelope.omega0:0.5:2:6", "--reduce", "finalPe"],
+    "sweep-finalPe": (["sweep", "sech-damped", "--axis", "system.gamma_e:-0.05:0.3:8",
+                       "--axis", "field.envelope.omega0:0.5:2:6", "--reduce", "finalPe"],
+                      [DAMPING]),
     # The rows for tau 5 and 10 break the scenario's tau/400 step rule.
-    "sweep-step-rule": ["sweep", "sech-damped", "--axis", "field.envelope.tau:5:20:4",
-                        "--reduce", "maxP"],
+    "sweep-step-rule": (["sweep", "sech-damped", "--axis", "field.envelope.tau:5:20:4",
+                         "--reduce", "maxP"],
+                        ["ValidationError: grid.step (0.0375) exceeds tau/400 (0.0125) "
+                         "for the pulsed envelope"]),
+    # A log axis, whose geomspace values are the point documents' omega0,
+    # and a failing row written as null cells.
+    "sweep-json-log": (["sweep", "sech-damped", "--axis", "system.gamma_e:-0.05:0.3:6",
+                        "--axis", "field.envelope.omega0:0.5:2:4:log", "--reduce", "finalPe",
+                        "--json"],
+                       [DAMPING, '"finalPe": [\n' + '      null,\n' * 4,
+                        '"field.envelope.omega0": [\n      0.5,\n      0.79370052598409']),
 }
 
 
@@ -74,11 +83,12 @@ def final_states_alone(runs, grid, init="ground", frame="rotating", rtol=1e-10, 
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_bytes_are_the_runs_alone(name, monkeypatch, capsys):
-    argv = COMMANDS[name]
+    argv, texts = COMMANDS[name]
     if argv[0] == "sweep":
         argv = [argv[0], str(shipped_path(argv[1])), *argv[2:]]
     assert main(argv) == 0
     batched = capsys.readouterr().out
+    assert all(text in batched for text in texts)
     for module in (cli, validation):
         monkeypatch.setattr(module, "snapshot_batch", snapshots_alone)
     for module in (cli, tdse):
@@ -272,11 +282,10 @@ class TestChirpOverflow:
         (["sweep", "--axis", "system.gamma_e:0:0.1:2", "--reduce", "maxP"], 0),
     ], ids=["snapshot", "evolve-compare", "sweep-finalPe", "sweep-maxP"])
     def test_no_warning_reaches_stderr(self, tmp_path, argv, code):
-        env = dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from nads.cli import main; "
              "sys.exit(main(sys.argv[1:]))", argv[0], write_doc(tmp_path, CHIRP_OVERFLOW),
              *argv[1:], "--out", str(tmp_path / "table.csv")],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == code
         assert "Warning" not in proc.stderr

@@ -1,8 +1,9 @@
 """Scenario loading, sweep specifications and the command-line interface.
 
 CLI tests call main() in-process with --out into tmp_path, then parse the
-emitted CSV; only the test of a reader closing stdout early runs the CLI
-in a child process.
+emitted CSV; the tests of warning filters, start-up imports and a reader
+closing stdout early run a child process. ``test_processes`` runs the
+command line in fresh interpreters.
 """
 
 from __future__ import annotations
@@ -61,6 +62,16 @@ def minimal_doc() -> dict:
     }
 
 
+def fast_coupling_doc() -> dict:
+    """The first pass asks for 5e8 substeps per output interval, of one row
+    for this constant coupling: past the pass limit of 2^26 substeps, hours
+    of work."""
+    doc = minimal_doc()
+    doc["field"]["envelope"]["omega0"] = 1e12
+    doc["grid"] = {"t_start": 0.0, "t_end": 1e-3, "step": 1e-4}
+    return doc
+
+
 def code_built(**changes) -> nads.Scenario:
     """A scenario built in code: a Gaussian pulse of tau = 1 on a grid that
     resolves it, with ``changes`` to the constructor's arguments."""
@@ -96,10 +107,16 @@ def column(names, rows, name) -> np.ndarray:
     return np.array([float(row[idx]) for row in rows])
 
 
+def child_env(**changes: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this ``nads``:
+    the installed package or ``src``, whichever this process runs."""
+    return dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]),
+                **changes)
+
+
 def run_python(code: str, *args: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter on this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout
 
@@ -574,6 +591,9 @@ class TestCliSweep:
             "MemoryError: out of memory: Unable to allocate")
         assert rows[0][names.index(reduce)] == "nan"
         assert rows[1] == alone_rows[0]
+        text = out.read_text(encoding="utf-8")
+        assert '\n-1000000000000000,nan,"MemoryError: out of memory: Unable to allocate' in text
+        assert re.search(r"^0,[0-9][0-9.e+-]*,$", text, re.MULTILINE)
 
     def test_memory_error_without_text_in_its_own_cell(self, tmp_path, monkeypatch):
         def exhausted(scenario, values):
@@ -677,7 +697,7 @@ class TestCliValidate:
         assert rc == 0
         report = json.loads(out)
         assert len(report) == 16
-        assert all(entry["passed"] for entry in report)
+        assert all(entry["passed"] is True for entry in report)
         by_name = {entry["name"]: entry for entry in report}
         assert by_name["exponential_cancellation"]["worst"] < 1e-9
         assert by_name["exponential_cancellation"]["bound"] == 1e-9
@@ -785,20 +805,10 @@ class TestNonFiniteResults:
         )
         assert not out.exists()
 
-    @staticmethod
-    def fast_coupling_doc():
-        # The first pass asks for 5e8 substeps per output interval, of one
-        # row for this constant coupling: past the pass limit of 2^26
-        # substeps, hours of work.
-        doc = minimal_doc()
-        doc["field"]["envelope"]["omega0"] = 1e12
-        doc["grid"] = {"t_start": 0.0, "t_end": 1e-3, "step": 1e-4}
-        return doc
-
     def test_evolve_beyond_the_substep_limit(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         start = time.perf_counter()
-        rc = main(["evolve", write_doc(tmp_path, self.fast_coupling_doc()), "--compare",
+        rc = main(["evolve", write_doc(tmp_path, fast_coupling_doc()), "--compare",
                    "--out", str(out)])
         assert time.perf_counter() - start < 2.0
         assert rc == 2
@@ -808,7 +818,7 @@ class TestNonFiniteResults:
         assert not out.exists()
 
     def test_sweep_beyond_the_substep_limit_fills_its_cell(self, tmp_path, capsys):
-        rc = main(["sweep", write_doc(tmp_path, self.fast_coupling_doc()),
+        rc = main(["sweep", write_doc(tmp_path, fast_coupling_doc()),
                    "--axis", "field.envelope.omega0:1:1e12:2", "--reduce", "finalPe", "--json"])
         assert rc == 0
         columns = json.loads(capsys.readouterr().out)["columns"]
@@ -1230,7 +1240,7 @@ class TestCliPlumbing:
     ], ids=["default", "ignored"])
     def test_step_warning_obeys_warning_filters(self, tmp_path, flags, expected):
         path = write_doc(tmp_path, self.coarse_gaussian_doc())
-        env = dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]))
+        env = child_env()
         env.pop("PYTHONWARNINGS", None)
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "nads.cli", "snapshot", path,
@@ -1380,10 +1390,9 @@ class TestStreamedOutput:
     def test_reader_closing_stdout_early(self):
         # nads snapshot ... | head -c 100: the table is far larger than a pipe
         # buffer, so the blocks after the first meet a closed pipe.
-        env = dict(os.environ, PYTHONPATH=str(Path(nads.__file__).resolve().parents[1]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "nads.cli", "snapshot", str(shipped_path(SLOW_ADIABATIC))],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         head = proc.stdout.read(100)
         proc.stdout.close()

@@ -110,6 +110,7 @@ def cases():
          "unknown key 'carrier' in field; did you mean 'carrier_omega'?"),
     ]
     add("gaussian", "field", field)
+    add("constant", "field", [("phase", None, 0, "")])  # the default chirp
 
     kinds_message = "field.envelope.kind must be one of ['constant', 'gaussian', 'sech']"
     for kind in ENVELOPE_KEYS:

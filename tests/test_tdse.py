@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import nads
 from nads import tdse
 from nads.cli import main
-from nads.errors import NadsError, StepUnderflow, ToleranceUnreachable, ValidationError
+from nads.errors import StepUnderflow, ToleranceUnreachable, ValidationError
 from nads.field_model import (
     Chirp,
     ConstantEnvelope,
@@ -333,7 +333,7 @@ class TestValidationAndFailure:
         lambda run, grid: nads.snapshot_series(*run, grid),
     ], ids=["evolve", "final_states", "snapshot_series"])
     def test_bad_grid_is_a_nads_error(self, call, grid, message):
-        with pytest.raises(NadsError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call(resonant(0.2), grid)
 
     @pytest.mark.parametrize("tol, rule", [(math.nan, "finite"), (math.inf, "finite"),
