@@ -13,8 +13,13 @@ nonadiabatic detuning and diverges where the envelope vanishes.
 These dataclasses are the schema of a scenario's ``system`` and ``field``
 sections: their fields, defaults and checks are its keys, defaults and
 value checks. The module also holds what every layer checks a run with:
-the types of the run's choices, :data:`Frame` and :data:`InitialState`, and
-the value checks, which raise a ValidationError naming the value.
+the types of the run's choices, :data:`Frame` and :data:`InitialState`, the
+run defaults of the RK4 cross-check, and the value checks, which raise a
+ValidationError naming the value. The run defaults are declared here once:
+a ground start (:data:`DEFAULT_INIT`) in the rotating frame
+(:data:`DEFAULT_FRAME`) to ``rtol`` 1e-10 and ``atol`` 1e-12
+(:data:`DEFAULT_RTOL`, :data:`DEFAULT_ATOL`). ``Integrator``,
+``Scenario.initial_state``, ``evolve`` and ``final_states`` read them.
 """
 
 from __future__ import annotations
@@ -44,6 +49,12 @@ OMEGA_FLOOR = 1e-30
 #: A run's choices: the frame it is integrated in and the state it starts in.
 Frame = Literal["lab", "rotating"]
 InitialState = Literal["ground", "excited"]
+
+#: A run's defaults: its choices and the tolerances of the RK4 controller.
+DEFAULT_INIT: InitialState = "ground"
+DEFAULT_FRAME: Frame = "rotating"
+DEFAULT_RTOL = 1e-10
+DEFAULT_ATOL = 1e-12
 
 
 def _suggest(key: str, allowed) -> str:

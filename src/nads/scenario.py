@@ -33,6 +33,10 @@ import numpy as np
 
 from .errors import ParseError, StepWarning, ValidationError
 from .field_model import (
+    DEFAULT_ATOL,
+    DEFAULT_FRAME,
+    DEFAULT_INIT,
+    DEFAULT_RTOL,
     Chirp,
     ConstantEnvelope,
     FieldModel,
@@ -145,9 +149,9 @@ class Integrator:
     """Frame and positive tolerances of the RK4 cross-check: the keyword
     arguments of :func:`nads.tdse.evolve`."""
 
-    frame: Frame = "rotating"
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    frame: Frame = DEFAULT_FRAME
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         _require_choices(self)
@@ -165,7 +169,7 @@ class Scenario:
     grid: Grid
     integrator: Integrator = Integrator()
     outputs: tuple[str, ...] = ("snapshot",)
-    initial_state: InitialState = "ground"
+    initial_state: InitialState = DEFAULT_INIT
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:

@@ -89,7 +89,8 @@ import numpy as np
 
 from .errors import (NonFiniteValue, NumericalError, StepUnderflow, ToleranceUnreachable,
                      ValidationError)
-from .field_model import (Chirp, FieldModel, Frame, InitialState, SystemParams, _require_choice,
+from .field_model import (DEFAULT_ATOL, DEFAULT_FRAME, DEFAULT_INIT, DEFAULT_RTOL, Chirp,
+                          FieldModel, Frame, InitialState, SystemParams, _require_choice,
                           _require_finite, _require_positive)
 from .nads_core import detuning, uniform_grid
 
@@ -398,10 +399,11 @@ def _built_rows(field: FieldModel, frame: Frame, rows: int) -> int:
     return rows
 
 
-def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
+def _intervals(runs, grid, frame: Frame, n_sub: int):
     """Interval propagators of one pass of each of B runs with ``n_sub``
     substeps per output interval, as a stack of shape
-    (2, 2, B, len(grid) - 1).
+    (2, 2, B, len(grid) - 1). The output step is the grid's first,
+    ``grid[1] - grid[0]``, the double :func:`uniform_grid` returns for it.
 
     Each block holds up to ``_BLOCK_SUBSTEPS`` substeps of each run: whole
     output intervals when ``n_sub`` fits, otherwise consecutive slices of
@@ -415,7 +417,7 @@ def _intervals(runs, grid, h_out: float, frame: Frame, n_sub: int):
     differently from the run alone.
     """
     rows = len(grid) - 1
-    h_sub = h_out / n_sub
+    h_sub = float(grid[1] - grid[0]) / n_sub
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
     same = _same_coupling(runs)
@@ -491,19 +493,20 @@ class _Pass:
     last: np.ndarray
 
 
-def _build_pass(runs, grid, h_out: float, start, frame: Frame, n_sub: int,
-                built_rows: int) -> _Pass:
+def _build_pass(runs, grid, start, frame: Frame, n_sub: int) -> _Pass:
     """The pass the controller runs with ``n_sub`` substeps for each of B
     runs on a grid it has validated: intervals of shape (2, 2, B, rows) and
     last states of shape (2, B).
 
-    The runs share ``built_rows`` (:func:`_built_rows`). With one built
-    row, each substep of a run has the same step matrix, so the interval
-    propagator of the first interval serves every interval and the stack
-    is a broadcast view.
+    It builds the rows of step matrices its runs need (:func:`_built_rows`),
+    the most any of them needs. With one built row, each substep of a run
+    has the same step matrix, so the interval propagator of the first
+    interval serves every interval and the stack is a broadcast view.
     """
-    built = _intervals(runs, grid[:built_rows + 1], h_out, frame, n_sub)
-    intervals = np.broadcast_to(built, built.shape[:-1] + (len(grid) - 1,))
+    rows = len(grid) - 1
+    built_rows = max(_built_rows(field, frame, rows) for _, field in runs)
+    built = _intervals(runs, grid[:built_rows + 1], frame, n_sub)
+    intervals = np.broadcast_to(built, built.shape[:-1] + (rows,))
     return _Pass(intervals, _expand_last(intervals, start))
 
 
@@ -691,8 +694,7 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
             for (n_sub, built_rows), members in passes.items():
                 size = _chunk_runs(built_rows, n_sub)
                 for chunk in (members[i:i + size] for i in range(0, len(members), size)):
-                    built = _build_pass([runs[j] for j in chunk], grid, h_out, start, frame,
-                                        n_sub, built_rows)
+                    built = _build_pass([runs[j] for j in chunk], grid, start, frame, n_sub)
                     for i, j in enumerate(chunk):
                         try:
                             if not pending[j].accepts(built.last[:, i], rtol, atol):
@@ -717,10 +719,10 @@ def evolve(
     params: SystemParams,
     field: FieldModel,
     grid: np.ndarray,
-    init: InitialState = "ground",
-    frame: Frame = "rotating",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    init: InitialState = DEFAULT_INIT,
+    frame: Frame = DEFAULT_FRAME,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
     """Integrate the amplitude equations on ``grid`` to the given tolerance:
     :func:`final_states`' controller on a batch of one run, expanded on the
@@ -772,10 +774,10 @@ def evolve(
 def final_states(
     runs,
     grid: np.ndarray,
-    init: InitialState = "ground",
-    frame: Frame = "rotating",
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    init: InitialState = DEFAULT_INIT,
+    frame: Frame = DEFAULT_FRAME,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
 ) -> list:
     """The last states of B independent runs on one grid, integrated to the
     given tolerance by :func:`evolve`'s controller.
@@ -889,8 +891,7 @@ def lz_survivals(couplings, sweep_rate: float) -> list[float]:
             for coupling in couplings]
     grid = np.linspace(0.0, window, 201)
     survivals = []
-    for traj in final_states(runs, grid, init="ground", frame="rotating",
-                             rtol=LZ_RTOL, atol=LZ_ATOL):
+    for traj in final_states(runs, grid, rtol=LZ_RTOL, atol=LZ_ATOL):
         if isinstance(traj, NumericalError):
             raise traj
         survivals.append(float((abs(traj.c_g[-1]) ** 2 - abs(traj.c_e[-1]) ** 2) ** 2))

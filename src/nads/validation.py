@@ -25,6 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .field_model import (
+    DEFAULT_INIT,
     Chirp,
     ConstantEnvelope,
     FieldModel,
@@ -271,12 +272,12 @@ def check_microreversibility() -> CheckResult:
 
 
 def _constant_run(carrier: float, omega0: float, grid: np.ndarray,
-                  init: str = "ground", gamma_e: float = 0.0):
+                  init: str = DEFAULT_INIT, gamma_e: float = 0.0):
     """Rotating-frame evolution of the omega_e = 5 system under a constant
     envelope, the run each ``evolve`` check compares with its oracle."""
     params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_e=gamma_e)
     field = FieldModel(carrier_omega=carrier, envelope=ConstantEnvelope(omega0))
-    return evolve(params, field, grid, init=init, frame="rotating")
+    return evolve(params, field, grid, init=init)
 
 
 def check_rabi_pulse() -> CheckResult:

@@ -47,10 +47,9 @@ def fixed_pass(params, field, grid, init="ground", frame="rotating", n_sub=1):
     output interval, built as the controller builds it, with no limit on
     its substeps: its interval propagators expanded into the states on the
     grid, as a Trajectory with no controller attempts."""
-    grid, h_out = uniform_grid(grid)
+    grid, _ = uniform_grid(grid)
     start = tdse._start(init)
-    built = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub,
-                             tdse._built_rows(field, frame, len(grid) - 1))
+    built = tdse._build_pass(((params, field),), grid, start, frame, n_sub)
     return tdse._trajectory(grid, tdse._expand(built.intervals[:, :, 0], start), frame,
                             n_sub, ())
 

@@ -5,19 +5,22 @@ schema, the command line and the library entry points share."""
 from __future__ import annotations
 
 import ast
+import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nads
 from nads import tdse
 from nads.cli import main
 from nads.errors import ValidationError
 from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
 from nads.nads_core import snapshot_series
 from nads.overlap_transitions import amplitude_ratios
-from nads.scenario import shipped_path
+from nads.scenario import Integrator, Scenario, shipped_path
 
 from test_scenario_cli import minimal_doc, run_python, write_doc
 
@@ -62,6 +65,19 @@ def test_each_choice_and_its_check_is_declared_once():
     assert owners == {"Frame": ["field_model"], "InitialState": ["field_model"],
                       "_require_choice": ["field_model"], "_suggest": ["field_model"],
                       "_require_one_of": []}
+
+
+def test_the_entry_points_share_the_run_defaults():
+    # The library's entry points default to the run a scenario file leaves
+    # unsaid: the fields of Integrator() and Scenario's initial state.
+    integrator = Integrator()
+    (init,) = [f.default for f in fields(Scenario) if f.name == "initial_state"]
+    expected = {"init": init, "frame": integrator.frame, "rtol": integrator.rtol,
+                "atol": integrator.atol}
+    assert expected == {"init": "ground", "frame": "rotating", "rtol": 1e-10, "atol": 1e-12}
+    for entry in (nads.evolve, tdse.final_states):
+        parameters = inspect.signature(entry).parameters
+        assert {name: parameters[name].default for name in expected} == expected
 
 
 def test_only_the_shared_check_words_a_choice():

@@ -300,7 +300,7 @@ class TestValidationAndFailure:
         # between 64 and 128 substeps, so the pass at 256 is the last.
         calls = []
 
-        def fake(runs, grid, h_out, start, frame, n_sub, built_rows):
+        def fake(runs, grid, start, frame, n_sub):
             sign = (-1) ** int(math.log2(n_sub))
             calls.append(n_sub)
             return fake_pass(grid, 0.5 + 1e-6 / n_sub**4 + sign * 1e-14 * n_sub)
@@ -474,11 +474,10 @@ class TestExpansion:
         sc = load_shipped(name)
         traj = evolve(sc.system, sc.field, sc.grid(), sc.initial_state,
                       **vars(sc.integrator))
-        grid, h_out = uniform_grid(sc.grid())
+        grid, _ = uniform_grid(sc.grid())
         start = tdse._start(sc.initial_state)
-        frame = sc.integrator.frame
-        built = tdse._build_pass(((sc.system, sc.field),), grid, h_out, start, frame,
-                                 traj.n_sub, tdse._built_rows(sc.field, frame, len(grid) - 1))
+        built = tdse._build_pass(((sc.system, sc.field),), grid, start, sc.integrator.frame,
+                                 traj.n_sub)
         intervals = built.intervals[:, :, 0]
         states = tdse._expand(intervals, start)
         assert np.array_equal(states[0], traj.c_g) and np.array_equal(states[1], traj.c_e)
@@ -509,9 +508,9 @@ class TestExpansion:
         # same stack built column by column.
         params, field = time_independent()
         runs = [(params, field), (SystemParams(omega_g=0.0, omega_e=4.9, gamma_e=0.3), field)]
-        grid, h_out = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
+        grid, _ = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
         start = tdse._start(init)
-        intervals = tdse._build_pass(runs, grid, h_out, start, "rotating", 2, 1).intervals
+        intervals = tdse._build_pass(runs, grid, start, "rotating", 2).intervals
         assert intervals.strides[-1] == 0
         contiguous = np.ascontiguousarray(intervals)
         expected_last = tdse._expand_last(contiguous, start)
@@ -534,10 +533,9 @@ class TestExpansion:
 
     @staticmethod
     def check_pass(params, field, grid, init, frame, n_sub=2):
-        grid, h_out = uniform_grid(grid)
+        grid, _ = uniform_grid(grid)
         start = tdse._start(init)
-        built = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub,
-                                 tdse._built_rows(field, frame, len(grid) - 1))
+        built = tdse._build_pass(((params, field),), grid, start, frame, n_sub)
         intervals = built.intervals[:, :, 0]
         states = tdse._expand(intervals, start)
         ref = hillis_steele_states(intervals, start, len(grid))
@@ -977,7 +975,7 @@ def doubling_evolve(params, field, grid, init="ground", frame="rotating",
                 f"a pass at {n_sub} substeps per output interval would build "
                 f"{n_sub * built_rows} substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass"
             )
-        cur = tdse._build_pass(((params, field),), grid, h_out, start, frame, n_sub, built_rows)
+        cur = tdse._build_pass(((params, field),), grid, start, frame, n_sub)
         last = cur.last[:, 0]
         passes += 1
         if prev is not None:
@@ -1145,7 +1143,7 @@ def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
     replaces the last value of ``component`` when given."""
     calls = []
 
-    def fake(runs, grid, h_out, start, frame, n_sub, built_rows):
+    def fake(runs, grid, start, frame, n_sub):
         last = {"c_g": 0.5 + amplitude * (unit / n_sub) ** order, "c_e": 0.0}
         if bad is not None and calls:
             last[component] = bad
