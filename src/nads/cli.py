@@ -79,41 +79,43 @@ REDUCERS = {
 }
 
 
-def _emit(args, title: str, resolved: dict, names, columns) -> None:
+def _emit(args, title: str, resolved: dict, columns: dict) -> None:
+    """Write the table ``columns`` (name to column, in order) as CSV, or
+    as JSON under ``--json``."""
     if getattr(args, "json", False):
-        write_text(table_json(title, resolved, names, columns), args.out)
+        write_text(table_json(title, resolved, columns), args.out)
     else:
-        write_table(scenario_header(title, resolved), names, columns, args.out)
+        write_table(scenario_header(title, resolved), columns, args.out)
 
 
 def cmd_snapshot(args) -> int:
     scenario = load_scenario(args.file)
     series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    n = len(series)
     gg, ee = norms(series)
     eg = eg_overlap(series)
-    p = mixing_probability(series.sin_half, series.cos_half)
-    names = [
-        "t", "omega", "delta",
-        "Re_delta_tilde", "Im_delta_tilde",
-        "Re_omega_tilde", "Im_omega_tilde",
-        "Re_cos_half", "Im_cos_half",
-        "Re_sin_half", "Im_sin_half",
-        "Re_omega_G", "Im_omega_G",
-        "Re_omega_E", "Im_omega_E",
-        "gg", "ee", "Re_eg", "Im_eg", "P",
-    ]
-    columns = [
-        series.grid, series.omega, np.full(n, series.delta),
-        series.delta_tilde.real, series.delta_tilde.imag,
-        series.omega_tilde.real, series.omega_tilde.imag,
-        series.cos_half.real, series.cos_half.imag,
-        series.sin_half.real, series.sin_half.imag,
-        series.omega_G.real, series.omega_G.imag,
-        series.omega_E.real, series.omega_E.imag,
-        gg, ee, eg.real, eg.imag, p,
-    ]
-    _emit(args, "snapshot table", scenario.resolved(), names, columns)
+    columns = {
+        "t": series.grid,
+        "omega": series.omega,
+        "delta": np.full(len(series), series.delta),
+        "Re_delta_tilde": series.delta_tilde.real,
+        "Im_delta_tilde": series.delta_tilde.imag,
+        "Re_omega_tilde": series.omega_tilde.real,
+        "Im_omega_tilde": series.omega_tilde.imag,
+        "Re_cos_half": series.cos_half.real,
+        "Im_cos_half": series.cos_half.imag,
+        "Re_sin_half": series.sin_half.real,
+        "Im_sin_half": series.sin_half.imag,
+        "Re_omega_G": series.omega_G.real,
+        "Im_omega_G": series.omega_G.imag,
+        "Re_omega_E": series.omega_E.real,
+        "Im_omega_E": series.omega_E.imag,
+        "gg": gg,
+        "ee": ee,
+        "Re_eg": eg.real,
+        "Im_eg": eg.imag,
+        "P": mixing_probability(series.sin_half, series.cos_half),
+    }
+    _emit(args, "snapshot table", scenario.resolved(), columns)
     return 0
 
 
@@ -121,14 +123,14 @@ def cmd_evolve(args) -> int:
     scenario = load_scenario(args.file)
     traj = evolve(scenario.system, scenario.field, scenario.grid(),
                   scenario.initial_state, **vars(scenario.integrator))
-    grid = traj.grid
-    names = ["t", "Re_c_g", "Im_c_g", "Re_c_e", "Im_c_e", "norm"]
-    columns = [
-        grid,
-        traj.c_g.real, traj.c_g.imag,
-        traj.c_e.real, traj.c_e.imag,
-        traj.norm,
-    ]
+    columns = {
+        "t": traj.grid,
+        "Re_c_g": traj.c_g.real,
+        "Im_c_g": traj.c_g.imag,
+        "Re_c_e": traj.c_e.real,
+        "Im_c_e": traj.c_e.imag,
+        "norm": traj.norm,
+    }
     if args.compare:
         # ratio is |c_e/c_g| for a ground start, |c_g/c_e| for an excited
         # start, from the trajectory and from the closed-form solution.
@@ -138,16 +140,15 @@ def cmd_evolve(args) -> int:
             num, den = traj.c_g, traj.c_e
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_traj = np.abs(num) / np.abs(den)
-        ratio_traj = np.where(np.isfinite(ratio_traj), ratio_traj, np.nan)
+        ratio_traj[~np.isfinite(ratio_traj)] = np.nan
+        columns["ratio_tdse"] = ratio_traj
         # The series is a temporary: it is released before the table is
         # formatted, where evolve's memory peaks.
-        ratio_model = np.abs(amplitude_ratios(
-            snapshot_series(scenario.system, scenario.field, grid),
+        columns["ratio_model"] = np.abs(amplitude_ratios(
+            snapshot_series(scenario.system, scenario.field, traj.grid),
             scenario.initial_state,
         ))
-        names += ["ratio_tdse", "ratio_model"]
-        columns += [ratio_traj, ratio_model]
-    _emit(args, "evolve table", scenario.resolved(), names, columns)
+    _emit(args, "evolve table", scenario.resolved(), columns)
     return 0
 
 
@@ -162,16 +163,16 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"sweep axes must differ, got {paths[0]} twice")
     # Full-length axis columns in axis-major order, allocated at once, so an
     # impossible point count fails before any point runs.
-    columns = [grid.ravel() for grid in np.meshgrid(*values, indexing="ij")]
+    axes = [grid.ravel() for grid in np.meshgrid(*values, indexing="ij")]
     results = []
-    for first in range(0, len(columns[0]), _SWEEP_POINTS):
-        chunk = [column[first:first + _SWEEP_POINTS] for column in columns]
+    for first in range(0, len(axes[0]), _SWEEP_POINTS):
+        chunk = [axis[first:first + _SWEEP_POINTS] for axis in axes]
         results += _sweep_points(scenario, paths, chunk, args.reduce)
-
-    names = [*paths, args.reduce, "error"]
-    columns.append([value for value, _ in results])
-    columns.append([err for _, err in results])
-    _emit(args, "sweep table", resolved, names, columns)
+    # The axis paths are dotted, so neither the reducer nor "error" is one.
+    columns = dict(zip(paths, axes))
+    columns[args.reduce] = [value for value, _ in results]
+    columns["error"] = [err for _, err in results]
+    _emit(args, "sweep table", resolved, columns)
     return 0
 
 

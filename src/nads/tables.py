@@ -405,37 +405,34 @@ def scenario_header(title: str, resolved: Mapping) -> list[str]:
 
 def _table_blocks(
     header_lines: Sequence[str],
-    names: Sequence[str],
-    columns: Sequence[Sequence[Any]],
+    columns: Mapping[str, Sequence[Any]],
 ) -> Iterator[str]:
     """The text of a table in consecutive pieces: the comment lines and
     the column names, then the rows (see :func:`table_text`). The columns
     are checked, and a table with a string cell rendered whole, before the
     first piece is taken; all-numeric rows are formatted a block per piece."""
-    if len(names) != len(columns):
-        raise ValidationError("one name per column required")
-    lengths = {len(col) for col in columns}
+    lengths = {len(col) for col in columns.values()}
     if len(lengths) > 1:
         raise ValidationError(f"columns have unequal lengths {sorted(lengths)}")
     buffer = io.StringIO()
     for line in header_lines:
         buffer.write(line + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(names)
-    arrays = [np.asarray(col) for col in columns]
+    writer.writerow(columns.keys())
+    arrays = [np.asarray(col) for col in columns.values()]
     if arrays and all(arr.dtype.kind in "biuf" for arr in arrays):
         return itertools.chain([buffer.getvalue()], _numeric_blocks(arrays))
-    for row in zip(*columns):
+    for row in zip(*columns.values()):
         writer.writerow([format_number(cell) for cell in row])
     return iter([buffer.getvalue()])
 
 
 def table_text(
     header_lines: Sequence[str],
-    names: Sequence[str],
-    columns: Sequence[Sequence[Any]],
+    columns: Mapping[str, Sequence[Any]],
 ) -> str:
-    """Render comment lines plus a CSV table with fixed formatting.
+    """Render comment lines plus a CSV table with fixed formatting: one
+    column per entry of ``columns``, headed by its name, in order.
 
     Tables whose columns are all numeric go through the NumPy formatter of
     this module, in blocks of whole rows of about :data:`BLOCK_CELLS`
@@ -448,14 +445,13 @@ def table_text(
 
     The text is the join of the blocks :func:`write_table` streams.
     """
-    return "".join(_table_blocks(header_lines, names, columns))
+    return "".join(_table_blocks(header_lines, columns))
 
 
 def table_json(
     title: str,
     resolved: Mapping,
-    names: Sequence[str],
-    columns: Sequence[Sequence[Any]],
+    columns: Mapping[str, Sequence[Any]],
 ) -> str:
     """JSON mirror of a table: scenario plus per-column value lists.
 
@@ -466,8 +462,7 @@ def table_json(
         "title": title,
         "scenario": resolved,
         "columns": {
-            name: [_json_cell(cell) for cell in col]
-            for name, col in zip(names, columns)
+            name: [_json_cell(cell) for cell in col] for name, col in columns.items()
         },
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -494,14 +489,13 @@ def _write(pieces: Iterable[str], out: Optional[str]) -> None:
 
 def write_table(
     header_lines: Sequence[str],
-    names: Sequence[str],
-    columns: Sequence[Sequence[Any]],
+    columns: Mapping[str, Sequence[Any]],
     out: Optional[str],
 ) -> None:
     """Write the text of :func:`table_text` block by block, each as soon as
     it is formatted, to a file or stdout (see :func:`write_text`). The
     whole table is never held in memory."""
-    _write(_table_blocks(header_lines, names, columns), out)
+    _write(_table_blocks(header_lines, columns), out)
 
 
 def write_text(text: str, out: Optional[str]) -> None:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from nads import tdse
+from nads.field_model import DEFAULT_FRAME, DEFAULT_INIT
 from nads.nads_core import SnapshotSeries, detuning, uniform_grid
 from nads.overlap_transitions import _bracket_im, _cumtrapz, _weight
 
@@ -42,7 +43,7 @@ def rhs(t, c, params, field, frame="lab"):
     return d_g, d_e
 
 
-def fixed_pass(params, field, grid, init="ground", frame="rotating", n_sub=1):
+def fixed_pass(params, field, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, n_sub=1):
     """One RK4 pass of :mod:`nads.tdse` with exactly ``n_sub`` substeps per
     output interval, built as the controller builds it, with no limit on
     its substeps: its interval propagators expanded into the states on the

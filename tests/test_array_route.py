@@ -154,14 +154,14 @@ class TestTrackBranches:
             assert np.array_equal(signs[:, j:j + 1], alone_signs)
 
 
-def csv_writer_table(header_lines, names, columns) -> str:
+def csv_writer_table(header_lines, columns) -> str:
     """The row-by-row ``csv.writer`` rendering every table once went through."""
     buffer = io.StringIO()
     for line in header_lines:
         buffer.write(line + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(names)
-    for row in zip(*columns):
+    writer.writerow(columns.keys())
+    for row in zip(*columns.values()):
         writer.writerow([format_number(cell) for cell in row])
     return buffer.getvalue()
 
@@ -253,17 +253,14 @@ class TestTableText:
 
     def test_special_floats_byte_identical(self):
         n = len(self.SPECIAL)
-        columns = [
-            np.array(self.SPECIAL),
-            list(reversed(self.SPECIAL)),
-            np.arange(n),
-            np.full(n, -0.0),
-        ]
-        names = ["a", "b", "k", "z"]
+        columns = {
+            "a": np.array(self.SPECIAL),
+            "b": list(reversed(self.SPECIAL)),
+            "k": np.arange(n),
+            "z": np.full(n, -0.0),
+        }
         header = ["# title", "# scenario: {}"]
-        assert table_text(header, names, columns) == csv_writer_table(
-            header, names, columns
-        )
+        assert table_text(header, columns) == csv_writer_table(header, columns)
 
     @pytest.mark.parametrize("cols", [1, 3, 8, 20, 21])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -295,50 +292,44 @@ class TestTableText:
 
     @staticmethod
     def assert_columns_byte_identical(columns):
-        names = [f"c{i}" for i in range(len(columns))]
-        assert_same_table(table_text([], names, columns), csv_writer_table([], names, columns))
+        columns = {f"c{i}": col for i, col in enumerate(columns)}
+        assert_same_table(table_text([], columns), csv_writer_table([], columns))
 
     def test_string_cells_byte_identical(self):
-        columns = [
-            [0.5, -0.0, np.nan],
-            [1.0, np.inf, 2.0],
-            ["", 'ValidationError: a, "quoted" value', "x,y"],
-        ]
-        names = ["a.b", "maxP", "error"]
-        text = table_text(["# sweep"], names, columns)
-        assert text == csv_writer_table(["# sweep"], names, columns)
+        columns = {
+            "a.b": [0.5, -0.0, np.nan],
+            "maxP": [1.0, np.inf, 2.0],
+            "error": ["", 'ValidationError: a, "quoted" value', "x,y"],
+        }
+        text = table_text(["# sweep"], columns)
+        assert text == csv_writer_table(["# sweep"], columns)
         assert '"ValidationError: a, ""quoted"" value"' in text
 
     def test_no_rows(self):
-        columns = [np.array([]), np.array([])]
-        assert table_text([], ["a", "b"], columns) == "a,b\n"
+        assert table_text([], {"a": np.array([]), "b": np.array([])}) == "a,b\n"
 
-    @pytest.mark.parametrize("names, columns, message", [
-        (["a"], [[1.0], [2.0]], "one name per column required"),
-        (["a", "b"], [[1.0], [1.0, 2.0]], "columns have unequal lengths [1, 2]"),
-    ], ids=["names", "lengths"])
+    @pytest.mark.parametrize("columns, message", [
+        ({"a": [1.0], "b": [1.0, 2.0]}, "columns have unequal lengths [1, 2]"),
+    ], ids=["lengths"])
     @pytest.mark.parametrize("render", [
-        lambda names, columns: table_text([], names, columns),
-        lambda names, columns: write_table([], names, columns, None),
+        lambda columns: table_text([], columns),
+        lambda columns: write_table([], columns, None),
     ], ids=["table_text", "write_table"])
-    def test_mismatched_columns_are_a_validation_error(self, render, names, columns, message):
+    def test_mismatched_columns_are_a_validation_error(self, render, columns, message):
         # A library caller's mistake, so a ValidationError (also a ValueError).
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            render(names, columns)
+            render(columns)
 
     def assert_signed_byte_identical(self, values):
         values = np.asarray(values, dtype=float)
-        columns = [values, -values, values[::-1]]
-        names = ["x", "minus_x", "reversed"]
-        assert_same_table(table_text([], names, columns), csv_writer_table([], names, columns))
+        columns = {"x": values, "minus_x": -values, "reversed": values[::-1]}
+        assert_same_table(table_text([], columns), csv_writer_table([], columns))
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(11).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
         values = bits.view(np.float64)
         assert np.signbit(values).any() and not np.signbit(values).all()
-        columns = list(values.reshape(8, -1))
-        names = [f"c{i}" for i in range(8)]
-        assert_same_table(table_text([], names, columns), csv_writer_table([], names, columns))
+        self.assert_columns_byte_identical(list(values.reshape(8, -1)))
 
     def test_powers_of_ten_and_neighbours(self):
         # Next to 10**p, floor(log10) may miss the decimal exponent by one.

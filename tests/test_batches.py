@@ -21,6 +21,10 @@ from nads import cli, nads_core, tdse, validation
 from nads.cli import main
 from nads.errors import NumericalError
 from nads.field_model import (
+    DEFAULT_ATOL,
+    DEFAULT_FRAME,
+    DEFAULT_INIT,
+    DEFAULT_RTOL,
     Chirp,
     ConstantEnvelope,
     FieldModel,
@@ -66,7 +70,8 @@ def snapshots_alone(runs, grid):
     return [series_alone(params, field, grid) for params, field in runs]
 
 
-def final_states_alone(runs, grid, init="ground", frame="rotating", rtol=1e-10, atol=1e-12):
+def final_states_alone(runs, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, rtol=DEFAULT_RTOL,
+                       atol=DEFAULT_ATOL):
     """``final_states`` with every run integrated alone by ``evolve``."""
     out = []
     for params, field in runs:
@@ -131,7 +136,7 @@ def trajectory_alone(params, field, grid, init, frame, rtol):
         return exc
 
 
-def check_batch(runs, grid, init="ground", frame="rotating", rtol=1e-8):
+def check_batch(runs, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, rtol=1e-8):
     """Each run of both batches against the run alone."""
     for batched, (params, field) in zip(snapshot_batch(runs, grid), runs):
         alone = series_alone(params, field, grid)

@@ -680,6 +680,39 @@ class TestCliSweep:
         assert "--reduce" in capsys.readouterr().err
 
 
+def _as_json_cell(cell: str):
+    """A CSV cell as ``--json`` writes it: a number, ``None`` where the
+    number is not finite, or the text of a string cell."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return cell
+    return value if math.isfinite(value) else None
+
+
+@pytest.mark.parametrize("argv", [
+    ["snapshot", "constant-damped"],
+    ["evolve", "constant-damped", "--compare"],
+    ["sweep", "constant-detuned", "--axis", "system.gamma_e:-0.05:0.3:4",
+     "--axis", "field.envelope.omega0:0.5:2:3", "--reduce", "maxP"],
+], ids=["snapshot", "evolve-compare", "sweep-maxP"])
+def test_json_mirrors_csv_column_by_column(tmp_path, argv):
+    command, name, *options = argv
+    argv = [command, str(shipped_path(name)), *options]
+    csv_out, json_out = tmp_path / "table.csv", tmp_path / "table.json"
+    assert main([*argv, "--out", str(csv_out)]) == 0
+    assert main([*argv, "--json", "--out", str(json_out)]) == 0
+    _, names, rows = read_table(csv_out)
+    columns = json.loads(json_out.read_text(encoding="utf-8"))["columns"]
+    assert len(set(names)) == len(names)
+    assert sorted(columns) == sorted(names)
+    for index, name in enumerate(names):
+        assert [_as_json_cell(row[index]) for row in rows] == columns[name], name
+    if command == "sweep":  # the negative damping rates fail in their own rows
+        assert None in columns["maxP"]
+        assert columns["error"][0].startswith("ValidationError: damping rates")
+
+
 class TestCliValidate:
     def test_all_checks_pass(self, capsys):
         rc = main(["validate"])

@@ -20,6 +20,10 @@ from nads import tdse
 from nads.cli import main
 from nads.errors import StepUnderflow, ToleranceUnreachable, ValidationError
 from nads.field_model import (
+    DEFAULT_ATOL,
+    DEFAULT_FRAME,
+    DEFAULT_INIT,
+    DEFAULT_RTOL,
     Chirp,
     ConstantEnvelope,
     FieldModel,
@@ -955,8 +959,8 @@ class TestCharacteristicRate:
         assert not out.exists()
 
 
-def doubling_evolve(params, field, grid, init="ground", frame="rotating",
-                    rtol=1e-10, atol=1e-12):
+def doubling_evolve(params, field, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME,
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """The plain doubling controller, as ``evolve`` ran before it predicted
     the accepted count: double ``n_sub`` from the rate heuristic until one
     halving changes the last point by less than ``rtol * max(1, |c|) + atol``.
