@@ -14,6 +14,9 @@ Sections:
      the series quantities at t=0 and of the transition probability at
      five spot times, plus overlap matrix elements at t=0 by
      high-precision quadrature of the same integrands.
+  5. Shipped sech-damped scenario: the nonadiabatic Rabi frequency and the
+     mixing amplitudes at t = -60, 0 and 60, with the exact derivative of
+     omega_tilde.
 """
 
 import mpmath as mp
@@ -151,3 +154,47 @@ print("gg(0) =", mp.nstr(gg0, 22))
 print("ee(0) =", mp.nstr(ee0, 22))
 print("eg(0) =", mp.nstr(eg0, 22))
 print("P(0) via overlaps =", mp.nstr(abs(eg0) ** 2 / (gg0 * ee0), 22))
+
+
+# ---------------------------------------------------------------------------
+# Shipped sech-damped scenario: sech(peak 1.5, t_c 0, tau 15), omega_g = 0,
+# omega_e = 4, carrier 3.2 (delta 0.8), no chirp, gamma_g 0.02, gamma_e 0.1,
+# grid [-60, 60] step 0.0375 (indices 0, 1600 and 3200 are t = -60, 0, 60).
+# d omega_tilde/dt is taken exactly by mp.diff, where the package uses a
+# finite difference on the grid.
+mp.mp.dps = 60
+
+S_O0, S_TAU = mp.mpf("1.5"), mp.mpf(15)
+S_DELTA = mp.mpf(4) - mp.mpf("3.2")
+S_GSUM2 = (mp.mpf("0.02") + mp.mpf("0.1")) / 2
+
+
+def sech_delta_tilde(t):
+    return S_DELTA - 1j * S_GSUM2 - 1j * mp.tanh(t / S_TAU) / S_TAU
+
+
+def sech_d_delta_tilde(t):
+    return -1j * mp.sech(t / S_TAU) ** 2 / S_TAU**2
+
+
+def sech_omega_tilde(t):
+    # Principal branch: the package keeps the principal root at all three
+    # spot times (its branch log reads +1 there).
+    return mp.sqrt((S_O0 * mp.sech(t / S_TAU)) ** 2 + sech_delta_tilde(t) ** 2
+                   - 2j * sech_d_delta_tilde(t))
+
+
+def sech_mixing(t):
+    wt = sech_omega_tilde(t)
+    shift = -1j * mp.diff(sech_omega_tilde, t) / (2 * wt)
+    lt1 = (sech_delta_tilde(t) + wt) / 2 + shift
+    lt2 = (sech_delta_tilde(t) - wt) / 2 + shift
+    return mp.sqrt(lt1 / wt), mp.sqrt(-lt2 / wt)  # sign_delta = +1
+
+
+section("sech-damped spot values at t = -60, 0, 60")
+for t in (-60, 0, 60):
+    ct, st = sech_mixing(mp.mpf(t))
+    print(f"omega_tilde({t:+d}) =", mp.nstr(sech_omega_tilde(mp.mpf(t)), 40))
+    print(f"cos_half({t:+d})    =", mp.nstr(ct, 40))
+    print(f"sin_half({t:+d})    =", mp.nstr(st, 40))

@@ -1,6 +1,7 @@
 """A run's choices are declared once: ``field_model`` holds the frame and
 initial-state types and the one check of a choice, which the scenario
-schema, the command line and the library entry points share."""
+schema, the command line and the library entry points share. The scenario
+parser tells a choice field by its string default."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -17,10 +19,17 @@ import nads
 from nads import tdse
 from nads.cli import main
 from nads.errors import ValidationError
-from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
+from nads.field_model import (
+    Chirp,
+    ConstantEnvelope,
+    FieldModel,
+    GaussianEnvelope,
+    SechEnvelope,
+    SystemParams,
+)
 from nads.nads_core import snapshot_series
 from nads.overlap_transitions import amplitude_ratios
-from nads.scenario import Integrator, Scenario, shipped_path
+from nads.scenario import Grid, Integrator, Scenario, shipped_path
 
 from test_scenario_cli import minimal_doc, run_python, write_doc
 
@@ -78,6 +87,27 @@ def test_the_entry_points_share_the_run_defaults():
     for entry in (nads.evolve, tdse.final_states):
         parameters = inspect.signature(entry).parameters
         assert {name: parameters[name].default for name in expected} == expected
+
+
+SCHEMA = (SystemParams, FieldModel, ConstantEnvelope, GaussianEnvelope, SechEnvelope,
+          Chirp, Grid, Integrator, Scenario)
+
+
+def test_a_field_defaults_to_a_string_exactly_when_it_is_a_choice():
+    # The scenario parser reads a field as a JSON string when its default is
+    # one, so a string default must mean a Literal field, and the reverse.
+    choices = {}
+    for cls in SCHEMA:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            label = f"{cls.__name__}.{f.name}"
+            is_choice = get_origin(hints[f.name]) is Literal
+            assert isinstance(f.default, str) == is_choice, label
+            if is_choice:
+                assert f.default in get_args(hints[f.name]), label
+                choices[label] = f.default
+    assert choices == {"Grid.step_policy": "error", "Integrator.frame": "rotating",
+                       "Scenario.initial_state": "ground"}
 
 
 def test_only_the_shared_check_words_a_choice():

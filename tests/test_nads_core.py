@@ -30,6 +30,7 @@ from nads.field_model import (
     SystemParams,
 )
 from nads.nads_core import _track_branches, detuning, snapshot_series, uniform_grid
+from nads.scenario import load_shipped
 
 
 def constant_series(omega0=3.0, delta=4.0, gamma_g=0.0, gamma_e=0.0,
@@ -415,3 +416,49 @@ class TestSnapshotSeries:
         assert not series.grid.flags.writeable
         grid[0] = 0.5
         assert series.grid[0] == 0.0
+
+
+# oracle: the shipped sech-damped scenario at grid indices 0, 1600 and 3200
+# (t = -60, 0, 60), exact d omega_tilde/dt, principal branch at every cell.
+# Each cell is (oracle value, measured relative error of snapshot_series);
+# the ratchet bounds the error at 1.5 times that, and at 1e-15 for cells at
+# rounding. The end rows of sin_half carry the one-sided O(h^2) error of
+# the grid derivative.
+SECH_DAMPED_ORACLE = {
+    "omega_tilde": [
+        (0.8018759346343401957393689499451083795794
+         + 0.006606461703038837084909959446397251121041j, 2.8e-16),
+        (1.696558746519458663646605440470107850716
+         - 0.02829256581799683909622174300003588656122j, 1.4e-16),
+        (0.8018304685073000871165827117977918281798
+         - 0.1263328928387160698323772616577160501886j, 4.2e-16),
+    ],
+    "cos_half": [
+        (0.9994103412415775102921737632627005220767
+         - 0.00008740239251806309803289061795419643770618j, 8.1e-10),
+        (0.8577295351175038287217360345079259424018
+         - 0.008008433726699136449749784559035269009236j, 9.0e-11),
+        (0.9994123636036846090101264135099529581793
+         - 0.00009294159196069340924467511509221749130326j, 7.8e-10),
+    ],
+    "sin_half": [
+        (0.03442984421184286553057576219570194545893
+         + 0.00253706796912434436872619048500826133163j, 6.8e-7),
+        (0.5143369914716144099129804939411822611052
+         + 0.01335519367908439474978751684026636155783j, 2.5e-10),
+        (0.03438363204647640773764498499838256691842
+         + 0.002701488195690622356997203807096585092442j, 6.6e-7),
+    ],
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(SECH_DAMPED_ORACLE))
+def test_sech_damped_against_oracle(quantity):
+    scenario = load_shipped("sech-damped")
+    series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+    cells = [0, 1600, 3200]
+    assert series.grid[cells].tolist() == [-60.0, 0.0, 60.0]
+    assert series.branch_log[quantity][cells].tolist() == [1, 1, 1]
+    values = getattr(series, quantity)[cells]
+    for value, (expected, measured) in zip(values, SECH_DAMPED_ORACLE[quantity]):
+        assert abs(value - expected) <= max(1e-15, 1.5 * measured) * abs(expected)
