@@ -248,6 +248,8 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
     with. Each run's values, and its failure, are bitwise those of the run
     alone: every operation is elementwise along the batch axis, with the
     operands in the same order, and a failing run only takes its own entry.
+    The formulas below are evaluated as they read, in NumPy's complex
+    arithmetic, so its rounding gives the last bits.
     The batch arrays live as long as any of its series, so a caller that
     reduces many runs bounds their memory by batching them in chunks.
 
@@ -300,22 +302,11 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
 
         deltas = [detuning(p, f) for p, f in runs]
         sign_delta = [1 if delta >= 0.0 else -1 for delta in deltas]
-        # delta - i gamma in Python's complex arithmetic, one per run.
-        offset = _stacked([delta - 1j * p.gamma_sum_half for delta, (p, _) in zip(deltas, runs)])
-        delta_tilde = (offset - (dphi - 1j * log_deriv)).astype(complex)
-        d_delta_tilde = (-d2phi + 1j * dlog_deriv).astype(complex)
-
-        # The radicand Omega^2 + delta_tilde^2 - 2i d_delta_tilde, written
-        # out in real and imaginary parts in the order Python's complex
-        # arithmetic evaluates it. NumPy's complex expression rounds
-        # differently in the last bit on chirped or damped pulses (three of
-        # the shipped scenarios), which would change the bytes of their
-        # tables.
-        a, b = delta_tilde.real, delta_tilde.imag
-        c, d = d_delta_tilde.real, d_delta_tilde.imag
-        radicand = np.empty(delta_tilde.shape, dtype=complex)
-        radicand.real = (omega * omega + (a * a - b * b)) - (0.0 * c - 2.0 * d)
-        radicand.imag = (0.0 + (a * b + b * a)) - (0.0 * d + 2.0 * c)
+        minus_i_gamma = -1j * _stacked([p.gamma_sum_half for p, _ in runs])
+        field_term = dphi - 1j * log_deriv
+        delta_tilde = _stacked(deltas) + minus_i_gamma - field_term
+        d_delta_tilde = -d2phi + 1j * dlog_deriv
+        radicand = omega * omega + delta_tilde * delta_tilde - 2j * d_delta_tilde
         _require_finite_runs(errors, "nonadiabatic Rabi frequency radicand", radicand)
         (omega_tilde,), (branch_rabi,), ambiguous = _track_branches(
             np.sqrt(radicand)[None], [sign_delta], ("nonadiabatic Rabi frequency",)
@@ -346,12 +337,7 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
         _merge(errors, ambiguous)
 
         omega_G = _stacked([p.omega_g for p, _ in runs]) + lam2
-        omega_E = (
-            _stacked([p.omega_e for p, _ in runs])
-            - lam2
-            - _stacked([1j * p.gamma_sum_half for p, _ in runs])
-            - (dphi - 1j * log_deriv)
-        )
+        omega_E = _stacked([p.omega_e for p, _ in runs]) - lam2 + minus_i_gamma - field_term
 
     arrays = {
         "omega": omega, "log_deriv": log_deriv, "phi": phi, "dphi": dphi,

@@ -14,9 +14,10 @@ Sections:
      the series quantities at t=0 and of the transition probability at
      five spot times, plus overlap matrix elements at t=0 by
      high-precision quadrature of the same integrands.
-  5. Shipped sech-damped scenario: the nonadiabatic Rabi frequency and the
-     mixing amplitudes at t = -60, 0 and 60, with the exact derivative of
-     omega_tilde.
+  5. Shipped sech-damped, sech-chirped and gaussian-chirped-damped
+     scenarios: the nonadiabatic Rabi frequency and the mixing amplitudes
+     at both ends and the centre of the grid, with the exact derivative of
+     omega_tilde, on the branches the package records.
 """
 
 import mpmath as mp
@@ -157,44 +158,65 @@ print("P(0) via overlaps =", mp.nstr(abs(eg0) ** 2 / (gg0 * ee0), 22))
 
 
 # ---------------------------------------------------------------------------
-# Shipped sech-damped scenario: sech(peak 1.5, t_c 0, tau 15), omega_g = 0,
-# omega_e = 4, carrier 3.2 (delta 0.8), no chirp, gamma_g 0.02, gamma_e 0.1,
-# grid [-60, 60] step 0.0375 (indices 0, 1600 and 3200 are t = -60, 0, 60).
-# d omega_tilde/dt is taken exactly by mp.diff, where the package uses a
-# finite difference on the grid.
+# Shipped scenarios: omega_tilde, COS and SIN at spot times, with
+# d omega_tilde/dt taken exactly by mp.diff where the package uses a finite
+# difference on the grid. Each root is the principal one times the sign the
+# package records in its branch log at that cell (sgn(delta) = +1 in all
+# three scenarios), so the oracle follows the package's branch.
 mp.mp.dps = 60
 
-S_O0, S_TAU = mp.mpf("1.5"), mp.mpf(15)
-S_DELTA = mp.mpf(4) - mp.mpf("3.2")
-S_GSUM2 = (mp.mpf("0.02") + mp.mpf("0.1")) / 2
+
+def envelope_terms(kind, O0, tau, t):
+    """Omega, Omega'/Omega and (Omega'/Omega)' of a pulse centred at 0."""
+    x = t / tau
+    if kind == "gaussian":
+        return O0 * mp.exp(-x**2), -2 * x / tau, mp.mpf(-2) / tau**2
+    return O0 * mp.sech(x), -mp.tanh(x) / tau, -mp.sech(x) ** 2 / tau**2
 
 
-def sech_delta_tilde(t):
-    return S_DELTA - 1j * S_GSUM2 - 1j * mp.tanh(t / S_TAU) / S_TAU
+def spot_values(kind, O0, tau, delta, gamma, beta, times, signs):
+    """Print omega_tilde, cos_half and sin_half at ``times``; ``signs`` maps
+    each quantity to its branch-log signs there. The chirp is centred at 0:
+    dphi = beta t."""
+    def delta_tilde(t):
+        _, logd, _ = envelope_terms(kind, O0, tau, t)
+        return delta - 1j * gamma - (beta * t - 1j * logd)
+
+    for t, s_w, s_c, s_s in zip(times, signs["omega_tilde"], signs["cos_half"],
+                                signs["sin_half"]):
+        def omega_tilde(u):
+            omega, _, dlogd = envelope_terms(kind, O0, tau, u)
+            d_delta_tilde = -beta + 1j * dlogd
+            return s_w * mp.sqrt(omega**2 + delta_tilde(u) ** 2 - 2j * d_delta_tilde)
+
+        t = mp.mpf(t)
+        wt = omega_tilde(t)
+        shift = -1j * mp.diff(omega_tilde, t) / (2 * wt)
+        lt1 = (delta_tilde(t) + wt) / 2 + shift
+        lt2 = (delta_tilde(t) - wt) / 2 + shift
+        print(f"omega_tilde({int(t):+d}) =", mp.nstr(wt, 40))
+        print(f"cos_half({int(t):+d})    =", mp.nstr(s_c * mp.sqrt(lt1 / wt), 40))
+        print(f"sin_half({int(t):+d})    =", mp.nstr(s_s * mp.sqrt(-lt2 / wt), 40))
 
 
-def sech_d_delta_tilde(t):
-    return -1j * mp.sech(t / S_TAU) ** 2 / S_TAU**2
+PRINCIPAL = {"omega_tilde": (1, 1, 1), "cos_half": (1, 1, 1), "sin_half": (1, 1, 1)}
 
-
-def sech_omega_tilde(t):
-    # Principal branch: the package keeps the principal root at all three
-    # spot times (its branch log reads +1 there).
-    return mp.sqrt((S_O0 * mp.sech(t / S_TAU)) ** 2 + sech_delta_tilde(t) ** 2
-                   - 2j * sech_d_delta_tilde(t))
-
-
-def sech_mixing(t):
-    wt = sech_omega_tilde(t)
-    shift = -1j * mp.diff(sech_omega_tilde, t) / (2 * wt)
-    lt1 = (sech_delta_tilde(t) + wt) / 2 + shift
-    lt2 = (sech_delta_tilde(t) - wt) / 2 + shift
-    return mp.sqrt(lt1 / wt), mp.sqrt(-lt2 / wt)  # sign_delta = +1
-
-
+# sech(peak 1.5, tau 15), omega_g 0, omega_e 4, carrier 3.2, no chirp,
+# gamma_g 0.02, gamma_e 0.1; grid [-60, 60] step 0.0375 (cells 0, 1600, 3200).
 section("sech-damped spot values at t = -60, 0, 60")
-for t in (-60, 0, 60):
-    ct, st = sech_mixing(mp.mpf(t))
-    print(f"omega_tilde({t:+d}) =", mp.nstr(sech_omega_tilde(mp.mpf(t)), 40))
-    print(f"cos_half({t:+d})    =", mp.nstr(ct, 40))
-    print(f"sin_half({t:+d})    =", mp.nstr(st, 40))
+spot_values("sech", mp.mpf("1.5"), mp.mpf(15), mp.mpf(4) - mp.mpf("3.2"),
+            (mp.mpf("0.02") + mp.mpf("0.1")) / 2, 0, (-60, 0, 60), PRINCIPAL)
+
+# sech(peak 1, tau 10), omega_g 0, omega_e 5, carrier 3.8, chirp beta 0.05,
+# no damping; grid [-40, 40] step 0.025 (cells 0, 1600, 3200).
+section("sech-chirped spot values at t = -40, 0, 40")
+spot_values("sech", mp.mpf(1), mp.mpf(10), mp.mpf(5) - mp.mpf("3.8"), 0,
+            mp.mpf("0.05"), (-40, 0, 40), PRINCIPAL)
+
+# The flagship of section 4 on its shipped grid [-60, 60] step 0.05 (cells
+# 0, 1200, 2400); at t = 60 the package keeps omega_tilde and SIN on the
+# negated branch.
+section("gaussian-chirped-damped spot values at t = -60, 0, 60")
+spot_values("gaussian", mp.mpf(2), mp.mpf(20), mp.mpf(5) - mp.mpf("4.5"),
+            (mp.mpf("0.05") + mp.mpf("0.15")) / 2, mp.mpf("0.01"), (-60, 0, 60),
+            {"omega_tilde": (1, 1, -1), "cos_half": (1, 1, 1), "sin_half": (1, 1, -1)})

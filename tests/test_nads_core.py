@@ -418,47 +418,116 @@ class TestSnapshotSeries:
         assert series.grid[0] == 0.0
 
 
-# oracle: the shipped sech-damped scenario at grid indices 0, 1600 and 3200
-# (t = -60, 0, 60), exact d omega_tilde/dt, principal branch at every cell.
-# Each cell is (oracle value, measured relative error of snapshot_series);
-# the ratchet bounds the error at 1.5 times that, and at 1e-15 for cells at
-# rounding. The end rows of sin_half carry the one-sided O(h^2) error of
-# the grid derivative.
-SECH_DAMPED_ORACLE = {
-    "omega_tilde": [
-        (0.8018759346343401957393689499451083795794
-         + 0.006606461703038837084909959446397251121041j, 2.8e-16),
-        (1.696558746519458663646605440470107850716
-         - 0.02829256581799683909622174300003588656122j, 1.4e-16),
-        (0.8018304685073000871165827117977918281798
-         - 0.1263328928387160698323772616577160501886j, 4.2e-16),
-    ],
-    "cos_half": [
-        (0.9994103412415775102921737632627005220767
-         - 0.00008740239251806309803289061795419643770618j, 8.1e-10),
-        (0.8577295351175038287217360345079259424018
-         - 0.008008433726699136449749784559035269009236j, 9.0e-11),
-        (0.9994123636036846090101264135099529581793
-         - 0.00009294159196069340924467511509221749130326j, 7.8e-10),
-    ],
-    "sin_half": [
-        (0.03442984421184286553057576219570194545893
-         + 0.00253706796912434436872619048500826133163j, 6.8e-7),
-        (0.5143369914716144099129804939411822611052
-         + 0.01335519367908439474978751684026636155783j, 2.5e-10),
-        (0.03438363204647640773764498499838256691842
-         + 0.002701488195690622356997203807096585092442j, 6.6e-7),
-    ],
+# oracle: section 5 of tests/oracles.py, three shipped scenarios at the
+# grid cells SPOT_CELLS names (both ends and the centre), exact
+# d omega_tilde/dt, on the branches the package records there. Each cell is
+# (oracle value, measured relative error of snapshot_series); the ratchet
+# bounds the error at 1.5 times that, and at 1e-15 for cells at rounding.
+# The largest errors sit at the grid ends, where the grid derivative is
+# one-sided, O(h^2).
+SPOT_ORACLES = {
+    "sech-damped": {
+        "omega_tilde": [
+            (0.8018759346343401957393689499451083795794
+             + 0.006606461703038837084909959446397251121041j, 2.8e-16),
+            (1.696558746519458663646605440470107850716
+             - 0.02829256581799683909622174300003588656122j, 1.4e-16),
+            (0.8018304685073000871165827117977918281798
+             - 0.1263328928387160698323772616577160501886j, 4.2e-16),
+        ],
+        "cos_half": [
+            (0.9994103412415775102921737632627005220767
+             - 0.00008740239251806309803289061795419643770618j, 8.1e-10),
+            (0.8577295351175038287217360345079259424018
+             - 0.008008433726699136449749784559035269009236j, 9.0e-11),
+            (0.9994123636036846090101264135099529581793
+             - 0.00009294159196069340924467511509221749130326j, 7.8e-10),
+        ],
+        "sin_half": [
+            (0.03442984421184286553057576219570194545893
+             + 0.00253706796912434436872619048500826133163j, 6.8e-7),
+            (0.5143369914716144099129804939411822611052
+             + 0.01335519367908439474978751684026636155783j, 2.5e-10),
+            (0.03438363204647640773764498499838256691842
+             + 0.002701488195690622356997203807096585092442j, 6.6e-7),
+        ],
+    },
+    "sech-chirped": {
+        "omega_tilde": [
+            (3.200730398287605358394165333890679062642
+             + 0.1155315599571701128656569091347428637072j, 1.4e-16),
+            (1.55596677896158425710969584732436088154
+             + 0.03213436217023144129420743064128519794326j, 0),
+            (0.8105727556785677146802907843169216190434
+             + 0.1603142260442016774988026604955899559903j, 1.4e-16),
+        ],
+        "cos_half": [
+            (0.9999923952460297533786549972089476928753
+             - 0.000001221417029730848248620770533235363625641j, 1.1e-11),
+            (0.9403998996797823484582475705734269638757
+             + 0.00004337473538253270496284568601929943636089j, 5.4e-9),
+            (0.02441343911812750947657524129944848038106
+             + 0.05538559411943599297933644648158808290834j, 1.8e-6),
+        ],
+        "sin_half": [
+            (0.003912405045522271243505196482682976601558
+             + 0.0003121884689707006080756391703633290926474j, 7.1e-7),
+            (0.3400706469989745610070898216012550693358
+             - 0.0001199444796612918413384234830667892837616j, 4.1e-8),
+            (1.001235922164558087811197410002933876081
+             - 0.001350483737272401420880320680889872464078j, 6.5e-9),
+        ],
+    },
+    "gaussian-chirped-damped": {
+        "omega_tilde": [
+            (1.097241613486803896025785618378944882367
+             + 0.2096165486005476967539827904414424977201j, 0),
+            (2.056788325709172127578880054247507639456
+             - 0.01944779611008739319632663509205491691955j, 0),
+            (-0.119748970561474647395289650456621656163
+             - 0.4175401238571138122018206440027453216981j, 1.3e-16),
+        ],
+        "cos_half": [
+            (1.000029601200774896067734799891174345383
+             + 0.000005331457634366040149802428392210928211245j, 9.2e-12),
+            (0.7885951987052612674257374361884233057512
+             - 0.01448457871417754130664728560458410538327j, 1.6e-9),
+            (0.9994061863285072099216856961778820032763
+             + 0.001227304995276112694521405579465349334192j, 2.8e-9),
+        ],
+        "sin_half": [
+            (0.000690153992660417098817536152564685012451
+             - 0.007725254810685797643965445151755990888892j, 1.5e-7),
+            (0.6153632823252172423038344481032585502059
+             + 0.01856215597737289557322426663337073688911j, 2.5e-9),
+            (-0.04424249013817346868138873665832010182282
+             + 0.02772394141830880661037786407738330608823j, 1.0e-6),
+        ],
+    },
+}
+
+#: Each scenario's oracle cells, their times and the branch-log signs
+#: (omega_tilde, cos_half, sin_half) the package records there.
+SPOT_CELLS = {
+    "sech-damped": ([0, 1600, 3200], [-60.0, 0.0, 60.0],
+                    {"omega_tilde": [1, 1, 1], "cos_half": [1, 1, 1], "sin_half": [1, 1, 1]}),
+    "sech-chirped": ([0, 1600, 3200], [-40.0, 0.0, 40.0],
+                     {"omega_tilde": [1, 1, 1], "cos_half": [1, 1, 1], "sin_half": [1, 1, 1]}),
+    "gaussian-chirped-damped": ([0, 1200, 2400], [-60.0, 0.0, 60.0],
+                                {"omega_tilde": [1, 1, -1], "cos_half": [1, 1, 1],
+                                 "sin_half": [1, 1, -1]}),
 }
 
 
-@pytest.mark.parametrize("quantity", sorted(SECH_DAMPED_ORACLE))
-def test_sech_damped_against_oracle(quantity):
-    scenario = load_shipped("sech-damped")
-    series = snapshot_series(scenario.system, scenario.field, scenario.grid())
-    cells = [0, 1600, 3200]
-    assert series.grid[cells].tolist() == [-60.0, 0.0, 60.0]
-    assert series.branch_log[quantity][cells].tolist() == [1, 1, 1]
+@pytest.mark.parametrize("scenario, quantity", [
+    (scenario, quantity) for scenario in SPOT_ORACLES for quantity in sorted(SPOT_ORACLES[scenario])
+])
+def test_shipped_scenario_against_oracle(scenario, quantity):
+    shipped = load_shipped(scenario)
+    series = snapshot_series(shipped.system, shipped.field, shipped.grid())
+    cells, times, signs = SPOT_CELLS[scenario]
+    assert series.grid[cells].tolist() == times
+    assert series.branch_log[quantity][cells].tolist() == signs[quantity]
     values = getattr(series, quantity)[cells]
-    for value, (expected, measured) in zip(values, SECH_DAMPED_ORACLE[quantity]):
+    for value, (expected, measured) in zip(values, SPOT_ORACLES[scenario][quantity]):
         assert abs(value - expected) <= max(1e-15, 1.5 * measured) * abs(expected)

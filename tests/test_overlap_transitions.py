@@ -30,6 +30,7 @@ from nads.overlap_transitions import (
     norms,
     p_via_overlaps,
 )
+from nads.tdse import _diagonal
 
 from reference import expanded_overlaps
 
@@ -39,6 +40,16 @@ def static_series(omega0=3.0, carrier=1.0, omega_e=5.0, gamma_g=0.0, gamma_e=0.0
     params = SystemParams(0.0, omega_e, gamma_g=gamma_g, gamma_e=gamma_e)
     field = FieldModel(carrier_omega=carrier, envelope=ConstantEnvelope(omega0))
     return snapshot_series(params, field, np.linspace(0.0, span, n))
+
+
+def ground_like_ratio(params, field):
+    """|b_e/b_g| of the ground-like eigenvector (the smaller ratio) of the
+    rotating-frame generator [[d1, i k], [i k, d2]] of a constant, unchirped
+    field, k = mu Omega / 2."""
+    d1, d2 = _diagonal(params, field, "rotating")
+    k = 0.5 * params.mu * field.envelope.omega0
+    _, vectors = np.linalg.eig(np.array([[d1, 1j * k], [1j * k, d2]]))
+    return float(np.min(np.abs(vectors[1] / vectors[0])))
 
 
 complex_pairs = st.tuples(
@@ -210,6 +221,34 @@ class TestAmplitudeRatios:
         assert np.all(np.isfinite(ratios))
         expected = np.abs(series.sin_half / series.cos_half)
         np.testing.assert_allclose(np.abs(ratios), expected, rtol=1e-12, atol=0)
+
+    def test_constant_field_ratio_is_the_closed_form_damping_eigenvector(self):
+        # On a constant, unchirped field the closed form's ratio is that of
+        # the ground-like eigenvector (the smaller |b_e/b_g|) of the
+        # rotating-frame generator with damping (0, gamma_g + gamma_e): its
+        # relative damping is gamma = (gamma_g + gamma_e)/2 in delta_tilde.
+        rng = np.random.default_rng(20261020)
+        for _ in range(50):
+            gamma_g, gamma_e = rng.uniform(0.0, 0.5, 2)
+            delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+            omega0, mu = rng.uniform(0.1, 4.0), rng.uniform(0.5, 2.0)
+            params = SystemParams(0.0, 10.0, mu=mu, gamma_g=gamma_g, gamma_e=gamma_e)
+            field = FieldModel(carrier_omega=10.0 - delta, envelope=ConstantEnvelope(omega0))
+            series = snapshot_series(params, field, np.linspace(0.0, 1.0, 5))
+            model = dataclasses.replace(params, gamma_g=0.0, gamma_e=gamma_g + gamma_e)
+            expected = ground_like_ratio(model, field)
+            np.testing.assert_allclose(np.abs(amplitude_ratios(series, "ground")), expected,
+                                       rtol=1e-12, atol=0)
+
+    def test_constant_damped_gap_to_the_integrator_damping(self):
+        # The integrator damps c_g at gamma_g/2 and c_e at gamma_e/2; its
+        # generator's ground-like ratio differs from the closed form's by
+        # 2.7e-3 relative on constant-damped (README, "What it computes").
+        scenario = load_shipped("constant-damped")
+        series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+        closed_form = abs(amplitude_ratios(series, "ground")[len(series) // 2])
+        integrator = ground_like_ratio(scenario.system, scenario.field)
+        assert abs(closed_form - integrator) / integrator == pytest.approx(2.7e-3, rel=0.1)
 
     def test_invalid_init(self, flagship):
         _, series = flagship

@@ -811,7 +811,13 @@ class TestNonFiniteResults:
          "nonadiabatic Rabi frequency radicand is not finite: (inf+0j) (grid index 0)"),
         ({"phase": {"beta": 1e12}},
          "excited dressed-state norm <E|E> is not finite: inf (grid index 1)"),
-    ], ids=["omega0-1e200", "beta-1e12"])
+        ({"phase": {"beta": 1e155}},
+         "nonadiabatic Rabi frequency radicand is not finite: (inf+2e+155j) (grid index 2)"),
+        ({"phase": {"beta": 1e308}},
+         "nonadiabatic Rabi frequency radicand is not finite: (1.25+infj) (grid index 0)"),
+        ({"phase": {"beta": -1e200}},
+         "nonadiabatic Rabi frequency radicand is not finite: (inf-2e+200j) (grid index 1)"),
+    ], ids=["omega0-1e200", "beta-1e12", "beta-1e155", "beta-1e308", "beta--1e200"])
     def test_snapshot(self, tmp_path, capsys, field, message):
         doc = minimal_doc()
         doc["field"].update(field)
