@@ -82,7 +82,7 @@ REDUCERS = {
 def _emit(args, title: str, resolved: dict, columns: dict) -> None:
     """Write the table ``columns`` (name to column, in order) as CSV, or
     as JSON under ``--json``."""
-    if getattr(args, "json", False):
+    if args.json:
         write_text(table_json(title, resolved, columns), args.out)
     else:
         write_table(scenario_header(title, resolved), columns, args.out)

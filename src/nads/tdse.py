@@ -32,7 +32,7 @@ lattice points (see :func:`_chirp_factor`). A stack of step matrices is one
 complex array of shape (2, 2, ...), so multiplying two stacks takes two
 broadcast products and a sum.
 
-A pass has two steps. The build (:func:`_intervals`) makes the step
+A pass has two steps. The build (:func:`_build_pass`) makes the step
 matrices elementwise in NumPy, in blocks of at most ``_BLOCK_SUBSTEPS``
 substeps, and multiplies them together per output interval in pairs (an
 odd last one folded into the last pair). It keeps one interval propagator
@@ -43,10 +43,10 @@ output grid by a work-efficient scan applied to the state (Blelloch,
 :func:`_scan`): pair products halve the stack, round after round down to
 one column, and the states come back up one matrix-vector step each. It
 runs in chunks of at most ``_EXPAND_ROWS`` rows that carry the state.
-The controller builds every pass but compares only its last states, the
-scan's last column from its pair products alone (:func:`_expand_last`),
-and expands only the pass it accepts; it holds the intervals of the
-current pass only. A pass builds ``n_sub`` substeps for each row it
+The controller builds every pass, takes its last states, the scan's last
+column from its pair products alone (:func:`_expand_last`), compares
+them, and expands only the pass it accepts; it holds the intervals of
+the current pass only. A pass builds ``n_sub`` substeps for each row it
 builds (:func:`_built_rows`), every output interval in general. In the
 rotating frame a constant envelope without chirp makes the coupling
 time-independent; every substep then has the same step matrix, so a pass
@@ -399,11 +399,18 @@ def _built_rows(field: FieldModel, frame: Frame, rows: int) -> int:
     return rows
 
 
-def _intervals(runs, grid, frame: Frame, n_sub: int):
+def _build_pass(runs, grid, frame: Frame, n_sub: int):
     """Interval propagators of one pass of each of B runs with ``n_sub``
-    substeps per output interval, as a stack of shape
-    (2, 2, B, len(grid) - 1). The output step is the grid's first,
-    ``grid[1] - grid[0]``, the double :func:`uniform_grid` returns for it.
+    substeps per output interval, on a grid the controller has validated,
+    as a stack of shape (2, 2, B, len(grid) - 1). The output step is the
+    grid's first, ``grid[1] - grid[0]``, the double :func:`uniform_grid`
+    returns for it.
+
+    The pass builds the rows of step matrices its runs need
+    (:func:`_built_rows`), the most any of them needs. With one built row,
+    each substep of a run has the same step matrix, so the interval
+    propagator of the first interval serves every interval and the stack
+    is a broadcast view.
 
     Each block holds up to ``_BLOCK_SUBSTEPS`` substeps of each run: whole
     output intervals when ``n_sub`` fits, otherwise consecutive slices of
@@ -417,14 +424,15 @@ def _intervals(runs, grid, frame: Frame, n_sub: int):
     differently from the run alone.
     """
     rows = len(grid) - 1
+    built_rows = max(_built_rows(field, frame, rows) for _, field in runs)
     h_sub = float(grid[1] - grid[0]) / n_sub
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
     same = _same_coupling(runs)
     table, q = _step_coefficients([_diagonal(*run, frame) for run in runs], h_sub)
-    out = np.empty((2, 2, len(runs), rows), dtype=complex)
-    for first in range(0, rows, per_block):
-        built = min(per_block, rows - first)
+    out = np.empty((2, 2, len(runs), built_rows), dtype=complex)
+    for first in range(0, built_rows, per_block):
+        built = min(per_block, built_rows - first)
         size = max(1, _BLOCK_SUBSTEPS // (built * width))  # runs built together
         for offset in range(0, n_sub, width):
             w = min(width, n_sub - offset)
@@ -440,7 +448,7 @@ def _intervals(runs, grid, frame: Frame, n_sub: int):
             part = _ordered_product(steps)
             interval = part if offset == 0 else _mul(part, interval)
         out[..., first:first + built] = interval
-    return out
+    return np.broadcast_to(out, out.shape[:-1] + (rows,))
 
 
 def _expand(intervals, y) -> np.ndarray:
@@ -482,32 +490,6 @@ def _trajectory(grid, states, frame: Frame, n_sub: int, attempts) -> Trajectory:
     norm = np.abs(c_g) ** 2 + np.abs(c_e) ** 2
     return Trajectory(grid=grid, c_g=c_g, c_e=c_e, norm=norm, frame=frame,
                       n_sub=n_sub, attempts=tuple(attempts))
-
-
-@dataclass(eq=False)
-class _Pass:
-    """A built pass: its interval propagators and its last states, the last
-    column of their expansion (:func:`_expand_last`)."""
-
-    intervals: np.ndarray
-    last: np.ndarray
-
-
-def _build_pass(runs, grid, start, frame: Frame, n_sub: int) -> _Pass:
-    """The pass the controller runs with ``n_sub`` substeps for each of B
-    runs on a grid it has validated: intervals of shape (2, 2, B, rows) and
-    last states of shape (2, B).
-
-    It builds the rows of step matrices its runs need (:func:`_built_rows`),
-    the most any of them needs. With one built row, each substep of a run
-    has the same step matrix, so the interval propagator of the first
-    interval serves every interval and the stack is a broadcast view.
-    """
-    rows = len(grid) - 1
-    built_rows = max(_built_rows(field, frame, rows) for _, field in runs)
-    built = _intervals(runs, grid[:built_rows + 1], frame, n_sub)
-    intervals = np.broadcast_to(built, built.shape[:-1] + (rows,))
-    return _Pass(intervals, _expand_last(intervals, start))
 
 
 def _characteristic_rate(
@@ -662,8 +644,9 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     runs that ask for the same ``n_sub`` (and build the same rows of step
     matrices) share one pass, built for chunks of them at a time
     (:func:`_chunk_runs`); a run leaves the batch when it is accepted or
-    fails. Only the chunk's intervals of the current pass are held. An
-    accepted run is expanded on the whole grid, or with ``last_only``
+    fails. Only the chunk's intervals of the current pass are held; their
+    last states (:func:`_expand_last`) are what the controllers compare.
+    An accepted run is expanded on the whole grid, or with ``last_only``
     keeps the last state its pass was compared by.
 
     Returns one entry per run: its Trajectory or the NumericalError it
@@ -694,24 +677,25 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
             for (n_sub, built_rows), members in passes.items():
                 size = _chunk_runs(built_rows, n_sub)
                 for chunk in (members[i:i + size] for i in range(0, len(members), size)):
-                    built = _build_pass([runs[j] for j in chunk], grid, start, frame, n_sub)
+                    intervals = _build_pass([runs[j] for j in chunk], grid, frame, n_sub)
+                    last = _expand_last(intervals, start)
                     for i, j in enumerate(chunk):
                         try:
-                            if not pending[j].accepts(built.last[:, i], rtol, atol):
+                            if not pending[j].accepts(last[:, i], rtol, atol):
                                 continue
                         except NumericalError as exc:
                             results[j] = exc
                         else:
                             results[j] = _trajectory(
                                 grid[-1:] if last_only else grid,
-                                built.last[:, i:i + 1] if last_only
-                                else _expand(built.intervals[:, :, i], start),
+                                last[:, i:i + 1] if last_only
+                                else _expand(intervals[:, :, i], start),
                                 frame, n_sub, pending[j].attempts,
                             )
                         del pending[j]
                     # The intervals of a chunk's pass are released before
                     # the next pass is built.
-                    del built
+                    del intervals
     return results
 
 

@@ -50,9 +50,8 @@ def fixed_pass(params, field, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, n_su
     grid, as a Trajectory with no controller attempts."""
     grid, _ = uniform_grid(grid)
     start = tdse._start(init)
-    built = tdse._build_pass(((params, field),), grid, start, frame, n_sub)
-    return tdse._trajectory(grid, tdse._expand(built.intervals[:, :, 0], start), frame,
-                            n_sub, ())
+    intervals = tdse._build_pass(((params, field),), grid, frame, n_sub)
+    return tdse._trajectory(grid, tdse._expand(intervals[:, :, 0], start), frame, n_sub, ())
 
 
 def expanded_overlaps(series: SnapshotSeries) -> tuple[np.ndarray, ...]:

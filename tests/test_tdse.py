@@ -304,12 +304,12 @@ class TestValidationAndFailure:
         # between 64 and 128 substeps, so the pass at 256 is the last.
         calls = []
 
-        def fake(runs, grid, start, frame, n_sub):
+        def fake(runs, grid, frame, n_sub):
             sign = (-1) ** int(math.log2(n_sub))
             calls.append(n_sub)
             return fake_pass(grid, 0.5 + 1e-6 / n_sub**4 + sign * 1e-14 * n_sub)
 
-        monkeypatch.setattr(tdse, "_build_pass", fake)
+        use_passes(monkeypatch, fake)
         params, field = resonant(0.2)
         with pytest.raises(ToleranceUnreachable,
                            match="at n_sub 256 did not shrink from .* at n_sub 128"):
@@ -480,9 +480,8 @@ class TestExpansion:
                       **vars(sc.integrator))
         grid, _ = uniform_grid(sc.grid())
         start = tdse._start(sc.initial_state)
-        built = tdse._build_pass(((sc.system, sc.field),), grid, start, sc.integrator.frame,
-                                 traj.n_sub)
-        intervals = built.intervals[:, :, 0]
+        intervals = tdse._build_pass(((sc.system, sc.field),), grid, sc.integrator.frame,
+                                     traj.n_sub)[:, :, 0]
         states = tdse._expand(intervals, start)
         assert np.array_equal(states[0], traj.c_g) and np.array_equal(states[1], traj.c_e)
         block = max(1, _BLOCK_SUBSTEPS // traj.n_sub)
@@ -514,7 +513,7 @@ class TestExpansion:
         runs = [(params, field), (SystemParams(omega_g=0.0, omega_e=4.9, gamma_e=0.3), field)]
         grid, _ = uniform_grid(np.linspace(-9.0, 9.0, rows + 1))
         start = tdse._start(init)
-        intervals = tdse._build_pass(runs, grid, start, "rotating", 2).intervals
+        intervals = tdse._build_pass(runs, grid, "rotating", 2)
         assert intervals.strides[-1] == 0
         contiguous = np.ascontiguousarray(intervals)
         expected_last = tdse._expand_last(contiguous, start)
@@ -539,8 +538,8 @@ class TestExpansion:
     def check_pass(params, field, grid, init, frame, n_sub=2):
         grid, _ = uniform_grid(grid)
         start = tdse._start(init)
-        built = tdse._build_pass(((params, field),), grid, start, frame, n_sub)
-        intervals = built.intervals[:, :, 0]
+        built = tdse._build_pass(((params, field),), grid, frame, n_sub)
+        intervals = built[:, :, 0]
         states = tdse._expand(intervals, start)
         ref = hillis_steele_states(intervals, start, len(grid))
         assert states.shape == (2, len(grid))
@@ -548,7 +547,7 @@ class TestExpansion:
         assert relative_error(states, ref) < 1e-13
         # The last state the controller compares is the expansion's last
         # column bitwise.
-        assert np.array_equal(built.last, states[:, -1:])
+        assert np.array_equal(tdse._expand_last(built, start), states[:, -1:])
         return intervals
 
     @pytest.mark.parametrize("name", list_shipped())
@@ -569,7 +568,7 @@ class TestExpansion:
 
     @pytest.mark.parametrize("name", list_shipped())
     def test_final_states_scans_nothing_after_acceptance(self, monkeypatch, name):
-        # Each pass takes one last-column scan, in its build; the accepted
+        # Each pass takes one last-column scan after its build; the accepted
         # state is that pass's, so acceptance adds no scan.
         events = []
         build_pass, expand_last = tdse._build_pass, tdse._expand_last
@@ -979,14 +978,14 @@ def doubling_evolve(params, field, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME,
                 f"a pass at {n_sub} substeps per output interval would build "
                 f"{n_sub * built_rows} substeps, beyond the limit of {MAX_PASS_SUBSTEPS} per pass"
             )
-        cur = tdse._build_pass(((params, field),), grid, start, frame, n_sub)
-        last = cur.last[:, 0]
+        intervals = tdse._build_pass(((params, field),), grid, frame, n_sub)
+        last = tdse._expand_last(intervals, start)[:, 0]
         passes += 1
         if prev is not None:
             err = max(abs(last[0] - prev[0]), abs(last[1] - prev[1]))
             scale = max(1.0, abs(last[0]), abs(last[1]))
             if err < rtol * scale + atol:
-                states = tdse._expand(cur.intervals[:, :, 0], start)
+                states = tdse._expand(intervals[:, :, 0], start)
                 return tdse._trajectory(grid, states, frame, n_sub, ()), passes
         n_sub *= 2
         prev = last
@@ -1133,12 +1132,36 @@ class TestPredictiveController:
         assert all(err >= 1.0 for _, err in traj.attempts[1:-1])
 
 
+class PrescribedPass(np.ndarray):
+    """An interval stack that carries the last state the controller is to
+    compare for it (``last``, shape (2, 1)), exactly: an infinite amplitude
+    taken through complex products would reach it as nan+nanj."""
+
+
 def fake_pass(grid, last_g, last_e=0.0):
-    """A built pass of one run with identity intervals and the given last
-    state."""
-    identity = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None, None],
-                               (2, 2, 1, len(grid) - 1))
-    return tdse._Pass(identity, np.array([[last_g], [last_e]], dtype=complex))
+    """The interval stack of a pass of one run that takes the ground state
+    to (last_g, last_e): identity intervals, then one whose first column is
+    that state. Each amplitude stays in its own row of every product, so a
+    non-finite value in one leaves the other finite; ``last`` holds the
+    state itself for :func:`prescribed_last`."""
+    intervals = np.zeros((2, 2, 1, len(grid) - 1), dtype=complex).view(PrescribedPass)
+    intervals[0, 0] = intervals[1, 1] = 1.0
+    intervals[:, :, 0, -1] = [[last_g, 0.0], [last_e, 0.0]]
+    intervals.last = np.array([[last_g], [last_e]], dtype=complex)
+    return intervals
+
+
+def prescribed_last(intervals, y):
+    """``_expand_last`` stand-in: the last state a :class:`PrescribedPass`
+    carries."""
+    return intervals.last
+
+
+def use_passes(monkeypatch, fake):
+    """Build every pass with ``fake`` and compare its prescribed last state."""
+    monkeypatch.setattr(tdse, "_build_pass", fake)
+    monkeypatch.setattr(tdse, "_expand_last", prescribed_last)
+    return fake
 
 
 def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
@@ -1147,7 +1170,7 @@ def synthetic(order, amplitude, unit=1, bad=None, component="c_g"):
     replaces the last value of ``component`` when given."""
     calls = []
 
-    def fake(runs, grid, start, frame, n_sub):
+    def fake(runs, grid, frame, n_sub):
         last = {"c_g": 0.5 + amplitude * (unit / n_sub) ** order, "c_e": 0.0}
         if bad is not None and calls:
             last[component] = bad
@@ -1171,8 +1194,7 @@ class TestControllerRobustness:
         # shows first / second = 3 instead of 15: doubling takes over.
         first_pair = 1.0 - 2.0**-order
         amplitude = 1.01 * 16**4 * self.TOL / first_pair
-        fake = synthetic(order, amplitude)
-        monkeypatch.setattr(tdse, "_build_pass", fake)
+        fake = use_passes(monkeypatch, synthetic(order, amplitude))
         params, field = resonant(0.2)
         traj = evolve(params, field, self.GRID)
         assert fake.calls == passes
@@ -1189,7 +1211,7 @@ class TestControllerRobustness:
         # r = 1.01 * 16^6 predicts 2^7; the jump stops at 2^5 and doubling
         # reaches the pass doubling from n0 accepts.
         amplitude = 1.01 * 16**6 * self.TOL / (1.0 - 2.0**-4)
-        monkeypatch.setattr(tdse, "_build_pass", synthetic(4, amplitude))
+        use_passes(monkeypatch, synthetic(4, amplitude))
         params, field = resonant(0.2)
         traj = evolve(params, field, self.GRID)
         assert [n for n, _ in traj.attempts] == [1, 2, 64, 128, 256]
@@ -1201,13 +1223,12 @@ class TestControllerRobustness:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.nan)])
     def test_non_finite_difference_fails_by_name(self, monkeypatch, bad, component):
         params, field = resonant(0.2)
-        monkeypatch.setattr(tdse, "_build_pass", synthetic(4, 1.0, bad=bad))
+        use_passes(monkeypatch, synthetic(4, 1.0, bad=bad))
         with pytest.raises(StepUnderflow) as doubling:
             doubling_evolve(params, field, self.GRID)
         # With the ground amplitude converging, a NaN in the excited one
         # alone must still count as a non-finite difference.
-        monkeypatch.setattr(tdse, "_build_pass",
-                            synthetic(4, 1.0, bad=bad, component=component))
+        use_passes(monkeypatch, synthetic(4, 1.0, bad=bad, component=component))
         with pytest.raises(StepUnderflow) as predicted:
             evolve(params, field, self.GRID)
         assert str(predicted.value) == str(doubling.value)
@@ -1221,8 +1242,7 @@ class TestControllerRobustness:
         n0 = 2**21
         params, field = resonant(0.8 * n0)
         grid = np.linspace(0.0, 1.0, 5)
-        fake = synthetic(4, 1.0, unit=n0)
-        monkeypatch.setattr(tdse, "_build_pass", fake)
+        fake = use_passes(monkeypatch, synthetic(4, 1.0, unit=n0))
         with pytest.raises(StepUnderflow) as doubling:
             doubling_evolve(params, field, grid)
         assert fake.calls == [n0 << i for i in range(6)]
