@@ -232,3 +232,100 @@ def test_json_report_writes_null_for_a_non_finite_worst(worst, monkeypatch, caps
     report = json.loads(capsys.readouterr().out, parse_constant=_reject)
     assert report == [{"name": "trig_identity", "passed": False, "worst": None,
                        "bound": 1e-10, "detail": "detail"}]
+
+
+_MASK = 2**64 - 1
+
+
+def _splitmix64_reference(seed, counter):
+    """Output ``counter`` (from 1) of SplitMix64 from state ``seed``, in
+    Python integers masked to 64 bits."""
+    z = (seed + counter * 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _spy(monkeypatch, owner, attr):
+    """The positional arguments of every later call to ``owner.attr``."""
+    original = getattr(owner, attr)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+def test_splitmix64_known_outputs():
+    # The first outputs of the reference C generator seeded with 1234567.
+    assert validation._splitmix64(1234567, 5).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2029, _MASK])
+def test_uniform_bits_match_a_pure_python_splitmix64(seed):
+    count = 257
+    expected = [_splitmix64_reference(seed, k) for k in range(1, count + 1)]
+    assert validation._splitmix64(seed, count).tolist() == expected
+    draws = validation._uniform(seed, 0.0, 1.0, (count,))
+    assert (draws * 2.0**53).astype(np.uint64).tolist() == [x >> 11 for x in expected]
+
+
+@pytest.mark.parametrize("low, high, shape", [
+    (-8.0, 8.0, (1000,)),
+    (-1.0, 1.0, (50, 4)),
+    (np.array([0.1, 0.2, 0.0]), np.array([4.0, 5.0, 1.0]), (200, 3)),
+])
+def test_uniform_lies_in_range_with_the_asked_shape(low, high, shape):
+    draws = validation._uniform(7, low, high, shape)
+    assert draws.shape == shape
+    assert draws.dtype == np.float64
+    assert np.all((low <= draws) & (draws < high))
+
+
+def test_the_seeded_checks_draw_disjoint_streams(monkeypatch):
+    streams = _spy(monkeypatch, validation, "_uniform")
+    for check in (validation.check_adiabatic_theorem, validation.check_probability_bound,
+                  validation.check_microreversibility,
+                  validation.check_derivative_hygiene):
+        assert check().passed
+    assert [seed for seed, *_ in streams] == [2026, 2027, 2028, 2029]
+    outputs = np.concatenate([validation._splitmix64(seed, math.prod(shape))
+                              for seed, _, _, shape in streams])
+    assert outputs.size == 30 + 40_000 + 40_000 + 1000
+    assert np.unique(outputs).size == outputs.size
+
+
+def test_probability_bound_fuzzes_six_decades(monkeypatch):
+    calls = _spy(monkeypatch, validation, "mixing_probability")
+    assert validation.check_probability_bound().passed
+    [(s, c)] = calls
+    for part in (s, c):
+        size = np.abs(part)
+        assert part.shape == (10_000,)
+        assert np.all((1e-3 <= size) & (size <= 1e3))
+        assert size.min() < 1.01e-3 and size.max() > 0.99e3
+
+
+def test_microreversibility_fuzzes_the_unit_square(monkeypatch):
+    calls = _spy(monkeypatch, validation, "mixing_probability")
+    assert validation.check_microreversibility().passed
+    (s, c), reverse = calls
+    assert reverse[0] is c and reverse[1] is s
+    for part in (s.real, s.imag, c.real, c.imag):
+        assert part.shape == (10_000,)
+        assert np.all((-1.0 <= part) & (part < 1.0))
+        assert part.min() < -0.99 and part.max() > 0.99
+
+
+def test_derivative_hygiene_evaluates_a_thousand_times(monkeypatch):
+    calls = _spy(monkeypatch, SechEnvelope, "dlog_deriv")
+    assert validation.check_derivative_hygiene().passed
+    [(_, times)] = calls
+    assert times.shape == (1000,)
+    assert np.all((-8.0 <= times) & (times < 8.0))
+    assert times.min() < -7.9 and times.max() > 7.9
