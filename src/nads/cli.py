@@ -64,7 +64,8 @@ def _reduce_final(value):
     def reduce(points: list[Scenario]) -> list:
         first = points[0]
         return _each(final_states([(p.system, p.field) for p in points], first.grid(),
-                                  first.initial_state, **vars(first.integrator)), value)
+                                  first.initial_state, rtol=first.integrator.rtol,
+                                  atol=first.integrator.atol), value)
     return reduce
 
 
@@ -121,8 +122,9 @@ def cmd_snapshot(args) -> int:
 
 def cmd_evolve(args) -> int:
     scenario = load_scenario(args.file)
-    traj = evolve(scenario.system, scenario.field, scenario.grid(),
-                  scenario.initial_state, **vars(scenario.integrator))
+    integrator = scenario.integrator
+    traj = evolve(scenario.system, scenario.field, scenario.grid(), scenario.initial_state,
+                  rtol=integrator.rtol, atol=integrator.atol)
     columns = {
         "t": traj.grid,
         "Re_c_g": traj.c_g.real,

@@ -16,10 +16,12 @@ value checks. The module also holds what every layer checks a run with:
 the types of the run's choices, :data:`Frame` and :data:`InitialState`, the
 run defaults of the RK4 cross-check, and the value checks, which raise a
 ValidationError naming the value. The run defaults are declared here once:
-a ground start (:data:`DEFAULT_INIT`) in the rotating frame
-(:data:`DEFAULT_FRAME`) to ``rtol`` 1e-10 and ``atol`` 1e-12
-(:data:`DEFAULT_RTOL`, :data:`DEFAULT_ATOL`). ``Integrator``,
-``Scenario.initial_state``, ``evolve`` and ``final_states`` read them.
+a ground start (:data:`DEFAULT_INIT`) to ``rtol`` 1e-10 and ``atol`` 1e-12
+(:data:`DEFAULT_RTOL`, :data:`DEFAULT_ATOL`), which ``Integrator``,
+``Scenario.initial_state``, ``evolve`` and ``final_states`` read. The
+integrator has one frame, the rotating one (:data:`DEFAULT_FRAME`); the
+scenario schema keeps ``integrator.frame`` as a choice of that one value,
+which every table header echoes.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ __all__ = [
 #: anything; we raise instead of silently clamping.
 OMEGA_FLOOR = 1e-30
 
-#: A run's choices: the frame it is integrated in and the state it starts in.
-Frame = Literal["lab", "rotating"]
+#: A run's choices: the frame it is integrated in, of which there is one,
+#: and the state it starts in.
+Frame = Literal["rotating"]
 InitialState = Literal["ground", "excited"]
 
 #: A run's defaults: its choices and the tolerances of the RK4 controller.

@@ -101,11 +101,12 @@ def detuning(params: SystemParams, field: FieldModel) -> float:
 
 def require_finite(quantity: str, values: np.ndarray) -> None:
     """Raise :class:`NonFiniteValue` naming ``quantity`` at the first grid
-    index where ``values`` is inf or NaN."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NonFiniteValue(f"{quantity} is not finite: {values[k]}", grid_index=k)
+    index where ``values`` is inf or NaN: the error of
+    :func:`_require_finite_runs` for a batch of one."""
+    errors = [None]
+    _require_finite_runs(errors, quantity, values[None])
+    if errors[0] is not None:
+        raise errors[0]
 
 
 def _central_diff(values: np.ndarray, h: float) -> np.ndarray:
@@ -362,8 +363,9 @@ def snapshot_batch(runs, grid: np.ndarray) -> list:
 
 
 def _require_finite_runs(errors: list, quantity: str, values: np.ndarray) -> None:
-    """:func:`require_finite` for each run of ``values`` (shape (B, n)) that
-    has no error yet."""
+    """For each run of ``values`` (shape (B, n)) that has no error yet, a
+    :class:`NonFiniteValue` naming ``quantity`` at the run's first grid
+    index where it is inf or NaN."""
     _first_failures(errors, ~np.isfinite(values), lambda j, k: NonFiniteValue(
         f"{quantity} is not finite: {values[j, k]}", grid_index=k,
     ))

@@ -135,8 +135,9 @@ class Grid:
 
 @dataclass(frozen=True)
 class Integrator:
-    """Frame and positive tolerances of the RK4 cross-check: the keyword
-    arguments of :func:`nads.tdse.evolve`."""
+    """Frame and positive tolerances of the RK4 cross-check. ``rtol`` and
+    ``atol`` are keyword arguments of :func:`nads.tdse.evolve`; ``frame``
+    has the one value the integrator runs in."""
 
     frame: Frame = DEFAULT_FRAME
     rtol: float = DEFAULT_RTOL

@@ -1,11 +1,10 @@
 """Time-dependent Schrodinger integration for the damped driven two-level
 system, used as an independent numerical oracle.
 
-Two frames are supported. The lab frame integrates the full equations with
-the oscillating carrier resolved (no rotating-wave approximation); the
-rotating frame transforms at the carrier frequency and applies the
-rotating-wave approximation, which is the frame the dressed-state formulas
-implicitly live in. Propagation is classic fourth-order Runge-Kutta with a
+The equations are integrated in the frame rotating at the carrier
+frequency, under the rotating-wave approximation: the frame the
+dressed-state formulas live in, so the integrator checks the closed form
+where it computes. Propagation is classic fourth-order Runge-Kutta with a
 fixed substep per run. The accepted substep is the first power-of-two
 refinement at which halving it changes the final amplitudes by less than
 the tolerance. Since RK4's difference falls 16x per halving, the controller
@@ -15,22 +14,17 @@ and Wanner, "Solving Ordinary Differential Equations I", section II.4). It
 keeps the jumped pass only if the three passes show fourth-order
 convergence, and falls back to plain doubling otherwise.
 
-Both frames are y' = [[d1, i k], [i k*, d2]] y for y = (c_g, c_e). In the
-lab frame d1 = -i omega_g - gamma_g/2, d2 = -i omega_e - gamma_e/2 and
-k = -mu Omega(t) cos(carrier t + phi(t)); in the rotating frame
+The equations are y' = [[d1, i k], [i k*, d2]] y for y = (c_g, c_e), with
 d1 = -gamma_g/2, d2 = -i delta - gamma_e/2 and k = (mu/2) Omega(t) e^{i phi(t)}.
-Beyond the frame rotation the two couplings differ in sign, a pure
-c_e -> -c_e gauge, so populations and norms agree; amplitude signs do not.
-
-The equations are linear, so one RK4 substep is a 2x2 step matrix: a
-polynomial in the coupling at the substep's start, middle and end, whose
-scalar coefficients depend only on the diagonal rates and the substep (see
+They are linear, so one RK4 substep is a 2x2 step matrix: a polynomial in
+the coupling at the substep's start, middle and end, whose scalar
+coefficients depend only on the diagonal rates and the substep (see
 :func:`_step_matrices`). Its diagonal sums the small terms first and adds
-the identity last. In the rotating frame the chirp's phase factor on the
-uniform stage lattice comes by angle addition from one exponential per 64
-lattice points (see :func:`_chirp_factor`). A stack of step matrices is one
-complex array of shape (2, 2, ...), so multiplying two stacks takes two
-broadcast products and a sum.
+the identity last. The chirp's phase factor on the uniform stage lattice
+comes by angle addition from one exponential per 64 lattice points (see
+:func:`_chirp_factor`). A stack of step matrices is one complex array of
+shape (2, 2, ...), so multiplying two stacks takes two broadcast products
+and a sum.
 
 A pass has two steps. The build (:func:`_build_pass`) makes the step
 matrices elementwise in NumPy, in blocks of at most ``_BLOCK_SUBSTEPS``
@@ -47,26 +41,26 @@ The controller builds every pass, takes its last states, the scan's last
 column from its pair products alone (:func:`_expand_last`), compares
 them, and expands only the pass it accepts; it holds the intervals of
 the current pass only. A pass builds ``n_sub`` substeps for each row it
-builds (:func:`_built_rows`), every output interval in general. In the
-rotating frame a constant envelope without chirp makes the coupling
-time-independent; every substep then has the same step matrix, so a pass
-builds one row, its interval product serves every interval as a
-broadcast stack, and each round of pair products, down to the last,
-takes one product for it (:func:`_pairs`).
+builds (:func:`_built_rows`), every output interval in general. A
+constant envelope without chirp makes the coupling time-independent;
+every substep then has the same step matrix, so a pass builds one row,
+its interval product serves every interval as a broadcast stack, and each
+round of pair products, down to the last, takes one product for it
+(:func:`_pairs`).
 
 Independent runs on one grid go through the controller as a batch
 (:func:`final_states`; :func:`evolve` is a batch of one). Each run has its
 own controller; the pending runs that ask for the same ``n_sub`` and
 build the same rows share a pass, whose arrays carry a batch axis after
 the matrix axes, (2, 2, B, ...), and which is built for chunks of runs
-bounded by ``_CHUNK_SUBSTEPS`` and ``_CHUNK_INTERVALS``. In the rotating frame the
-runs of a pass share their coupling samples per distinct (envelope,
-phase) pair, compared by value, and each run scales them by its own
-amplitude, mu / 2 (see :func:`_stage_coupling`). Every run keeps the
-block partition it has alone, and every operation is elementwise along
-the batch axis, so each run gets the bits it gets alone.
-:func:`final_states` returns the last states only: the ones its
-controller compared, with no scan after acceptance.
+bounded by ``_CHUNK_SUBSTEPS`` and ``_CHUNK_INTERVALS``. The runs of a pass
+share their coupling samples per distinct (envelope, phase) pair,
+compared by value, and each run scales them by its own amplitude, mu / 2
+(see :func:`_stage_coupling`). Every run keeps the block partition it has
+alone, and every operation is elementwise along the batch axis, so each
+run gets the bits it gets alone. :func:`final_states` returns the last
+states only: the ones its controller compared, with no scan after
+acceptance.
 
 The controller stops with :class:`~nads.errors.ToleranceUnreachable` when
 a halving of the substep no longer shrinks the difference between passes:
@@ -89,14 +83,13 @@ import numpy as np
 
 from .errors import (NonFiniteValue, NumericalError, StepUnderflow, ToleranceUnreachable,
                      ValidationError)
-from .field_model import (DEFAULT_ATOL, DEFAULT_FRAME, DEFAULT_INIT, DEFAULT_RTOL, Chirp,
-                          FieldModel, Frame, InitialState, SystemParams, _require_choice,
-                          _require_finite, _require_positive)
+from .field_model import (DEFAULT_ATOL, DEFAULT_INIT, DEFAULT_RTOL, Chirp, FieldModel,
+                          InitialState, SystemParams, _require_choice, _require_finite,
+                          _require_positive)
 from .nads_core import detuning, uniform_grid
 
 __all__ = [
     "Trajectory",
-    "Frame",
     "evolve",
     "rabi_oracle",
     "lz_oracle",
@@ -139,10 +132,10 @@ LZ_ATOL = 1e-9
 class Trajectory:
     """Amplitudes on the requested output grid.
 
-    In the rotating frame ``c_g``/``c_e`` are the frame amplitudes; their
-    moduli (and hence ``norm``) agree with the lab amplitudes because the
-    frame transformation is a pure phase per component. ``n_sub`` is the
-    accepted number of substeps per output interval.
+    ``c_g``/``c_e`` are the rotating-frame amplitudes; their moduli (and
+    hence ``norm``) are the bare ones, because the frame transformation is
+    a pure phase per component. ``n_sub`` is the accepted number of
+    substeps per output interval.
 
     ``attempts`` lists every pass :func:`evolve` ran, in order, as
     ``(n_sub, error / tol)``: the pass's last-point difference from the
@@ -155,20 +148,14 @@ class Trajectory:
     c_g: np.ndarray
     c_e: np.ndarray
     norm: np.ndarray
-    frame: Frame
     n_sub: int
     attempts: tuple[tuple[int, Optional[float]], ...]
 
 
-def _diagonal(params: SystemParams, field: FieldModel, frame: Frame) -> tuple[complex, complex]:
+def _diagonal(params: SystemParams, field: FieldModel) -> tuple[complex, complex]:
     """The two diagonal rates d1, d2 of y' = [[d1, i k], [i k*, d2]] y."""
-    if frame == "lab":
-        d1 = -1j * params.omega_g - 0.5 * params.gamma_g
-        d2 = -1j * params.omega_e - 0.5 * params.gamma_e
-    else:
-        d1 = complex(-0.5 * params.gamma_g)
-        d2 = -1j * detuning(params, field) - 0.5 * params.gamma_e
-    return complex(d1), complex(d2)
+    return (complex(-0.5 * params.gamma_g),
+            complex(-1j * detuning(params, field) - 0.5 * params.gamma_e))
 
 
 def _same_coupling(runs) -> list[tuple[int, int]]:
@@ -183,25 +170,20 @@ def _same_coupling(runs) -> list[tuple[int, int]]:
             for j, (_, field) in enumerate(runs)]
 
 
-def _stage_coupling(runs, t0: float, s: float, first: int, count: int, frame: Frame,
-                    same) -> np.ndarray:
-    """Coupling k of each run on the stage lattice t_j = t0 + j s,
-    j = first, ..., first + count - 1, as shape (B, count).
+def _stage_coupling(runs, t0: float, s: float, first: int, count: int, same) -> np.ndarray:
+    """Coupling k = (mu / 2) Omega e^{i phi} of each run on the stage
+    lattice t_j = t0 + j s, j = first, ..., first + count - 1, as shape
+    (B, count).
 
-    In the rotating frame k = (mu / 2) Omega e^{i phi}. Runs share their
-    samples by value (``same``, from :func:`_same_coupling`): each distinct
-    envelope is evaluated once, each distinct phase factor comes once from
-    :func:`_chirp_factor`, not from a complex exponential per lattice point,
-    and each distinct pair of them is multiplied once. A run then scales
-    its pair's product by its own mu / 2.
+    Runs share their samples by value (``same``, from
+    :func:`_same_coupling`): each distinct envelope is evaluated once, each
+    distinct phase factor comes once from :func:`_chirp_factor`, not from a
+    complex exponential per lattice point, and each distinct pair of them
+    is multiplied once. A run then scales its pair's product by its own
+    mu / 2.
     """
     times = t0 + s * np.arange(first, first + count)
-    k = np.empty((len(runs), count), dtype=float if frame == "lab" else complex)
-    if frame == "lab":
-        for j, (params, field) in enumerate(runs):
-            omega = params.mu * field.envelope.omega(times)
-            np.multiply(-omega, np.cos(field.carrier_omega * times + field.phi(times)), out=k[j])
-        return k
+    k = np.empty((len(runs), count), dtype=complex)
     samples, factors, products = {}, {}, {}
     for j, ((params, field), pair) in enumerate(zip(runs, same)):
         envelope, phase = pair
@@ -390,16 +372,16 @@ def _start(init: InitialState) -> np.ndarray:
     return np.array([1.0, 0.0] if init == "ground" else [0.0, 1.0], dtype=complex)
 
 
-def _built_rows(field: FieldModel, frame: Frame, rows: int) -> int:
+def _built_rows(field: FieldModel, rows: int) -> int:
     """Rows of step matrices a pass of the run builds: one when every
     substep has the same step matrix, as under a constant envelope without
-    chirp in the rotating frame, otherwise one per output interval."""
-    if frame == "rotating" and field.envelope.kind == "constant" and field.phase.beta == 0.0:
+    chirp, otherwise one per output interval."""
+    if field.envelope.kind == "constant" and field.phase.beta == 0.0:
         return 1
     return rows
 
 
-def _build_pass(runs, grid, frame: Frame, n_sub: int):
+def _build_pass(runs, grid, n_sub: int):
     """Interval propagators of one pass of each of B runs with ``n_sub``
     substeps per output interval, on a grid the controller has validated,
     as a stack of shape (2, 2, B, len(grid) - 1). The output step is the
@@ -424,12 +406,12 @@ def _build_pass(runs, grid, frame: Frame, n_sub: int):
     differently from the run alone.
     """
     rows = len(grid) - 1
-    built_rows = max(_built_rows(field, frame, rows) for _, field in runs)
+    built_rows = max(_built_rows(field, rows) for _, field in runs)
     h_sub = float(grid[1] - grid[0]) / n_sub
     per_block = max(1, _BLOCK_SUBSTEPS // n_sub)
     width = min(n_sub, _BLOCK_SUBSTEPS)
     same = _same_coupling(runs)
-    table, q = _step_coefficients([_diagonal(*run, frame) for run in runs], h_sub)
+    table, q = _step_coefficients([_diagonal(*run) for run in runs], h_sub)
     out = np.empty((2, 2, len(runs), built_rows), dtype=complex)
     for first in range(0, built_rows, per_block):
         built = min(per_block, built_rows - first)
@@ -437,8 +419,7 @@ def _build_pass(runs, grid, frame: Frame, n_sub: int):
         for offset in range(0, n_sub, width):
             w = min(width, n_sub - offset)
             j0 = first * n_sub + offset  # first substep of this slice
-            k = _stage_coupling(runs, grid[0], 0.5 * h_sub, 2 * j0, 2 * built * w + 1,
-                                frame, same)
+            k = _stage_coupling(runs, grid[0], 0.5 * h_sub, 2 * j0, 2 * built * w + 1, same)
             shape = (len(runs), built, w)
             k0, kh, k1 = (k[:, :-1:2].reshape(shape), k[:, 1::2].reshape(shape),
                           k[:, 2::2].reshape(shape))
@@ -485,30 +466,27 @@ def _expand_last(intervals, y) -> np.ndarray:
     return y
 
 
-def _trajectory(grid, states, frame: Frame, n_sub: int, attempts) -> Trajectory:
+def _trajectory(grid, states, n_sub: int, attempts) -> Trajectory:
     c_g, c_e = states
     norm = np.abs(c_g) ** 2 + np.abs(c_e) ** 2
-    return Trajectory(grid=grid, c_g=c_g, c_e=c_e, norm=norm, frame=frame,
-                      n_sub=n_sub, attempts=tuple(attempts))
+    return Trajectory(grid=grid, c_g=c_g, c_e=c_e, norm=norm, n_sub=n_sub,
+                      attempts=tuple(attempts))
 
 
-def _characteristic_rate(
-    params: SystemParams, field: FieldModel, grid: np.ndarray, frame: Frame
-) -> float:
+def _characteristic_rate(params: SystemParams, field: FieldModel, grid: np.ndarray) -> float:
     """Fastest angular rate the substep must resolve, estimated on the grid.
 
-    The Rabi frequency, detuning, damping rates and, in the lab frame, the
-    bare frequencies count at their full value. The chirp rate |phi'|, on
-    its own and in the lab frame's carrier plus chirp rate, counts at each
-    grid point weighted by (Omega / max Omega)^(1/4): the chirp enters the
-    equations only through the coupling, so every RK4 error term that
-    carries it also carries k, the leading one as h^5 |k| phi'^4 (Hairer,
-    Norsett and Wanner, "Solving Ordinary Differential Equations I",
-    section II.4). The weighted rate is the one whose coupling error matches
-    that of the full rate at peak coupling; 1/4 is one over RK4's order.
-    Where the coupling is switched off, as at the edges of a ramped
-    window, the chirp then buys no substeps. An envelope that is 0 on the
-    whole grid leaves the chirp rate unweighted.
+    The Rabi frequency, detuning and damping rates count at their full
+    value. The chirp rate |phi'| counts at each grid point weighted by
+    (Omega / max Omega)^(1/4): the chirp enters the equations only through
+    the coupling, so every RK4 error term that carries it also carries k,
+    the leading one as h^5 |k| phi'^4 (Hairer, Norsett and Wanner, "Solving
+    Ordinary Differential Equations I", section II.4). The weighted rate is
+    the one whose coupling error matches that of the full rate at peak
+    coupling; 1/4 is one over RK4's order. Where the coupling is switched
+    off, as at the edges of a ramped window, the chirp then buys no
+    substeps. An envelope that is 0 on the whole grid leaves the chirp rate
+    unweighted.
 
     Raises
     ------
@@ -522,19 +500,12 @@ def _characteristic_rate(
     omega_max = float(np.max(omega))
     dphi_max = float(np.max(dphi))
     rates = [omega_max, dphi_max, abs(detuning(params, field)), params.gamma_g, params.gamma_e]
-    if frame == "lab":
-        rates += [abs(params.omega_g), abs(params.omega_e),
-                  abs(field.carrier_omega) + dphi_max]
     if not all(map(math.isfinite, rates)):
-        names = ("Rabi frequency", "chirp rate |dphi/dt|", "detuning", "gamma_g", "gamma_e",
-                 "omega_g", "omega_e", "carrier plus chirp rate")
+        names = ("Rabi frequency", "chirp rate |dphi/dt|", "detuning", "gamma_g", "gamma_e")
         name, rate = next((n, r) for n, r in zip(names, rates) if not math.isfinite(r))
         raise NonFiniteValue(f"{name} on the grid is not finite: {rate}")
     if omega_max > 0.0:
-        chirp = float(np.max(dphi * (omega / omega_max) ** 0.25))
-        rates[1] = chirp
-        if frame == "lab":
-            rates[-1] = abs(field.carrier_omega) + chirp
+        rates[1] = float(np.max(dphi * (omega / omega_max) ** 0.25))
     return max(rates + [1e-3])
 
 
@@ -636,8 +607,7 @@ def _chunk_runs(rows: int, n_sub: int) -> int:
     return max(1, min(_CHUNK_SUBSTEPS // block, _CHUNK_INTERVALS // rows))
 
 
-def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: float,
-               last_only: bool) -> list:
+def _propagate(runs, grid, init: InitialState, rtol: float, atol: float, last_only: bool) -> list:
     """The controller of :func:`evolve` for B independent runs on one grid.
 
     Each run has its own controller and is accepted by itself. The pending
@@ -652,7 +622,6 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     Returns one entry per run: its Trajectory or the NumericalError it
     fails with.
     """
-    _require_choice("frame", frame, Frame)
     _require_finite("Integrator", rtol=rtol, atol=atol)
     _require_positive("Integrator", rtol=rtol, atol=atol)
     grid, h_out = uniform_grid(grid)
@@ -664,9 +633,9 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (params, field) in enumerate(runs):
             try:
-                rate = _characteristic_rate(params, field, grid, frame)
+                rate = _characteristic_rate(params, field, grid)
                 pending[j] = _Controller(h_out * rate / _INITIAL_RADIANS_PER_STEP,
-                                         _built_rows(field, frame, rows))
+                                         _built_rows(field, rows))
             except NumericalError as exc:
                 results[j] = exc
         while pending:
@@ -677,7 +646,7 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
             for (n_sub, built_rows), members in passes.items():
                 size = _chunk_runs(built_rows, n_sub)
                 for chunk in (members[i:i + size] for i in range(0, len(members), size)):
-                    intervals = _build_pass([runs[j] for j in chunk], grid, frame, n_sub)
+                    intervals = _build_pass([runs[j] for j in chunk], grid, n_sub)
                     last = _expand_last(intervals, start)
                     for i, j in enumerate(chunk):
                         try:
@@ -690,7 +659,7 @@ def _propagate(runs, grid, init: InitialState, frame: Frame, rtol: float, atol: 
                                 grid[-1:] if last_only else grid,
                                 last[:, i:i + 1] if last_only
                                 else _expand(intervals[:, :, i], start),
-                                frame, n_sub, pending[j].attempts,
+                                n_sub, pending[j].attempts,
                             )
                         del pending[j]
                     # The intervals of a chunk's pass are released before
@@ -704,7 +673,6 @@ def evolve(
     field: FieldModel,
     grid: np.ndarray,
     init: InitialState = DEFAULT_INIT,
-    frame: Frame = DEFAULT_FRAME,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
@@ -735,8 +703,8 @@ def evolve(
     Raises
     ------
     ValidationError
-        For an unknown frame or initial state, or a tolerance that is not
-        positive and finite, or a grid that is not uniform.
+        For an unknown initial state, a tolerance that is not positive
+        and finite, or a grid that is not uniform.
     ToleranceUnreachable
         If a halving of the substep, from one pass to the next, does not
         shrink the difference of the last point: rounding error has
@@ -749,7 +717,7 @@ def evolve(
     NonFiniteValue
         If the fastest rate on the grid overflows.
     """
-    (traj,) = _propagate(((params, field),), grid, init, frame, rtol, atol, last_only=False)
+    (traj,) = _propagate(((params, field),), grid, init, rtol, atol, last_only=False)
     if isinstance(traj, NumericalError):
         raise traj
     return traj
@@ -759,7 +727,6 @@ def final_states(
     runs,
     grid: np.ndarray,
     init: InitialState = DEFAULT_INIT,
-    frame: Frame = DEFAULT_FRAME,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> list:
@@ -776,12 +743,12 @@ def final_states(
     Raises
     ------
     ValidationError
-        For an unknown frame or initial state, or a tolerance that is not
-        positive and finite, or a grid that is not uniform. A run's
+        For an unknown initial state, a tolerance that is not positive
+        and finite, or a grid that is not uniform. A run's
         NumericalError is its entry, not raised: a StepUnderflow from the
         pass limit of :func:`evolve` among them.
     """
-    return _propagate(runs, grid, init, frame, rtol, atol, last_only=True)
+    return _propagate(runs, grid, init, rtol, atol, last_only=True)
 
 
 def rabi_oracle(omega0: float, t: float) -> tuple[float, float]:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from nads import tdse
-from nads.field_model import DEFAULT_FRAME, DEFAULT_INIT
+from nads.field_model import DEFAULT_INIT
 from nads.nads_core import SnapshotSeries, detuning, uniform_grid
 from nads.overlap_transitions import _bracket_im, _cumtrapz, _weight
 
@@ -26,7 +26,9 @@ def rhs(t, c, params, field, frame="lab"):
         db_g/dt = -(gamma_g/2) b_g + i (Omega/2) e^{+i phi} b_e
         db_e/dt = (-i delta - gamma_e/2) b_e + i (Omega/2) e^{-i phi} b_g
 
-    The same system the step matrices of :mod:`nads.tdse` integrate.
+    The rotating frame is the system the step matrices of :mod:`nads.tdse`
+    integrate; the lab frame, with the counter-rotating term the package
+    drops, is the tests' own oracle for that approximation.
     """
     c_g, c_e = c
     omega = params.mu * float(field.envelope.omega(t))
@@ -43,15 +45,15 @@ def rhs(t, c, params, field, frame="lab"):
     return d_g, d_e
 
 
-def fixed_pass(params, field, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, n_sub=1):
+def fixed_pass(params, field, grid, init=DEFAULT_INIT, n_sub=1):
     """One RK4 pass of :mod:`nads.tdse` with exactly ``n_sub`` substeps per
     output interval, built as the controller builds it, with no limit on
     its substeps: its interval propagators expanded into the states on the
     grid, as a Trajectory with no controller attempts."""
     grid, _ = uniform_grid(grid)
     start = tdse._start(init)
-    intervals = tdse._build_pass(((params, field),), grid, frame, n_sub)
-    return tdse._trajectory(grid, tdse._expand(intervals[:, :, 0], start), frame, n_sub, ())
+    intervals = tdse._build_pass(((params, field),), grid, n_sub)
+    return tdse._trajectory(grid, tdse._expand(intervals[:, :, 0], start), n_sub, ())
 
 
 def expanded_overlaps(series: SnapshotSeries) -> tuple[np.ndarray, ...]:

@@ -113,14 +113,13 @@ def test_criterion_07_integrator_oracles():
     params = SystemParams(omega_g=0.0, omega_e=5.0)
     field = FieldModel(carrier_omega=5.0, envelope=ConstantEnvelope(0.2))
     grid = np.linspace(0.0, math.pi / 0.2, 201)
-    traj = evolve(params, field, grid, init="ground", frame="rotating")
+    traj = evolve(params, field, grid, init="ground")
     _, p_e = rabi_oracle(0.2, float(grid[-1]))
     assert abs(abs(traj.c_e[-1]) ** 2 - p_e) < 1e-8
 
     params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_e=0.5)
     field = FieldModel(carrier_omega=5.0, envelope=ConstantEnvelope(1e-20))
-    traj = evolve(params, field, np.linspace(0.0, 2.0, 101),
-                  init="excited", frame="rotating")
+    traj = evolve(params, field, np.linspace(0.0, 2.0, 101), init="excited")
     assert abs(abs(traj.c_e[-1]) ** 2 - math.exp(-1.0)) < 1e-8
 
     for coupling in (0.1, 0.25, 0.5):
@@ -133,7 +132,7 @@ def test_criterion_08_analytic_vs_numeric_ratio(shipped_series):
     scenario, series = shipped_series[SLOW_ADIABATIC]
     traj = evolve(
         scenario.system, scenario.field, scenario.grid(),
-        init="ground", frame="rotating",
+        init="ground",
         rtol=scenario.integrator.rtol, atol=scenario.integrator.atol,
     )
     center = int(np.argmin(np.abs(series.grid)))

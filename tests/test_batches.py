@@ -22,7 +22,6 @@ from nads.cli import main
 from nads.errors import NumericalError
 from nads.field_model import (
     DEFAULT_ATOL,
-    DEFAULT_FRAME,
     DEFAULT_INIT,
     DEFAULT_RTOL,
     Chirp,
@@ -70,19 +69,17 @@ def snapshots_alone(runs, grid):
     return [series_alone(params, field, grid) for params, field in runs]
 
 
-def final_states_alone(runs, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, rtol=DEFAULT_RTOL,
-                       atol=DEFAULT_ATOL):
+def final_states_alone(runs, grid, init=DEFAULT_INIT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """``final_states`` with every run integrated alone by ``evolve``."""
     out = []
     for params, field in runs:
         try:
-            traj = evolve(params, field, grid, init, frame, rtol, atol)
+            traj = evolve(params, field, grid, init, rtol, atol)
         except NumericalError as exc:
             out.append(exc)
             continue
         out.append(Trajectory(grid=traj.grid[-1:], c_g=traj.c_g[-1:], c_e=traj.c_e[-1:],
-                              norm=traj.norm[-1:], frame=frame, n_sub=traj.n_sub,
-                              attempts=traj.attempts))
+                              norm=traj.norm[-1:], n_sub=traj.n_sub, attempts=traj.attempts))
     return out
 
 
@@ -129,14 +126,14 @@ def series_alone(params, field, grid):
         return exc
 
 
-def trajectory_alone(params, field, grid, init, frame, rtol):
+def trajectory_alone(params, field, grid, init, rtol):
     try:
-        return evolve(params, field, grid, init, frame, rtol, 1e-12)
+        return evolve(params, field, grid, init, rtol, 1e-12)
     except NumericalError as exc:
         return exc
 
 
-def check_batch(runs, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, rtol=1e-8):
+def check_batch(runs, grid, init=DEFAULT_INIT, rtol=1e-8):
     """Each run of both batches against the run alone."""
     for batched, (params, field) in zip(snapshot_batch(runs, grid), runs):
         alone = series_alone(params, field, grid)
@@ -146,9 +143,8 @@ def check_batch(runs, grid, init=DEFAULT_INIT, frame=DEFAULT_FRAME, rtol=1e-8):
             assert same_series(batched, alone)
             assert not batched.omega_E.flags.writeable
             assert not batched.branch_log["sin_half"].flags.writeable
-    for batched, (params, field) in zip(final_states(runs, grid, init, frame, rtol, 1e-12),
-                                        runs):
-        alone = trajectory_alone(params, field, grid, init, frame, rtol)
+    for batched, (params, field) in zip(final_states(runs, grid, init, rtol, 1e-12), runs):
+        alone = trajectory_alone(params, field, grid, init, rtol)
         if isinstance(alone, NumericalError):
             assert outcome(batched) == outcome(alone)
             continue
@@ -195,13 +191,12 @@ def runs(draw):
 
 @given(batch=st.lists(runs(), min_size=1, max_size=6), points=st.integers(2, 60),
        init=st.sampled_from(["ground", "excited"]),
-       frame=st.sampled_from(["rotating", "rotating", "lab"]),
        rtol=st.sampled_from([1e-6, 1e-8]),
        systems=st.lists(st.tuples(st.sampled_from([0.25, 1.0, 1.5, 3.0]),
                                   st.sampled_from([0.0, 0.02]),
                                   st.sampled_from([0.0, 0.1, 0.3])), max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_batched_runs_are_the_runs_alone(batch, points, init, frame, rtol, systems):
+def test_batched_runs_are_the_runs_alone(batch, points, init, rtol, systems):
     grid = np.linspace(-3.0, 3.0, points)
     # A run repeated in the batch shares its coupling samples, and so do
     # runs on a rebuilt equal field that differ in mu and damping.
@@ -209,7 +204,7 @@ def test_batched_runs_are_the_runs_alone(batch, points, init, frame, rtol, syste
     rebuilt = replace(field, envelope=replace(field.envelope), phase=replace(field.phase))
     shared = [(replace(params, mu=mu, gamma_g=gamma_g, gamma_e=gamma_e), rebuilt)
               for mu, gamma_g, gamma_e in systems]
-    check_batch(batch + batch[:1] + shared, grid, init, frame, rtol)
+    check_batch(batch + batch[:1] + shared, grid, init, rtol)
 
 
 def test_branch_ambiguity_fails_only_its_run(monkeypatch):

@@ -78,14 +78,16 @@ def test_each_choice_and_its_check_is_declared_once():
 
 def test_the_entry_points_share_the_run_defaults():
     # The library's entry points default to the run a scenario file leaves
-    # unsaid: the fields of Integrator() and Scenario's initial state.
+    # unsaid: the tolerances of Integrator() and Scenario's initial state.
+    # They take no frame: the integrator runs in Integrator()'s one frame.
     integrator = Integrator()
     (init,) = [f.default for f in fields(Scenario) if f.name == "initial_state"]
-    expected = {"init": init, "frame": integrator.frame, "rtol": integrator.rtol,
-                "atol": integrator.atol}
-    assert expected == {"init": "ground", "frame": "rotating", "rtol": 1e-10, "atol": 1e-12}
+    expected = {"init": init, "rtol": integrator.rtol, "atol": integrator.atol}
+    assert expected == {"init": "ground", "rtol": 1e-10, "atol": 1e-12}
+    assert integrator.frame == "rotating"
     for entry in (nads.evolve, tdse.final_states):
         parameters = inspect.signature(entry).parameters
+        assert "frame" not in parameters
         assert {name: parameters[name].default for name in expected} == expected
 
 
@@ -132,19 +134,18 @@ class TestMisspelledChoices:
     params = SystemParams(omega_g=0.0, omega_e=5.0)
     field = FieldModel(carrier_omega=5.0, envelope=ConstantEnvelope(0.2))
     grid = np.linspace(0.0, 1.0, 5)
-    frames = ["lab", "rotating"]
     states = ["ground", "excited"]
 
+    def test_integrator(self):
+        rejected(lambda: Integrator(frame="Rotating"), "Integrator.frame", "Rotating",
+                 ["rotating"])
+
     def test_evolve(self):
-        rejected(lambda: tdse.evolve(self.params, self.field, self.grid, frame="Lab"),
-                 "frame", "Lab", self.frames)
         rejected(lambda: tdse.evolve(self.params, self.field, self.grid, init="Ground"),
                  "init", "Ground", self.states)
 
     def test_final_states(self):
         runs = [(self.params, self.field)]
-        rejected(lambda: tdse.final_states(runs, self.grid, frame="Lab"),
-                 "frame", "Lab", self.frames)
         rejected(lambda: tdse.final_states(runs, self.grid, init="Ground"),
                  "init", "Ground", self.states)
 

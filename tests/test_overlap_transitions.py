@@ -46,7 +46,7 @@ def ground_like_ratio(params, field):
     """|b_e/b_g| of the ground-like eigenvector (the smaller ratio) of the
     rotating-frame generator [[d1, i k], [i k, d2]] of a constant, unchirped
     field, k = mu Omega / 2."""
-    d1, d2 = _diagonal(params, field, "rotating")
+    d1, d2 = _diagonal(params, field)
     k = 0.5 * params.mu * field.envelope.omega0
     _, vectors = np.linalg.eig(np.array([[d1, 1j * k], [1j * k, d2]]))
     return float(np.min(np.abs(vectors[1] / vectors[0])))
