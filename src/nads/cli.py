@@ -18,12 +18,11 @@ import functools
 import json
 import os
 import sys
-import warnings
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, StepWarning, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .field_model import _require_choice
 from .nads_core import snapshot_batch, snapshot_series
 from .overlap_transitions import amplitude_ratios, eg_overlap, mixing_probability, norms
@@ -309,26 +308,6 @@ def _keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
 
 
-def _run(args) -> int:
-    """Run the parsed command. A scenario's step warning is a CLI message,
-    printed once however many sweep points repeat it; other warnings are
-    shown as they were. Python's warning filters (``-W``) still decide
-    whether a warning is shown at all."""
-    seen = set()
-    show = warnings.showwarning
-
-    def show_step_warning(message, category, filename, lineno, file=None, line=None):
-        if not issubclass(category, StepWarning):
-            show(message, category, filename, lineno, file, line)
-        elif str(message) not in seen:
-            seen.add(str(message))
-            print(f"warning: {args.file}: {message}", file=sys.stderr)
-
-    with warnings.catch_warnings():
-        warnings.showwarning = show_step_warning
-        return args.func(args)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     _keep_heap()
     parser = build_parser()
@@ -339,7 +318,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # failures here (exit 1), while --help stays 0.
         return 0 if exc.code in (0, None) else 1
     try:
-        return _run(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,9 @@
 Two families matter to callers: configuration problems (bad scenario files,
 schema violations) and numerical failures (quantities leaving the domain in
 which the closed-form construction is meaningful). The CLI maps them to
-exit codes 1 and 2 respectively. A scenario may also ask for a warning in
-place of an error (``grid.step_policy: "warn"``); that is a StepWarning.
+exit codes 1 and 2 respectively. The package issues no warnings: a
+pulsed grid step above tau/400 is a ValidationError, like every other
+violated rule.
 """
 
 from __future__ import annotations
@@ -70,8 +71,3 @@ class ToleranceUnreachable(StepUnderflow):
     """Halving the substep stopped shrinking the difference between passes
     before it met the tolerance: rounding error, not truncation error, now
     sets that difference, and no finer substep can reach the tolerance."""
-
-
-class StepWarning(UserWarning):
-    """A pulsed envelope's grid step exceeds tau/400 under
-    ``grid.step_policy: "warn"``; the CLI prints it as a ``warning:`` line."""

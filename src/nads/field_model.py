@@ -79,9 +79,15 @@ def _require_choice(label: str, value, allowed) -> None:
 
 
 def _require_finite(owner: str, **values) -> None:
-    """Reject NaN and infinite parameters by name."""
+    """Reject parameters that are not real numbers, NaN or infinite, by name."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise ValidationError(
+                f"{owner}.{name} must be a real number, got {value!r}"
+            ) from None
+        if not finite:
             raise ValidationError(f"{owner}.{name} must be finite, got {value}")
 
 

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib.resources import files
 from typing import Any, Literal, Mapping
 
 import numpy as np
 
-from .errors import ParseError, StepWarning, ValidationError
+from .errors import ParseError, ValidationError
 from .field_model import (
     DEFAULT_ATOL,
     DEFAULT_FRAME,
@@ -76,17 +75,17 @@ _ENVELOPES = {
 }
 _OUTPUTS = ("snapshot", "evolve")
 
-#: Whether a step above tau/STEP_FRACTION of a pulsed envelope fails or warns.
-StepPolicy = Literal["error", "warn"]
+#: What a step above tau/STEP_FRACTION of a pulsed envelope does: it fails.
+StepPolicy = Literal["error"]
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform time grid t_start + k*step, k = 0..n, covering [t_start, t_end]
     in a whole number n >= 1 of steps, whose points are uniform as floats
-    (see :func:`nads.nads_core.uniform_grid`). ``step_policy`` says whether
-    a step above tau/STEP_FRACTION of a pulsed envelope fails or only warns
-    in a :class:`Scenario`; calling the grid gives its points."""
+    (see :func:`nads.nads_core.uniform_grid`). ``step_policy`` has the one
+    value ``"error"``: a step above tau/STEP_FRACTION of a pulsed envelope
+    fails in a :class:`Scenario`. Calling the grid gives its points."""
 
     t_start: float
     t_end: float
@@ -166,13 +165,10 @@ class Scenario:
             raise ValidationError("Scenario.name must be a non-empty string")
         env, step = self.field.envelope, self.grid.step
         if env.kind != "constant" and step > env.tau / STEP_FRACTION * (1 + 1e-12):
-            message = (
+            raise ValidationError(
                 f"grid.step ({step}) exceeds tau/{STEP_FRACTION:.0f} "
                 f"({env.tau / STEP_FRACTION}) for the pulsed envelope"
             )
-            if self.grid.step_policy == "error":
-                raise ValidationError(message)
-            warnings.warn(message, StepWarning, stacklevel=3)
         for out in self.outputs:
             _require_choice("Scenario.outputs", out, _OUTPUTS)
         _require_choice("Scenario.initial_state", self.initial_state, InitialState)

@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
+import nads
+from nads import tdse
 from nads.errors import EnvelopeUnderflow, ValidationError
 from nads.field_model import (
     Chirp,
@@ -21,6 +23,7 @@ from nads.field_model import (
     SystemParams,
 )
 from nads.nads_core import snapshot_series
+from nads.scenario import Grid
 
 from reference import rhs
 
@@ -100,6 +103,25 @@ def test_envelopes_require_positive_parameters(cls, bad):
             ValidationError, match=f"{cls.__name__}.tau must be positive, got {bad}"
         ):
             cls(omega0=1.0, tau=bad)
+
+
+GRID = np.linspace(0.0, 1.0, 11)
+RUN = (SystemParams(0.0, 1.0), FieldModel(1.0, ConstantEnvelope(0.1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nads.evolve(*RUN, GRID, "ground", "rotating"),
+     "Integrator.rtol must be a real number, got 'rotating'"),
+    (lambda: tdse.final_states([RUN], GRID, atol=[1e-3]),
+     "Integrator.atol must be a real number, got [0.001]"),
+    (lambda: SystemParams(0, "1"), "SystemParams.omega_e must be a real number, got '1'"),
+    (lambda: Grid(0, 1, "a"), "Grid.step must be a real number, got 'a'"),
+    (lambda: tdse.rabi_oracle("1", 2), "rabi_oracle.omega0 must be a real number, got '1'"),
+], ids=["evolve", "final_states", "SystemParams", "Grid", "rabi_oracle"])
+def test_a_non_number_is_a_validation_error_by_name(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestEnvelopes:

@@ -1,8 +1,8 @@
 """Scenario loading, sweep specifications and the command-line interface.
 
 CLI tests call main() in-process with --out into tmp_path, then parse the
-emitted CSV; the tests of warning filters, start-up imports and a reader
-closing stdout early run a child process. ``test_processes`` runs the
+emitted CSV; the tests of start-up imports and of a reader closing
+stdout early run a child process. ``test_processes`` runs the
 command line in fresh interpreters.
 """
 
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 import nads
 from nads import cli
 from nads.cli import _keep_heap, build_parser, main
-from nads.errors import ConfigError, ParseError, StepWarning, ValidationError
+from nads.errors import ConfigError, ParseError, ValidationError
 from nads.nads_core import snapshot_series
 from nads.scenario import (
     list_shipped,
@@ -190,7 +190,7 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError, match="whole number"):
             scenario_from_dict(doc)
 
-    def test_step_policy_error_and_warn(self):
+    def test_step_policy_error(self):
         doc = minimal_doc()
         doc["field"]["envelope"] = {
             "kind": "gaussian", "omega0": 1.0, "tau": 1.0, "t_center": 0.5,
@@ -198,10 +198,6 @@ class TestScenarioLoading:
         doc["grid"] = {"t_start": 0.0, "t_end": 1.0, "step": 0.01}
         with pytest.raises(ValidationError, match="tau/400"):
             scenario_from_dict(doc)
-        doc["grid"]["step_policy"] = "warn"
-        with pytest.warns(UserWarning, match="tau/400"):
-            scenario = scenario_from_dict(doc)
-        assert scenario.grid.step == 0.01
 
     def test_reversed_grid_rejected(self):
         doc = minimal_doc()
@@ -221,7 +217,7 @@ class TestScenarioLoading:
             nads.Integrator(rtol=0)
         assert np.array_equal(nads.Grid(-1, 1, 0.5)(), [-1.0, -0.5, 0.0, 0.5, 1.0])
         with pytest.raises(ValidationError, match=re.escape(
-            "Grid.step_policy must be one of ['error', 'warn'], got 'bogus'"
+            "Grid.step_policy must be one of ['error'], got 'bogus'"
         )):
             nads.Grid(0, 1, 0.1, step_policy="bogus")
         with pytest.raises(ValidationError, match=re.escape(
@@ -241,14 +237,10 @@ class TestScenarioLoading:
             "Scenario.initial_state must be one of ['ground', 'excited'], got 'up'"
         )):
             code_built(initial_state="up")
-        message = re.escape(
+        with pytest.raises(ValidationError, match=re.escape(
             "grid.step (0.01) exceeds tau/400 (0.0025) for the pulsed envelope"
-        )
-        with pytest.raises(ValidationError, match=message):
+        )):
             code_built(grid=nads.Grid(0, 1, 0.01))
-        with pytest.warns(StepWarning, match=message):
-            scenario = code_built(grid=nads.Grid(0, 1, 0.01, step_policy="warn"))
-        assert scenario.grid.step == 0.01
         assert code_built().outputs == ("snapshot",)
 
     def test_round_trip_code_built_scenarios(self):
@@ -928,10 +920,11 @@ def scenario_docs(draw, out_of_bounds=True, extremes=False):
             "t_start": t_start,
             "t_end": t_start + draw(st.integers(1, 600)) * step,
             "step": step,
-            "step_policy": draw(st.sampled_from(["error", "warn"])),
         },
         "initial_state": draw(st.sampled_from(["ground", "excited"])),
     }
+    if draw(st.booleans()):
+        doc["grid"]["step_policy"] = "error"
     if draw(st.booleans()):
         doc["integrator"] = {
             "frame": "rotating",
@@ -953,7 +946,6 @@ def scenario_docs(draw, out_of_bounds=True, extremes=False):
 
 @given(doc=scenario_docs())
 @settings(max_examples=60, deadline=None)
-@pytest.mark.filterwarnings("ignore:grid.step")
 def test_snapshot_fuzz_exit_codes_and_finite_tables(doc):
     """Any scenario: no bare exception, exit 0, 1 or 2, and a table written
     with exit 0 holds only finite numbers."""
@@ -972,7 +964,6 @@ def test_snapshot_fuzz_exit_codes_and_finite_tables(doc):
 
 @given(doc=scenario_docs(extremes=True))
 @settings(max_examples=60, deadline=None)
-@pytest.mark.filterwarnings("ignore:grid.step")
 def test_evolve_compare_fuzz_exit_codes_and_finite_tables(doc):
     """Any scenario, huge chirps and Rabi frequencies included: no bare
     exception, exit 0, 1 or 2, and a table written with exit 0 holds only
@@ -1019,12 +1010,9 @@ def at_path(doc, path):
 
 @given(doc=scenario_docs(out_of_bounds=False), data=st.data())
 @settings(max_examples=60, deadline=None)
-@pytest.mark.filterwarnings("ignore:grid.step")
 def test_round_trip_with_optional_keys_dropped(doc, data):
     """A key left out reads back as its documented default, and loading the
     serialized scenario reproduces the scenario."""
-    # The drawn step need not resolve tau, drawn or the default 1.
-    doc["grid"]["step_policy"] = "warn"
     present = [
         path for path in OPTIONAL_DEFAULTS
         if path[0] in doc and path[-1] in at_path(doc, path[:-1])
@@ -1035,12 +1023,15 @@ def test_round_trip_with_optional_keys_dropped(doc, data):
         for part in parents:
             node = node.get(part, {})
         node.pop(key, None)
-    try:
-        scenario = scenario_from_dict(doc)
-    except ValidationError as exc:
-        # Under the default step_policy "error" such a step fails.
-        assert ("grid", "step_policy") in dropped and "tau/400" in str(exc)
+    # The drawn step need not resolve tau, drawn or the default 1; the
+    # tau/400 rule, with its tolerance, refuses exactly the steps that do not.
+    envelope = doc["field"]["envelope"]
+    if (envelope["kind"] != "constant"
+            and doc["grid"]["step"] > envelope.get("tau", 1.0) / 400 * (1 + 1e-12)):
+        with pytest.raises(ValidationError, match="tau/400"):
+            scenario_from_dict(doc)
         return
+    scenario = scenario_from_dict(doc)
     assert scenario_from_dict(json.loads(serialize(scenario))) == scenario
     resolved = scenario.resolved()
     for path in dropped:
@@ -1081,7 +1072,6 @@ def outcome(build):
 
 @given(doc=scenario_docs(), data=st.data())
 @settings(max_examples=150, deadline=None)
-@pytest.mark.filterwarnings("ignore:grid.step")
 def test_with_axis_values_matches_the_reparsed_document(doc, data):
     """A sweep point is the scenario the re-parsed document gives, or fails
     with the same type and message, values out of bounds included."""
@@ -1153,6 +1143,16 @@ class TestCliPlumbing:
         sys.stdout.flush()
         assert capfd.readouterr() == (
             "", f"error: {path}: integrator.frame must be one of ['rotating'], got 'lab'\n")
+
+    def test_warn_step_policy_exits_one_by_name(self, tmp_path, capfd):
+        # A pulsed step above tau/400 always fails; no policy makes it warn.
+        doc = minimal_doc()
+        doc["grid"]["step_policy"] = "warn"
+        path = write_doc(tmp_path, doc)
+        assert main(["snapshot", path]) == 1
+        sys.stdout.flush()
+        assert capfd.readouterr() == (
+            "", f"error: {path}: grid.step_policy must be one of ['error'], got 'warn'\n")
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         doc = minimal_doc()
@@ -1270,50 +1270,6 @@ class TestCliPlumbing:
             assert main(["snapshot", str(shipped_path("sech-damped")),
                          "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    @pytest.mark.parametrize("command", [
-        ["snapshot"],
-        ["sweep", "--axis", "system.gamma_e:0:0.3:4", "--reduce", "maxP"],
-    ], ids=["snapshot", "sweep"])
-    def test_step_warning_is_one_cli_line(self, tmp_path, capsys, command):
-        path = write_doc(tmp_path, self.coarse_gaussian_doc())
-        argv = [command[0], path, *command[1:], "--out", str(tmp_path / "out.csv")]
-        # Twice: a second run in the same process warns again.
-        for _ in range(2):
-            assert main(argv) == 0
-            assert capsys.readouterr().err == self.step_warning_line(path)
-
-    @pytest.mark.parametrize("flags, expected", [
-        ([], "line"),
-        (["-W", "ignore::UserWarning"], ""),
-    ], ids=["default", "ignored"])
-    def test_step_warning_obeys_warning_filters(self, tmp_path, flags, expected):
-        path = write_doc(tmp_path, self.coarse_gaussian_doc())
-        env = child_env()
-        env.pop("PYTHONWARNINGS", None)
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "nads.cli", "snapshot", path,
-             "--out", str(tmp_path / "out.csv")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0
-        assert proc.stderr == (self.step_warning_line(path) if expected else "")
-
-    @staticmethod
-    def coarse_gaussian_doc() -> dict:
-        """A gaussian tau = 1 scenario whose step 0.01 only warns."""
-        doc = minimal_doc()
-        doc["field"]["envelope"] = {
-            "kind": "gaussian", "omega0": 1.0, "tau": 1.0, "t_center": 0.5,
-        }
-        doc["grid"] = {"t_start": 0.0, "t_end": 1.0, "step": 0.01,
-                       "step_policy": "warn"}
-        return doc
-
-    @staticmethod
-    def step_warning_line(path: str) -> str:
-        return (f"warning: {path}: grid.step (0.01) exceeds tau/400 (0.0025) "
-                "for the pulsed envelope\n")
 
 
 #: Minor page faults of the second of two identical CLI runs in one process.
