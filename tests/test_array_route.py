@@ -117,12 +117,21 @@ class TestTrackBranches:
         assert signs.tolist() == [[[-1, -1]]]
         np.testing.assert_array_equal(roots, [[[-2.0, -2.1]]])
 
-    def test_tie_raises_with_grid_index(self):
-        principal = np.array([[[1.0, 1.1, 1.2, 1.2j, 1.3j]]])
-        _, _, (error,) = _track_branches(principal, (1,), ("ctx",))
+    # From 1.1 to x + 1j the two roots' distances differ by about x relative:
+    # a tie inside BRANCH_AMBIGUITY_RTOL = 1e-14, none outside it.
+    @pytest.mark.parametrize("principal, index", [
+        ([1.0, 1.1, 1.2, 1.2j, 1.3j], 3),
+        ([1.0, 1.1, 1e-15 + 1j], 2),
+        ([1.0, 1.1, 1e-13 + 1j], None),
+    ], ids=["exact", "margin-1e-15", "margin-1e-13"])
+    def test_tie_raises_with_grid_index(self, principal, index):
+        _, _, (error,) = _track_branches(np.array([[principal]]), (1,), ("ctx",))
+        if index is None:
+            assert error is None
+            return
         assert isinstance(error, BranchAmbiguity)
         assert str(error).startswith("ctx: both roots")
-        assert error.grid_index == 3
+        assert error.grid_index == index
 
     def test_earliest_tie_across_rows_wins(self):
         principal = np.array([

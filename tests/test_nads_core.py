@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from nads.errors import (
     BranchAmbiguity,
     DegenerateRabi,
-    EnvelopeUnderflow,
     NumericalError,
     ValidationError,
 )
@@ -27,6 +26,7 @@ from nads.field_model import (
     ConstantEnvelope,
     FieldModel,
     GaussianEnvelope,
+    SechEnvelope,
     SystemParams,
 )
 from nads.nads_core import _track_branches, detuning, snapshot_series, uniform_grid
@@ -113,16 +113,6 @@ class TestNonadiabaticRabi:
             4.994562620462608 - 0.16017418556780498j, rel=1e-15
         )
 
-    def test_continuation_keeps_nearest_root(self):
-        principal = cmath.sqrt(24.92 - 1.6j)
-        row = np.array([[[principal, principal, principal]]])
-        roots, signs, errors = _track_branches(row, (-1,), ("x",))
-        assert roots.tolist() == [[[-principal] * 3]]
-        assert signs.tolist() == [[[-1, -1, -1]]]
-        assert errors == [None]
-        roots, signs, _ = _track_branches(row, (1,), ("x",))
-        assert roots.tolist() == [[[principal] * 3]]
-
     def test_sign_delta_ignored_under_continuation(self):
         # The detuning sign picks the first root only; later samples follow
         # the previous root, here back onto the principal one.
@@ -131,12 +121,6 @@ class TestNonadiabaticRabi:
             np.array([[[-principal, principal]]]), (-1,), ("x",)
         )
         assert roots.tolist() == [[[principal, principal]]]
-
-    def test_equidistant_roots_are_ambiguous(self):
-        # A sample orthogonal to the previous root: both candidates equidistant.
-        _, _, (error,) = _track_branches(np.array([[[5j, 5.0 + 0.0j]]]), (1,), ("x",))
-        assert isinstance(error, BranchAmbiguity)
-        assert error.grid_index == 1
 
 
 class TestLambdas:
@@ -163,10 +147,17 @@ class TestLambdas:
             series.lambda_t1 - series.lambda_t2, series.omega_tilde, rtol=1e-14
         )
 
-    def test_degenerate_rabi(self):
-        # Omega = 3e-13 and delta = 4e-13: |omega_tilde| = 5e-13 everywhere.
-        with pytest.raises(DegenerateRabi, match="grid index 0"):
-            constant_series(omega0=3e-13, delta=4e-13)
+    @pytest.mark.parametrize("scale, degenerate", [(1e-13, True), (1e-11, False)])
+    def test_degenerate_rabi(self, scale, degenerate):
+        # Omega = 3 scale and delta = 4 scale: |omega_tilde| = 5 scale
+        # everywhere, against RABI_DEGENERACY_FLOOR = 1e-12. delta is
+        # 5 - (5 - 4 scale), exact to 1e-16.
+        if degenerate:
+            with pytest.raises(DegenerateRabi, match="grid index 0"):
+                constant_series(omega0=3 * scale, delta=4 * scale)
+        else:
+            series = constant_series(omega0=3 * scale, delta=4 * scale)
+            np.testing.assert_allclose(np.abs(series.omega_tilde), 5 * scale, rtol=1e-5)
 
 
 class TestMixingFunctions:
@@ -365,24 +356,16 @@ class TestSnapshotSeries:
         assert series.d_omega_tilde[0] == series.d_omega_tilde[1]
         assert np.all(np.isfinite(series.cos_half))
 
-    def test_grid_validation(self):
+    def test_vanishing_sin_is_ambiguous_by_name(self):
+        # 30 tau before a sech peak, Omega^2 / delta^2 ~ 1e-25 cancels in
+        # -Lambda'_2: SIN(theta/2) is 0 at consecutive points, and both of
+        # its roots are equidistant from the previous one.
         params = SystemParams(0.0, 5.0)
-        field = FieldModel(carrier_omega=1.0, envelope=ConstantEnvelope(1.0))
-        with pytest.raises(ValueError):
-            snapshot_series(params, field, np.array([0.0]))
-        with pytest.raises(ValueError):
-            snapshot_series(params, field, np.array([0.0, 1.0, 1.5]))
-        with pytest.raises(ValueError):
-            snapshot_series(params, field, np.array([1.0, 0.0]))
-
-    def test_envelope_underflow_names_grid_index(self):
-        params = SystemParams(0.0, 5.0)
-        field = FieldModel(
-            carrier_omega=1.0,
-            envelope=GaussianEnvelope(omega0=1.0, t_center=0.0, tau=1.0),
-        )
-        with pytest.raises(EnvelopeUnderflow, match="grid index"):
-            snapshot_series(params, field, np.linspace(0.0, 12.0, 121))
+        field = FieldModel(carrier_omega=4.0,
+                           envelope=SechEnvelope(omega0=1.0, t_center=30.0, tau=1.0))
+        with pytest.raises(BranchAmbiguity, match=r"^SIN\(theta/2\): both roots "
+                                                  r".*\(grid index 1\)$"):
+            snapshot_series(params, field, np.linspace(0.0, 20.0, 5))
 
     def test_step_and_length(self, flagship):
         _, series = flagship

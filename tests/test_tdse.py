@@ -1,9 +1,11 @@
 """Amplitude-equation integrator: RHS conventions, closed-form oracles,
-the rotating-wave approximation against a scalar lab-frame RK4, convergence
-order, agreement of the block propagator with a scalar RK4 loop, the
-work-efficient expansion against the Hillis-Steele one it replaced, the
-starting rate against the one with the chirp unweighted, and the predictive
-substep controller against the plain doubling controller."""
+the rotating-wave approximation against a scalar lab-frame RK4, the step
+matrices against the RK4 stage composition, agreement of the block
+propagator with a scalar RK4 loop, the work-efficient expansion against
+the Hillis-Steele one it replaced, the starting rate against the one with
+the chirp unweighted, and the predictive substep controller against the
+plain doubling controller. RK4's convergence order is acceptance
+criterion 9."""
 
 from __future__ import annotations
 
@@ -149,30 +151,21 @@ class TestClosedFormOracles:
 
 
 class TestEvolveOracles:
-    def test_resonant_pi_pulse(self):
-        params, field = resonant(0.2)
-        grid = np.linspace(0.0, math.pi / 0.2, 201)
-        traj = evolve(params, field, grid, init="ground")
-        assert abs(abs(traj.c_e[-1]) ** 2 - 1.0) < 1e-8
-
-    def test_pi_pulse_from_excited(self):
-        params, field = resonant(0.2)
-        grid = np.linspace(0.0, math.pi / 0.2, 201)
-        traj = evolve(params, field, grid, init="excited")
-        assert abs(abs(traj.c_g[-1]) ** 2 - 1.0) < 1e-8
-
     def test_lab_frame_pi_pulse(self):
         # Counter-rotating terms allowed at the (Omega/omega)^2 scale.
         params, field = resonant(0.2)
         lab = lab_rk4(params, field, np.linspace(0.0, math.pi / 0.2, 201))
         assert abs(abs(lab[-1, 1]) ** 2 - 1.0) < 1e-2
 
-    def test_population_tracks_rabi_oracle_pointwise(self):
+    @pytest.mark.parametrize("init", ["ground", "excited"])
+    def test_population_tracks_rabi_oracle_pointwise(self, init):
+        # A pi pulse: the start state's population moves out as sin^2(omega0 t / 2).
         params, field = resonant(0.2)
         grid = np.linspace(0.0, math.pi / 0.2, 201)
-        traj = evolve(params, field, grid, init="ground")
+        traj = evolve(params, field, grid, init=init)
+        moved = traj.c_e if init == "ground" else traj.c_g
         expected = np.array([rabi_oracle(0.2, t)[1] for t in grid])
-        assert np.max(np.abs(np.abs(traj.c_e) ** 2 - expected)) < 1e-8
+        assert np.max(np.abs(np.abs(moved) ** 2 - expected)) < 1e-8
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-8
 
     @pytest.mark.parametrize("omega0, tau, delta", [
@@ -187,14 +180,6 @@ class TestEvolveOracles:
         traj = evolve(params, field, grid, init="ground")
         p_e = abs(traj.c_e[-1]) ** 2
         assert abs(p_e - rz_oracle(omega0, tau, delta)) < 1e-12
-
-    def test_field_free_decay(self):
-        params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_e=0.5)
-        field = FieldModel(carrier_omega=5.0, envelope=OFF)
-        grid = np.linspace(0.0, 2.0, 101)
-        traj = evolve(params, field, grid, init="excited")
-        assert abs(abs(traj.c_e[-1]) ** 2 - math.exp(-1.0)) < 1e-8
-        assert np.max(np.abs(traj.norm - np.exp(-0.5 * grid))) < 1e-8
 
     def test_ground_decay_law(self):
         params = SystemParams(omega_g=1.0, omega_e=5.0, gamma_g=0.25)
@@ -267,22 +252,6 @@ class TestCounterRotatingTerm:
 
 
 class TestConvergence:
-    def test_fourth_order_substep_halving(self):
-        params, field = resonant(2.0)
-        grid = np.linspace(0.0, 1.0, 11)
-
-        def endpoint(n_sub):
-            traj = fixed_pass(params, field, grid, n_sub=n_sub)
-            return traj.c_g[-1], traj.c_e[-1]
-
-        ref = endpoint(64)
-        errs = []
-        for n_sub in (1, 2):
-            g, e = endpoint(n_sub)
-            errs.append(max(abs(g - ref[0]), abs(e - ref[1])))
-        ratio = errs[0] / errs[1]
-        assert 12.0 < ratio < 20.0
-
     def test_doubling_controller_meets_tolerance(self):
         params, field = resonant(0.2)
         grid = np.linspace(0.0, math.pi / 0.2, 51)
@@ -326,21 +295,17 @@ class TestValidationAndFailure:
             evolve(params, field, np.linspace(0.0, 1.0, 5), rtol=1e-20, atol=1e-20)
         assert calls == [1, 2, 64, 128, 256]
 
-    def test_grid_validation(self):
-        params, field = resonant(0.2)
-        with pytest.raises(ValueError, match="uniformly increasing"):
-            evolve(params, field, np.array([0.0, 0.1, 0.3]))
-        with pytest.raises(ValueError, match="uniformly increasing"):
-            evolve(params, field, np.array([0.0, -0.1, -0.2]))
-        with pytest.raises(ValueError, match="at least 2"):
-            evolve(params, field, np.array([0.0]))
-
     @pytest.mark.parametrize("grid, message", [
         (np.array([0.0, 1.0, 3.0]), "grid must be uniformly increasing"),
+        (np.array([0.0, -0.1, -0.2]), "grid must be uniformly increasing"),
+        (np.array([1.0, 0.0]), "grid must be uniformly increasing"),
+        (np.array([0.0, 0.0]), "grid must be uniformly increasing"),
+        (np.array([0.0, np.inf]), "grid must be uniformly increasing"),
         (np.array([0.0]), "grid must be one-dimensional with at least 2 points"),
         (np.array([[0.0, 1.0], [2.0, 3.0]]),
          "grid must be one-dimensional with at least 2 points"),
-    ], ids=["non-uniform", "one-point", "2-D"])
+    ], ids=["non-uniform", "decreasing", "two-point-decreasing", "repeated-point",
+            "infinite-step", "one-point", "2-D"])
     @pytest.mark.parametrize("call", [
         lambda run, grid: nads.evolve(*run, grid),
         lambda run, grid: tdse.final_states([run], grid),
@@ -349,6 +314,14 @@ class TestValidationAndFailure:
     def test_bad_grid_is_a_nads_error(self, call, grid, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call(resonant(0.2), grid)
+
+    @pytest.mark.parametrize("keyword, error", [("init", ValueError), ("frame", TypeError)])
+    @pytest.mark.parametrize("call", [nads.evolve, lambda *r, **kw: tdse.final_states([r], **kw)],
+                             ids=["evolve", "final_states"])
+    def test_entry_points_refuse_an_unknown_init_and_any_frame(self, call, keyword, error):
+        # The integrator has one frame, the rotating one.
+        with pytest.raises(error, match=keyword):
+            call(*resonant(0.2), grid=np.linspace(0.0, 1.0, 5), **{keyword: "both"})
 
     @pytest.mark.parametrize("tol, rule", [(math.nan, "finite"), (math.inf, "finite"),
                                            (0.0, "positive"), (-1e-9, "positive")])
@@ -362,23 +335,6 @@ class TestValidationAndFailure:
                 evolve(params, field, grid, **{name: tol})
             with pytest.raises(ValidationError, match=message):
                 tdse.final_states([(params, field)], grid, **{name: tol})
-
-    def test_every_entry_point_rejects_an_unknown_initial_state(self):
-        params, field = resonant(0.2)
-        grid = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="init"):
-            evolve(params, field, grid, init="both")
-        with pytest.raises(ValueError, match="init"):
-            tdse.final_states([(params, field)], grid, init="both")
-
-    def test_entry_points_take_no_frame(self):
-        # The integrator has one frame, the rotating one.
-        params, field = resonant(0.2)
-        grid = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(TypeError, match="frame"):
-            evolve(params, field, grid, frame="rotating")
-        with pytest.raises(TypeError, match="frame"):
-            tdse.final_states([(params, field)], grid, frame="rotating")
 
 
 def reference_rk4(params, field, grid, init, frame, n_sub):
@@ -421,33 +377,79 @@ def chirped_pulse(envelope=GaussianEnvelope):
     return params, field
 
 
+def time_independent(envelope=ConstantEnvelope, beta=0.0):
+    """Damped, detuned system under a constant field; without chirp its
+    rotating-frame coupling is time-independent."""
+    params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_g=0.02, gamma_e=0.1)
+    field = FieldModel(carrier_omega=4.6, envelope=envelope(1.3),
+                       phase=Chirp(phi0=0.2, beta=beta))
+    return params, field
+
+
 class TestBlockPropagator:
-    """A fixed pass against the scalar loop across block seams."""
+    """A fixed pass against the scalar loop across block seams, over three
+    blocks of substeps. At n_sub 3 the pass has more rows than
+    ``_EXPAND_ROWS``, whose chunks carry the state, and an odd substep count
+    per interval, which ``_ordered_product`` folds; above
+    ``_BLOCK_SUBSTEPS`` each interval is sliced across blocks. A constant
+    coupling builds one row of step matrices, broadcast to every interval."""
 
-    @pytest.mark.parametrize("envelope", [GaussianEnvelope, SechEnvelope], ids=["gauss", "sech"])
-    @pytest.mark.parametrize("init", ["ground", "excited"])
-    @pytest.mark.parametrize("n_sub", [1, 3, 41, _BLOCK_SUBSTEPS + 3])
-    def test_matches_scalar_rk4(self, envelope, init, n_sub):
-        params, field = chirped_pulse(envelope)
-        # Over three blocks of substeps; n_sub > block also splits intervals.
+    @pytest.mark.parametrize("run, init, n_sub", [
+        (chirped_pulse(GaussianEnvelope), "ground", 3),
+        (chirped_pulse(SechEnvelope), "excited", 3),
+        (chirped_pulse(GaussianEnvelope), "excited", _BLOCK_SUBSTEPS + 3),
+        (chirped_pulse(SechEnvelope), "ground", _BLOCK_SUBSTEPS + 3),
+        (time_independent(), "ground", 3),
+        (time_independent(), "excited", _BLOCK_SUBSTEPS + 3),
+    ], ids=["gauss-ground-3", "sech-excited-3", "gauss-excited-4099", "sech-ground-4099",
+            "constant-ground-3", "constant-excited-4099"])
+    def test_matches_scalar_rk4(self, run, init, n_sub):
         intervals = max(3, math.ceil(3.5 * _BLOCK_SUBSTEPS / n_sub))
         grid = np.linspace(-9.0, 9.0, intervals + 1)
-        traj = fixed_pass(params, field, grid, init, n_sub)
-        ref = reference_rk4(params, field, grid, init, "rotating", n_sub)
+        traj = fixed_pass(*run, grid, init, n_sub)
+        ref = reference_rk4(*run, grid, init, "rotating", n_sub)
         assert np.max(np.abs(traj.c_g - ref[:, 0])) < 1e-12
         assert np.max(np.abs(traj.c_e - ref[:, 1])) < 1e-12
 
-    @pytest.mark.parametrize("init", ["ground", "excited"])
-    @pytest.mark.parametrize("n_sub", [1, 3, 41, _BLOCK_SUBSTEPS + 3])
-    def test_constant_coupling_matches_scalar_rk4(self, init, n_sub):
-        # One row of step matrices serves every block.
-        params, field = time_independent()
-        intervals = max(3, math.ceil(3.5 * _BLOCK_SUBSTEPS / n_sub))
-        grid = np.linspace(-9.0, 9.0, intervals + 1)
-        traj = fixed_pass(params, field, grid, init, n_sub)
-        ref = reference_rk4(params, field, grid, init, "rotating", n_sub)
-        assert np.max(np.abs(traj.c_g - ref[:, 0])) < 1e-12
-        assert np.max(np.abs(traj.c_e - ref[:, 1])) < 1e-12
+
+def stage_composition(k0, kh, k1, d1, d2, h):
+    """RK4's step matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) of
+    y' = A(k) y, A(k) = [[d1, i k], [i k*, d2]], from the stages K1 = A(k0),
+    K2 = A(kh) (I + h/2 K1), K3 = A(kh) (I + h/2 K2), K4 = A(k1) (I + h K3),
+    by 2x2 products; k of shape (B, ...) and d1, d2 of shape (B,)."""
+    d1, d2 = (np.broadcast_to(d.reshape(-1, *[1] * (k0.ndim - 1)), k0.shape) for d in (d1, d2))
+
+    def system(k):
+        return np.array([[d1, 1j * k], [1j * k.conj(), d2]])
+
+    def mul(p, q):
+        return np.einsum("ij...,jk...->ik...", p, q)
+
+    eye = np.zeros((2, 2) + k0.shape, dtype=complex)
+    eye[0, 0] = eye[1, 1] = 1.0
+    s1 = system(k0)
+    s2 = mul(system(kh), eye + h / 2 * s1)
+    s3 = mul(system(kh), eye + h / 2 * s2)
+    s4 = mul(system(k1), eye + h * s3)
+    return eye + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+
+
+def test_step_matrices_are_the_rk4_stage_composition():
+    # O(1) couplings for B = 3 runs, 2 rows and 5 substeps, so the
+    # coefficient table of each run broadcasts over its rows and substeps.
+    rng = np.random.default_rng(20111202)
+    shape = (3, 2, 5)
+    for _ in range(20):
+        k0, kh, k1 = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3))
+        gamma_g, gamma_e = rng.uniform(0.0, 1.0, (2, shape[0]))
+        d1, d2 = -0.5 * gamma_g, -1j * rng.uniform(-2.0, 2.0, shape[0]) - 0.5 * gamma_e
+        h = rng.uniform(0.05, 1.0)
+        table, q = tdse._step_coefficients(list(zip(d1.tolist(), d2.tolist())), h)
+        m = np.empty((2, 2) + shape, dtype=complex)
+        tdse._step_matrices(k0, kh, k1, table, q, m)
+        ref = stage_composition(k0, kh, k1, d1, d2, h)
+        err = np.max(np.abs(m - ref), axis=(0, 1)) / np.max(np.abs(ref), axis=(0, 1))
+        assert np.max(err) < 1e-14
 
 
 def hillis_steele_states(intervals, start, block):
@@ -596,15 +598,6 @@ class TestExpansion:
         (traj,) = tdse.final_states([(sc.system, sc.field)], sc.grid(), sc.initial_state,
                                     **tolerances(sc))
         assert events == ["build", "scan"] * len(traj.attempts)
-
-
-def time_independent(envelope=ConstantEnvelope, beta=0.0):
-    """Damped, detuned system under a constant field; without chirp its
-    rotating-frame coupling is time-independent."""
-    params = SystemParams(omega_g=0.0, omega_e=5.0, gamma_g=0.02, gamma_e=0.1)
-    field = FieldModel(carrier_omega=4.6, envelope=envelope(1.3),
-                       phase=Chirp(phi0=0.2, beta=beta))
-    return params, field
 
 
 class _DisguisedConstant:
@@ -1202,6 +1195,12 @@ class TestControllerRobustness:
         else:
             ref, _ = doubling_evolve(params, field, self.GRID)
             assert ref.n_sub == traj.n_sub
+
+    @pytest.mark.parametrize("share, fourth", [(0.49, False), (0.51, True), (1.99, True),
+                                               (2.01, False)])
+    def test_fourth_order_within_a_factor_of_two(self, share, fourth):
+        # The triple of a 2^5 jump: first / second against 15 / (1 - 32^-4).
+        assert tdse._fourth_order(share * 15.0 / (1.0 - 32.0**-4), 1.0, 32) is fourth
 
     def test_jump_capped_at_two_to_the_fifth(self, monkeypatch):
         # r = 1.01 * 16^6 predicts 2^7; the jump stops at 2^5 and doubling
