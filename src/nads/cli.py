@@ -274,8 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameters (malloc.h) and the largest mmap threshold a
-# 64-bit glibc accepts.
+# glibc's mallopt parameters (malloc.h), and the mmap threshold _keep_heap
+# sets: allocations up to 32 MiB come from the heap, where their memory
+# stays for the next one once freed, while a larger one still gets its own
+# mapping and goes back to the system when freed, so an oversized grid does
+# not stay resident. 32 MiB is the value glibc's own sliding threshold
+# grows to on a 64-bit host (DEFAULT_MMAP_THRESHOLD_MAX in malloc.c); it is
+# a choice, not the most mallopt takes (glibc 2.36 takes larger values).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_MAX = 32 << 20
@@ -293,8 +298,8 @@ def _keep_heap() -> None:
     one-shot command on one scenario frees too few such arrays to gain
     measurably. Only the command line sets this: ``import nads`` leaves a
     library caller's allocator policy alone. Off Linux, or where the C
-    library has no ``mallopt``, nothing changes, and a value ``mallopt``
-    refuses (it returns 0) stays at the library's default.
+    library has no ``mallopt``, nothing changes. The return values are not
+    checked: a setting the C library does not take stays at its default.
     """
     if not sys.platform.startswith("linux"):
         return

@@ -20,6 +20,7 @@ the failure it raises alone, come out bitwise the same in any batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,13 @@ class SnapshotSeries:
     (principal branch kept) / -1 (negated principal chosen for continuity).
     Overlaps, transition probabilities and amplitude ratios are formed from
     a series by :mod:`nads.overlap_transitions`.
+
+    The cumulative integrals those overlaps share, ``int_omega_G``,
+    ``int_omega_E`` and ``int_eg_phase``, are derived arrays like
+    ``lambda1``: each is accumulated from ``grid[0]`` on first use, kept
+    read-only and reused afterwards, so it does not follow a field
+    reassigned after that first use. ``dataclasses.replace`` builds a
+    series that accumulates its own.
     """
 
     params: SystemParams
@@ -92,6 +100,35 @@ class SnapshotSeries:
     @property
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
+
+    @cached_property
+    def int_omega_G(self) -> np.ndarray:
+        """int omega'_G dt: the exponent of <G|G>."""
+        return _read_only(_cumtrapz(self.omega_G, self.grid))
+
+    @cached_property
+    def int_omega_E(self) -> np.ndarray:
+        """int omega'_E dt: the exponent of <E|E>."""
+        return _read_only(_cumtrapz(self.omega_E, self.grid))
+
+    @cached_property
+    def int_eg_phase(self) -> np.ndarray:
+        """int [conj(omega'_E) - omega'_G - carrier] dt: the phase of <E|G>."""
+        carrier = self.field.carrier_omega
+        return _read_only(_cumtrapz(np.conj(self.omega_E) - self.omega_G - carrier, self.grid))
+
+
+def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral from x[0], starting at 0 (the operation
+    order of scipy.integrate.cumulative_trapezoid with initial=0)."""
+    out = np.zeros(len(y), dtype=np.result_type(y, x))
+    np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def detuning(params: SystemParams, field: FieldModel) -> float:

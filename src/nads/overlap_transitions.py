@@ -4,8 +4,12 @@ amplitude ratios along a snapshot series.
 Each overlap is the product of a mixing-function bracket and an exponential
 of a cumulative time integral from the grid start. Every integral is a
 trapezoid sum on the series grid. Each function takes a
-:class:`~nads.nads_core.SnapshotSeries`, computes only the integrals it
-needs and returns fresh whole-series arrays, one value per grid point.
+:class:`~nads.nads_core.SnapshotSeries` and returns fresh whole-series
+arrays, one value per grid point. The integrals of <G|G>, <E|E> and <E|G>
+live on the series (``int_omega_G``, ``int_omega_E``, ``int_eg_phase``),
+each accumulated once however many functions read it; :func:`ge_overlap`
+accumulates its own, so the conjugation symmetry compares two independent
+integrals.
 
 The transition probability has two routes, the pointwise mixing functions
 and the full overlap quotient, so that the cancellation of the exponentials
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field_model import InitialState, _require_choice
-from .nads_core import SnapshotSeries, require_finite
+from .nads_core import SnapshotSeries, _cumtrapz, require_finite
 
 __all__ = [
     "norms",
@@ -33,14 +37,6 @@ __all__ = [
 
 #: |denominator| below this multiple of |numerator| makes the ratio undefined.
 RATIO_FLOOR = 1e-14
-
-
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral from x[0], starting at 0 (the operation
-    order of scipy.integrate.cumulative_trapezoid with initial=0)."""
-    out = np.zeros(len(y), dtype=np.result_type(y, x))
-    np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0, out=out[1:])
-    return out
 
 
 def _bracket_im(u, v):
@@ -75,11 +71,6 @@ def mixing_probability(sin_half, cos_half):
     return _bracket_im(sin_half, cos_half) ** 2 / _weight(sin_half, cos_half) ** 2
 
 
-def _int_eg(series: SnapshotSeries) -> np.ndarray:
-    carrier = series.field.carrier_omega
-    return _cumtrapz(np.conj(series.omega_E) - series.omega_G - carrier, series.grid)
-
-
 def norms(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms (gg, ee) of the ground and excited dressed states:
     [|SIN|^2 + |COS|^2] exp(2 int Im omega'_G) and the same with omega'_E.
@@ -90,11 +81,9 @@ def norms(series: SnapshotSeries) -> tuple[np.ndarray, np.ndarray]:
         At the first grid index where either norm overflows.
     """
     weight = _weight(series.sin_half, series.cos_half)
-    int_g = _cumtrapz(series.omega_G, series.grid)
-    int_e = _cumtrapz(series.omega_E, series.grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        gg = weight * np.exp(2.0 * int_g.imag)
-        ee = weight * np.exp(2.0 * int_e.imag)
+        gg = weight * np.exp(2.0 * series.int_omega_G.imag)
+        ee = weight * np.exp(2.0 * series.int_omega_E.imag)
     require_finite("ground dressed-state norm <G|G>", gg)
     require_finite("excited dressed-state norm <E|E>", ee)
     return gg, ee
@@ -112,7 +101,7 @@ def eg_overlap(series: SnapshotSeries) -> np.ndarray:
     """
     bracket = _bracket_im(series.sin_half, series.cos_half)
     with np.errstate(over="ignore", invalid="ignore"):
-        eg = 1j * bracket * np.exp(1j * _int_eg(series))
+        eg = 1j * bracket * np.exp(1j * series.int_eg_phase)
     require_finite("overlap <E|G>", eg)
     return eg
 
@@ -121,8 +110,9 @@ def ge_overlap(series: SnapshotSeries) -> np.ndarray:
     """Ground-excited overlap <G|E> =
     [COS SIN* - COS* SIN] exp{i int [conj(omega'_G) - omega'_E + carrier]}.
 
-    Built by its own formula, not as conj(<E|G>), so that the conjugation
-    symmetry is a checked property rather than a shortcut.
+    Built by its own formula and its own integral, not as conj(<E|G>) nor
+    from the series' ``int_eg_phase``, so that the conjugation symmetry is a
+    checked property rather than a shortcut.
     """
     carrier = series.field.carrier_omega
     int_ge = _cumtrapz(np.conj(series.omega_G) - series.omega_E + carrier, series.grid)
@@ -141,9 +131,8 @@ def p_via_overlaps(series: SnapshotSeries) -> np.ndarray:
     admixture, which returns to 0 once the field is off, not the population
     a pulse leaves behind.
     """
-    int_g = _cumtrapz(series.omega_G, series.grid)
-    int_e = _cumtrapz(series.omega_E, series.grid)
-    log_ratio = -2.0 * _int_eg(series).imag - 2.0 * int_g.imag - 2.0 * int_e.imag
+    log_ratio = (-2.0 * series.int_eg_phase.imag - 2.0 * series.int_omega_G.imag
+                 - 2.0 * series.int_omega_E.imag)
     return mixing_probability(series.sin_half, series.cos_half) * np.exp(log_ratio)
 
 

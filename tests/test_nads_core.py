@@ -386,8 +386,10 @@ class TestSnapshotSeries:
                     yield from arrays(value)
 
         _, series = flagship
+        integrals = (series.int_omega_G, series.int_omega_E, series.int_eg_phase)
         found = list(arrays(series))
-        assert len(found) == 20  # 17 array fields and 3 branch logs
+        assert len(found) == 23  # 17 array fields, 3 branch logs, 3 integrals
+        assert all(any(arr is integral for arr in found) for integral in integrals)
         assert not any(arr.flags.writeable for arr in found)
 
     def test_caller_grid_stays_writeable(self):

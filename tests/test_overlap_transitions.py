@@ -19,10 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nads import cli, nads_core, overlap_transitions, validation
 from nads.field_model import ConstantEnvelope, FieldModel, SystemParams
-from nads.nads_core import snapshot_series
-from nads.scenario import load_shipped
+from nads.nads_core import _cumtrapz, snapshot_series
+from nads.scenario import list_shipped, load_shipped, shipped_path
 from nads.overlap_transitions import (
+    _bracket_im,
+    _weight,
     amplitude_ratios,
     eg_overlap,
     ge_overlap,
@@ -150,6 +153,119 @@ class TestFlagshipOverlaps:
     def test_conjugation_symmetry_exact(self, flagship):
         _, series = flagship
         assert np.array_equal(ge_overlap(series), np.conj(eg_overlap(series)))
+
+
+def integrands(series):
+    """name -> integrand of each integral a series shares."""
+    carrier = series.field.carrier_omega
+    return {
+        "int_omega_G": series.omega_G,
+        "int_omega_E": series.omega_E,
+        "int_eg_phase": np.conj(series.omega_E) - series.omega_G - carrier,
+    }
+
+
+def own_integrals_route(series):
+    """gg, ee, <E|G> and the overlap-route P with every integral accumulated
+    afresh, as each function did before the series shared them."""
+    carrier = series.field.carrier_omega
+    int_g = _cumtrapz(series.omega_G, series.grid)
+    int_e = _cumtrapz(series.omega_E, series.grid)
+    int_eg = _cumtrapz(np.conj(series.omega_E) - series.omega_G - carrier, series.grid)
+    weight = _weight(series.sin_half, series.cos_half)
+    bracket = _bracket_im(series.sin_half, series.cos_half)
+    log_ratio = -2.0 * int_eg.imag - 2.0 * int_g.imag - 2.0 * int_e.imag
+    return {
+        "gg": weight * np.exp(2.0 * int_g.imag),
+        "ee": weight * np.exp(2.0 * int_e.imag),
+        "eg": 1j * bracket * np.exp(1j * int_eg),
+        "p_via_overlaps": mixing_probability(series.sin_half, series.cos_half)
+        * np.exp(log_ratio),
+    }
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def cumtrapz_calls(monkeypatch):
+    """The integrand of every ``_cumtrapz`` call, in order, while the test runs."""
+    calls = []
+
+    def spy(y, x):
+        calls.append(y)
+        return _cumtrapz(y, x)
+
+    monkeypatch.setattr(nads_core, "_cumtrapz", spy)
+    monkeypatch.setattr(overlap_transitions, "_cumtrapz", spy)
+    return calls
+
+
+class TestSharedIntegrals:
+    """The integrals of <G|G>, <E|E> and <E|G>, accumulated once on the series."""
+
+    def test_each_integral_is_its_integrand_accumulated(self, shipped_series):
+        for _, series in shipped_series.values():
+            for name, integrand in integrands(series).items():
+                assert same_bits(getattr(series, name), _cumtrapz(integrand, series.grid))
+
+    def test_overlaps_keep_the_bits_of_their_own_integrals(self, shipped_series):
+        for name, (_, series) in shipped_series.items():
+            gg, ee = norms(series)
+            shared = {"gg": gg, "ee": ee, "eg": eg_overlap(series),
+                      "p_via_overlaps": p_via_overlaps(series)}
+            expected = own_integrals_route(series)
+            for key, value in shared.items():
+                assert same_bits(value, expected[key]), (name, key)
+
+    def test_integrals_are_read_only_and_computed_once(self, flagship, cumtrapz_calls):
+        scenario, _ = flagship
+        series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+        for name in integrands(series):
+            first = getattr(series, name)
+            assert not first.flags.writeable
+            assert getattr(series, name) is first
+        assert len(cumtrapz_calls) == 3
+
+    def test_a_replaced_series_accumulates_its_own(self, flagship):
+        scenario, _ = flagship
+        series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+        old = {name: getattr(series, name) for name in integrands(series)}
+        same = dataclasses.replace(series)
+        shifted = dataclasses.replace(series, omega_G=series.omega_G + 1j,
+                                      omega_E=series.omega_E - 1j)
+        for name, integral in old.items():
+            assert getattr(same, name) is not integral
+            assert same_bits(getattr(same, name), integral)
+        for name, integrand in integrands(shifted).items():
+            assert same_bits(getattr(shifted, name), _cumtrapz(integrand, shifted.grid))
+            assert not np.array_equal(getattr(shifted, name), old[name])
+
+    def test_ge_overlap_accumulates_its_own_integral(self, flagship, cumtrapz_calls):
+        scenario, _ = flagship
+        series = snapshot_series(scenario.system, scenario.field, scenario.grid())
+        ge_overlap(series)
+        carrier = series.field.carrier_omega
+        own = np.conj(series.omega_G) - series.omega_E + carrier
+        assert len(cumtrapz_calls) == 1 and same_bits(cumtrapz_calls[0], own)
+        assert not set(integrands(series)) & set(vars(series))
+        eg_overlap(series)
+        ge_overlap(series)
+        assert len(cumtrapz_calls) == 3 and same_bits(cumtrapz_calls[2], own)
+
+
+def test_integrals_accumulated_per_command(cumtrapz_calls, capsys):
+    # Four integrals per shipped series in validate (the three shared ones
+    # and <G|E>'s own), each series once; a snapshot table accumulates the
+    # three its gg, ee and eg columns read.
+    assert len(list_shipped()) == 8
+    assert all(result.passed for result in validation.run_all())
+    assert len(cumtrapz_calls) == 32
+    cumtrapz_calls.clear()
+    assert cli.main(["snapshot", str(shipped_path("sech-damped"))]) == 0
+    capsys.readouterr()
+    assert len(cumtrapz_calls) == 3
 
 
 def test_long_damped_run_keeps_overlap_route_finite():
